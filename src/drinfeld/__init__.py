@@ -9,8 +9,16 @@ Chebotarev-style sampling of mod-l Frobenius statistics against the exact
 GL_r distribution.
 """
 
-from .fields import Field, FieldElement, FieldError, make_field, field_with_modulus, is_prime
-from .linalg import Matrix
+from .fields import (
+    Field,
+    FieldBatch,
+    FieldElement,
+    FieldError,
+    field_with_modulus,
+    is_prime,
+    make_field,
+)
+from .linalg import Int64RangeError, Matrix
 from .polynomials import (
     INF,
     Place,
@@ -58,6 +66,7 @@ from .charpoly import (
     charpoly_mod_l,
     det_check,
     epsilon_of,
+    frobenius_charpolys,
 )
 from .newton import (
     NewtonPolygon,

@@ -1,29 +1,50 @@
 """Characteristic polynomials of Frobenius at good primes.
 
-The primary method solves the degree-bounded linear system over F_q coming
-from the operator identity
+The primary method (`frobenius_charpolys`) goes through the Anderson
+motive L{tau} of the reduction, L = A/p the residue field, d = deg p.  On
+the basis 1, tau, ..., tau^(r-1) over L[T], left multiplication by tau is
+sigma-semilinear (sigma the q-power map) with the companion matrix
 
-    tau^(r d) + phi_(a_1) tau^((r-1)d) + ... + phi_(a_r)  =  0,   d = deg p,
+    A = [e_1 | e_2 | ... | e_(r-1) | g_r^-1 ((T - g_0) e_0 - sum g_i e_i)],
 
-with unknowns the coefficients of a_1, ..., a_r inside the bounds
-deg(a_i) <= i*d/r.  For prime rank the bounded solution is unique: the
-constant term is a unit times the prime itself, which rules out the only
-degenerate shape (a full r-th power) the minimal polynomial could take.
-A defensive disambiguation path (constant-term anchor, then CRT against
-torsion-matrix oracles) covers non-prime custom ranks.
+so tau^d acts L[T]-linearly by M = A sigma(A) ... sigma^(d-1)(A), and
 
-The torsion-matrix route (`charpoly_mod_l`) is kept fully independent so
-the two can cross-check each other.
+    P(X) = x^r + a_1 x^(r-1) + ... + a_r = det(X - M).
+
+The determinant is taken division-free (Berkowitz), so nothing pivots and
+every prime of one degree is computed at once on numpy arrays.  Each
+answer is checked before it is returned: the coefficients land in F_q,
+deg a_i <= i*d/r, a_r = epsilon*p with epsilon in closed form, and the
+operator identity
+
+    tau^(r d) + phi_(a_1) tau^((r-1)d) + ... + phi_(a_r)  =  0
+
+holds exactly in L{tau}.
+
+Two independent oracles remain.  `charpoly_linear_system` solves that
+identity as a linear system over F_q in the coefficients of the a_i
+inside their degree bounds; for prime rank the bounded solution is unique
+(the constant term is a unit times the prime, ruling out a full r-th
+power), and a system that is not raises.  `charpoly_mod_l` reads the
+characteristic polynomial off the torsion Frobenius matrix at l.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from . import linalg
-from .fields import FieldElement
-from .polynomials import SparsePoly, primes_of_degree, residue_field
-from .reduction import ReducedModule, reduce_mod, torsion_space, DEFAULT_SPLITTING_CAP
+from .fields import FieldBatch, FieldElement
+from .polynomials import SparsePoly, format_poly, residue_field
+from .reduction import (
+    DEFAULT_SPLITTING_CAP,
+    ReducedModule,
+    ReductionError,
+    reduce_mod,
+    torsion_space,
+)
 from .skew import DrinfeldModule, SkewPoly
 
 
@@ -43,6 +64,7 @@ class CharPoly:
         self.r = r
         self.a = coeffs
         self.epsilon = epsilon
+        self._mod: dict[SparsePoly, list[FieldElement]] = {}
 
     def coefficient(self, i: int) -> SparsePoly:
         """a_i for 1 <= i <= r."""
@@ -50,15 +72,14 @@ class CharPoly:
 
     def reduce_mod(self, ell: SparsePoly) -> list[FieldElement]:
         """Monic image in F_l[x], ascending: [a_r mod l, ..., a_1 mod l, 1]."""
-        rf = residue_field(ell)
-        out = [rf.reduce(a) for a in reversed(self.a)]
-        out.append(rf.field.one)
-        return out
+        if ell not in self._mod:
+            rf = residue_field(ell)
+            self._mod[ell] = [rf.reduce(a) for a in reversed(self.a)] + [rf.field.one]
+        return list(self._mod[ell])
 
     def det_of_frobenius_mod(self, ell: SparsePoly) -> FieldElement:
         """(-1)^r a_r mod l: the determinant of the mod-l Frobenius matrix."""
-        rf = residue_field(ell)
-        val = rf.reduce(self.a[-1])
+        val = self.reduce_mod(ell)[0]
         return val if self.r % 2 == 0 else -val
 
     def __eq__(self, other):
@@ -96,8 +117,12 @@ def _epsilon_from_reduced(reduced: ReducedModule) -> FieldElement:
     g_r_bar = reduced.coeffs[r]
     nr = reduced.field.norm_to_base(g_r_bar)
     nr_base = _into_base(reduced, nr)
-    sign = -1 if (r + d * (r + 1)) % 2 else 1
-    return base.scalar(sign) * base.inv(nr_base)
+    return base.scalar(_epsilon_sign(r, d)) * base.inv(nr_base)
+
+
+def _epsilon_sign(r: int, d: int) -> int:
+    """(-1)^r (-1)^(d(r+1)): epsilon = sign / Nr(g_r)."""
+    return -1 if (r + d * (r + 1)) % 2 else 1
 
 
 def _into_base(reduced: ReducedModule, x: FieldElement):
@@ -108,12 +133,7 @@ def _into_base(reduced: ReducedModule, x: FieldElement):
             raise CharPolyError("norm did not land in the base field")
         return base.scalar(x.coords[0])
     # e > 1: invert the embedding on its image
-    cols = []
-    for j in range(base.n):
-        coords = [0] * base.n
-        coords[j] = 1
-        cols.append(reduced.rf.embed_base(base.elem(coords)).coords)
-    mat = np.array(cols, dtype=np.int64).T
+    mat = reduced.field.base_embedding()
     sol = linalg.solve_mod_p(mat, np.array(x.coords, dtype=np.int64), base.p)
     if sol is None:
         raise CharPolyError("norm did not land in the base field")
@@ -124,10 +144,246 @@ def _degree_bounds(r: int, d: int) -> list[int]:
     return [i * d // r for i in range(1, r + 1)]
 
 
-def charpoly_linear_system(module: DrinfeldModule, prime: SparsePoly,
-                           cap: int = DEFAULT_SPLITTING_CAP) -> CharPoly:
+# ---------------------------------------------------------------------------
+# primary route: the motive matrix, batched over primes of one degree
+# ---------------------------------------------------------------------------
+
+
+def frobenius_charpolys(module: DrinfeldModule,
+                        primes: Sequence[SparsePoly]) -> list[CharPoly]:
+    """Characteristic polynomials of Frobenius at good primes, in input
+    order, through det(X - M) on the Anderson motive.  Primes of one degree
+    are computed together; every answer passes the checks in the module
+    docstring.  The first prime of bad reduction (in input order), or the
+    first failing a check, is named by the CharPolyError raised."""
+    reduced = [_reduce_good(module, prime) for prime in primes]
+    by_degree: dict[int, list[int]] = {}
+    for k, prime in enumerate(primes):
+        by_degree.setdefault(prime.degree, []).append(k)
+    out: list[CharPoly] = [None] * len(primes)  # type: ignore[list-item]
+    for idx in by_degree.values():
+        for k, cp in zip(idx, _motive_charpolys([reduced[k] for k in idx])):
+            out[k] = cp
+    return out
+
+
+def _reduce_good(module: DrinfeldModule, prime: SparsePoly) -> ReducedModule:
+    try:
+        reduced = reduce_mod(module, prime)
+    except ReductionError as exc:
+        raise CharPolyError(f"bad reduction at {format_poly(prime)}: {exc}") from exc
+    if not reduced.is_good:
+        raise CharPolyError(f"bad reduction at {format_poly(prime)}")
+    return reduced
+
+
+def _motive_charpolys(reduced: list[ReducedModule]) -> list[CharPoly]:
+    """All primes here share one degree d, hence one residue-field degree.
+    Arrays run over the batch on axis 0; L-elements are power-basis
+    coordinates on the last axis and L[T]-elements put T-degrees before
+    them."""
+    module = reduced[0].module
+    base = module.base
+    r, q = module.r, module.q
+    d = reduced[0].prime.degree
+    fb = FieldBatch.of([red.field for red in reduced])
+    n = fb.n
+
+    # sig[:, k, i] = sigma^k(g_i mod p), k < d: sigma has order d on L
+    g = np.array([[c.coords for c in red.coeffs] for red in reduced], dtype=np.int64)
+    frob = fb.frobenius_matrix(q)
+    sig = [g]
+    for _ in range(d - 1):
+        sig.append(fb.apply(frob, sig[-1]))
+    sig = np.stack(sig, axis=1)
+    u = fb.inv(sig[:, :, r])  # sigma^k(g_r)^-1
+
+    # M = A sigma(A) ... sigma^(d-1)(A); right multiplication by the
+    # companion matrix shifts the columns left and appends M c, where
+    # c = sigma^k(g_r)^-1 (T e_0 - sum_(i<r) sigma^k(g_i) e_i)
+    M = np.zeros((len(reduced), r, r, 1, n), dtype=np.int64)
+    M[:, range(r), range(r), 0, 0] = 1
+    for k in range(d):
+        consts = fb.mul_matrix(fb.mul(u[:, k, None], (-sig[:, k, :r]) % fb.p))
+        last = np.zeros((len(reduced), r, k + 2, n), dtype=np.int64)
+        last[:, :, 1:] = fb.apply(fb.mul_matrix(u[:, k]), M[:, :, 0])  # the T e_0 term
+        for i in range(r):
+            last[:, :, :-1] += fb.apply(consts[:, i], M[:, :, i])
+        shifted = np.pad(M[:, :, 1:], [(0, 0)] * 3 + [(0, 1), (0, 0)])
+        M = np.concatenate([shifted, last[:, :, None] % fb.p], axis=2)
+    coeffs = _berkowitz(fb, M)[1:]
+
+    embed = reduced[0].field.base_embedding()  # one F_q embedding per degree
+    pullback = _pullback(embed, fb.p)
+    bounds = _degree_bounds(r, d)
+    a = []
+    for i, c in enumerate(coeffs, start=1):
+        y = _into_base_batch(reduced, c, embed, pullback, f"a_{i} has a coefficient")
+        _raise_at(reduced, y[:, bounds[i - 1] + 1:].any(axis=(1, 2)),
+                  f"deg a_{i} exceeds {i}*d/{r}")
+        a.append(y[:, : bounds[i - 1] + 1])
+
+    eps = _epsilon_batch(reduced, fb, sig[:, :, r], embed, pullback)
+    prime_coeffs = np.zeros((len(reduced), d + 1, base.n), dtype=np.int64)
+    for b, red in enumerate(reduced):
+        for j, cf in red.prime.terms:
+            prime_coeffs[b, j] = cf.coords
+    eps_p = FieldBatch.of([base]).mul(eps[:, None], prime_coeffs)
+    _raise_at(reduced, (eps_p != a[-1]).any(axis=(1, 2)), "a_r differs from epsilon*p")
+
+    _check_residual(reduced, fb, g, frob, np.stack([c[:, : d + 1] for c in coeffs], axis=1))
+    return _charpoly_objects(reduced, a, eps)
+
+
+def _padd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of two L[T] arrays of possibly different T-lengths (not reduced)."""
+    if a.shape[-2] < b.shape[-2]:
+        a, b = b, a
+    out = a.copy()
+    out[..., : b.shape[-2], :] += b
+    return out
+
+
+def _lt_mul(fb: FieldBatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products in L[T] of broadcastable (B, ..., D, n) arrays: the shorter
+    factor's coefficients act through their multiplication matrices."""
+    if a.shape[-2] < b.shape[-2]:
+        a, b = b, a
+    da, db = a.shape[-2], b.shape[-2]
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    mats = fb.mul_matrix(b).swapaxes(-1, -2)
+    acc = np.zeros(lead + (da + db - 1, fb.n), dtype=np.int64)
+    for t in range(db):
+        acc[..., t : t + da, :] += a @ mats[..., t, :, :] % fb.p
+    return acc % fb.p
+
+
+def _berkowitz(fb: FieldBatch, M: np.ndarray) -> list[np.ndarray]:
+    """det(X - M) = sum_i c_i X^(r-i) for (B, r, r, D, n) matrices over
+    L[T], division-free (Berkowitz, IPL 1984): returns [1, c_1, ..., c_r].
+
+    Going up from the trailing 1 x 1 block, the block [[a, R], [C, S]] of
+    size m has the characteristic vector of S multiplied by the lower
+    triangular Toeplitz matrix with first column 1, -a, -RC, -RSC, ...,
+    -RS^(m-2)C."""
+    p = fb.p
+    r = M.shape[1]
+    one = fb.one((1,))
+    vec = [one]
+    for k in range(r - 1, -1, -1):
+        m = r - k
+        row, col, S = M[:, k, k + 1 :], M[:, k + 1 :, k], M[:, k + 1 :, k + 1 :]
+        t = [one, (-M[:, k, k]) % p]
+        for j in range(m - 1):
+            t.append((-_lt_mul(fb, row, col).sum(axis=1)) % p)
+            if j < m - 2:
+                col = _lt_mul(fb, S, col[:, None]).sum(axis=2) % p
+        new = [one]
+        for i in range(1, m + 1):
+            acc = t[i] if i == m else _padd(t[i], vec[i])
+            for j in range(1, i):
+                acc = _padd(acc, _lt_mul(fb, t[j], vec[i - j]))
+            new.append(acc % p)
+        vec = new
+    return vec
+
+
+def _pullback(embed: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Rows where the n x e embedding of F_q has full rank, and the inverse
+    of those rows: F_q coordinates from power-basis coordinates."""
+    _, rows = linalg.rref_mod_p(embed.T, p)
+    inv, _ = linalg.solve_mod_p(embed[rows], np.eye(len(rows), dtype=np.int64), p)
+    return rows, inv
+
+
+def _into_base_batch(reduced, v: np.ndarray, embed: np.ndarray, pullback, what: str):
+    """F_q coordinates (B, ..., e) of L-elements (B, ..., n) that must lie
+    in the embedded F_q; raises naming the first prime where one does not."""
+    p = reduced[0].field.p
+    rows, inv = pullback
+    y = v[..., rows] @ inv.T % p
+    outside = (y @ embed.T % p != v).reshape(len(reduced), -1).any(axis=1)
+    _raise_at(reduced, outside, f"{what} outside F_q")
+    return y
+
+
+def _raise_at(reduced, bad: np.ndarray, message: str):
+    if bad.any():
+        prime = reduced[int(np.argmax(bad))].prime
+        raise CharPolyError(f"{message} at {format_poly(prime)}")
+
+
+def _epsilon_batch(reduced, fb: FieldBatch, conj: np.ndarray, embed, pullback) -> np.ndarray:
+    """The closed form of `_epsilon_from_reduced`, batched: sign / Nr(g_r)
+    with the norm the product of the d conjugates conj[:, k] = sigma^k(g_r)."""
+    base = reduced[0].module.base
+    nr = conj[:, 0]
+    for k in range(1, conj.shape[1]):
+        nr = fb.mul(nr, conj[:, k])
+    nr = _into_base_batch(reduced, nr, embed, pullback, "Nr(g_r) lies")
+    sign = _epsilon_sign(reduced[0].module.r, reduced[0].prime.degree)
+    return sign * FieldBatch.of([base]).inv(nr) % base.p
+
+
+def _check_residual(reduced, fb: FieldBatch, g: np.ndarray, frob: np.ndarray,
+                    coeffs: np.ndarray):
+    """tau^(rd) + sum_i phi_(a_i) tau^((r-i)d) = 0 in L{tau}, the a_i given
+    by their L-coordinates coeffs[:, i-1] (B, r, d+1, n) within the degree
+    bounds.  phi_(T^j) = P_j comes from P_(j+1) = phi_T P_j, that is
+    P_(j+1)[m] = sum_k g_k sigma^k(P_j[m-k]): one matrix per k."""
+    batch, r, width, n = coeffs.shape
+    d = width - 1
+    p = fb.p
+    steps = [np.broadcast_to(np.eye(n, dtype=np.int64), frob.shape)]
+    for _ in range(r):
+        steps.append(steps[-1] @ frob % p)
+    steps = fb.mul_matrix(g) @ np.stack(steps, axis=1) % p  # x -> g_k sigma^k(x)
+    steps = steps.swapaxes(-1, -2)
+    total = np.zeros((batch, r * d + 1, n), dtype=np.int64)
+    total[:, r * d, 0] = 1
+    P = fb.one((1,))
+    for j in range(d + 1):
+        span = P.shape[1]
+        terms = P[:, None] @ fb.mul_matrix(coeffs[:, :, j]).swapaxes(-1, -2) % p
+        for i, bound in enumerate(_degree_bounds(r, d), start=1):
+            if j <= bound:
+                total[:, (r - i) * d : (r - i) * d + span] += terms[:, i - 1]
+        if j < d:
+            terms = P[:, None] @ steps % p
+            P = np.zeros((batch, span + r, n), dtype=np.int64)
+            for k in range(r + 1):
+                P[:, k : k + span] += terms[:, k]
+            P %= p
+    _raise_at(reduced, (total % p).any(axis=(1, 2)), "residual identity fails")
+
+
+def _charpoly_objects(reduced, a: list[np.ndarray], eps: np.ndarray) -> list[CharPoly]:
+    base = reduced[0].module.base
+    r = len(a)
+    elems: dict[tuple[int, ...], FieldElement] = {}
+
+    def elem(coords: list[int]) -> FieldElement:
+        key = tuple(coords)
+        x = elems.get(key)
+        if x is None:
+            x = elems[key] = base.elem(key)
+        return x
+
+    rows = [ai.tolist() for ai in a]
+    out = []
+    for b, (red, e) in enumerate(zip(reduced, eps.tolist())):
+        polys = tuple(
+            SparsePoly(base, [(j, elem(c)) for j, c in enumerate(ai[b]) if any(c)])
+            for ai in rows
+        )
+        out.append(CharPoly(red.prime, r, polys, elem(e)))
+    return out
+
+
+def charpoly_linear_system(module: DrinfeldModule, prime: SparsePoly) -> CharPoly:
     """Characteristic polynomial of Frobenius at a good prime via the
-    degree-bounded linear system; exact, no field extensions."""
+    degree-bounded linear system; exact, no field extensions.  The oracle
+    for `frobenius_charpolys`."""
     reduced = reduce_mod(module, prime)
     if not reduced.is_good:
         raise CharPolyError("bad reduction at the given prime")
@@ -158,10 +414,10 @@ def charpoly_linear_system(module: DrinfeldModule, prime: SparsePoly,
             raise CharPolyError("inconsistent Frobenius system (arithmetic bug)")
         vec, nullity = sol
         if nullity:
-            vec = _disambiguate(module, prime, reduced, layout, rows, rhs, cap)
+            raise CharPolyError(f"ambiguous Frobenius system at {format_poly(prime)}")
         a = _coeffs_from_vector(base, layout, [int(v) for v in vec], r)
     else:
-        a = _charpoly_system_general(module, prime, reduced, layout, coeff, cap)
+        a = _charpoly_system_general(module, prime, reduced, layout, coeff)
 
     eps = _epsilon_from_reduced(reduced)
     cp = CharPoly(prime, r, tuple(a), eps)
@@ -188,7 +444,7 @@ def _assert_residual(reduced: ReducedModule, cp: CharPoly):
         raise CharPolyError("residual identity failed (arithmetic bug)")
 
 
-def _charpoly_system_general(module, prime, reduced, layout, coeff, cap):
+def _charpoly_system_general(module, prime, reduced, layout, coeff):
     """e > 1: the same system assembled over F_q with generic elimination."""
     base = module.base
     r, d = module.r, prime.degree
@@ -233,7 +489,7 @@ def _charpoly_system_general(module, prime, reduced, layout, coeff, cap):
     if any(c == ncols for c in pivots):
         raise CharPolyError("inconsistent Frobenius system (arithmetic bug)")
     if len(pivots) < ncols:
-        raise CharPolyError("ambiguous system over an extension base field")
+        raise CharPolyError(f"ambiguous Frobenius system at {format_poly(prime)}")
     solv = [base.zero] * ncols
     for rr, c in enumerate(pivots):
         solv[c] = red[rr][ncols]
@@ -242,73 +498,6 @@ def _charpoly_system_general(module, prime, reduced, layout, coeff, cap):
         if v:
             acc[i - 1].append((j, v))
     return [SparsePoly(base, terms) for terms in acc]
-
-
-def _disambiguate(module, prime, reduced, layout, rows, rhs, cap):
-    """Anchor a_r = epsilon*p, then pin remaining freedom by CRT against
-    torsion oracles at the smallest primes l != p (accumulated until the
-    coefficient degrees are determined)."""
-    base = module.base
-    p = base.p
-    r, d = module.r, prime.degree
-    eps = _epsilon_from_reduced(reduced)
-    target = prime * eps
-    extra_rows = []
-    extra_rhs = []
-    for col, (i, j) in enumerate(layout):
-        if i == r:
-            row = np.zeros(len(layout), dtype=np.int64)
-            row[col] = 1
-            extra_rows.append(row)
-            extra_rhs.append(target.coeff(j).to_int())
-    sys_rows = np.vstack([rows] + [np.array(extra_rows, dtype=np.int64)])
-    sys_rhs = np.concatenate([rhs, np.array(extra_rhs, dtype=np.int64)])
-    sol = linalg.solve_mod_p(sys_rows, sys_rhs, p)
-    if sol is None:
-        raise CharPolyError("constant-term anchor inconsistent (arithmetic bug)")
-    if sol[1] == 0:
-        return [int(v) for v in sol[0]]
-
-    # CRT against torsion oracles
-    degree_budget = 0
-    ell_pool = _oracle_primes(base, prime)
-    for ell in ell_pool:
-        ts = torsion_space(reduced, ell, cap)
-        cp_l = ts.frobenius_matrix.charpoly()  # ascending, monic, over F_l
-        rf = ts.ell_field
-        degl = ell.degree
-        # a_i mod l = cp_l[r - i]: expand into deg(l) F_q-rows over the T-power basis
-        for i in range(1, r + 1):
-            known = cp_l[r - i]
-            for t in range(degl):
-                row = np.zeros(len(layout), dtype=np.int64)
-                for col, (ii, j) in enumerate(layout):
-                    if ii != i:
-                        continue
-                    tj = rf.t_image**j
-                    row[col] = tj.coords[t] if t < len(tj.coords) else 0
-                sys_rows = np.vstack([sys_rows, row])
-                sys_rhs = np.append(sys_rhs, known.coords[t] if t < len(known.coords) else 0)
-        sol = linalg.solve_mod_p(sys_rows, sys_rhs, p)
-        if sol is None:
-            raise CharPolyError("torsion oracle contradicts the system (arithmetic bug)")
-        if sol[1] == 0:
-            return [int(v) for v in sol[0]]
-        degree_budget += ell.degree
-        if degree_budget > d + 1:
-            break
-    raise CharPolyError("could not pin the characteristic polynomial")
-
-
-def _oracle_primes(base, prime):
-    out = []
-    d = 1
-    while len(out) < 6:
-        for ell in primes_of_degree(base, d):
-            if ell != prime:
-                out.append(ell)
-        d += 1
-    return out
 
 
 def charpoly_mod_l(module: DrinfeldModule, prime: SparsePoly, ell: SparsePoly,

@@ -16,8 +16,8 @@ import argparse
 import json
 import sys
 
-from .charpoly import CharPolyError, charpoly_linear_system
-from .fields import FieldError, is_prime, make_field
+from .charpoly import CharPolyError, frobenius_charpolys
+from .fields import FieldError, make_field
 from .newton import inertia_order_prediction, torsion_slopes
 from .polynomials import (
     Place,
@@ -29,6 +29,7 @@ from .polynomials import (
     parse_poly,
     residue_field,
 )
+from .linalg import Int64RangeError
 from .reduction import ReductionError, reduce_mod, torsion_space
 from .sampling import (
     CONSISTENT,
@@ -37,7 +38,7 @@ from .sampling import (
     sample_frobenii,
     surjectivity_evidence,
 )
-from .skew import DrinfeldModule, SkewError
+from .skew import DrinfeldModule, SkewError, split_prime_power
 from .verify import SUITES, VerifyConfig, run_suites
 
 USAGE_ERROR = 2
@@ -47,24 +48,15 @@ class UsageError(Exception):
     pass
 
 
-def _split_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                break
-            e = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                e += 1
-            if t == 1:
-                return p, e
-            break
-    raise UsageError(f"--q {q} is not a prime power")
+def _split_q(q: int) -> tuple[int, int]:
+    try:
+        return split_prime_power(q)
+    except SkewError as exc:
+        raise UsageError(f"--q {q} is not a prime power") from exc
 
 
 def _build_module(args) -> DrinfeldModule:
-    p, e = _split_prime_power(args.q)
+    p, e = _split_q(args.q)
     if getattr(args, "e", None) and args.e != e:
         raise UsageError(f"--e {args.e} inconsistent with --q {args.q} = {p}^{e}")
     base = make_field(p, e, 1)
@@ -125,7 +117,7 @@ def cmd_charpoly(args) -> int:
     reduced = reduce_mod(module, prime)
     if not reduced.is_good:
         raise UsageError(f"bad reduction at {format_poly(prime)}")
-    cp = charpoly_linear_system(module, prime)
+    cp = frobenius_charpolys(module, [prime])[0]
     report = {
         "params": _params(module),
         "prime": format_poly(prime),
@@ -249,7 +241,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_oracle_gl(args) -> int:
-    p, e = _split_prime_power(args.q)
+    p, e = _split_q(args.q)
     base = make_field(p, e, 1)
     ell = _parse_prime(args.l, base)
     fld = residue_field(ell).field
@@ -276,7 +268,7 @@ def cmd_verify(args) -> int:
         names = [args.suite]
     else:
         raise UsageError(f"unknown suite {args.suite!r}; known: all, " + ", ".join(SUITES))
-    p, e = _split_prime_power(args.q)
+    p, e = _split_q(args.q)
     cfg = VerifyConfig(p=p, e=e, r=args.r, seed=args.seed, max_deg=args.max_deg,
                        tv_threshold=args.tv_threshold,
                        budget=args.budget or 2_000_000)
@@ -309,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="custom phi_T coefficients, semicolon-separated (g_0=T first)")
         sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--budget", type=int, default=None, help="enumeration / search cap")
         if prime_poly:
             sp.add_argument("--p", dest="p", required=True, help="monic prime of F_q[T]")
@@ -374,7 +365,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (PolySyntaxError, FieldError, SkewError, ReductionError, CharPolyError,
-            SamplingError, ValueError) as exc:
+            SamplingError, Int64RangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -100,14 +100,15 @@ class FieldElement:
         f = self.field
         if k < 0:
             return f.inv(self) ** (-k)
-        result = f.one
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return f.one if result is None else result
 
     def __repr__(self):
         return f"FieldElement({self.field!r}, {self.coords})"
@@ -366,6 +367,15 @@ class Field:
                 return x
         raise FieldError("no embedded F_q generator found")  # unreachable
 
+    def base_embedding(self) -> np.ndarray:
+        """n x e matrix taking F_q coordinates (powers of the base generator)
+        to power-basis coordinates: the embedding of F_q."""
+        alpha = self.base_generator()
+        cols = [self.one]
+        for _ in range(self.e - 1):
+            cols.append(cols[-1] * alpha)
+        return np.array([c.coords for c in cols], dtype=np.int64).T
+
     def _subfield_elements(self, d: int):
         """Elements of the subfield fixed by the q^d-power map, index order."""
         from . import linalg
@@ -381,6 +391,110 @@ class Field:
                 t //= self.p
             coords = (np.array(digits, dtype=np.int64) @ basis) % self.p
             yield FieldElement(self, tuple(int(c) for c in coords))
+
+
+class FieldBatch:
+    """B fields F_p[x]/(f_b) of one degree n, operated on together.
+
+    An element array has shape (B, ..., n): power-basis coordinates, row b
+    living in field b.  A single modulus (B = 1) broadcasts over any batch.
+    Every sum of products is reduced mod p after at most n terms, which the
+    int64 guard of `linalg` is asked to allow.
+    """
+
+    def __init__(self, p: int, moduli: np.ndarray):
+        from .linalg import check_int64_range
+
+        moduli = np.atleast_2d(np.asarray(moduli, dtype=np.int64)) % p
+        n = moduli.shape[1] - 1
+        check_int64_range(p, n)
+        self.p = p
+        self.n = n
+        # red[:, k] = x^(n+k) mod f, k = 0 .. n-2
+        red = np.zeros((moduli.shape[0], max(n - 1, 0), n), dtype=np.int64)
+        if n > 1:
+            red[:, 0] = (-moduli[:, :n]) % p
+            for k in range(1, n - 1):
+                prev = red[:, k - 1]
+                red[:, k, 1:] = prev[:, :-1]
+                red[:, k] = (red[:, k] + prev[:, -1:] * red[:, 0]) % p
+        self.red = red
+
+    @classmethod
+    def of(cls, fields: Sequence[Field]) -> "FieldBatch":
+        """The batch of these fields' power bases (one degree, one p)."""
+        return cls(fields[0].p, np.array([f.modulus for f in fields], dtype=np.int64))
+
+    def one(self, shape=()) -> np.ndarray:
+        out = np.zeros((self.red.shape[0], *shape, self.n), dtype=np.int64)
+        out[..., 0] = 1
+        return out
+
+    def reduce(self, prod: np.ndarray) -> np.ndarray:
+        """Coefficient arrays of length <= 2n-1 with entries < p, mod f."""
+        n = self.n
+        low = prod[..., :n]
+        high = prod[..., n:]
+        if high.shape[-1]:
+            flat = high.reshape(high.shape[0], -1, high.shape[-1])
+            folded = flat @ self.red[:, : high.shape[-1]]
+            low = low + folded.reshape(high.shape[:-1] + (n,))
+        return low % self.p
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise product of broadcastable element arrays."""
+        n = self.n
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        prod = np.zeros(shape[:-1] + (2 * n - 1,), dtype=np.int64)
+        for i in range(n):
+            prod[..., i : i + n] += a[..., i : i + 1] * b
+        prod %= self.p
+        return self.reduce(prod)
+
+    def pow(self, a: np.ndarray, k: int) -> np.ndarray:
+        result = np.zeros_like(a)
+        result[..., 0] = 1
+        while k:
+            if k & 1:
+                result = self.mul(result, a)
+            k >>= 1
+            if k:
+                a = self.mul(a, a)
+        return result
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        """Inverse by Fermat, a^(p^n - 2); zero maps to zero."""
+        return self.pow(a, self.p**self.n - 2)
+
+    def mul_matrix(self, a: np.ndarray) -> np.ndarray:
+        """(B, ..., n, n) matrices of multiplication by a: column j holds
+        a x^j."""
+        if self.n == 1:
+            return a[..., None]
+        red0 = self.red[:, 0].reshape((-1,) + (1,) * (a.ndim - 2) + (self.n,))
+        cols = [a]
+        for _ in range(self.n - 1):
+            prev = cols[-1]
+            cur = prev[..., -1:] * red0
+            cur[..., 1:] += prev[..., :-1]
+            cols.append(cur % self.p)
+        return np.stack(cols, axis=-1)
+
+    def frobenius_matrix(self, q: int) -> np.ndarray:
+        """(B, n, n) matrices of x -> x^q: column j holds x^(q j)."""
+        cols = [self.one()]
+        if self.n > 1:
+            x = np.zeros((self.red.shape[0], self.n), dtype=np.int64)
+            x[:, 1] = 1
+            xq = self.pow(x, q)
+            for _ in range(self.n - 1):
+                cols.append(self.mul(cols[-1], xq))
+        return np.stack(cols, axis=-1)
+
+    def apply(self, mats: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """F_p-linear maps (B, n, n) applied to every element of a."""
+        flat = a.reshape(a.shape[0], -1, self.n)
+        return (flat @ mats.transpose(0, 2, 1) % self.p).reshape(a.shape)
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,7 +9,8 @@ Two layers:
   a genuine extension field (Frobenius matrices over F_l) or when e > 1.
 
 All echelon forms pick pivots by ascending column index, so bases are
-canonical and reproducible.
+canonical and reproducible.  The numpy layer works in int64 and refuses
+(`Int64RangeError`) any prime whose products could overflow it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,30 @@ from .fields import Field, FieldElement
 # numpy layer: matrices over F_p as int64 arrays
 # ---------------------------------------------------------------------------
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class Int64RangeError(ValueError):
+    """The prime is too large for exact int64 arithmetic."""
+
+
+def int64_products(p: int) -> int:
+    """How many products of two residues mod p an int64 sum can hold."""
+    return _INT64_MAX // max((p - 1) ** 2, 1)
+
+
+def check_int64_range(p: int, n: int):
+    """Refuse p when a sum of n products of residues, (p-1)^2 * n, could
+    exceed the int64 range: numpy would wrap around without a word."""
+    if int64_products(p) < max(n, 1):
+        raise Int64RangeError(
+            f"p = {p} is too large for exact int64 arithmetic ({n} products per sum)"
+        )
+
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column list, pivots by column order."""
+    check_int64_range(p, 1)
     a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
     pivots: list[int] = []
@@ -95,6 +117,7 @@ def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int):
 
 
 def matpow_mod_p(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+    check_int64_range(p, mat.shape[0])
     result = np.eye(mat.shape[0], dtype=np.int64)
     base = np.array(mat, dtype=np.int64) % p
     while k:

@@ -218,7 +218,7 @@ class SparsePoly:
             prev_e = e
         if prev_e is None:
             return target.zero
-        return acc * t_image**prev_e
+        return acc * t_image**prev_e if prev_e else acc
 
     def qpower_root(self, k: int = 1) -> "SparsePoly":
         """Exact q^k-th root: defined when every exponent is divisible by q^k
@@ -605,7 +605,8 @@ def _residue_field(prime: SparsePoly) -> ResidueField:
         else:
             fld = field_with_modulus(base.p, 1, d, prime.dense_coeffs(), validate=False)
             t_img = fld.gen
-        embed = lambda c: fld.scalar(c.to_int())
+        pad = (0,) * (fld.n - 1)
+        embed = lambda c: FieldElement(fld, c.coords + pad)  # F_p: coords are residues
         return ResidueField(fld, t_img, prime, embed)
     # e > 1: canonical field plus explicit embedding of F_q
     fld = make_field(base.p, base.e, d)

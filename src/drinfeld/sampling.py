@@ -4,7 +4,10 @@ Frobenius characteristic polynomials are sampled over all good primes up
 to a degree bound, reduced mod l, and their empirical distribution is
 compared (total-variation distance) with the exact distribution of
 characteristic polynomials over the full matrix group GL_r(F_l).  The
-determinant law is checked per prime along the way.
+polynomials come from the batched motive route (`frobenius_charpolys`),
+one call per chunk of primes of one degree, each answer checked there; the
+determinant law is checked per prime along the way.  Records, and the
+`progress` callback, follow the prime enumeration order.
 
 Two oracle backends compute the exact distribution:
 
@@ -26,11 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charpoly import charpoly_linear_system
+from .charpoly import CharPolyError, frobenius_charpolys
 from .fields import Field, FieldElement
 from .polynomials import (
     SparsePoly,
-    format_poly,
     is_irreducible,
     primes_of_degree,
     residue_field,
@@ -48,6 +50,9 @@ INCONCLUSIVE_NOTE = (
 
 DEFAULT_TV_THRESHOLD = 0.1
 DEFAULT_ENUM_BUDGET = 2_000_000
+# Primes per batched charpoly call.  It bounds the working arrays (a few
+# hundred KB at 64) while the speed is flat from 64 to 512 primes.
+CHARPOLY_CHUNK = 64
 
 
 class SamplingError(ValueError):
@@ -346,7 +351,9 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
                     backend: str = "auto", budget: int = DEFAULT_ENUM_BUDGET,
                     progress=None) -> SampleReport:
     """Characteristic polynomials mod l over every usable prime of degree up
-    to the bound; usable excludes (T) (bad reduction) and l itself."""
+    to the bound; usable excludes (T) (bad reduction) and l itself.  A
+    prime of bad reduction or a failed check aborts with a SamplingError
+    naming the first such prime in enumeration order."""
     base = module.base
     t_poly = SparsePoly.T(base)
     if not is_irreducible(ell) or not ell.is_monic():
@@ -359,27 +366,24 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
     det_values: set[int] = set()
     irreducible_seen = False
     for d in range(1, max_degree + 1):
-        for prime in primes_of_degree(base, d):
-            if prime == t_poly or prime == ell:
-                continue
+        primes = [f for f in primes_of_degree(base, d) if f != t_poly and f != ell]
+        for start in range(0, len(primes), CHARPOLY_CHUNK):
             try:
-                cp = charpoly_linear_system(module, prime)
-            except Exception as exc:  # noqa: BLE001 - abort names the prime
-                raise SamplingError(
-                    f"charpoly failed at prime {format_poly(prime)}: {exc}"
-                ) from exc
-            coeffs = cp.reduce_mod(ell)[: module.r]
-            want = rf.reduce(prime)
-            det = cp.det_of_frobenius_mod(ell)
-            det_ok = det == want
-            rec = SampleRecord(prime, d, tuple(coeffs), det_ok)
-            records.append(rec)
-            emp[rec.key()] = emp.get(rec.key(), 0) + 1
-            det_values.add(det.to_int())
-            if not irreducible_seen and _charpoly_irreducible(rf.field, coeffs):
-                irreducible_seen = True
-            if progress is not None:
-                progress(rec)
+                cps = frobenius_charpolys(module, primes[start : start + CHARPOLY_CHUNK])
+            except CharPolyError as exc:
+                raise SamplingError(f"charpoly failed: {exc}") from exc
+            for cp in cps:
+                coeffs = cp.reduce_mod(ell)[: module.r]
+                det = cp.det_of_frobenius_mod(ell)
+                det_ok = det == rf.reduce(cp.prime)
+                rec = SampleRecord(cp.prime, d, tuple(coeffs), det_ok)
+                records.append(rec)
+                emp[rec.key()] = emp.get(rec.key(), 0) + 1
+                det_values.add(det.to_int())
+                if not irreducible_seen and _charpoly_irreducible(rf.field, coeffs):
+                    irreducible_seen = True
+                if progress is not None:
+                    progress(rec)
 
     tv = tv_distance(emp, len(records), oracle)
     det_covers = det_values >= {x.to_int() for x in rf.field.elements() if x}

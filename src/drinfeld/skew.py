@@ -12,6 +12,7 @@ with field coefficients into the additive map x |-> sum c_i x^(q^i).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .fields import Field, FieldElement, make_field
@@ -358,25 +359,21 @@ class DrinfeldModule:
 
 def _field_for_q(q: int) -> Field:
     """F_q from its size: q = p^e split uniquely."""
-    p, e = _split_prime_power(q)
+    p, e = split_prime_power(q)
     return make_field(p, e, 1)
 
 
-def _split_prime_power(q: int) -> tuple[int, int]:
-    from .fields import is_prime
-
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                break
-            e = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                e += 1
-            if t == 1:
-                return p, e
-            break
+def split_prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e; SkewError if q is not a prime power.  The
+    smallest divisor p > 1 of q is prime, found by trial division."""
+    if q >= 2:
+        p = next((k for k in range(2, math.isqrt(q) + 1) if q % k == 0), q)
+        e, t = 0, q
+        while t % p == 0:
+            t //= p
+            e += 1
+        if t == 1:
+            return p, e
     raise SkewError(f"{q} is not a prime power")
 
 

@@ -53,6 +53,22 @@ class TestCharpoly:
         assert code == 2
         assert "&y" in err
 
+    def test_prime_too_large_for_int64_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "charpoly", "--q", "4294967311", "--r", "3", "--p", "T+1")
+        assert code == 2
+        assert "too large for exact int64" in err
+
+    def test_q_not_a_prime_power(self, capsys):
+        code, _, err = run_cli(capsys, "charpoly", "--q", "12", "--r", "3", "--p", "T+1")
+        assert code == 2
+        assert "--q 12 is not a prime power" in err
+
+    def test_threads_flag_is_gone(self, capsys):
+        code, _, err = run_cli(capsys, "charpoly", "--q", "5", "--r", "3", "--p", "T+4",
+                               "--threads", "2")
+        assert code == 2
+        assert "unrecognized arguments: --threads" in err
+
     def test_reducible_prime_rejected(self, capsys):
         code, _, err = run_cli(capsys, "charpoly", "--q", "5", "--r", "3", "--p", "T^2+1")
         assert code == 2

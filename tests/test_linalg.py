@@ -1,9 +1,10 @@
 import random
 
 import numpy as np
+import pytest
 
 from drinfeld import linalg
-from drinfeld.fields import make_field
+from drinfeld.fields import FieldBatch, make_field
 
 
 class TestModP:
@@ -52,6 +53,55 @@ class TestModP:
         got, nullity = linalg.solve_mod_p(m, b, 5)
         assert nullity == 0
         assert np.array_equal(got % 5, x % 5)
+
+
+class TestInt64Guard:
+    # (p-1)^2 fits int64 at the first prime, not at the second
+    INSIDE, OUTSIDE = 3037000493, 4294967311
+
+    def system(self, p):
+        mat = np.array([[p - 1, 2, 3], [p - 2, p - 3, 5], [7, p - 5, p - 7]], dtype=np.int64)
+        rhs = np.array([p - 11, 13, p - 17], dtype=np.int64)
+        return mat, rhs
+
+    def test_solve_exact_inside_the_range(self):
+        p = self.INSIDE
+        mat, rhs = self.system(p)
+        x, nullity = linalg.solve_mod_p(mat, rhs, p)
+        assert nullity == 0
+        # residual in Python integers, which cannot overflow
+        rows = mat.tolist()
+        got = [sum(a * int(v) for a, v in zip(row, x)) % p for row in rows]
+        assert got == [int(v) % p for v in rhs]
+
+    def test_every_mod_p_routine_refuses_outside_the_range(self):
+        p = self.OUTSIDE
+        mat, rhs = self.system(p)
+        with pytest.raises(linalg.Int64RangeError):
+            linalg.solve_mod_p(mat, rhs, p)
+        with pytest.raises(linalg.Int64RangeError):
+            linalg.kernel_mod_p(mat, p)
+        with pytest.raises(linalg.Int64RangeError):
+            linalg.rref_mod_p(mat, p)
+        with pytest.raises(linalg.Int64RangeError):
+            linalg.matpow_mod_p(mat, 2, p)
+
+    def test_matpow_counts_its_dimension(self):
+        p = self.INSIDE
+        one = np.array([[p - 2]], dtype=np.int64)
+        assert linalg.matpow_mod_p(one, 3, p)[0, 0] == pow(p - 2, 3, p)
+        with pytest.raises(linalg.Int64RangeError):
+            linalg.matpow_mod_p(np.eye(2, dtype=np.int64), 3, p)
+
+    def test_batched_field_arithmetic_is_guarded(self):
+        with pytest.raises(linalg.Int64RangeError):
+            FieldBatch(self.OUTSIDE, np.array([[0, 1]]))
+        with pytest.raises(linalg.Int64RangeError):
+            FieldBatch(self.INSIDE, np.array([[1, 0, 1]]))  # sums of 2 products
+        fb = FieldBatch(self.INSIDE, np.array([[0, 1]]))
+        a = np.array([[self.INSIDE - 2]], dtype=np.int64)
+        assert fb.mul(a, a)[0, 0] == pow(self.INSIDE - 2, 2, self.INSIDE)
+        assert fb.mul(fb.inv(a), a)[0, 0] == 1
 
 
 class TestMatrixGeneric:
