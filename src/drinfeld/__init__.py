@@ -23,6 +23,7 @@ from .polynomials import (
     INF,
     Place,
     PolySyntaxError,
+    PrimeError,
     RationalFn,
     ResidueField,
     SparsePoly,
@@ -69,6 +70,7 @@ from .charpoly import (
     frobenius_charpolys,
 )
 from .newton import (
+    NewtonError,
     NewtonPolygon,
     inertia_order_prediction,
     newton_polygon,

@@ -18,10 +18,11 @@ import sys
 
 from .charpoly import CharPolyError, frobenius_charpolys
 from .fields import FieldError, make_field
-from .newton import inertia_order_prediction, torsion_slopes
+from .newton import NewtonError, inertia_order_prediction, torsion_slopes
 from .polynomials import (
     Place,
     PolySyntaxError,
+    PrimeError,
     SparsePoly,
     format_field_element,
     format_poly,
@@ -364,8 +365,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (PolySyntaxError, FieldError, SkewError, ReductionError, CharPolyError,
-            SamplingError, Int64RangeError, ValueError) as exc:
+    except (PolySyntaxError, PrimeError, FieldError, SkewError, ReductionError,
+            CharPolyError, SamplingError, NewtonError, Int64RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

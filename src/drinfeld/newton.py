@@ -16,13 +16,17 @@ from .polynomials import Place, RationalFn, SparsePoly, valuation
 from .skew import DrinfeldModule
 
 
+class NewtonError(ValueError):
+    """A polygon or prediction was asked for outside its domain."""
+
+
 class NewtonPolygon:
     """Lower convex hull of (exponent, valuation) points at one place."""
 
     def __init__(self, place: Place, points: Sequence[tuple[int, int]]):
         pts = sorted(points)
         if len(pts) != len({e for e, _ in pts}):
-            raise ValueError("duplicate exponents")
+            raise NewtonError("duplicate exponents")
         self.place = place
         self.points = tuple(pts)
         self.vertices = _lower_hull(pts)
@@ -72,7 +76,7 @@ def newton_polygon(coeffs: Sequence[tuple[int, SparsePoly | RationalFn]],
             continue
         pts.append((e, valuation(c, place)))
     if not pts:
-        raise ValueError("zero polynomial has no Newton polygon")
+        raise NewtonError("zero polynomial has no Newton polygon")
     return NewtonPolygon(place, pts)
 
 
@@ -95,7 +99,7 @@ def inertia_order_prediction(module: DrinfeldModule, ell: SparsePoly) -> int:
     base = module.base
     t_place = Place.finite(SparsePoly.T(base))
     if ell == SparsePoly.T(base):
-        raise ValueError("the prediction is for l away from (T)")
+        raise NewtonError("the prediction is for l away from (T)")
     segs = torsion_slopes(module, ell, t_place)
     denom = max(s.denominator for s, _ in segs)
     expected = module.q ** ((module.r - 1) * ell.degree)
@@ -113,10 +117,10 @@ def np_irreducibility(coeffs: Sequence[tuple[int, SparsePoly | RationalFn]],
     degree); otherwise 'Inconclusive'.  Never claims reducibility."""
     pts = [(e, c) for e, c in coeffs if c]
     if not pts:
-        raise ValueError("zero polynomial")
+        raise NewtonError("zero polynomial")
     exps = [e for e, _ in pts]
     if min(exps) != 0:
-        raise ValueError("nonzero constant term required")
+        raise NewtonError("nonzero constant term required")
     poly = newton_polygon(pts, place)
     deg = max(exps)
     if len(poly.segments) == 1 and poly.segments[0][0].denominator == deg:

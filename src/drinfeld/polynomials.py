@@ -16,7 +16,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import Field, FieldElement, make_field, field_with_modulus
+from .fields import Field, FieldBatch, FieldElement, make_field, field_with_modulus
+
+
+class PrimeError(ValueError):
+    """A place, residue field or prime enumeration was given something other
+    than a monic irreducible of positive degree."""
 
 
 class SparsePoly:
@@ -257,9 +262,9 @@ class Place:
     def __init__(self, prime: SparsePoly | None):
         if prime is not None:
             if not prime.is_monic():
-                raise ValueError("finite places carry a monic generator")
+                raise PrimeError("finite places carry a monic generator")
             if not is_irreducible(prime):
-                raise ValueError("finite places carry an irreducible generator")
+                raise PrimeError("finite places carry an irreducible generator")
         self.prime = prime
 
     @classmethod
@@ -417,10 +422,11 @@ def _compose_mod(g: SparsePoly, h: SparsePoly, f: SparsePoly) -> SparsePoly:
     """g(h) mod f by Horner over g's dense coefficients (small degrees)."""
     base = g.base
     acc = SparsePoly.zero(base)
-    for c in reversed(g.dense_coeffs()):
+    for i in range(g.degree, -1, -1):
         acc = (acc * h) % f
+        c = g.coeff(i)
         if c:
-            acc = acc + SparsePoly.monomial(base, 0, c)
+            acc = acc + SparsePoly(base, [(0, c)])
     return acc
 
 
@@ -462,89 +468,73 @@ def primes_of_degree(base: Field, d: int) -> list[SparsePoly]:
     """
     key = (id(base), d)
     if key not in _PRIME_CACHE:
-        out = _primes_of_degree(base, d)
+        out = _primes_of_degree_np(base, d)
         for f in out:
             _IRRED_CACHE[f] = True
         _PRIME_CACHE[key] = out
     return _PRIME_CACHE[key]
 
 
-def _primes_of_degree(base: Field, d: int) -> list[SparsePoly]:
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if d == 1:
-        return [
-            SparsePoly(base, [(e, c) for e, c in [(0, base.from_int(k)), (1, base.one)] if c])
-            for k in range(base.q)
-        ]
-    if base.n == 1:
-        return _primes_of_degree_np(base, d)
-    out = []
-    for combo in itertools.product(range(base.q), repeat=d):
-        # combo[i] is the coefficient index of T^i; last index varies slowest
-        terms = [(i, base.from_int(ci)) for i, ci in enumerate(combo) if ci]
-        f = SparsePoly(base, terms + [(d, base.one)])
-        if is_irreducible(f):
-            out.append(f)
-    out.sort(key=lambda f: _poly_index(f))
-    return out
-
-
-def _poly_index(f: SparsePoly) -> int:
-    q = f.base.q
-    idx = 0
-    for e, c in f.terms:
-        if e < f.degree:
-            idx += c.to_int() * q**e
-    return idx
-
-
 def _primes_of_degree_np(base: Field, d: int) -> list[SparsePoly]:
     """Vectorized sieve over F_p: a monic degree-d poly is irreducible iff no
     monic irreducible of degree <= d/2 divides it.  Remainders under a fixed
-    divisor are linear in the coefficient vector, so each divisor knocks out
-    its multiples with one matrix product over all candidates."""
-    p = base.p
-    count = p**d
-    ks = np.arange(count, dtype=np.int64)
-    coeffs = np.empty((count, d + 1), dtype=np.int64)
-    t = ks.copy()
-    for i in range(d):
-        coeffs[:, i] = t % p
-        t //= p
-    coeffs[:, d] = 1
+    divisor are F_q-linear, hence F_p-linear, in the coefficient vector, so
+    each divisor knocks out its multiples with one matrix product over all
+    candidates.
+
+    A candidate is a row of F_p digits: coefficient i of T^i is the F_q
+    element whose e coordinates are digits i*e .. i*e+e-1.  Row k holds the
+    base-p digits of k, so candidate k is the polynomial of index k and the
+    primes come out in index order.
+    """
+    if d < 1:
+        raise PrimeError("degree must be >= 1")
+    p, e = base.p, base.n
+    count = base.q**d
+    coeffs = np.zeros((count, (d + 1) * e), dtype=np.int64)
+    coeffs[:, : d * e] = _digits(np.arange(count, dtype=np.int64), p, d * e)
+    coeffs[:, d * e] = 1  # monic: the leading coefficient is 1 of F_q
     alive = np.ones(count, dtype=bool)
     for deg_g in range(1, d // 2 + 1):
         for g in primes_of_degree(base, deg_g):
-            gd = g.dense_coeffs()
-            red = _reduction_matrix(gd, p, d + 1)
-            rem = coeffs @ red.T % p
-            alive &= ~(rem == 0).all(axis=1)
+            rem = coeffs @ _reduction_matrix(g, d + 1).T % p
+            alive &= rem.any(axis=1)
     out = []
-    for k in np.nonzero(alive)[0]:
-        row = coeffs[k]
-        out.append(SparsePoly(base, [(i, base.scalar(int(c))) for i, c in enumerate(row) if c]))
+    for row in coeffs[alive].reshape(-1, d + 1, e).tolist():
+        terms = [(i, FieldElement(base, tuple(c))) for i, c in enumerate(row) if any(c)]
+        out.append(SparsePoly(base, terms))
     return out
 
 
-def _reduction_matrix(g: Sequence[int], p: int, ncols: int) -> np.ndarray:
-    """rows x ncols matrix R with (f mod g) = R @ coeffs(f) for deg f < ncols."""
-    dg = len(g) - 1
-    red = np.zeros((dg, ncols), dtype=np.int64)
-    # x^i mod g, iteratively
-    cur = np.zeros(dg, dtype=np.int64)
+def _digits(ks: np.ndarray, p: int, n: int) -> np.ndarray:
+    """The n base-p digits of each index in ks, least significant first:
+    the F_p coordinates of the elements (or polynomials) with these indices.
+    Digit by digit, so no power of p beyond the indices is ever formed."""
+    out = np.empty((ks.size, n), dtype=np.int64)
+    for j in range(n):
+        out[:, j] = ks % p
+        ks = ks // p
+    return out
+
+
+def _reduction_matrix(g: SparsePoly, ncols: int) -> np.ndarray:
+    """F_p matrix R with coords(f mod g) = R @ coords(f) for deg f < ncols,
+    coordinates taken e per F_q coefficient.  Column block i is T^i mod g,
+    each F_q entry expanded to the e x e matrix of multiplication by it
+    (for e = 1, the entry itself)."""
+    base, dg = g.base, g.degree
+    low = [g.coeff(i) for i in range(dg)]
+    cols = []
     for i in range(ncols):
         if i < dg:
-            col = np.zeros(dg, dtype=np.int64)
-            col[i] = 1
+            cur = [base.one if j == i else base.zero for j in range(dg)]
         else:
             top = cur[-1]
-            col = np.concatenate(([0], cur[:-1]))
-            if top:
-                col = (col - top * np.array(g[:dg], dtype=np.int64)) % p
-        red[:, i] = col
-        cur = col
-    return red
+            cur = [a - top * c for a, c in zip([base.zero] + cur[:-1], low)]
+        cols.append([c.coords for c in cur])
+    entries = np.array(cols, dtype=np.int64).transpose(1, 0, 2)  # (dg, ncols, e)
+    blocks = FieldBatch.of([base]).mul_matrix(entries[None])[0]  # (dg, ncols, e, e)
+    return blocks.transpose(0, 2, 1, 3).reshape(dg * base.n, ncols * base.n)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +571,11 @@ def residue_field(prime: SparsePoly) -> ResidueField:
     """Residue field at a monic irreducible prime of A.
 
     For prime q (e = 1) the field simply uses the prime itself as modulus, so
-    T bar is the power-basis generator.  For e > 1 the canonical field of the
-    right degree is built and T bar is the first root of the prime in it.
-    Instances are cached per prime.
+    T bar is the power-basis generator.  For e > 1 the field is the canonical
+    F_{p^(e*d)} (`make_field`), F_q sits in it by `Field.base_embedding`, and
+    T bar is the first root of the prime in index order, found by a numpy
+    Horner scan over blocks of `_ROOT_BLOCK` elements.  Instances are cached
+    per prime.
     """
     if prime in _RESIDUE_CACHE:
         return _RESIDUE_CACHE[prime]
@@ -595,7 +587,7 @@ def residue_field(prime: SparsePoly) -> ResidueField:
 def _residue_field(prime: SparsePoly) -> ResidueField:
     base = prime.base
     if not prime.is_monic() or not is_irreducible(prime):
-        raise ValueError("residue fields require a monic irreducible generator")
+        raise PrimeError("residue fields require a monic irreducible generator")
     d = prime.degree
     if base.n == 1:
         if d == 1:
@@ -608,28 +600,39 @@ def _residue_field(prime: SparsePoly) -> ResidueField:
         pad = (0,) * (fld.n - 1)
         embed = lambda c: FieldElement(fld, c.coords + pad)  # F_p: coords are residues
         return ResidueField(fld, t_img, prime, embed)
-    # e > 1: canonical field plus explicit embedding of F_q
+    # e > 1: canonical field, F_q embedded by its n x e matrix
     fld = make_field(base.p, base.e, d)
-    alpha = fld.base_generator()
-    gen_pows = [fld.one]
-    for _ in range(base.e - 1):
-        gen_pows.append(gen_pows[-1] * alpha)
+    emb = fld.base_embedding()
+    rows = tuple(tuple(int(v) for v in row) for row in emb)
+    p = fld.p
 
     def embed(c: FieldElement) -> FieldElement:
-        acc = fld.zero
-        for digit, pw in zip(c.coords, gen_pows):
-            if digit:
-                acc = acc + pw * digit
-        return acc
+        cs = c.coords
+        return FieldElement(fld, tuple(sum(a * x for a, x in zip(row, cs)) % p for row in rows))
 
-    t_img = None
-    for x in fld.elements():
-        if not prime.eval_in(fld, x, embed):
-            t_img = x
-            break
-    if t_img is None:
-        raise ValueError("prime has no root in its residue field")  # unreachable
-    return ResidueField(fld, t_img, prime, embed)
+    return ResidueField(fld, _first_root(fld, prime, emb), prime, embed)
+
+
+_ROOT_BLOCK = 1 << 12  # elements per Horner pass of the root search; bounds memory
+
+
+def _first_root(fld: Field, prime: SparsePoly, emb: np.ndarray) -> FieldElement:
+    """The first root of `prime` among the elements of `fld` in index order:
+    Horner on blocks of consecutive indices, each block the base-p digits of
+    an arange, stopping at the first block that holds a root."""
+    p, n = fld.p, fld.n
+    coeffs = np.array([prime.coeff(i).coords for i in range(prime.degree + 1)]) @ emb.T % p
+    batch = FieldBatch(p, fld.modulus)
+    for start in range(0, fld.order, _ROOT_BLOCK):
+        ks = np.arange(start, min(start + _ROOT_BLOCK, fld.order), dtype=np.int64)
+        xs = _digits(ks, p, n)[None]
+        acc = (xs + coeffs[-2]) % p  # the prime is monic
+        for c in coeffs[-3::-1]:
+            acc = (batch.mul(acc, xs) + c) % p
+        roots = np.flatnonzero(~acc[0].any(axis=-1))
+        if roots.size:
+            return fld.from_int(start + int(roots[0]))
+    raise PrimeError("prime has no root in its residue field")  # unreachable
 
 
 # ---------------------------------------------------------------------------

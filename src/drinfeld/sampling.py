@@ -90,6 +90,8 @@ class GLDistribution:
 def gl_charpoly_distribution(r: int, ell_field: Field, backend: str = "auto",
                              budget: int = DEFAULT_ENUM_BUDGET) -> GLDistribution:
     """Exact char-poly distribution of GL_r over a finite field."""
+    if r < 1:
+        raise SamplingError("rank must be >= 1")
     s = ell_field.order
     if backend == "auto":
         backend = "A" if (r <= 3 and s**(r * r) <= budget) else "B"

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from drinfeld.cli import main
 
 
@@ -189,3 +191,27 @@ class TestVerify:
         assert ce["check"] == "forced failure"
         assert ce["expected"] == "3"
         assert ce["got"] == "2"
+
+
+class TestErrorHandling:
+    def test_plain_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        # an internal ValueError (say, a numpy broadcasting bug) must surface
+        # with its traceback instead of exiting 2 as bad input
+        import drinfeld.cli as cli_mod
+
+        def broken(args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli_mod, "cmd_phi", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["phi", "--q", "5", "--a", "T"])
+
+    def test_zero_polynomial_newton_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "newton", "--q", "5", "--a", "0", "--place", "T")
+        assert code == 2
+        assert "zero polynomial has no Newton polygon" in err
+
+    def test_rank_zero_oracle_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "oracle-gl", "--q", "5", "--r", "0", "--l", "T+1")
+        assert code == 2
+        assert "rank must be >= 1" in err
