@@ -145,7 +145,7 @@ class Field:
         one = (1,) + (0,) * (n - 1) if n > 1 else (1,)
         self.one = FieldElement(self, one)
         self.gen = FieldElement(self, tuple(1 if i == 1 else 0 for i in range(n))) if n > 1 else self.one
-        self._np_red = None
+        self._batch = None          # this field as a FieldBatch
         self._frob_q = None          # numpy matrix of x -> x^q
         self._frob_q_pow: dict[int, np.ndarray] = {}
         self._frob_rows_py: dict[int, tuple] = {}
@@ -240,17 +240,15 @@ class Field:
         return FieldElement(self, self._reduce(prod))
 
     def _mul_np(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        p, n = self.p, self.n
-        prod = np.convolve(np.array(a.coords, dtype=np.int64), np.array(b.coords, dtype=np.int64))
-        prod %= p
-        if self._np_red is None:
-            self._np_red = np.array(self._red_rows, dtype=np.int64)
-        low = prod[:n].copy()
-        high = prod[n:]
-        if high.size:
-            low += high @ self._np_red[: high.size]
-            low %= p
-        return FieldElement(self, tuple(int(c) for c in low))
+        batch = self.batch()
+        prod = np.convolve(np.array(a.coords, dtype=batch.dtype), np.array(b.coords, dtype=batch.dtype))
+        return FieldElement(self, tuple(int(c) for c in batch.reduce(prod[None] % self.p)[0]))
+
+    def batch(self) -> "FieldBatch":
+        """This field as a `FieldBatch` of one, exact for every p."""
+        if self._batch is None:
+            self._batch = FieldBatch(self.p, self.modulus, exact=True)
+        return self._batch
 
     def inv(self, a: FieldElement) -> FieldElement:
         """Inverse by extended Euclid on coordinate polynomials."""
@@ -292,15 +290,10 @@ class Field:
     # -- Frobenius -------------------------------------------------------------
 
     def frobenius_matrix(self) -> np.ndarray:
-        """Matrix of x -> x^q on the power basis (columns are images)."""
+        """Matrix of x -> x^q on the power basis (columns are images); for
+        e = 1 the Berlekamp Q-matrix of the modulus."""
         if self._frob_q is None:
-            xq = self.gen**self.q
-            cols = [self.one.coords]
-            cur = self.one
-            for _ in range(self.n - 1):
-                cur = cur * xq
-                cols.append(cur.coords)
-            self._frob_q = np.array(cols, dtype=np.int64).T % self.p
+            self._frob_q = self.batch().frobenius_matrix(self.q)[0].astype(np.int64, copy=False)
         return self._frob_q
 
     def frobenius_power_matrix(self, k: int) -> np.ndarray:
@@ -352,20 +345,16 @@ class Field:
         """Embedded generator of F_q: for e = 1 this is 1; otherwise the first
         root (in index order) of the canonical degree-e modulus inside the
         fixed field of the q-power Frobenius."""
-        if self._base_gen is not None:
-            return self._base_gen
-        if self.e == 1:
-            self._base_gen = self.one
-            return self._base_gen
-        base_mod = lex_smallest_irreducible(self.p, self.e)
-        for x in self._subfield_elements(1):
-            acc = self.zero
-            for c in reversed(base_mod):
-                acc = acc * x + self.scalar(c)
-            if not acc:
-                self._base_gen = x
-                return x
-        raise FieldError("no embedded F_q generator found")  # unreachable
+        if self._base_gen is None:
+            if self.e == 1:
+                self._base_gen = self.one
+            else:
+                self._base_gen = self.first_root(
+                    self.scalars(lex_smallest_irreducible(self.p, self.e)), self.subfield_basis(1)
+                )
+                if self._base_gen is None:
+                    raise FieldError("no embedded F_q generator found")  # unreachable
+        return self._base_gen
 
     def base_embedding(self) -> np.ndarray:
         """n x e matrix taking F_q coordinates (powers of the base generator)
@@ -376,21 +365,41 @@ class Field:
             cols.append(cols[-1] * alpha)
         return np.array([c.coords for c in cols], dtype=np.int64).T
 
-    def _subfield_elements(self, d: int):
-        """Elements of the subfield fixed by the q^d-power map, index order."""
+    def scalars(self, coeffs: Sequence[int]) -> np.ndarray:
+        """Coordinate vectors of these F_p scalars, one row each."""
+        out = np.zeros((len(coeffs), self.n), dtype=np.int64)
+        out[:, 0] = [c % self.p for c in coeffs]
+        return out
+
+    def subfield_basis(self, d: int) -> np.ndarray:
+        """Canonical F_p-basis, one row each, of the subfield fixed by the
+        q^d-power map."""
         from . import linalg
 
         mat = (self.frobenius_power_matrix(d % self.m) - np.eye(self.n, dtype=np.int64)) % self.p
-        basis = linalg.kernel_mod_p(mat, self.p)
-        k = basis.shape[0]
-        for idx in range(self.p**k):
-            digits = []
-            t = idx
-            for _ in range(k):
-                digits.append(t % self.p)
-                t //= self.p
-            coords = (np.array(digits, dtype=np.int64) @ basis) % self.p
-            yield FieldElement(self, tuple(int(c) for c in coords))
+        return linalg.kernel_mod_p(mat, self.p)
+
+    def first_root(self, coeffs: np.ndarray, basis: np.ndarray) -> FieldElement | None:
+        """First root of a monic polynomial among the elements digits(k) @
+        basis, k = 0, 1, ... (the identity basis gives every element in index
+        order), or None.  `coeffs` holds the coefficients as coordinate
+        vectors, the constant first.  Horner on numpy blocks of _ROOT_BLOCK
+        consecutive k, stopping at the first block that holds a root."""
+        p, count = self.p, self.p ** basis.shape[0]
+        batch = self.batch()
+        for start in range(0, count, _ROOT_BLOCK):
+            ks = np.arange(start, min(start + _ROOT_BLOCK, count), dtype=np.int64)
+            xs = (_digits(ks, p, basis.shape[0]) @ basis % p)[None]
+            acc = (xs + coeffs[-2]) % p
+            for c in coeffs[-3::-1]:
+                acc = (batch.mul(acc, xs) + c) % p
+            roots = np.flatnonzero(~acc[0].any(axis=-1))
+            if roots.size:
+                return FieldElement(self, tuple(int(c) for c in xs[0, roots[0]]))
+        return None
+
+
+_ROOT_BLOCK = 1 << 12  # elements per Horner pass of `Field.first_root`; bounds memory
 
 
 class FieldBatch:
@@ -399,26 +408,38 @@ class FieldBatch:
     An element array has shape (B, ..., n): power-basis coordinates, row b
     living in field b.  A single modulus (B = 1) broadcasts over any batch.
     Every sum of products is reduced mod p after at most n terms, which the
-    int64 guard of `linalg` is asked to allow.
+    int64 guard of `linalg` is asked to allow.  With `exact`, a p that int64
+    cannot hold is served on Python ints (object arrays) instead of refused.
     """
 
-    def __init__(self, p: int, moduli: np.ndarray):
-        from .linalg import check_int64_range
+    def __init__(self, p: int, moduli, exact: bool = False):
+        from .linalg import check_int64_range, int64_products
 
-        moduli = np.atleast_2d(np.asarray(moduli, dtype=np.int64)) % p
-        n = moduli.shape[1] - 1
-        check_int64_range(p, n)
+        n = np.shape(moduli)[-1] - 1
+        if exact and int64_products(p) < n:
+            self.dtype = object
+        else:
+            check_int64_range(p, n)
+            self.dtype = np.int64
+        moduli = np.atleast_2d(np.array(moduli, dtype=self.dtype)) % p
         self.p = p
         self.n = n
-        # red[:, k] = x^(n+k) mod f, k = 0 .. n-2
-        red = np.zeros((moduli.shape[0], max(n - 1, 0), n), dtype=np.int64)
-        if n > 1:
-            red[:, 0] = (-moduli[:, :n]) % p
-            for k in range(1, n - 1):
-                prev = red[:, k - 1]
-                red[:, k, 1:] = prev[:, :-1]
-                red[:, k] = (red[:, k] + prev[:, -1:] * red[:, 0]) % p
-        self.red = red
+        self._red = (-moduli[:, None, :n]) % p  # x^n mod f; more rows on demand
+
+    def red(self, k: int) -> np.ndarray:
+        """(B, k, n) reduction rows, k <= n - 1: row j holds x^(n+j) mod f.
+        Rows are built on first need: the Q-matrix of a large field needs
+        only p of them."""
+        have = self._red.shape[1]
+        if k > have:
+            red = np.zeros((self._red.shape[0], k, self.n), dtype=self.dtype)
+            red[:, :have] = self._red
+            for j in range(have, k):
+                prev = red[:, j - 1]
+                red[:, j, 1:] = prev[:, :-1]
+                red[:, j] = (red[:, j] + prev[:, -1:] * red[:, 0]) % self.p
+            self._red = red
+        return self._red[:, :k]
 
     @classmethod
     def of(cls, fields: Sequence[Field]) -> "FieldBatch":
@@ -426,7 +447,7 @@ class FieldBatch:
         return cls(fields[0].p, np.array([f.modulus for f in fields], dtype=np.int64))
 
     def one(self, shape=()) -> np.ndarray:
-        out = np.zeros((self.red.shape[0], *shape, self.n), dtype=np.int64)
+        out = np.zeros((self._red.shape[0], *shape, self.n), dtype=self.dtype)
         out[..., 0] = 1
         return out
 
@@ -437,7 +458,7 @@ class FieldBatch:
         high = prod[..., n:]
         if high.shape[-1]:
             flat = high.reshape(high.shape[0], -1, high.shape[-1])
-            folded = flat @ self.red[:, : high.shape[-1]]
+            folded = flat @ self.red(high.shape[-1])
             low = low + folded.reshape(high.shape[:-1] + (n,))
         return low % self.p
 
@@ -445,7 +466,7 @@ class FieldBatch:
         """Elementwise product of broadcastable element arrays."""
         n = self.n
         shape = np.broadcast_shapes(a.shape, b.shape)
-        prod = np.zeros(shape[:-1] + (2 * n - 1,), dtype=np.int64)
+        prod = np.zeros(shape[:-1] + (2 * n - 1,), dtype=self.dtype)
         for i in range(n):
             prod[..., i : i + n] += a[..., i : i + 1] * b
         prod %= self.p
@@ -471,25 +492,38 @@ class FieldBatch:
         a x^j."""
         if self.n == 1:
             return a[..., None]
-        red0 = self.red[:, 0].reshape((-1,) + (1,) * (a.ndim - 2) + (self.n,))
-        cols = [a]
-        for _ in range(self.n - 1):
-            prev = cols[-1]
+        red0 = self.red(1)[:, 0].reshape((-1,) + (1,) * (a.ndim - 2) + (self.n,))
+        out = np.empty(a.shape + (self.n,), dtype=np.result_type(a, red0))
+        out[..., 0] = a
+        for j in range(1, self.n):
+            prev = out[..., j - 1]
             cur = prev[..., -1:] * red0
             cur[..., 1:] += prev[..., :-1]
-            cols.append(cur % self.p)
-        return np.stack(cols, axis=-1)
+            out[..., j] = cur % self.p
+        return out
 
     def frobenius_matrix(self, q: int) -> np.ndarray:
-        """(B, n, n) matrices of x -> x^q: column j holds x^(q j)."""
-        cols = [self.one()]
-        if self.n > 1:
-            x = np.zeros((self.red.shape[0], self.n), dtype=np.int64)
+        """(B, n, n) matrices of x -> x^q: column j holds x^(q j).  For q < n
+        (Berlekamp's Q-matrix when q = p) each column is the one before
+        shifted by q and folded through q reduction rows; otherwise it is
+        the one before times x^q, found by repeated squaring."""
+        n, p = self.n, self.p
+        out = np.zeros((self._red.shape[0], n, n), dtype=self.dtype)
+        out[:, 0, 0] = 1
+        if q < n:
+            fold = self.red(q)
+            for j in range(1, n):
+                prev = out[:, :, j - 1]
+                col = (prev[:, None, n - q :] @ fold)[:, 0]
+                col[:, q:] += prev[:, : n - q]
+                out[:, :, j] = col % p
+        elif n > 1:
+            x = np.zeros_like(out[:, :, 0])
             x[:, 1] = 1
             xq = self.pow(x, q)
-            for _ in range(self.n - 1):
-                cols.append(self.mul(cols[-1], xq))
-        return np.stack(cols, axis=-1)
+            for j in range(1, n):
+                out[:, :, j] = self.mul(out[:, :, j - 1], xq)
+        return out
 
     def apply(self, mats: np.ndarray, a: np.ndarray) -> np.ndarray:
         """F_p-linear maps (B, n, n) applied to every element of a."""
@@ -500,120 +534,115 @@ class FieldBatch:
 @functools.lru_cache(maxsize=None)
 def lex_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     """First monic irreducible of degree n over F_p in ascending index order
-    (index = sum c_i p^i over the non-leading coefficients)."""
+    (index = sum c_i p^i over the non-leading coefficients).
+
+    Candidates come in blocks of p^s that share every digit above the low s.
+    `_sieve` drops each candidate with a monic divisor of degree <= depth;
+    when that covers every degree up to n/2 the first survivor is the
+    answer, otherwise the survivors take Rabin's test in index order.
+    """
     if n == 1:
         return (0, 1)
-    idx = 0
-    limit = p**n
-    while idx < limit:
-        coeffs = []
-        t = idx
-        for _ in range(n):
-            coeffs.append(t % p)
-            t //= p
-        idx += 1
-        if coeffs[0] == 0:
-            continue  # divisible by x
-        f = tuple(coeffs) + (1,)
-        if _is_irreducible_mod_p(f, p):
-            return f
+    s = min(n, _sieve_digits(p))
+    depth = min(n // 2, s)
+    for start in range(0, p**n, p**s):
+        for k in np.flatnonzero(_sieve(p, n, start, s, depth)):
+            f = _int_digits(start + int(k), p, n) + (1,)
+            if depth == n // 2 or _rabin(f, p, depth):
+                return f
     raise FieldError("no irreducible polynomial found")  # unreachable
 
 
-def _poly_mod(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    while len(f) - 1 >= dg and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) - 1 < dg:
-            break
-        c = (f[-1] * inv_lead) % p
-        shift = len(f) - 1 - dg
-        for i, gc in enumerate(g):
-            f[i + shift] = (f[i + shift] - c * gc) % p
-        while f and f[-1] == 0:
-            f.pop()
-    return f
+_SIEVE_SIZE = 1 << 14  # candidates per sieve block; also bounds p^d for divisor degrees d
 
 
-def _poly_mulmod(a, b, g, p):
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_mod(prod, g, p)
+def _sieve_digits(p: int) -> int:
+    """The largest s with p^s <= _SIEVE_SIZE: the low digits a sieve block
+    varies, and the largest divisor degree the sieve lists."""
+    s = 0
+    while p ** (s + 1) <= _SIEVE_SIZE:
+        s += 1
+    return s
 
 
-def _poly_powmod_xp(f: Sequence[int], p: int, k: int) -> list[int]:
-    """x^(p^k) mod f by square-and-multiply on the exponent."""
-    e = p**k
-    result = [1]
-    base = _poly_mod([0, 1], f, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, f, p)
-        e >>= 1
-        if e:
-            base = _poly_mulmod(base, base, f, p)
-    return result
+@functools.lru_cache(maxsize=None)
+def _irreducibles(p: int, d: int) -> np.ndarray:
+    """Low coefficients of every monic irreducible of degree d over F_p, one
+    row each, in index order (p^d <= _SIEVE_SIZE): the survivors of one
+    sieve block over all p^d candidates with divisors of degree <= d/2."""
+    out = _digits(np.flatnonzero(_sieve(p, d, 0, d, d // 2)), p, d)
+    out.flags.writeable = False
+    return out
 
 
-class _NpModArith:
-    """Arithmetic in F_p[x]/(f) on numpy coefficient vectors of length deg f."""
+def _sieve(p: int, n: int, start: int, s: int, depth: int) -> np.ndarray:
+    """Mask of the p^s monic candidates of degree n from index `start` (a
+    multiple of p^s) that no monic polynomial of degree <= depth divides
+    (depth <= s).
 
-    def __init__(self, f: Sequence[int], p: int):
-        self.p = p
-        self.n = len(f) - 1
-        n = self.n
-        rows = np.zeros((max(n - 1, 1), n), dtype=np.int64)
-        cur = np.array([(-c) % p for c in f[:n]], dtype=np.int64)
-        rows[0] = cur
-        for k in range(1, n - 1):
-            top = cur[-1]
-            cur = np.concatenate(([0], cur[:-1]))
-            if top:
-                cur = (cur + top * rows[0]) % p
-            rows[k] = cur
-        self.red = rows
+    f mod g is F_p-linear in the coefficients of f.  For every irreducible g
+    of degree d, one Horner pass over x^n and the block's fixed high digits
+    gives r = (x^n + high part) mod g, for all g of degree d at once as an
+    (N_d, d) array.  Each choice of the digits d .. s-1 adds a combination
+    of x^i mod g; the candidate divisible by g is then the one whose low d
+    digits are -r, so each (g, digits d .. s-1) crosses out exactly one
+    candidate and no candidate is ever tested against a divisor.
+    """
+    alive = np.ones(p**s, dtype=bool)
+    high = _int_digits(start // p**s, p, n - s)
+    for d in range(1, depth + 1):
+        neg = (-_irreducibles(p, d)) % p  # x^d = neg mod g, one row per g
 
-    def vec(self, coeffs: Sequence[int]) -> np.ndarray:
-        v = np.zeros(self.n, dtype=np.int64)
-        c = np.array([x % self.p for x in coeffs[: self.n]], dtype=np.int64)
-        v[: c.size] = c
-        return v
+        def times_x(r):
+            out = r[..., -1:] * neg
+            out[..., 1:] += r[..., :-1]
+            return out % p
 
-    def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        prod = np.convolve(a, b) % self.p
-        low = prod[: self.n].copy()
-        if low.size < self.n:
-            low = np.concatenate([low, np.zeros(self.n - low.size, dtype=np.int64)])
-        high = prod[self.n :]
-        if high.size:
-            low = (low + high @ self.red[: high.size]) % self.p
-        return low
-
-    def pow_p(self, a: np.ndarray) -> np.ndarray:
-        """a^p mod f."""
-        e = self.p
-        result = self.vec([1])
-        base = a
-        while e:
-            if e & 1:
-                result = self.mulmod(result, base)
-            e >>= 1
-            if e:
-                base = self.mulmod(base, base)
-        return result
+        r = np.zeros_like(neg)
+        r[:, 0] = 1
+        for c in reversed(high):
+            r = times_x(r)
+            if c:
+                r[:, 0] = (r[:, 0] + c) % p
+        for _ in range(s):
+            r = times_x(r)
+        r = r[None]
+        xi = neg  # x^i mod g for i = d .. s-1
+        for _ in range(d, s):
+            r = (np.arange(p)[:, None, None, None] * xi + r) % p
+            r = r.reshape(-1, *neg.shape)  # digits d .. i, the highest first
+            xi = times_x(xi)
+        low = (-r) % p @ p ** np.arange(d)
+        alive[low + p**d * np.arange(low.shape[0])[:, None]] = False
+    return alive
 
 
-def _np_poly_gcd_is_unit(f: Sequence[int], h: np.ndarray, p: int) -> bool:
+def _rabin(f: Sequence[int], p: int, depth: int = 0) -> bool:
+    """Rabin's test on the Berlekamp matrix Q of f, whose column j is
+    x^(pj) mod f, so that x^(p^k) = Q^k x: f is irreducible iff
+    x^(p^n) = x mod f and gcd(x^(p^(n/t)) - x, f) = 1 for each prime t | n.
+    The gcd is skipped where n/t <= depth: the caller vouches that f has no
+    factor of degree <= depth.  Exact for every p (`FieldBatch` exact)."""
+    n = len(f) - 1
+    if n == 1:
+        return True
+    Q = FieldBatch(p, f, exact=True).frobenius_matrix(p)[0]
+    x = np.zeros(n, dtype=Q.dtype)
+    x[1] = 1
+    checkpoints = {n // t for t in _prime_divisors(n) if n // t > depth}
+    u, seen = x, []
+    for k in range(1, n + 1):
+        u = Q @ u % p
+        if k in checkpoints:
+            seen.append((u - x) % p)
+    # most reducible f fail here, before any gcd is paid for
+    return not ((u - x) % p).any() and all(_gcd_is_unit(f, h, p) for h in seen)
+
+
+def _gcd_is_unit(f: Sequence[int], h: np.ndarray, p: int) -> bool:
     """True iff gcd(f, h) = 1, with the Euclid inner loop on numpy vectors."""
-    a = np.array(f, dtype=np.int64) % p
-    b = h % p
+    a = np.array(f, dtype=h.dtype) % p
+    b = h
     while True:
         while b.size and b[-1] == 0:
             b = b[:-1]
@@ -633,67 +662,6 @@ def _np_poly_gcd_is_unit(f: Sequence[int], h: np.ndarray, p: int) -> bool:
         a, b = b, a
 
 
-def _is_irreducible_mod_p(f: Sequence[int], p: int) -> bool:
-    """Rabin test: x^(p^n) = x mod f and gcd(x^(p^(n/t)) - x, f) = 1 for
-    prime divisors t of n."""
-    n = len(f) - 1
-    if n == 1:
-        return True
-    if f[0] == 0:
-        return False
-    if n <= 24:
-        x = _poly_mod([0, 1], f, p)
-        xpn = _poly_powmod_xp(f, p, n)
-        if _poly_trim(_poly_sub(xpn, x, p)):
-            return False
-        for t in _prime_divisors(n):
-            h = _poly_sub(_poly_powmod_xp(f, p, n // t), x, p)
-            if len(_poly_gcd(list(f), h, p)) - 1 > 0:
-                return False
-        return True
-    # roots in F_p kill most candidates before any modular setup
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in f[::-1]:
-        acc = (acc * xs + c) % p
-    if (acc == 0).any():
-        return False
-    ctx = _NpModArith(f, p)
-    x = ctx.vec([0, 1])
-    checkpoints = {n // t for t in _prime_divisors(n)}
-    small = min(6, n - 1)
-    u = x
-    for k in range(1, n + 1):
-        u = ctx.pow_p(u)  # u = x^(p^k) mod f
-        if k <= small or k in checkpoints:
-            diff = (u - x) % p
-            if not diff.any():
-                return False  # all roots in F_{p^k}, k < n
-            if not _np_poly_gcd_is_unit(f, diff, p):
-                return False
-    return not ((u - x) % p).any()
-
-
-def _poly_sub(a, b, p):
-    ln = max(len(a), len(b))
-    return [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(ln)]
-
-
-def _poly_trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a = _poly_mod(a, b, p)
-        a, b = b, _poly_trim(a)
-    return a if a else [0]
-
-
 def _prime_divisors(n: int) -> list[int]:
     out = []
     d = 2
@@ -705,6 +673,26 @@ def _prime_divisors(n: int) -> list[int]:
         d += 1
     if n > 1:
         out.append(n)
+    return out
+
+
+def _int_digits(k: int, p: int, n: int) -> tuple[int, ...]:
+    """The n base-p digits of the Python int k, least significant first."""
+    out = []
+    for _ in range(n):
+        k, c = divmod(k, p)
+        out.append(c)
+    return tuple(out)
+
+
+def _digits(ks: np.ndarray, p: int, n: int) -> np.ndarray:
+    """The n base-p digits of each index in ks, least significant first:
+    the F_p coordinates of the elements (or polynomials) with these indices.
+    Digit by digit, so no power of p beyond the indices is ever formed."""
+    out = np.empty((ks.size, n), dtype=np.int64)
+    for j in range(n):
+        out[:, j] = ks % p
+        ks = ks // p
     return out
 
 
@@ -723,7 +711,7 @@ def make_field(p: int, e: int, m: int) -> Field:
 def field_with_modulus(p: int, e: int, m: int, modulus: Sequence[int], validate: bool = True) -> Field:
     """Field on an explicitly chosen monic irreducible modulus (used by
     residue fields, whose generator must be a root of the defining prime)."""
-    f = tuple(c % p for c in modulus)
-    if validate and not _is_irreducible_mod_p(f, p):
+    fld = Field(p, e, m, tuple(c % p for c in modulus))
+    if validate and not _rabin(fld.modulus, p):
         raise FieldError("modulus is not irreducible")
-    return Field(p, e, m, f)
+    return fld

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import Field, FieldBatch, FieldElement, make_field, field_with_modulus
+from .fields import Field, FieldBatch, FieldElement, _digits, make_field, field_with_modulus
 
 
 class PrimeError(ValueError):
@@ -506,17 +506,6 @@ def _primes_of_degree_np(base: Field, d: int) -> list[SparsePoly]:
     return out
 
 
-def _digits(ks: np.ndarray, p: int, n: int) -> np.ndarray:
-    """The n base-p digits of each index in ks, least significant first:
-    the F_p coordinates of the elements (or polynomials) with these indices.
-    Digit by digit, so no power of p beyond the indices is ever formed."""
-    out = np.empty((ks.size, n), dtype=np.int64)
-    for j in range(n):
-        out[:, j] = ks % p
-        ks = ks // p
-    return out
-
-
 def _reduction_matrix(g: SparsePoly, ncols: int) -> np.ndarray:
     """F_p matrix R with coords(f mod g) = R @ coords(f) for deg f < ncols,
     coordinates taken e per F_q coefficient.  Column block i is T^i mod g,
@@ -573,9 +562,8 @@ def residue_field(prime: SparsePoly) -> ResidueField:
     For prime q (e = 1) the field simply uses the prime itself as modulus, so
     T bar is the power-basis generator.  For e > 1 the field is the canonical
     F_{p^(e*d)} (`make_field`), F_q sits in it by `Field.base_embedding`, and
-    T bar is the first root of the prime in index order, found by a numpy
-    Horner scan over blocks of `_ROOT_BLOCK` elements.  Instances are cached
-    per prime.
+    T bar is the first root of the prime in index order, found by the numpy
+    Horner scan of `Field.first_root`.  Instances are cached per prime.
     """
     if prime in _RESIDUE_CACHE:
         return _RESIDUE_CACHE[prime]
@@ -613,26 +601,13 @@ def _residue_field(prime: SparsePoly) -> ResidueField:
     return ResidueField(fld, _first_root(fld, prime, emb), prime, embed)
 
 
-_ROOT_BLOCK = 1 << 12  # elements per Horner pass of the root search; bounds memory
-
-
 def _first_root(fld: Field, prime: SparsePoly, emb: np.ndarray) -> FieldElement:
-    """The first root of `prime` among the elements of `fld` in index order:
-    Horner on blocks of consecutive indices, each block the base-p digits of
-    an arange, stopping at the first block that holds a root."""
-    p, n = fld.p, fld.n
-    coeffs = np.array([prime.coeff(i).coords for i in range(prime.degree + 1)]) @ emb.T % p
-    batch = FieldBatch(p, fld.modulus)
-    for start in range(0, fld.order, _ROOT_BLOCK):
-        ks = np.arange(start, min(start + _ROOT_BLOCK, fld.order), dtype=np.int64)
-        xs = _digits(ks, p, n)[None]
-        acc = (xs + coeffs[-2]) % p  # the prime is monic
-        for c in coeffs[-3::-1]:
-            acc = (batch.mul(acc, xs) + c) % p
-        roots = np.flatnonzero(~acc[0].any(axis=-1))
-        if roots.size:
-            return fld.from_int(start + int(roots[0]))
-    raise PrimeError("prime has no root in its residue field")  # unreachable
+    """The first root of `prime` among the elements of `fld` in index order."""
+    coeffs = np.array([prime.coeff(i).coords for i in range(prime.degree + 1)]) @ emb.T % fld.p
+    root = fld.first_root(coeffs, np.eye(fld.n, dtype=np.int64))
+    if root is None:
+        raise PrimeError("prime has no root in its residue field")  # unreachable
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +627,9 @@ _TERM_RE = re.compile(
 
 
 def parse_poly(text: str, base: Field) -> SparsePoly:
+    """Read the syntax `format_poly` writes.  An integer coefficient is a
+    residue mod p when q = p; when q > p it is the index of an F_q element
+    (as `format_poly` writes it), and one >= q is refused."""
     s = text.strip()
     if not s:
         raise PolySyntaxError(text)
@@ -671,11 +649,17 @@ def parse_poly(text: str, base: Field) -> SparsePoly:
         if not m:
             raise PolySyntaxError(tok)
         if m.group("const") is not None:
-            pairs.append((0, base.scalar(sign * int(m.group("const")))))
-            continue
-        coeff = int(m.group("coeff")) if m.group("coeff") else 1
-        exp = int(m.group("exp")) if m.group("exp") else 1
-        pairs.append((exp, base.scalar(sign * coeff)))
+            exp, coeff = 0, int(m.group("const"))
+        else:
+            exp = int(m.group("exp")) if m.group("exp") else 1
+            coeff = int(m.group("coeff")) if m.group("coeff") else 1
+        if base.n == 1:
+            c = base.scalar(coeff)
+        elif coeff < base.order:
+            c = base.from_int(coeff)
+        else:
+            raise PolySyntaxError(tok)
+        pairs.append((exp, -c if sign < 0 else c))
     return SparsePoly.from_pairs(base, pairs)
 
 

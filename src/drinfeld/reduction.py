@@ -237,16 +237,7 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly,
 def _residue_embedding(rf_field: Field, B: Field, d: int) -> np.ndarray:
     """Matrix of the embedding F_p -> B: the generator of the residue field
     goes to the first root of its modulus in the q^d-fixed subfield of B."""
-    p = B.p
-    beta = None
-    target = rf_field.modulus
-    for x in B._subfield_elements(d):
-        acc = B.zero
-        for c in reversed(target):
-            acc = acc * x + B.scalar(c)
-        if not acc:
-            beta = x
-            break
+    beta = B.first_root(B.scalars(rf_field.modulus), B.subfield_basis(d))
     if beta is None:
         raise ReductionError("no embedding of the residue field found")  # unreachable
     cols = []
@@ -254,20 +245,12 @@ def _residue_embedding(rf_field: Field, B: Field, d: int) -> np.ndarray:
     for _ in range(rf_field.n):
         cols.append(cur.coords)
         cur = cur * beta
-    return np.array(cols, dtype=np.int64).T % p
+    return np.array(cols, dtype=np.int64).T % B.p
 
 
 def _mult_matrix(B: Field, coords: np.ndarray) -> np.ndarray:
     """F_p-matrix of multiplication by the element with these coordinates."""
-    n, p = B.n, B.p
-    cols = np.zeros((n, n), dtype=np.int64)
-    cur = B.elem(int(c) for c in coords)
-    gen = B.gen
-    for j in range(n):
-        cols[:, j] = cur.coords
-        if j + 1 < n:
-            cur = cur * gen
-    return cols
+    return B.batch().mul_matrix(coords[None])[0]
 
 
 def _assemble_torsion_prime_field(reduced, ell, m, B, sigma, kernel, L):

@@ -1,8 +1,21 @@
 import random
+import time
 
+import numpy as np
 import pytest
 
-from drinfeld.fields import FieldError, lex_smallest_irreducible, make_field
+import drinfeld.fields as fields
+from drinfeld import reduction
+from drinfeld.fields import (
+    FieldError,
+    _irreducibles,
+    _rabin,
+    _sieve,
+    _sieve_digits,
+    lex_smallest_irreducible,
+    make_field,
+)
+from drinfeld.linalg import Int64RangeError
 
 
 def brute_irreducible(coeffs, p):
@@ -159,6 +172,27 @@ class TestFrobenius:
         assert fld.frobenius(alpha, 1) == alpha  # q = 25 power fixes F_25
         assert alpha * alpha != fld.zero
 
+    @pytest.mark.parametrize("p,e,m", [(5, 1, 8), (2, 2, 5), (5, 1, 40), (3, 2, 3), (7, 1, 3)])
+    def test_matrix_columns_are_powers_of_x_to_the_q(self, p, e, m):
+        # q < n (shift and fold) for the first three, q >= n (squaring) after
+        fld = make_field(p, e, m)
+        mat = fld.frobenius_matrix()
+        xq = fld.gen**fld.q
+        cur = fld.one
+        for j in range(fld.n):
+            assert tuple(mat[:, j]) == cur.coords
+            cur = cur * xq
+
+    @pytest.mark.parametrize("p,m", [(5, 8), (5, 40)])
+    def test_multiplication_matrix_columns(self, p, m):
+        fld = make_field(p, 1, m)
+        a = fld.from_int(random.Random(m).randrange(fld.order))
+        mat = reduction._mult_matrix(fld, np.array(a.coords, dtype=np.int64))
+        cur = a
+        for j in range(fld.n):
+            assert tuple(mat[:, j]) == cur.coords
+            cur = cur * fld.gen
+
     def test_norm_lands_in_base(self):
         fld = make_field(5, 1, 3)
         rng = random.Random(13)
@@ -168,3 +202,201 @@ class TestFrobenius:
             assert all(c == 0 for c in nr.coords[1:])
             # norm is x^((q^3-1)/(q-1))
             assert nr == x ** ((5**3 - 1) // (5 - 1))
+
+
+def index_of(f, p):
+    return sum(c * p**i for i, c in enumerate(f[:-1]))
+
+
+def monic(idx, p, n):
+    coeffs = []
+    for _ in range(n):
+        idx, c = divmod(idx, p)
+        coeffs.append(c)
+    return tuple(coeffs) + (1,)
+
+
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+# Index of the canonical modulus of F_{p^n}, as recorded from the linear
+# scan that tested every candidate in turn (Rabin by square-and-multiply).
+GOLDEN = {
+    (5, 8): 2, (5, 16): 2, (5, 20): 31, (5, 24): 146, (5, 40): 142,
+    (5, 48): 138, (5, 62): 77, (5, 124): 9, (5, 248): 1303,
+    (2, 8): 27, (2, 16): 43, (2, 30): 3, (2, 32): 141, (2, 64): 27,
+    (2, 100): 101, (2, 128): 135, (2, 256): 1061,
+    (3, 5): 7, (3, 9): 64, (3, 24): 83, (3, 27): 287, (3, 36): 40, (3, 81): 1033,
+    (7, 3): 2, (7, 5): 10, (7, 12): 58, (7, 21): 71, (7, 30): 61, (7, 49): 365,
+}
+
+
+class TestModulusSearch:
+    @pytest.mark.parametrize("p,n", sorted(GOLDEN))
+    def test_golden_canonical_modulus(self, p, n):
+        f = lex_smallest_irreducible(p, n)
+        assert len(f) == n + 1 and f[-1] == 1
+        assert index_of(f, p) == GOLDEN[p, n]
+
+    @pytest.mark.parametrize("p,e,m,idx", [(2, 2, 12, 27), (3, 2, 6, 11), (3, 3, 3, 64), (5, 2, 3, 7), (7, 2, 6, 58)])
+    def test_golden_moduli_over_f_q(self, p, e, m, idx):
+        assert index_of(make_field(p, e, m).modulus, p) == idx
+
+    @pytest.mark.parametrize("p,nmax", [(2, 6), (3, 6), (5, 4), (7, 4)])
+    def test_agrees_with_trial_division(self, p, nmax):
+        for n in range(1, nmax + 1):
+            want = [brute_irreducible(monic(k, p, n), p) for k in range(p**n)]
+            # Rabin alone, as `field_with_modulus` validates
+            assert [_rabin(monic(k, p, n), p) for k in range(p**n)] == want
+            # the sieve to degree n // 2 decides by itself
+            assert _sieve(p, n, 0, n, n // 2).tolist() == want
+            assert [index_of(tuple(g) + (1,), p) for g in _irreducibles(p, n)] == [
+                k for k in range(p**n) if want[k]
+            ]
+            # a shallower sieve, then Rabin with the gcds it vouches for skipped
+            for depth in range(n // 2):
+                alive = _sieve(p, n, 0, n, depth)
+                got = [bool(alive[k]) and _rabin(monic(k, p, n), p, depth) for k in range(p**n)]
+                assert got == want
+
+    def test_blocks_after_the_first(self):
+        # low digits s = 2, so index 31 of F_{5^20} sits in the fourth block
+        p, n, s = 5, 20, 2
+        for start in range(0, 4 * p**s, p**s):
+            alive = _sieve(p, n, start, s, s)
+            for k in range(p**s):
+                f = monic(start + k, p, n)
+                assert alive[k] == all(
+                    any(poly_mod(list(f), monic(i, p, d), p))
+                    for d in range(1, s + 1) for i in range(p**d)
+                )
+
+    def test_reducible_past_the_sieve_is_rejected(self):
+        p = 5
+        depth = _sieve_digits(p)  # the sieve lists divisors up to degree 6
+        assert depth == 6
+        g, h = _irreducible_rows(p, depth + 1, 2)
+        (k,) = _irreducible_rows(p, depth + 2, 1)
+        # 7 + 7: x^(p^14) = x mod f, so only the gcd at 14/2 = 7 rejects it;
+        # 7 + 8: the final x^(p^15) = x already fails
+        for f in (poly_mul(g, h, p), poly_mul(g, k, p)):
+            n, idx = len(f) - 1, index_of(f, p)
+            s = min(n, depth)
+            assert _sieve(p, n, idx - idx % p**s, s, depth)[idx % p**s]
+            assert not _rabin(f, p, depth)
+
+    def test_large_p_is_exact(self):
+        # (p-1)^2 leaves int64: the search and the Q-matrix run on Python ints
+        p = 4294967311
+        fld = make_field(p, 1, 3)
+        assert fld.modulus == (2, 0, 0, 1)
+        xq = fld.gen**p
+        assert fld.frobenius_matrix()[:, 1].tolist() == list(xq.coords)
+        assert fld.frobenius_matrix()[:, 2].tolist() == list((xq * xq).coords)
+        with pytest.raises(Int64RangeError):
+            fields.FieldBatch(p, fld.modulus)
+
+    def test_degree_25_at_p_1000000007(self):
+        # (p-1)^2 * 25 leaves int64, so Rabin runs on Python ints
+        p = 1000000007
+        rng = random.Random(25)
+        a = tuple(rng.randrange(p) for _ in range(12)) + (1,)
+        b = tuple(rng.randrange(p) for _ in range(13)) + (1,)
+        reducible = poly_mul(a, b, p)
+        assert not poly_mod(list(reducible), a, p)  # trial division by a
+        cases = [(reducible, False)]
+        for c in (54, 55):  # x^25 - x - c: 55 is the first c >= 1 that is irreducible
+            f = (p - c, p - 1) + (0,) * 23 + (1,)
+            cases.append((f, python_rabin(f, p)))
+        assert [want for _, want in cases] == [False, False, True]
+        for f, want in cases:
+            t0 = time.perf_counter()
+            assert _rabin(f, p) == want
+            assert time.perf_counter() - t0 < 1.0
+
+
+def _irreducible_rows(p, d, count):
+    """The first `count` monic irreducibles of degree d by trial division."""
+    out = []
+    k = 0
+    while len(out) < count:
+        f = monic(k, p, d)
+        if brute_irreducible(f, p):
+            out.append(f)
+        k += 1
+    return out
+
+
+def python_rabin(f, p):
+    """Rabin's test with x^(p^k) by square-and-multiply on Python ints."""
+    n = len(f) - 1
+
+    def mulmod(a, b):
+        return poly_mod(list(poly_mul(a, b, p)), f, p)
+
+    def xpow(e):
+        result, base = [1], [0, 1]
+        while e:
+            if e & 1:
+                result = mulmod(result, base)
+            e >>= 1
+            if e:
+                base = mulmod(base, base)
+        return result
+
+    def minus_x(a):
+        a = list(a) + [0] * (2 - len(a))
+        a[1] = (a[1] - 1) % p
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    if minus_x(xpow(p**n)):
+        return False
+    for t in {t for t in range(2, n + 1) if n % t == 0 and all(t % s for s in range(2, t))}:
+        g, h = list(f), minus_x(xpow(p ** (n // t)))
+        while h:
+            g, h = h, poly_mod(g, h, p)
+        if len(g) > 1:
+            return False
+    return True
+
+
+
+def brute_subfield_root(fld, poly, d):
+    """(k, x): the first root x of an F_p-polynomial among the q^d-fixed
+    elements digits(k) @ basis, k = 0, 1, ..., by Horner on field elements."""
+    basis = fld.subfield_basis(d)
+    for k in range(fld.p ** basis.shape[0]):
+        digits = np.array(monic(k, fld.p, basis.shape[0])[:-1], dtype=np.int64)
+        x = fld.elem(int(c) for c in digits @ basis % fld.p)
+        acc = fld.zero
+        for c in reversed(poly):
+            acc = acc * x + fld.scalar(c)
+        if not acc:
+            return k, x
+    raise AssertionError("no root")
+
+
+class TestSubfieldRoots:
+    @pytest.mark.parametrize("p,e,m", [(5, 2, 2), (3, 2, 3), (2, 3, 2), (2, 2, 3), (3, 3, 2)])
+    def test_base_generator_is_first_root(self, p, e, m):
+        fld = make_field(p, e, m)
+        assert fld.base_generator() == brute_subfield_root(fld, lex_smallest_irreducible(p, e), 1)[1]
+
+    @pytest.mark.parametrize("block", [1 << 12, 3])
+    @pytest.mark.parametrize("modulus,m", [((2, 0, 1), 3), ((2, 0, 1), 4), ((1, 1, 0, 1), 2)])
+    def test_residue_embedding_is_first_root(self, monkeypatch, block, modulus, m):
+        monkeypatch.setattr(fields, "_ROOT_BLOCK", block)
+        d = len(modulus) - 1
+        rf = fields.field_with_modulus(5, 1, d, modulus)
+        B = make_field(5, 1, d * m)
+        sigma = reduction._residue_embedding(rf, B, d)
+        k, beta = brute_subfield_root(B, modulus, d)
+        assert k >= 3  # past the first block of 3
+        assert tuple(sigma[:, 1]) == beta.coords

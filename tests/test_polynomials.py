@@ -195,6 +195,28 @@ class TestSyntax:
         with pytest.raises(PolySyntaxError):
             parse_poly("   ", F5)
 
+    @pytest.mark.parametrize("p,e,dmax", [(2, 2, 4), (3, 2, 3), (5, 2, 2)])
+    def test_round_trip_of_primes_over_f_q(self, p, e, dmax):
+        # format_poly writes an F_q coefficient as its element index
+        base = make_field(p, e, 1)
+        for d in range(1, dmax + 1):
+            for f in primes_of_degree(base, d):
+                assert parse_poly(format_poly(f), base) == f
+
+    def test_f9_coefficients_are_element_indices(self):
+        F9 = make_field(3, 2, 1)
+        f = parse_poly("T^2+T+5", F9)
+        assert f.constant() == F9.from_int(5) and format_poly(f) == "T^2+T+5"
+        assert format_poly(parse_poly("T+1", F9)) == "T+1"
+        assert format_poly(parse_poly("T+2", F9)) == "T+2"
+        assert parse_poly("T-4", F9) == parse_poly("T+8", F9)  # -(1 + w) = 2 + 2w
+        for text in ("T+9", "10*T+1", "T^2+T+12"):
+            with pytest.raises(PolySyntaxError):
+                parse_poly(text, F9)
+
+    def test_prime_field_still_reads_residues(self):
+        assert parse_poly("T+7", F5) == parse_poly("T+2", F5)
+
 
 class TestSparseArithmetic:
     def test_large_exponents_stay_sparse(self):

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-import drinfeld.polynomials as polynomials
+import drinfeld.fields as fields
 from drinfeld import (
     FieldElement,
     PrimeError,
@@ -111,7 +111,7 @@ def test_root_past_the_first_block(monkeypatch):
     prime = primes[max(range(len(primes)), key=roots.__getitem__)]
     block = 5  # 81 elements: 17 blocks, the last one short
     assert max(roots) >= 3 * block and max(roots) % block
-    monkeypatch.setattr(polynomials, "_ROOT_BLOCK", block)
+    monkeypatch.setattr(fields, "_ROOT_BLOCK", block)
     rf = _residue_field(prime)  # bypasses the per-prime cache
     assert rf.t_image.to_int() == max(roots)
     assert not rf.reduce(prime)
