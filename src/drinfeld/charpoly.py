@@ -22,8 +22,9 @@ operator identity
 holds exactly in L{tau}.
 
 Two independent oracles remain.  `charpoly_linear_system` solves that
-identity as a linear system over F_q in the coefficients of the a_i
-inside their degree bounds; for prime rank the bounded solution is unique
+identity as a linear system in the coefficients of the a_i inside their
+degree bounds, posed over F_p with e digits per F_q coefficient (a unique
+F_q solution is F_p nullity 0); for prime rank the bounded solution is unique
 (the constant term is a unit times the prime, ruling out a full r-th
 power), and a system that is not raises.  `charpoly_mod_l` reads the
 characteristic polynomial off the torsion Frobenius matrix at l.
@@ -128,13 +129,8 @@ def _epsilon_sign(r: int, d: int) -> int:
 def _into_base(reduced: ReducedModule, x: FieldElement):
     """Pull an element of the F_q-subfield of the residue field back to F_q."""
     base = reduced.module.base
-    if base.n == 1:
-        if any(x.coords[1:]):
-            raise CharPolyError("norm did not land in the base field")
-        return base.scalar(x.coords[0])
-    # e > 1: invert the embedding on its image
-    mat = reduced.field.base_embedding()
-    sol = linalg.solve_mod_p(mat, np.array(x.coords, dtype=np.int64), base.p)
+    embed = reduced.field.base_embedding()
+    sol = linalg.solve_mod_p(embed, np.array(x.coords, dtype=np.int64), base.p)
     if sol is None:
         raise CharPolyError("norm did not land in the base field")
     return base.elem(int(v) for v in sol[0])
@@ -398,39 +394,35 @@ def charpoly_linear_system(module: DrinfeldModule, prime: SparsePoly) -> CharPol
     phis = [reduced.phi_T_power(j) for j in range(d + 1)]
     coeff = [{e: c for e, c in f.terms} for f in phis]
 
-    nf = reduced.field.n  # F_p-dimension of the residue field
-    p = base.p
-    if base.n == 1:
-        rows = np.zeros(((r * d + 1) * nf, ncols), dtype=np.int64)
-        rhs = np.zeros((r * d + 1) * nf, dtype=np.int64)
-        for col, (i, j) in enumerate(layout):
-            shift = (r - i) * d
-            for e, c in coeff[j].items():
-                k = e + shift
-                rows[k * nf : (k + 1) * nf, col] = c.coords
-        rhs[r * d * nf : r * d * nf + nf] = [(-v) % p for v in reduced.field.one.coords]
-        sol = linalg.solve_mod_p(rows, rhs, p)
-        if sol is None:
-            raise CharPolyError("inconsistent Frobenius system (arithmetic bug)")
-        vec, nullity = sol
-        if nullity:
-            raise CharPolyError(f"ambiguous Frobenius system at {format_poly(prime)}")
-        a = _coeffs_from_vector(base, layout, [int(v) for v in vec], r)
-    else:
-        a = _charpoly_system_general(module, prime, reduced, layout, coeff)
+    # each F_q unknown is e F_p digits: digit k's column holds alpha^k c,
+    # alpha^k the embedded powers of the F_q generator
+    fld = reduced.field
+    nf, e, p = fld.n, base.e, base.p
+    times_alpha = fld.batch().mul_matrix(fld.base_embedding().T)  # x -> alpha^k x
+    rows = np.zeros(((r * d + 1) * nf, ncols * e), dtype=np.int64)
+    rhs = np.zeros((r * d + 1) * nf, dtype=np.int64)
+    for col, (i, j) in enumerate(layout):
+        shift = (r - i) * d
+        for ex, c in coeff[j].items():
+            k = ex + shift
+            rows[k * nf : (k + 1) * nf, col * e : (col + 1) * e] = (times_alpha @ c.coords % p).T
+    rhs[r * d * nf : r * d * nf + nf] = [(-v) % p for v in fld.one.coords]
+    sol = linalg.solve_mod_p(rows, rhs, p)
+    if sol is None:
+        raise CharPolyError("inconsistent Frobenius system (arithmetic bug)")
+    vec, nullity = sol
+    if nullity:
+        raise CharPolyError(f"ambiguous Frobenius system at {format_poly(prime)}")
+    terms: list[list[tuple[int, FieldElement]]] = [[] for _ in range(r)]
+    for (i, j), digits in zip(layout, vec.reshape(ncols, e).tolist()):
+        if any(digits):
+            terms[i - 1].append((j, base.elem(digits)))
+    a = [SparsePoly(base, t) for t in terms]
 
     eps = _epsilon_from_reduced(reduced)
     cp = CharPoly(prime, r, tuple(a), eps)
     _assert_residual(reduced, cp)
     return cp
-
-
-def _coeffs_from_vector(base, layout, vec, r) -> list[SparsePoly]:
-    acc: list[list[tuple[int, object]]] = [[] for _ in range(r)]
-    for (i, j), v in zip(layout, vec):
-        if v:
-            acc[i - 1].append((j, base.scalar(v)))
-    return [SparsePoly(base, terms) for terms in acc]
 
 
 def _assert_residual(reduced: ReducedModule, cp: CharPoly):
@@ -442,62 +434,6 @@ def _assert_residual(reduced: ReducedModule, cp: CharPoly):
         total = total + reduced.phi(cp.a[i - 1]).shift_tau((r - i) * d)
     if total:
         raise CharPolyError("residual identity failed (arithmetic bug)")
-
-
-def _charpoly_system_general(module, prime, reduced, layout, coeff):
-    """e > 1: the same system assembled over F_q with generic elimination."""
-    base = module.base
-    r, d = module.r, prime.degree
-    rf = reduced.rf
-    # express residue-field elements in F_q-coordinates via the embedding of
-    # F_q and powers of the field generator
-    fld = reduced.field
-    dm = fld.m
-    cols = []
-    wpow = fld.one
-    alpha_pows = [fld.one]
-    alpha = fld.base_generator()
-    for _ in range(base.n - 1):
-        alpha_pows.append(alpha_pows[-1] * alpha)
-    for i in range(dm):
-        for j in range(base.n):
-            cols.append((wpow * alpha_pows[j]).coords)
-        wpow = wpow * fld.gen
-    C = np.array(cols, dtype=np.int64).T
-    p = base.p
-
-    def fq_coords(x: FieldElement) -> list[FieldElement]:
-        sol = linalg.solve_mod_p(C, np.array(x.coords, dtype=np.int64), p)
-        if sol is None:
-            raise CharPolyError("coordinate change failed")
-        y = sol[0]
-        return [base.elem(int(v) for v in y[i * base.n : (i + 1) * base.n]) for i in range(dm)]
-
-    nrows = (r * d + 1) * dm
-    rows = [[base.zero] * len(layout) for _ in range(nrows)]
-    rhs = [base.zero] * nrows
-    for col, (i, j) in enumerate(layout):
-        shift = (r - i) * d
-        for e, c in coeff[j].items():
-            for t, v in enumerate(fq_coords(c)):
-                rows[(e + shift) * dm + t][col] = v
-    for t, v in enumerate(fq_coords(fld.one)):
-        rhs[r * d * dm + t] = -v
-    aug = linalg.Matrix.from_rows(base, [row + [b] for row, b in zip(rows, rhs)])
-    red, pivots = aug.rref()
-    ncols = len(layout)
-    if any(c == ncols for c in pivots):
-        raise CharPolyError("inconsistent Frobenius system (arithmetic bug)")
-    if len(pivots) < ncols:
-        raise CharPolyError(f"ambiguous Frobenius system at {format_poly(prime)}")
-    solv = [base.zero] * ncols
-    for rr, c in enumerate(pivots):
-        solv[c] = red[rr][ncols]
-    acc: list[list[tuple[int, object]]] = [[] for _ in range(r)]
-    for (i, j), v in zip(layout, solv):
-        if v:
-            acc[i - 1].append((j, v))
-    return [SparsePoly(base, terms) for terms in acc]
 
 
 def charpoly_mod_l(module: DrinfeldModule, prime: SparsePoly, ell: SparsePoly,

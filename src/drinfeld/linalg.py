@@ -2,11 +2,13 @@
 
 Two layers:
 
-* numpy routines over prime fields F_p (`*_mod_p`) used on the hot paths
-  (torsion kernels, Frobenius matrices, linear systems);
+* numpy routines over prime fields F_p (`*_mod_p`), the one core for all
+  linear algebra over F_q = F_(p^e) (torsion kernels, Frobenius matrices,
+  linear systems): an F_q-linear problem is posed over F_p with e digits
+  per F_q unknown;
 * a generic `Matrix` over any `Field`, with deterministic echelon forms,
-  kernel bases and characteristic polynomials, used where entries live in
-  a genuine extension field (Frobenius matrices over F_l) or when e > 1.
+  kernel bases and characteristic polynomials, used only for matrices over
+  F_l (the torsion Frobenius and T-action matrices) and the GL_r oracle.
 
 All echelon forms pick pivots by ascending column index, so bases are
 canonical and reproducible.  The numpy layer works in int64 and refuses
@@ -155,12 +157,6 @@ class Matrix:
         flat = [x for row in rows for x in row]
         return cls(field, r, c, flat)
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(
-            field, n, n, [field.one if i == j else field.zero for i in range(n) for j in range(n)]
-        )
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -200,14 +196,6 @@ class Matrix:
                 acc = acc + ri[k] * vec[k]
             out.append(acc)
         return out
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.cols,
-            self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def _rows_list(self):
         return [list(self.row(i)) for i in range(self.rows)]

@@ -8,10 +8,13 @@ divisible by phi_l in the reduced skew ring), which costs a handful of
 small-field multiplications per step instead of a kernel probe.  The
 kernel dimension is still verified on the constructed field.
 
-Everything downstream of the kernel uses the deterministic echelon basis:
-pivots by power-basis column order, module basis greedily extracted, so
-Frobenius matrices are reproducible.  Cross-prime comparisons should use
-their characteristic polynomials only.
+All of the F_q-linear algebra is numpy over F_p, with F_q acting through
+the residue field's embedding (the one through which A acts).  The torsion
+basis is deterministic: for e = 1 the canonical kernel basis of
+`linalg.kernel_mod_p`, for e > 1 the reduced F_q-echelon basis along the
+powers w^i of the splitting field's generator.  The module basis is
+greedily extracted from it, so Frobenius matrices are reproducible.
+Cross-prime comparisons should use their characteristic polynomials only.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .polynomials import (
     format_poly,
     residue_field,
 )
-from .skew import DrinfeldModule, SkewPoly, linearized_eval
+from .skew import DrinfeldModule, SkewPoly, _FieldRing, linearized_eval
 
 
 class ReductionError(ValueError):
@@ -56,8 +59,6 @@ class ReducedModule:
         self.r = module.r
         self.r1 = r1
         self.kind = GOOD if r1 == module.r else STABLE_BAD
-        from .skew import _FieldRing
-
         self.ring = _FieldRing(rf.field)
         self.phi_T = SkewPoly(self.ring, [(i, c) for i, c in enumerate(coeffs)])
         self._pows = [SkewPoly.one(self.ring), self.phi_T]
@@ -181,8 +182,6 @@ class TorsionSpace:
     def phi_in_splitting(self, a: SparsePoly) -> SkewPoly:
         """phi_a with coefficients pushed into the splitting field."""
         f = self.reduced.phi(a)
-        from .skew import _FieldRing
-
         return SkewPoly(_FieldRing(self.field), [(e, self.embed(c)) for e, c in f.terms])
 
 
@@ -193,45 +192,77 @@ def _check_distinct_primes(p1: SparsePoly, p2: SparsePoly):
 
 def torsion_space(reduced: ReducedModule, ell: SparsePoly,
                   cap: int = DEFAULT_SPLITTING_CAP) -> TorsionSpace:
-    """Torsion of a good reduction at a prime l away from the characteristic."""
+    """Torsion of a good reduction at a prime l away from the characteristic.
+
+    All the linear algebra is numpy over F_p: an F_q-span is the F_p-span
+    of the products with the embedded powers alpha^k of the F_q generator,
+    alpha taken through the residue field (the embedding by which A acts)."""
     if not reduced.is_good:
         raise ReductionError("torsion spaces require good reduction")
     _check_distinct_primes(reduced.prime, ell)
     if not ell.is_monic():
         raise ReductionError("l must be monic")
-    base = reduced.module.base
-    p, e = base.p, base.e
+    e = reduced.module.base.e
     d = reduced.prime.degree
     degl = ell.degree
-    r = reduced.r
-    N = r * degl
+    N = reduced.r * degl
 
-    phil = reduced.phi(ell)
-    m = splitting_degree(phil, d, cap)
-
-    B = make_field(p, e, d * m)
+    m = splitting_degree(reduced.phi(ell), d, cap)
+    B = make_field(reduced.field.p, e, d * m)
+    p, n = B.p, B.n
+    linalg.check_int64_range(p, n)
     sigma = _residue_embedding(reduced.field, B, d)
+    alphas = (sigma @ reduced.field.base_embedding() % p).T  # alpha^k, one row each
 
-    # F_p-matrix of x |-> phi_l(x) on B
-    frob = B.frobenius_matrix()
-    n = B.n
-    L = np.zeros((n, n), dtype=np.int64)
-    frob_pow = np.eye(n, dtype=np.int64)
-    prev = 0
-    for i, c in phil.terms:
-        frob_pow = (frob_pow @ linalg.matpow_mod_p(frob, i - prev, p)) % p
-        prev = i
-        c_B = (sigma @ np.array(c.coords, dtype=np.int64)) % p
-        L = (L + _mult_matrix(B, c_B) @ frob_pow) % p
+    def scalar(c: FieldElement) -> np.ndarray:
+        """F_p-matrix of an element of F_q acting on B."""
+        return _mult_matrix(B, np.array(c.coords, dtype=np.int64) @ alphas % p)
 
+    A_T = _t_action(reduced, B, sigma)
+    # phi_l = l(A_T) by Horner: l is monic and F_q scalars commute with A_T
+    L = (A_T + scalar(ell.coeff(degl - 1))) % p
+    for j in range(degl - 2, -1, -1):
+        L = (L @ A_T + scalar(ell.coeff(j))) % p
     kernel = linalg.kernel_mod_p(L, p)
-    if e == 1:
-        if kernel.shape[0] != N:
-            raise ReductionError(
-                f"kernel dimension {kernel.shape[0]} != r*deg(l) = {N}"
-            )
-        return _assemble_torsion_prime_field(reduced, ell, m, B, sigma, kernel, L)
-    return _assemble_torsion_general(reduced, ell, m, B, sigma, kernel)
+    if kernel.shape[0] != e * N:
+        raise ReductionError(
+            f"kernel F_p-dimension {kernel.shape[0]} != e*r*deg(l) = {e * N}"
+        )
+    basis = kernel if e == 1 else _fq_echelon(B, alphas, kernel)
+    fq_span = lambda vecs: B.batch().mul(alphas, vecs[:, None]).reshape(-1, n)
+
+    # greedy F_l-module basis: first kernel vector outside the F_q-span of
+    # the T-orbits taken so far (the orbits form a direct sum)
+    module_idx: list[int] = []
+    span = np.zeros((0, n), dtype=np.int64)
+    for i, v in enumerate(basis):
+        if linalg.rank_mod_p(np.vstack([span, v]), p) > span.shape[0]:
+            module_idx.append(i)
+            orbit = [v]
+            for _ in range(degl - 1):
+                orbit.append(A_T @ orbit[-1] % p)
+            span = np.vstack([span, fq_span(np.array(orbit))])
+        if len(module_idx) == reduced.r:
+            break
+    if len(module_idx) != reduced.r:
+        raise ReductionError("could not extract an F_l-module basis")
+
+    # coordinates along the F_p-basis alpha^k phi_(T^a)(v_j) of the torsion,
+    # index (j*degl + a)*e + k, of F v_j (F: x -> x^(q^d)) and of phi_T(v_j)
+    vs = basis[module_idx].T
+    images = np.concatenate([B.frobenius_power_matrix(d) @ vs, A_T @ vs], axis=1) % p
+    sol = linalg.solve_mod_p(span.T, images, p)
+    if sol is None or sol[1]:
+        raise ReductionError("the module basis does not give a basis of the torsion")
+    ell_rf = residue_field(ell)
+    frob_mat = _fl_matrix(reduced, ell_rf, sol[0][:, : reduced.r])
+    t_mat = _fl_matrix(reduced, ell_rf, sol[0][:, reduced.r :])
+    if not frob_mat.det():
+        raise ReductionError("Frobenius matrix is singular")
+
+    elems = [B.elem(int(c) for c in v) for v in basis]
+    return TorsionSpace(reduced, ell, m, B, sigma, elems, [elems[i] for i in module_idx],
+                        frob_mat, t_mat, ell_rf)
 
 
 def _residue_embedding(rf_field: Field, B: Field, d: int) -> np.ndarray:
@@ -253,230 +284,51 @@ def _mult_matrix(B: Field, coords: np.ndarray) -> np.ndarray:
     return B.batch().mul_matrix(coords[None])[0]
 
 
-def _assemble_torsion_prime_field(reduced, ell, m, B, sigma, kernel, L):
-    """e = 1: all the F_q-linear algebra is numpy over F_p."""
+def _t_action(reduced: ReducedModule, B: Field, sigma: np.ndarray) -> np.ndarray:
+    """F_p-matrix on B of phi_T = sum_i g_i tau^i, by Horner in the matrix
+    of tau (the q-power map)."""
     p = B.p
-    n = B.n
-    d = reduced.prime.degree
-    degl = ell.degree
-    r = reduced.r
-    N = r * degl
-
-    # action of T via phi and the |F_p|-power Frobenius, as F_p-matrices
-    A_T = np.zeros((n, n), dtype=np.int64)
     frob = B.frobenius_matrix()
-    for i, c in reduced.phi_T.terms:
-        c_B = (sigma @ np.array(c.coords, dtype=np.int64)) % p
-        A_T = (A_T + _mult_matrix(B, c_B) @ linalg.matpow_mod_p(frob, i, p)) % p
-    F = linalg.matpow_mod_p(frob, d, p)
-
-    basis_vecs = [kernel[i] for i in range(N)]
-
-    # greedy F_l-module basis: first kernel vector outside the phi-span so far
-    module_idx: list[int] = []
-    span = np.zeros((0, n), dtype=np.int64)
-    span_rank = 0
-    for i, v in enumerate(basis_vecs):
-        stacked = np.vstack([span, v])
-        if linalg.rank_mod_p(stacked, p) > span_rank:
-            module_idx.append(i)
-            block = [v]
-            for _ in range(degl - 1):
-                block.append((A_T @ block[-1]) % p)
-            span = np.vstack([span] + block)
-            span_rank = linalg.rank_mod_p(span, p)
-        if len(module_idx) == r:
-            break
-    if len(module_idx) != r:
-        raise ReductionError("could not extract an F_l-module basis")
-
-    # columns ordered (j, a) -> j*degl + a
-    cols = []
-    for i in module_idx:
-        v = basis_vecs[i]
-        cur = v
-        for a in range(degl):
-            cols.append(cur)
-            cur = (A_T @ cur) % p
-    S = np.array(cols, dtype=np.int64).T
-
-    ell_rf = residue_field(ell)
-    Fl = ell_rf.field
-
-    def fl_entry(y, j):
-        chunk = y[j * degl : (j + 1) * degl]
-        acc = Fl.zero
-        tpow = Fl.one
-        for a in range(degl):
-            acc = acc + tpow * int(chunk[a])
-            tpow = tpow * ell_rf.t_image
-        return acc
-
-    def matrix_of(action: np.ndarray) -> linalg.Matrix:
-        entries = []
-        rowsols = []
-        for i in module_idx:
-            w = (action @ basis_vecs[i]) % p
-            sol = linalg.solve_mod_p(S, w, p)
-            if sol is None:
-                raise ReductionError("module basis failed to span its image")
-            rowsols.append(sol[0])
-        for jrow in range(r):
-            for jcol in range(r):
-                entries.append(fl_entry(rowsols[jcol], jrow))
-        return linalg.Matrix(Fl, r, r, entries)
-
-    frob_mat = matrix_of(F)
-    t_mat = matrix_of(A_T)
-    if not frob_mat.det():
-        raise ReductionError("Frobenius matrix is singular")
-
-    elems = [B.elem(int(c) for c in v) for v in basis_vecs]
-    module_elems = [B.elem(int(c) for c in basis_vecs[i]) for i in module_idx]
-    return TorsionSpace(reduced, ell, m, B, sigma, elems, module_elems,
-                        frob_mat, t_mat, ell_rf)
+    coeffs = dict(reduced.phi_T.terms)
+    mult = lambda c: _mult_matrix(B, sigma @ np.array(c.coords, dtype=np.int64) % p)
+    A_T = mult(coeffs[reduced.r])
+    for i in range(reduced.r - 1, -1, -1):
+        A_T = A_T @ frob % p
+        if i in coeffs:
+            A_T = (A_T + mult(coeffs[i])) % p
+    return A_T
 
 
-def _assemble_torsion_general(reduced, ell, m, B, sigma, kernel):
-    """e > 1: echelonize the F_p-kernel over F_q, then proceed generically.
+def _fq_echelon(B: Field, alphas: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Reduced F_q-echelon basis of the span of `kernel` along the F_q-basis
+    w^i of B (w the field generator).  In F_p-coordinates along w^i alpha^k,
+    index i*e + k, the rows of the F_p-echelon form that pivot at k = 0 are
+    exactly the F_q-echelon rows; the others are their alpha^k multiples."""
+    p, e = B.p, alphas.shape[0]
+    C = B.batch().mul_matrix(alphas)[:, :, : B.n // e]  # C[k][:, i] = alpha^k w^i
+    C = C.transpose(1, 2, 0).reshape(B.n, B.n)
+    coords = linalg.solve_mod_p(C, kernel.T, p)[0]
+    ech, pivots = linalg.rref_mod_p(coords.T, p)
+    rows = ech[[t for t, c in enumerate(pivots) if c % e == 0]]
+    return rows @ C.T % p
 
-    The F_q-power basis of B is 1, w, ..., w^(dm-1) with w the field
-    generator; F_q-coordinates come from the change of basis by powers of the
-    embedded F_q generator.
-    """
-    p, e = B.p, B.e
-    n = B.n
-    d = reduced.prime.degree
-    degl = ell.degree
-    r = reduced.r
-    N = r * degl
-    dm = n // e
 
-    alpha = B.base_generator()
-    Fq = make_field(p, e, 1)
-
-    # columns of C: coords of w^i * alpha^j, index i*e + j
-    cols = []
-    w_pow = B.one
-    for _ in range(dm):
-        a_pow = w_pow
-        for _ in range(e):
-            cols.append(a_pow.coords)
-            a_pow = a_pow * alpha
-        w_pow = w_pow * B.gen
-    C = np.array(cols, dtype=np.int64).T % p
-    Cinv_sol = linalg.solve_mod_p(C, np.eye(n, dtype=np.int64), p)
-    if Cinv_sol is None:
-        raise ReductionError("power basis change is singular")
-    Cinv = Cinv_sol[0] % p
-
-    def to_fq_vector(coords: np.ndarray) -> list[FieldElement]:
-        y = (Cinv @ coords) % p
-        return [Fq.elem(int(c) for c in y[i * e : (i + 1) * e]) for i in range(dm)]
-
-    def to_B(vec: list[FieldElement]) -> FieldElement:
-        coords = np.zeros(n, dtype=np.int64)
-        for i, c in enumerate(vec):
-            for j, digit in enumerate(c.coords):
-                coords[i * e + j] = digit
-        return B.elem(int(c) for c in (C @ coords) % p)
-
-    rows = [to_fq_vector(kernel[i]) for i in range(kernel.shape[0])]
-    mat = linalg.Matrix.from_rows(Fq, rows) if rows else None
-    if mat is None:
-        raise ReductionError("empty kernel")
-    ech, pivots = mat.rref()
-    fq_basis = [row for row in ech[: len(pivots)]]
-    if len(fq_basis) != N:
-        raise ReductionError(f"kernel F_q-dimension {len(fq_basis)} != r*deg(l) = {N}")
-
-    basis_elems = [to_B(v) for v in fq_basis]
-
-    phi_T_B = SkewPoly(
-        _field_ring(B),
-        [(i, _embed_elem(B, sigma, c)) for i, c in reduced.phi_T.terms],
-    )
-
-    def t_action(x: FieldElement) -> FieldElement:
-        return linearized_eval(phi_T_B, x)
-
-    def frob_action(x: FieldElement) -> FieldElement:
-        return B.frobenius(x, d)
-
-    # greedy module basis over F_q-span of phi-orbits
-    module_elems: list[FieldElement] = []
-    span_rows: list[list[FieldElement]] = []
-
-    def in_span(x: FieldElement) -> bool:
-        if not span_rows:
-            return False
-        old_rank = linalg.Matrix.from_rows(Fq, span_rows).rank()
-        probe = span_rows + [to_fq_vector(np.array(x.coords, dtype=np.int64))]
-        return linalg.Matrix.from_rows(Fq, probe).rank() == old_rank
-
-    for v in basis_elems:
-        if not in_span(v):
-            module_elems.append(v)
-            cur = v
-            for _ in range(degl):
-                span_rows.append(to_fq_vector(np.array(cur.coords, dtype=np.int64)))
-                cur = t_action(cur)
-        if len(module_elems) == r:
-            break
-    if len(module_elems) != r:
-        raise ReductionError("could not extract an F_l-module basis")
-
-    ell_rf = residue_field(ell)
-    Fl = ell_rf.field
-
-    # solve in the basis {phi_(T^a)(v_j)} by stacking F_q-coordinates
-    cols = []
-    for v in module_elems:
-        cur = v
-        for _ in range(degl):
-            cols.append(to_fq_vector(np.array(cur.coords, dtype=np.int64)))
-            cur = t_action(cur)
-    Smat = linalg.Matrix.from_rows(Fq, cols).transpose()
-
-    def fl_coords(x: FieldElement) -> list[FieldElement]:
-        target = to_fq_vector(np.array(x.coords, dtype=np.int64))
-        aug_rows = [list(Smat.row(i)) + [target[i]] for i in range(Smat.rows)]
-        aug = linalg.Matrix.from_rows(Fq, aug_rows)
-        red, pivots = aug.rref()
-        if any(c == Smat.cols for c in pivots):
-            raise ReductionError("module basis failed to span its image")
-        sol = [Fq.zero] * Smat.cols
-        for rr, c in enumerate(pivots):
-            sol[c] = red[rr][Smat.cols]
-        out = []
+def _fl_matrix(reduced: ReducedModule, ell_rf: ResidueField, sol: np.ndarray) -> linalg.Matrix:
+    """The r x r matrix over F_l whose column j has the coordinates sol[:, j]
+    along the basis alpha^k phi_(T^a)(v_i): entry (i, j) is
+    sum_a T bar^a sum_k sol[(i*degl + a)*e + k, j] alpha^k."""
+    base = reduced.module.base
+    r, Fl = reduced.r, ell_rf.field
+    digits = sol.T.reshape(r, r, -1, base.e).tolist()  # [j][i][a] -> F_q digits
+    entries = []
+    for i in range(r):
         for j in range(r):
-            acc = Fl.zero
-            tpow = Fl.one
-            for a in range(degl):
-                acc = acc + tpow * ell_rf.embed_base(sol[j * degl + a])
+            acc, tpow = Fl.zero, Fl.one
+            for c in digits[j][i]:
+                acc = acc + tpow * ell_rf.embed_base(base.elem(c))
                 tpow = tpow * ell_rf.t_image
-            out.append(acc)
-        return out
-
-    frob_cols = [fl_coords(frob_action(v)) for v in module_elems]
-    t_cols = [fl_coords(t_action(v)) for v in module_elems]
-    frob_mat = linalg.Matrix(Fl, r, r, [frob_cols[j][i] for i in range(r) for j in range(r)])
-    t_mat = linalg.Matrix(Fl, r, r, [t_cols[j][i] for i in range(r) for j in range(r)])
-    if not frob_mat.det():
-        raise ReductionError("Frobenius matrix is singular")
-    return TorsionSpace(reduced, ell, m, B, sigma, basis_elems, module_elems,
-                        frob_mat, t_mat, ell_rf)
-
-
-def _field_ring(B: Field):
-    from .skew import _FieldRing
-
-    return _FieldRing(B)
-
-
-def _embed_elem(B: Field, sigma: np.ndarray, c: FieldElement) -> FieldElement:
-    coords = (sigma @ np.array(c.coords, dtype=np.int64)) % B.p
-    return B.elem(int(x) for x in coords)
+            entries.append(acc)
+    return linalg.Matrix(Fl, r, r, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +366,7 @@ def quotient_by_kernel(ts: TorsionSpace, x_basis: list[FieldElement]) -> Isogeny
     p = B.p
     d = reduced.prime.degree
 
-    ring = _field_ring(B)
+    ring = _FieldRing(B)
     u = SkewPoly.one(ring)
     q = B.q
     for b in x_basis:

@@ -88,6 +88,16 @@ class TestTorsion:
         assert doc["charpoly"] == ["4", "0", "1"]
         assert len(doc["frobenius_matrix"]) == 3
 
+    def test_degree_two_prime_over_f9_matches_charpoly(self, capsys):
+        # the torsion matrix must not be twisted by an automorphism of F_9
+        args = ("--q", "9", "--r", "3", "--p", "T^2+4")
+        code, out, _ = run_cli(capsys, "torsion", *args, "--l", "T+3")
+        assert code == 0
+        torsion = json.loads(out)
+        code, out, _ = run_cli(capsys, "charpoly", *args, "--mod-l", "T+3")
+        assert code == 0
+        assert torsion["charpoly"] == json.loads(out)["mod_l"]["charpoly"]
+
 
 class TestNewtonInertia:
     def test_newton_json_schema(self, capsys):

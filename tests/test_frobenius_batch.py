@@ -50,10 +50,10 @@ def _assert_matches_linear_system(module, primes):
 
 
 @SETTINGS
-@given(q=st.sampled_from([3, 5, 7, 9]), r=st.sampled_from([3, 5]),
+@given(q=st.sampled_from([3, 4, 5, 7, 8, 9]), r=st.sampled_from([3, 5]),
        d=st.integers(1, 2), data=st.data())
 def test_default_family_matches_linear_system(q, r, d, data):
-    # q = 9 is the e = 2 case: canonical residue fields, first root as T bar
+    # q = 4, 9 (e = 2) and 8 (e = 3): canonical residue fields, first root as T bar
     module = DrinfeldModule.default_family(_base(q), r)
     primes = _good_primes(module, d)
     chosen = data.draw(st.lists(st.sampled_from(primes), min_size=1, max_size=6, unique=True))

@@ -259,6 +259,138 @@ class TestExtensionBaseTorsion:
         want = cp.reduce_mod(ell)
         assert [c.to_int() for c in got] == [c.to_int() for c in want]
 
+    # Primes of degree 2, where F_q coordinates read through another
+    # embedding of F_q than the residue field's give Galois-twisted matrices.
+    # At q = 4 the default family has no such pair with a splitting field of
+    # F_2-dimension <= 48, so the rank-2 module T + tau + tau^2 stands in.
+    @pytest.mark.parametrize("p, e, coeffs, prime_text, ell_text", [
+        (2, 2, "T;1;1", "T^2+2*T+1", "T"),        # F_(2^20)
+        (3, 2, None, "T^2+4", "T+3"),              # F_(3^32)
+        (2, 3, None, "T^2+3*T+4", "T"),            # F_(2^42)
+        (5, 2, None, "T^2+10", "T+11"),            # F_(5^24)
+    ])
+    def test_degree_two_primes_agree_with_motive_route(self, p, e, coeffs, prime_text,
+                                                       ell_text):
+        from drinfeld.charpoly import det_check, frobenius_charpolys
+
+        base = make_field(p, e, 1)
+        if coeffs:
+            D = DrinfeldModule(base, [parse_poly(c, base) for c in coeffs.split(";")])
+        else:
+            D = DrinfeldModule.default_family(base, 3)
+        prime, ell = parse_poly(prime_text, base), parse_poly(ell_text, base)
+        ts = torsion_space(reduce_mod(D, prime), ell)
+        assert ts.field.n <= 48
+        cp = frobenius_charpolys(D, [prime])[0]
+        got = ts.frobenius_matrix.charpoly()
+        assert [c.to_int() for c in got] == [c.to_int() for c in cp.reduce_mod(ell)]
+        assert det_check(D, prime, ell, cp, torsion=ts)
+
+
+# Torsion spaces as recorded from the assembly that echelonized e > 1
+# kernels over F_q with generic `Matrix` rows: (q, module coefficients or
+# None for the default rank-3 family, p, l, splitting degree m, module basis
+# as positions in the basis, basis vectors as ascending power-basis digits,
+# and at e = 1 the Frobenius and T-action matrices as F_l element indices,
+# row-major).  At e > 1 only the bases are recorded: that assembly read F_q
+# coordinates through another embedding of F_q than the residue field's, so
+# its matrices were Galois-twisted at primes of degree >= 2.
+TORSION_GOLDEN = [
+    (5, None, 'T+4', 'T+3', 24, (0, 1, 2),
+     ['441444443320011022434100',
+      '033442024022001340322010',
+      '342223330044012201314001'],
+     [3, 2, 3, 1, 0, 4, 4, 1, 1], [2, 0, 0, 0, 2, 0, 0, 0, 2]),
+    (5, None, 'T^2+2', 'T+2', 4, (0, 1, 2),
+     ['10001000',
+      '04000100',
+      '00000001'],
+     [1, 0, 0, 0, 2, 0, 0, 0, 3], [3, 0, 0, 0, 3, 0, 0, 0, 3]),
+    (5, None, 'T+1', 'T^2+2', 24, (0, 1, 2),
+     ['041132102033314023100000',
+      '001414240032310033010000',
+      '011140111114304444001000',
+      '423204341321130124000100',
+      '033002443233234222000010',
+      '324043433004143120000001'],
+     [9, 14, 14, 15, 4, 15, 24, 12, 21], [5, 0, 0, 0, 5, 0, 0, 0, 5]),
+    (7, None, 'T^2+4', 'T+1', 6, (0, 1, 2),
+     ['526230244100',
+      '434013035010',
+      '524355114001'],
+     [0, 0, 2, 6, 1, 2, 2, 6, 0], [6, 0, 0, 0, 6, 0, 0, 0, 6]),
+    (7, None, 'T^2+2*T+5', 'T+6', 6, (0, 1, 2),
+     ['014045140100',
+      '203266403010',
+      '540353243001'],
+     [6, 3, 2, 0, 5, 4, 6, 4, 4], [1, 0, 0, 0, 1, 0, 0, 0, 1]),
+    (4, 'T;1;1', 'T^2+2*T+1', 'T', 5, (0, 1),
+     ['10011010100010111001',
+      '10110000001111010010'],
+     None, None),
+    (4, None, 'T+1', 'T', 7, (0, 1, 2),
+     ['11110101100000',
+      '10100101100011',
+      '01000111100000'],
+     None, None),
+    (4, None, 'T^2+T+2', 'T^2+T+3', 4, (0, 1, 2),
+     ['1000000000000000',
+      '1111011010011001',
+      '0010100100000000',
+      '0001000000000000',
+      '0000010000000000',
+      '0000001000000000'],
+     None, None),
+    (8, None, 'T+1', 'T', 7, (0, 1, 2),
+     ['001001101000111101101',
+      '110110011111110000011',
+      '111011010001111000110'],
+     None, None),
+    (8, None, 'T^2+3*T+4', 'T', 7, (0, 1, 2),
+     ['000110000001111101101110000011110010101100',
+      '010110001101101100001111111010100011010101',
+      '101111111110000100000111011111111111011111'],
+     None, None),
+    (9, None, 'T+1', 'T+2', 8, (0, 1, 2),
+     ['1000000000000000',
+      '2012021120001210',
+      '1212110221222220'],
+     None, None),
+    (9, None, 'T^2+4', 'T+3', 8, (0, 1, 2),
+     ['01110021222211200112100120022102',
+      '12100010220010122210121102221002',
+      '00101102122001201122220020111112'],
+     None, None),
+    (25, None, 'T^2+10', 'T+11', 6, (0, 1, 2),
+     ['232334032032324403401130',
+      '112420204232040034213132',
+      '220304322221201421443303'],
+     None, None),
+]
+
+
+class TestTorsionGolden:
+    @pytest.mark.parametrize("q, coeffs, prime_text, ell_text, m, module_idx, basis, frob, t_act",
+                             TORSION_GOLDEN)
+    def test_matches_recorded(self, q, coeffs, prime_text, ell_text, m, module_idx, basis,
+                              frob, t_act):
+        from drinfeld.skew import split_prime_power
+
+        p, e = split_prime_power(q)
+        base = make_field(p, e, 1)
+        if coeffs:
+            D = DrinfeldModule(base, [parse_poly(c, base) for c in coeffs.split(";")])
+        else:
+            D = DrinfeldModule.default_family(base, 3)
+        ts = torsion_space(reduce_mod(D, parse_poly(prime_text, base)), parse_poly(ell_text, base))
+        digits = lambda v: "".join(map(str, v.coords))
+        assert ts.m == m
+        assert [digits(v) for v in ts.basis] == basis
+        assert [digits(v) for v in ts.module_basis] == [basis[i] for i in module_idx]
+        if frob is not None:
+            assert [c.to_int() for c in ts.frobenius_matrix.entries] == frob
+            assert [c.to_int() for c in ts.t_action_matrix.entries] == t_act
+
 
 class TestQuotient:
     def setup_method(self):
