@@ -38,6 +38,7 @@ import numpy as np
 
 from . import linalg
 from .fields import FieldBatch, FieldElement
+from .linalg import _berkowitz
 from .polynomials import SparsePoly, format_poly, residue_field
 from .reduction import (
     DEFAULT_SPLITTING_CAP,
@@ -231,59 +232,6 @@ def _motive_charpolys(reduced: list[ReducedModule]) -> list[CharPoly]:
     return _charpoly_objects(reduced, a, eps)
 
 
-def _padd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of two L[T] arrays of possibly different T-lengths (not reduced)."""
-    if a.shape[-2] < b.shape[-2]:
-        a, b = b, a
-    out = a.copy()
-    out[..., : b.shape[-2], :] += b
-    return out
-
-
-def _lt_mul(fb: FieldBatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products in L[T] of broadcastable (B, ..., D, n) arrays: the shorter
-    factor's coefficients act through their multiplication matrices."""
-    if a.shape[-2] < b.shape[-2]:
-        a, b = b, a
-    da, db = a.shape[-2], b.shape[-2]
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    mats = fb.mul_matrix(b).swapaxes(-1, -2)
-    acc = np.zeros(lead + (da + db - 1, fb.n), dtype=np.int64)
-    for t in range(db):
-        acc[..., t : t + da, :] += a @ mats[..., t, :, :] % fb.p
-    return acc % fb.p
-
-
-def _berkowitz(fb: FieldBatch, M: np.ndarray) -> list[np.ndarray]:
-    """det(X - M) = sum_i c_i X^(r-i) for (B, r, r, D, n) matrices over
-    L[T], division-free (Berkowitz, IPL 1984): returns [1, c_1, ..., c_r].
-
-    Going up from the trailing 1 x 1 block, the block [[a, R], [C, S]] of
-    size m has the characteristic vector of S multiplied by the lower
-    triangular Toeplitz matrix with first column 1, -a, -RC, -RSC, ...,
-    -RS^(m-2)C."""
-    p = fb.p
-    r = M.shape[1]
-    one = fb.one((1,))
-    vec = [one]
-    for k in range(r - 1, -1, -1):
-        m = r - k
-        row, col, S = M[:, k, k + 1 :], M[:, k + 1 :, k], M[:, k + 1 :, k + 1 :]
-        t = [one, (-M[:, k, k]) % p]
-        for j in range(m - 1):
-            t.append((-_lt_mul(fb, row, col).sum(axis=1)) % p)
-            if j < m - 2:
-                col = _lt_mul(fb, S, col[:, None]).sum(axis=2) % p
-        new = [one]
-        for i in range(1, m + 1):
-            acc = t[i] if i == m else _padd(t[i], vec[i])
-            for j in range(1, i):
-                acc = _padd(acc, _lt_mul(fb, t[j], vec[i - j]))
-            new.append(acc % p)
-        vec = new
-    return vec
-
-
 def _pullback(embed: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """Rows where the n x e embedding of F_q has full rank, and the inverse
     of those rows: F_q coordinates from power-basis coordinates."""
@@ -450,19 +398,23 @@ def charpoly_mod_l(module: DrinfeldModule, prime: SparsePoly, ell: SparsePoly,
     return ts.frobenius_matrix.charpoly()
 
 
+def det_law(r: int, epsilon: FieldElement, prime: SparsePoly, ell: SparsePoly) -> FieldElement:
+    """The determinant of Frobenius on the l-torsion as the law gives it:
+    (-1)^r a_r = (-1)^r epsilon p mod l, epsilon the unit with a_r = epsilon p."""
+    rf = residue_field(ell)
+    val = rf.embed_base(epsilon) * rf.reduce(prime)
+    return -val if r % 2 else val
+
+
 def det_check(module: DrinfeldModule, prime: SparsePoly, ell: SparsePoly,
               charpoly: CharPoly | None = None,
               torsion: "TorsionSpace | None" = None) -> bool:
-    """Determinant law: (-1)^r a_r = p mod l, and when a torsion space is
-    supplied its matrix determinant must give the same residue."""
+    """Determinant law: (-1)^r a_r = (-1)^r epsilon p mod l with epsilon in
+    closed form, and when a torsion space is supplied its matrix
+    determinant must give the same residue."""
     if charpoly is None:
         charpoly = charpoly_linear_system(module, prime)
-    rf = residue_field(ell)
-    want = rf.reduce(prime)
-    got = charpoly.det_of_frobenius_mod(ell)
-    if got != want:
+    want = det_law(module.r, epsilon_of(module, prime), prime, ell)
+    if charpoly.det_of_frobenius_mod(ell) != want:
         return False
-    if torsion is not None:
-        if torsion.frobenius_matrix.det() != want:
-            return False
-    return True
+    return torsion is None or torsion.frobenius_matrix.det() == want

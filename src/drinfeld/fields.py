@@ -284,9 +284,6 @@ class Field:
             ]
             r0, r1, s0, s1 = r1, r0, s1, s0
 
-    def div(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return a * self.inv(b)
-
     # -- Frobenius -------------------------------------------------------------
 
     def frobenius_matrix(self) -> np.ndarray:
@@ -465,6 +462,8 @@ class FieldBatch:
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of broadcastable element arrays."""
         n = self.n
+        if n == 1:
+            return a * b % self.p
         shape = np.broadcast_shapes(a.shape, b.shape)
         prod = np.zeros(shape[:-1] + (2 * n - 1,), dtype=self.dtype)
         for i in range(n):

@@ -1,17 +1,14 @@
-"""Exact linear algebra over finite fields.
+"""Exact linear algebra over finite fields, on int64 numpy arrays.
 
-Two layers:
-
-* numpy routines over prime fields F_p (`*_mod_p`), the one core for all
-  linear algebra over F_q = F_(p^e) (torsion kernels, Frobenius matrices,
-  linear systems): an F_q-linear problem is posed over F_p with e digits
-  per F_q unknown;
-* a generic `Matrix` over any `Field`, with deterministic echelon forms,
-  kernel bases and characteristic polynomials, used only for matrices over
-  F_l (the torsion Frobenius and T-action matrices) and the GL_r oracle.
+Every echelon form is one `rref_mod_p` over F_p: an F_(p^n)-linear
+problem is posed over F_p with n digits per unknown.  Every determinant
+and characteristic polynomial is one division-free Berkowitz (`_berkowitz`),
+batched, over the polynomial ring L[T] of a residue field L; a matrix over a
+field is the case of T-degree 0.  `Matrix` holds the small matrices over
+F_l (the torsion Frobenius and T-action matrices) on these two routines.
 
 All echelon forms pick pivots by ascending column index, so bases are
-canonical and reproducible.  The numpy layer works in int64 and refuses
+canonical and reproducible.  Everything works in int64 and refuses
 (`Int64RangeError`) any prime whose products could overflow it.
 """
 
@@ -21,12 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import Field, FieldElement
-
-
-# ---------------------------------------------------------------------------
-# numpy layer: matrices over F_p as int64 arrays
-# ---------------------------------------------------------------------------
+from .fields import Field, FieldBatch, FieldElement
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -132,210 +124,149 @@ def matpow_mod_p(mat: np.ndarray, k: int, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# generic layer: matrices with FieldElement entries
+# characteristic polynomials over L[T], L = F_p[x]/(f)
+# ---------------------------------------------------------------------------
+
+
+def _padd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of two L[T] arrays of possibly different T-lengths (not reduced)."""
+    if a.shape[-2] < b.shape[-2]:
+        a, b = b, a
+    out = a.copy()
+    out[..., : b.shape[-2], :] += b
+    return out
+
+
+def _lt_mul(fb: FieldBatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products in L[T] of broadcastable (B, ..., D, n) arrays: the shorter
+    factor's coefficients act through their multiplication matrices."""
+    if a.shape[-2] < b.shape[-2]:
+        a, b = b, a
+    da, db = a.shape[-2], b.shape[-2]
+    if da == 1:  # T-degree 0: products in L
+        return fb.mul(a, b)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    mats = fb.mul_matrix(b).swapaxes(-1, -2)
+    acc = np.zeros(lead + (da + db - 1, fb.n), dtype=np.int64)
+    for t in range(db):
+        acc[..., t : t + da, :] += a @ mats[..., t, :, :] % fb.p
+    return acc % fb.p
+
+
+def _berkowitz(fb: FieldBatch, M: np.ndarray) -> list[np.ndarray]:
+    """det(X - M) = sum_i c_i X^(r-i) for (B, r, r, D, n) matrices over
+    L[T], division-free (Berkowitz, IPL 1984): returns [1, c_1, ..., c_r].
+
+    Going up from the trailing 1 x 1 block, the block [[a, R], [C, S]] of
+    size m has the characteristic vector of S multiplied by the lower
+    triangular Toeplitz matrix with first column 1, -a, -RC, -RSC, ...,
+    -RS^(m-2)C."""
+    p = fb.p
+    r = M.shape[1]
+    one = fb.one((1,))
+    vec = [one]
+    for k in range(r - 1, -1, -1):
+        m = r - k
+        row, col, S = M[:, k, k + 1 :], M[:, k + 1 :, k], M[:, k + 1 :, k + 1 :]
+        t = [one, (-M[:, k, k]) % p]
+        for j in range(m - 1):
+            t.append((-_lt_mul(fb, row, col).sum(axis=1)) % p)
+            if j < m - 2:
+                col = _lt_mul(fb, S, col[:, None]).sum(axis=2) % p
+        new = [one]
+        for i in range(1, m + 1):
+            acc = t[i] if i == m else _padd(t[i], vec[i])
+            for j in range(1, i):
+                acc = _padd(acc, _lt_mul(fb, t[j], vec[i - j]))
+            new.append(acc % p)
+        vec = new
+    return vec
+
+
+# ---------------------------------------------------------------------------
+# matrices over a finite field
 # ---------------------------------------------------------------------------
 
 
 class Matrix:
-    """Dense matrix over a single `Field`; entries row-major, immutable use."""
+    """Matrix over a finite field F_(p^n), held as int64 power-basis
+    coordinates `coords` of shape (rows, cols, n).  Echelon forms and
+    kernels come from `rref_mod_p`, determinants and characteristic
+    polynomials from `_berkowitz` at T-degree 0."""
 
-    def __init__(self, field: Field, rows: int, cols: int, entries: Sequence[FieldElement]):
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
-        for x in entries:
-            if x.field is not field:
+    def __init__(self, field: Field, rows: int, cols: int,
+                 entries: Sequence[FieldElement] | np.ndarray):
+        """`entries` holds rows * cols elements of `field` in row-major
+        order, or their coordinates as an array of shape (rows, cols, n)."""
+        check_int64_range(field.p, field.n)
+        if not isinstance(entries, np.ndarray):
+            if len(entries) != rows * cols:
+                raise ValueError("entry count does not match dimensions")
+            if any(x.field is not field for x in entries):
                 raise ValueError("all entries must share one owner field")
+            entries = np.array([x.coords for x in entries], dtype=np.int64)
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(entries)
+        self.coords = entries.reshape(rows, cols, field.n) % field.p
 
-    @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence[FieldElement]]) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = [x for row in rows for x in row]
-        return cls(field, r, c, flat)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+    def __getitem__(self, ij) -> FieldElement:
+        return self.field.elem(self.coords[ij].tolist())
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.field is other.field
             and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
+            and np.array_equal(self.coords, other.coords)
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        f = self.field
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = f.zero
-                for k in range(self.cols):
-                    acc = acc + ri[k] * other[k, j]
-                out.append(acc)
-        return Matrix(f, self.rows, other.cols, out)
+        terms = self.field.batch().mul(self.coords[:, :, None], other.coords[None])
+        return Matrix(self.field, self.rows, other.cols, terms.sum(axis=1))
 
-    def apply(self, vec: Sequence[FieldElement]) -> list[FieldElement]:
-        f = self.field
-        out = []
-        for i in range(self.rows):
-            acc = f.zero
-            ri = self.row(i)
-            for k in range(self.cols):
-                acc = acc + ri[k] * vec[k]
-            out.append(acc)
-        return out
+    def rref(self) -> tuple["Matrix", list[int]]:
+        """Reduced row echelon form, nonzero rows first, and its pivot columns.
 
-    def _rows_list(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def rref(self) -> tuple[list[list[FieldElement]], list[int]]:
-        f = self.field
-        a = self._rows_list()
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            pivot = None
-            for i in range(r, self.rows):
-                if a[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            a[r], a[pivot] = a[pivot], a[r]
-            inv = f.inv(a[r][c])
-            a[r] = [x * inv for x in a[r]]
-            for i in range(self.rows):
-                if i != r and a[i][c]:
-                    c_i = a[i][c]
-                    a[i] = [x - c_i * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-        return a, pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
+        The rows x^k u (k < n) of each row u span its F_p-span.  In
+        coordinates along e_j x^k, index j*n + k, the rows of the F_p echelon
+        form that pivot at k = 0 are exactly the reduced echelon rows over
+        the field; the others are their multiples by x^k."""
+        p, n = self.field.p, self.field.n
+        expanded = self.field.batch().mul_matrix(self.coords)  # [i, j, :, k]: x^k M[i, j]
+        expanded = expanded.transpose(0, 3, 1, 2).reshape(self.rows * n, self.cols * n)
+        ech, pivots = rref_mod_p(expanded, p)
+        keep = [t for t, c in enumerate(pivots) if c % n == 0]
+        out = np.zeros_like(self.coords)
+        out[: len(keep)] = ech[keep].reshape(len(keep), self.cols, n)
+        return Matrix(self.field, self.rows, self.cols, out), [pivots[t] // n for t in keep]
 
     def kernel_basis(self) -> list[list[FieldElement]]:
-        """Canonical echelonized right-kernel basis (see kernel_mod_p)."""
-        f = self.field
-        a, pivots = self.rref()
+        """Canonical right-kernel basis, read off the echelon form as
+        `kernel_mod_p` reads it: one vector per free column, in column
+        order, with a 1 there and the negated echelon entries at the pivots."""
+        ech, pivots = self.rref()
         free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [f.zero] * self.cols
-            v[fc] = f.one
-            for r, pc in enumerate(pivots):
-                v[pc] = -a[r][fc]
-            basis.append(v)
-        return basis
+        basis = np.zeros((len(free), self.cols, self.field.n), dtype=np.int64)
+        for k, fc in enumerate(free):
+            basis[k, fc, 0] = 1
+            basis[k, pivots] = -ech.coords[: len(pivots), fc]
+        return [[self.field.elem(c) for c in v] for v in basis.tolist()]
+
+    def _char_vector(self) -> list[list[int]]:
+        """Coordinates of [1, c_1, ..., c_n] with det(xI - M) = sum c_i x^(n-i)."""
+        if self.rows != self.cols:
+            raise ValueError("characteristic polynomial of non-square matrix")
+        vec = _berkowitz(self.field.batch(), self.coords[None, :, :, None])
+        return [c[0, 0].tolist() for c in vec]
 
     def det(self) -> FieldElement:
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        f = self.field
-        a = self._rows_list()
-        n = self.rows
-        det = f.one
-        for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if a[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                return f.zero
-            if pivot != c:
-                a[c], a[pivot] = a[pivot], a[c]
-                det = -det
-            det = det * a[c][c]
-            inv = f.inv(a[c][c])
-            for i in range(c + 1, n):
-                if a[i][c]:
-                    s = a[i][c] * inv
-                    a[i] = [x - s * y for x, y in zip(a[i], a[c])]
-        return det
+        c_n = self.field.elem(self._char_vector()[-1])  # det(-M)
+        return -c_n if self.rows % 2 else c_n
 
     def charpoly(self) -> list[FieldElement]:
         """Characteristic polynomial det(xI - M), ascending coefficients,
-        monic of degree n.  Hessenberg reduction then the standard
-        leading-minor recurrence; works over any field."""
-        if self.rows != self.cols:
-            raise ValueError("characteristic polynomial of non-square matrix")
-        f = self.field
-        n = self.rows
-        if n == 0:
-            return [f.one]
-        h = self._rows_list()
-        # similarity reduction to upper Hessenberg form
-        for c in range(n - 2):
-            pivot = None
-            for i in range(c + 1, n):
-                if h[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            if pivot != c + 1:
-                h[c + 1], h[pivot] = h[pivot], h[c + 1]
-                for i in range(n):
-                    h[i][c + 1], h[i][pivot] = h[i][pivot], h[i][c + 1]
-            inv = f.inv(h[c + 1][c])
-            for i in range(c + 2, n):
-                if h[i][c]:
-                    s = h[i][c] * inv
-                    h[i] = [x - s * y for x, y in zip(h[i], h[c + 1])]
-                    for k in range(n):
-                        h[k][c + 1] = h[k][c + 1] + s * h[k][i]
-        # p_k = charpoly of leading k x k block
-        polys = [[f.one]]
-        for k in range(1, n + 1):
-            # p_k(x) = (x - h[k-1][k-1]) p_{k-1}(x) - sum_i h[i][k-1] (prod subdiag) p_i(x)
-            prev = polys[k - 1]
-            term = [f.zero] + prev
-            d = h[k - 1][k - 1]
-            term = [a - d * b for a, b in zip(term, prev + [f.zero])]
-            prod = f.one
-            for i in range(k - 2, -1, -1):
-                prod = prod * h[i + 1][i]
-                coeff = h[i][k - 1] * prod
-                if coeff:
-                    pi = polys[i]
-                    term = [a - coeff * (pi[j] if j < len(pi) else f.zero) for j, a in enumerate(term)]
-            polys.append(term)
-        return polys[n]
-
-    def to_numpy(self) -> np.ndarray:
-        """Coordinate stack for prime fields (n = 1) only."""
-        if self.field.n != 1:
-            raise ValueError("to_numpy requires a prime field")
-        return np.array(
-            [[self[i, j].coords[0] for j in range(self.cols)] for i in range(self.rows)],
-            dtype=np.int64,
-        )
-
-
-def charpoly_eval(coeffs: Sequence[FieldElement], mat: Matrix) -> Matrix:
-    """Evaluate an ascending-coefficient polynomial at a square matrix."""
-    f = mat.field
-    n = mat.rows
-    acc = Matrix(f, n, n, [f.zero] * (n * n))
-    for c in reversed(coeffs):
-        acc = acc @ mat
-        acc = Matrix(
-            f, n, n, [acc[i, j] + (c if i == j else f.zero) for i in range(n) for j in range(n)]
-        )
-    return acc
+        monic of degree n."""
+        return [self.field.elem(c) for c in reversed(self._char_vector())]

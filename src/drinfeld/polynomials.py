@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -70,10 +70,6 @@ class SparsePoly:
         if isinstance(coeff, int):
             coeff = base.scalar(coeff)
         return cls(base, [(exp, coeff)])
-
-    @classmethod
-    def from_coeffs(cls, base: Field, coeffs: Sequence[int]) -> "SparsePoly":
-        return cls(base, [(i, base.scalar(c)) for i, c in enumerate(coeffs) if c % base.p])
 
     # -- basic structure --------------------------------------------------------
 
@@ -542,12 +538,6 @@ class ResidueField:
 
     def reduce(self, f: SparsePoly) -> FieldElement:
         return f.eval_in(self.field, self.t_image, self._embed)
-
-    def reduce_rational(self, f: RationalFn) -> FieldElement:
-        den = self.reduce(f.den)
-        if not den:
-            raise ZeroDivisionError("denominator vanishes at this place")
-        return self.reduce(f.num) * self.field.inv(den)
 
     def embed_base(self, c: FieldElement) -> FieldElement:
         return self._embed(c)

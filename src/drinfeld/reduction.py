@@ -315,20 +315,16 @@ def _fq_echelon(B: Field, alphas: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def _fl_matrix(reduced: ReducedModule, ell_rf: ResidueField, sol: np.ndarray) -> linalg.Matrix:
     """The r x r matrix over F_l whose column j has the coordinates sol[:, j]
-    along the basis alpha^k phi_(T^a)(v_i): entry (i, j) is
-    sum_a T bar^a sum_k sol[(i*degl + a)*e + k, j] alpha^k."""
-    base = reduced.module.base
-    r, Fl = reduced.r, ell_rf.field
-    digits = sol.T.reshape(r, r, -1, base.e).tolist()  # [j][i][a] -> F_q digits
-    entries = []
-    for i in range(r):
-        for j in range(r):
-            acc, tpow = Fl.zero, Fl.one
-            for c in digits[j][i]:
-                acc = acc + tpow * ell_rf.embed_base(base.elem(c))
-                tpow = tpow * ell_rf.t_image
-            entries.append(acc)
-    return linalg.Matrix(Fl, r, r, entries)
+    along the basis alpha^k phi_(T^a)(v_i): entry (i, j) is digits @ W, where
+    row (a, k) of W holds the F_l coordinates of T bar^a alpha^k."""
+    base, r, Fl = reduced.module.base, reduced.r, ell_rf.field
+    alphas = [ell_rf.embed_base(base.gen**k) for k in range(base.e)]
+    W, tpow = [], Fl.one
+    for _ in range(ell_rf.prime.degree):
+        W.extend((tpow * a).coords for a in alphas)
+        tpow = tpow * ell_rf.t_image
+    digits = sol.T.reshape(r, r, -1).swapaxes(0, 1)  # [i][j] -> digits (a, k)
+    return linalg.Matrix(Fl, r, r, digits @ np.array(W, dtype=np.int64) % Fl.p)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ compared (total-variation distance) with the exact distribution of
 characteristic polynomials over the full matrix group GL_r(F_l).  The
 polynomials come from the batched motive route (`frobenius_charpolys`),
 one call per chunk of primes of one degree, each answer checked there; the
-determinant law is checked per prime along the way.  Records, and the
-`progress` callback, follow the prime enumeration order.
+determinant law, det = (-1)^r epsilon p mod l (`det_law`), is checked per
+prime along the way.  Records, and the `progress` callback, follow the
+prime enumeration order.
 
 Two oracle backends compute the exact distribution:
 
-* backend A enumerates every matrix (vectorized, chunked), feasible for
-  |F_l|^(r^2) within the budget;
+* backend A enumerates every matrix as F_p digit arrays and takes each
+  characteristic polynomial with the batched Berkowitz of `linalg`,
+  feasible for |F_l|^(r^2) within the budget;
 * backend B counts matrices per factorization shape of the characteristic
   polynomial through centralizer orders (r <= 3), cross-validated against
   backend A at |F_l| = 3.
@@ -29,8 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charpoly import CharPolyError, frobenius_charpolys
-from .fields import Field, FieldElement
+from .charpoly import CharPolyError, det_law, frobenius_charpolys
+from .fields import Field, FieldElement, _digits, _int_digits
+from .linalg import _berkowitz
 from .polynomials import (
     SparsePoly,
     is_irreducible,
@@ -53,6 +56,8 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 # Primes per batched charpoly call.  It bounds the working arrays (a few
 # hundred KB at 64) while the speed is flat from 64 to 512 primes.
 CHARPOLY_CHUNK = 64
+# Matrices per batched Berkowitz call of backend A (p of them when p is larger).
+_ENUM_BLOCK = 1 << 14
 
 
 class SamplingError(ValueError):
@@ -83,9 +88,6 @@ class GLDistribution:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def probability(self, key: tuple[int, ...]) -> float:
-        return self.counts.get(key, 0) / self.total
-
 
 def gl_charpoly_distribution(r: int, ell_field: Field, backend: str = "auto",
                              budget: int = DEFAULT_ENUM_BUDGET) -> GLDistribution:
@@ -111,94 +113,27 @@ def gl_charpoly_distribution(r: int, ell_field: Field, backend: str = "auto",
     return dist
 
 
-def _backend_a(r: int, ell_field: Field) -> dict[tuple[int, ...], int]:
-    """Full enumeration.  r = 1 is immediate; r in {2, 3} run vectorized
-    over the prime field; non-prime fields fall back to element tables."""
-    s = ell_field.order
-    if r == 1:
-        return {(c,): 1 for c in range(1, s)}
-    if ell_field.n == 1:
-        return _backend_a_prime(r, s)
-    return _backend_a_generic(r, ell_field)
-
-
-def _backend_a_prime(r: int, p: int) -> dict[tuple[int, ...], int]:
-    total = p ** (r * r)
-    chunk = 1 << 18
-    agg = np.zeros(p**r, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((idx.size, r * r), dtype=np.int64)
-        t = idx.copy()
-        for k in range(r * r):
-            digits[:, k] = t % p
-            t //= p
-        m = digits.reshape(-1, r, r)
-        if r == 2:
-            a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
-            det = (a * d - b * c) % p
-            tr = (a + d) % p
-            # charpoly x^2 - tr x + det: c_0 = det, c_1 = -tr
-            key = ((-tr) % p) * p + det
-        elif r == 3:
-            det = _det3(m, p)
-            tr = (m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]) % p
-            s2 = _sum_principal_minors(m, p)
-            # x^3 - tr x^2 + s2 x - det: c_2 = -tr, c_1 = s2, c_0 = -det
-            key = (((-tr) % p) * p + s2 % p) * p + (-det) % p
-        else:
-            raise SamplingError("backend A enumerates r <= 3 only")
-        good = det % p != 0
-        agg += np.bincount(key[good], minlength=p**r)
-    counts = {}
-    for enc in np.nonzero(agg)[0]:
-        # enc = c_(r-1) p^(r-1) + ... + c_0: low digit is the constant term
-        digits = []
-        t = int(enc)
-        for _ in range(r):
-            digits.append(t % p)
-            t //= p
-        counts[tuple(digits)] = int(agg[enc])
-    return counts
-
-
-def _det3(m: np.ndarray, p: int) -> np.ndarray:
-    return (
-        m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-        - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
-        + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
-    ) % p
-
-
-def _sum_principal_minors(m: np.ndarray, p: int) -> np.ndarray:
-    return (
-        (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
-        + (m[:, 0, 0] * m[:, 2, 2] - m[:, 0, 2] * m[:, 2, 0])
-        + (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-    ) % p
-
-
-def _backend_a_generic(r: int, fld: Field) -> dict[tuple[int, ...], int]:
-    from . import linalg
-
-    s = fld.order
-    counts: dict[tuple[int, ...], int] = {}
-    elems = list(fld.elements())
-    idx = [0] * (r * r)
-    total = s ** (r * r)
-    for n in range(total):
-        t = n
-        entries = []
-        for _ in range(r * r):
-            entries.append(elems[t % s])
-            t //= s
-        mat = linalg.Matrix(fld, r, r, entries)
-        if not mat.det():
-            continue
-        cp = mat.charpoly()
-        key = tuple(c.to_int() for c in cp[:r])
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _backend_a(r: int, fld: Field) -> dict[tuple[int, ...], int]:
+    """Full enumeration of the s^(r^2) matrices through the batched
+    Berkowitz, as F_p digit arrays in blocks that share every digit above
+    the low ones.  A matrix is invertible iff c_r = det(-M) != 0."""
+    p, n, s = fld.p, fld.n, fld.order
+    size = r * r * n
+    low = 1  # digits varied within a block: p^low <= _ENUM_BLOCK, or one
+    while low < size and p ** (low + 1) <= _ENUM_BLOCK:
+        low += 1
+    block = np.empty((p**low, size), dtype=np.int64)
+    block[:, :low] = _digits(np.arange(p**low), p, low)
+    index = p ** np.arange(r * n)  # the key (c_r, ..., c_1) as one index
+    counts = np.zeros(s**r, dtype=np.int64)
+    for high in range(p ** (size - low)):
+        block[:, low:] = _int_digits(high, p, size - low)
+        vec = _berkowitz(fld.batch(), block.reshape(-1, r, r, 1, n))
+        # det(xI - M) = sum c_i x^(r-i), ascending: c_r first
+        keys = np.concatenate([c[:, 0] for c in vec[:0:-1]], axis=1)
+        counts += np.bincount(keys[vec[-1][:, 0].any(axis=1)] @ index, minlength=s**r)
+    seen = np.flatnonzero(counts)
+    return dict(zip(map(tuple, _digits(seen, s, r).tolist()), counts[seen].tolist()))
 
 
 def _backend_b(r: int, fld: Field) -> dict[tuple[int, ...], int]:
@@ -377,7 +312,7 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
             for cp in cps:
                 coeffs = cp.reduce_mod(ell)[: module.r]
                 det = cp.det_of_frobenius_mod(ell)
-                det_ok = det == rf.reduce(cp.prime)
+                det_ok = det == det_law(module.r, cp.epsilon, cp.prime, ell)
                 rec = SampleRecord(cp.prime, d, tuple(coeffs), det_ok)
                 records.append(rec)
                 emp[rec.key()] = emp.get(rec.key(), 0) + 1

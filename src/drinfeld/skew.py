@@ -135,14 +135,6 @@ class SkewPoly:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def over_poly(cls, base: Field, terms) -> "SkewPoly":
-        return cls(_PolyRing(base), terms)
-
-    @classmethod
-    def over_field(cls, field: Field, terms) -> "SkewPoly":
-        return cls(_FieldRing(field), terms)
-
-    @classmethod
     def zero(cls, ring) -> "SkewPoly":
         return cls(ring, [])
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from drinfeld.charpoly import (
     CharPoly,
@@ -6,12 +8,14 @@ from drinfeld.charpoly import (
     charpoly_linear_system,
     charpoly_mod_l,
     det_check,
+    det_law,
     epsilon_of,
+    frobenius_charpolys,
 )
 from drinfeld.fields import make_field
 from drinfeld.polynomials import SparsePoly, parse_poly, primes_of_degree, residue_field
-from drinfeld.reduction import reduce_mod, torsion_space
-from drinfeld.skew import DrinfeldModule, SkewPoly
+from drinfeld.reduction import TorsionSearchError, reduce_mod, torsion_space
+from drinfeld.skew import DrinfeldModule, SkewPoly, split_prime_power
 
 F5 = make_field(5, 1, 1)
 F7 = make_field(7, 1, 1)
@@ -178,6 +182,66 @@ class TestDetCheck:
         mutant = CharPoly(prime, cp.r, cp.a[:-1] + (-cp.a[-1],), cp.epsilon)
         assert det_check(D5, prime, ell, charpoly=cp)
         assert not det_check(D5, prime, ell, charpoly=mutant)
+
+
+    def test_custom_module_with_sign_two(self):
+        # phi_T = T + tau + 2 tau^2 at p = T+4: epsilon = 2, so (-1)^r epsilon p
+        # = 2 p, and det(Frob) = 2 mod l = T+3 where p mod l = 1
+        C = DrinfeldModule(F5, [parse_poly(t, F5) for t in ("T", "1", "2")])
+        prime, ell = parse_poly("T+4", F5), parse_poly("T+3", F5)
+        assert epsilon_of(C, prime).to_int() == 2
+        ts = torsion_space(reduce_mod(C, prime), ell)
+        assert ts.frobenius_matrix.det().to_int() == 2
+        assert det_law(2, epsilon_of(C, prime), prime, ell).to_int() == 2
+        assert det_check(C, prime, ell, torsion=ts)
+
+
+def _custom_module(base, r, data):
+    """phi_T = T + g_1 tau + ... + g_r tau^r, each g_i of degree <= 1 and
+    g_r outside {1, -1}."""
+    elem = st.integers(0, base.order - 1).map(base.from_int)
+    linear = st.tuples(elem, elem).map(
+        lambda c: SparsePoly(base, [(1, c[0]), (0, c[1])]))
+    g_r = data.draw(linear.filter(
+        lambda g: g and g != SparsePoly.one(base) and g != -SparsePoly.one(base)))
+    return DrinfeldModule(base, [SparsePoly.T(base)] + [data.draw(linear) for _ in range(r - 1)] + [g_r])
+
+
+def _torsion_pair(module, max_n=40):
+    """The first pair of distinct primes p, l of degree <= 2 (p a good prime
+    other than T, l linear) whose torsion field has F_p-dimension <= max_n."""
+    base = module.base
+    for d in (1, 2):
+        for prime in primes_of_degree(base, d):
+            if prime == SparsePoly.T(base) or not module.g[-1] % prime:
+                continue  # g_r = 0 mod p: bad reduction
+            reduced = reduce_mod(module, prime)
+            for ell in primes_of_degree(base, 1):
+                if ell == prime:
+                    continue
+                try:
+                    return prime, ell, torsion_space(reduced, ell, cap=max_n // (base.e * d))
+                except TorsionSearchError:
+                    continue
+    return None
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(q=st.sampled_from([3, 4, 5, 7, 9]), r=st.integers(2, 5), data=st.data())
+def test_det_law_on_custom_modules(q, r, data):
+    # every rank 2-5 and e <= 2: the law holds with the sign (-1)^r epsilon,
+    # checked against the determinant of the torsion Frobenius matrix
+    p, e = split_prime_power(q)
+    module = _custom_module(make_field(p, e, 1), r, data)
+    found = _torsion_pair(module)
+    if found is None:
+        return
+    prime, ell, ts = found
+    (cp,) = frobenius_charpolys(module, [prime])
+    want = det_law(r, epsilon_of(module, prime), prime, ell)
+    assert ts.frobenius_matrix.det() == want
+    assert cp.det_of_frobenius_mod(ell) == want
+    assert det_check(module, prime, ell, charpoly=cp, torsion=ts)
 
 
 class TestExtensionBaseField:

@@ -5,6 +5,7 @@ import pytest
 
 from drinfeld import linalg
 from drinfeld.fields import FieldBatch, make_field
+from drinfeld.polynomials import parse_poly, residue_field
 
 
 class TestModP:
@@ -104,6 +105,11 @@ class TestInt64Guard:
         assert fb.mul(fb.inv(a), a)[0, 0] == 1
 
 
+def _coords_matmul(fld, a, b):
+    """Product of coordinate arrays (rows, k, n) @ (k, cols, n) over fld."""
+    return fld.batch().mul(a[:, :, None], b[None]).sum(axis=1) % fld.p
+
+
 class TestMatrixGeneric:
     def setup_method(self):
         self.fld = make_field(5, 1, 2)
@@ -115,20 +121,26 @@ class TestMatrixGeneric:
                              [f.from_int(self.rng.randrange(f.order)) for _ in range(n * n)])
 
     def test_charpoly_cayley_hamilton(self):
+        # Horner on coordinate arrays: sum_i c_i M^i = 0
+        f = self.fld
         for n in (2, 3, 4):
             for _ in range(5):
                 m = self.rand_matrix(n)
                 cp = m.charpoly()
-                assert len(cp) == n + 1 and cp[-1] == self.fld.one
-                value = linalg.charpoly_eval(cp, m)
-                assert all(not v for v in value.entries)
+                assert len(cp) == n + 1 and cp[-1] == f.one
+                value = np.zeros((n, n, f.n), dtype=np.int64)
+                for c in reversed(cp):
+                    value = _coords_matmul(f, value, m.coords)
+                    value[range(n), range(n)] = (value[range(n), range(n)] + c.coords) % f.p
+                assert not value.any()
 
     def test_charpoly_constant_term_is_signed_det(self):
-        for _ in range(10):
-            m = self.rand_matrix(3)
-            cp = m.charpoly()
-            # det(xI - M) at x = 0 is (-1)^n det(M)
-            assert cp[0] == -m.det()
+        for n in (1, 2, 3, 4):
+            for _ in range(5):
+                m = self.rand_matrix(n)
+                # det(xI - M) at x = 0 is (-1)^n det(M)
+                det = m.det()
+                assert m.charpoly()[0] == (-det if n % 2 else det)
 
     def test_charpoly_matches_numpy_over_prime_field(self):
         f5 = make_field(5, 1, 1)
@@ -138,22 +150,95 @@ class TestMatrixGeneric:
             entries = [f5.scalar(rng.randrange(5)) for _ in range(n * n)]
             m = linalg.Matrix(f5, n, n, entries)
             cp = m.charpoly()
-            a = m.to_numpy()
             # numpy oracle: integer characteristic polynomial mod 5
-            coeffs = np.poly(a.astype(float))  # descending, leading 1
+            coeffs = np.poly(m.coords[:, :, 0].astype(float))  # descending, leading 1
             ints = [int(round(c)) % 5 for c in coeffs[::-1]]
             assert [c.to_int() for c in cp] == ints
 
     def test_kernel_basis_deterministic_and_correct(self):
         f = self.fld
         m = self.rand_matrix(4)
-        # force rank drop: replace the last row by a combination of the others
-        rows = [list(m.row(i)) for i in range(4)]
-        rows[3] = [rows[0][j] + rows[1][j] for j in range(4)]
-        m2 = linalg.Matrix.from_rows(f, rows)
+        # force rank drop: replace the last row by the sum of the first two
+        entries = [m[i, j] for i in range(3) for j in range(4)]
+        entries += [m[0, j] + m[1, j] for j in range(4)]
+        m2 = linalg.Matrix(f, 4, 4, entries)
         kb = m2.kernel_basis()
-        assert len(kb) == 4 - m2.rank()
-        for v in kb:
-            image = m2.apply(v)
-            assert all(not x for x in image)
-        assert kb == linalg.Matrix.from_rows(f, rows).kernel_basis()
+        assert len(kb) == 4 - len(m2.rref()[1]) >= 1
+        vecs = np.array([[x.coords for x in v] for v in kb], dtype=np.int64)
+        assert not _coords_matmul(f, m2.coords, vecs.transpose(1, 0, 2)).any()
+        assert kb == linalg.Matrix(f, 4, 4, entries).kernel_basis()
+
+    def test_matmul_and_equality(self):
+        a, b = self.rand_matrix(3), self.rand_matrix(3)
+        prod = a @ b
+        for i in range(3):
+            for j in range(3):
+                want = self.fld.zero
+                for k in range(3):
+                    want = want + a[i, k] * b[k, j]
+                assert prod[i, j] == want
+        assert prod == linalg.Matrix(self.fld, 3, 3, prod.coords.copy())
+        assert prod != a
+
+
+def _golden_fields():
+    f2, f3 = make_field(2, 1, 1), make_field(3, 1, 1)
+    return {
+        "F_5": make_field(5, 1, 1),
+        "F_25": make_field(5, 2, 1),
+        "F_9": make_field(3, 2, 1),
+        "F_9 = F_3[T]/(T^2+1)": residue_field(parse_poly("T^2+1", f3)).field,
+        "F_4": make_field(2, 2, 1),
+        "F_8": make_field(2, 3, 1),
+        "F_8 = F_2[T]/(T^3+T+1)": residue_field(parse_poly("T^3+T+1", f2)).field,
+    }
+
+
+# Recorded from the pure-Python Gaussian and Hessenberg `Matrix` that the
+# numpy one replaced: (field, 3 x 3 entries as element indices row-major,
+# ascending charpoly, det, {lambda: kernel basis of M - lambda} for every
+# lambda with a nonzero kernel).  The last matrix of each field is lambda I
+# plus a rank-one matrix, so M - lambda has a two-dimensional kernel.
+MATRIX_GOLDEN = [
+    ('F_5', [3, 1, 4, 2, 1, 3, 2, 4, 1], [0, 0, 0, 1], 0, {0: [[4, 4, 1]]}),
+    ('F_5', [3, 2, 3, 4, 4, 1, 2, 4, 2], [1, 3, 1, 1], 4, {}),
+    ('F_5', [4, 0, 1, 3, 1, 4, 1, 3, 0], [0, 1, 0, 1], 0, {0: [[1, 3, 1]], 2: [[2, 0, 1]], 3: [[4, 3, 1]]}),
+    ('F_5', [1, 1, 4, 3, 4, 4, 0, 0, 3], [2, 1, 2, 1], 3, {2: [[1, 1, 0]], 3: [[3, 1, 0], [2, 0, 1]]}),
+    ('F_25', [10, 11, 6, 10, 13, 13, 10, 18, 6], [24, 22, 1, 1], 6, {13: [[14, 14, 1]]}),
+    ('F_25', [13, 7, 6, 1, 23, 7, 24, 0, 8], [14, 16, 16, 1], 16, {23: [[23, 11, 1]]}),
+    ('F_25', [16, 10, 24, 18, 22, 13, 19, 3, 10], [3, 6, 7, 1], 2, {22: [[22, 1, 1]]}),
+    ('F_25', [23, 4, 7, 10, 16, 13, 22, 19, 24], [4, 13, 22, 1], 1, {16: [[14, 21, 1]], 21: [[3, 1, 0], [14, 0, 1]]}),
+    ('F_9', [2, 3, 5, 7, 2, 4, 6, 5, 5], [7, 6, 6, 1], 5, {}),
+    ('F_9', [7, 2, 2, 5, 3, 1, 1, 2, 0], [7, 8, 2, 1], 5, {2: [[4, 5, 1]], 3: [[8, 5, 1]], 8: [[5, 6, 1]]}),
+    ('F_9', [2, 7, 3, 5, 3, 1, 3, 4, 3], [7, 5, 4, 1], 5, {}),
+    ('F_9', [3, 7, 5, 8, 4, 4, 5, 5, 3], [1, 4, 2, 1], 2, {6: [[2, 3, 1]], 8: [[2, 1, 0], [1, 0, 1]]}),
+    ('F_9 = F_3[T]/(T^2+1)', [1, 4, 4, 4, 2, 4, 8, 1, 7], [5, 7, 5, 1], 7, {8: [[8, 4, 1]]}),
+    ('F_9 = F_3[T]/(T^2+1)', [3, 3, 6, 2, 8, 3, 5, 5, 0], [7, 1, 1, 1], 5, {7: [[7, 4, 1]]}),
+    ('F_9 = F_3[T]/(T^2+1)', [8, 6, 1, 1, 3, 0, 8, 2, 3], [5, 2, 7, 1], 7, {1: [[7, 1, 0]], 2: [[8, 1, 1]], 5: [[6, 3, 1]]}),
+    ('F_9 = F_3[T]/(T^2+1)', [0, 4, 4, 5, 0, 1, 4, 6, 8], [5, 8, 4, 1], 7, {2: [[8, 1, 0], [8, 0, 1]], 7: [[5, 3, 1]]}),
+    ('F_4', [0, 1, 0, 0, 0, 1, 2, 0, 0], [2, 0, 0, 1], 2, {}),
+    ('F_4', [2, 0, 1, 0, 0, 1, 1, 1, 3], [2, 1, 1, 1], 2, {}),
+    ('F_4', [1, 3, 2, 2, 3, 3, 1, 3, 3], [2, 3, 1, 1], 2, {}),
+    ('F_4', [0, 3, 1, 2, 1, 1, 2, 3, 3], [1, 3, 2, 1], 1, {2: [[2, 1, 0], [3, 0, 1]]}),
+    ('F_8', [2, 5, 7, 0, 1, 5, 0, 3, 6], [4, 7, 5, 1], 4, {2: [[1, 0, 0]]}),
+    ('F_8', [0, 3, 7, 7, 0, 6, 5, 0, 5], [4, 4, 5, 1], 4, {3: [[7, 3, 1]]}),
+    ('F_8', [4, 2, 3, 1, 6, 1, 2, 2, 0], [3, 3, 2, 1], 3, {}),
+    ('F_8', [1, 1, 7, 1, 4, 2, 1, 3, 5], [0, 3, 0, 1], 0, {0: [[6, 1, 1]], 7: [[3, 1, 0], [2, 0, 1]]}),
+    ('F_8 = F_2[T]/(T^3+T+1)', [7, 6, 7, 5, 2, 0, 1, 1, 5], [0, 6, 0, 1], 0, {0: [[4, 1, 1]], 4: [[2, 3, 1]]}),
+    ('F_8 = F_2[T]/(T^3+T+1)', [6, 2, 1, 0, 6, 0, 4, 3, 1], [7, 6, 1, 1], 7, {6: [[2, 5, 1]]}),
+    ('F_8 = F_2[T]/(T^3+T+1)', [5, 2, 3, 1, 6, 1, 4, 6, 2], [7, 6, 1, 1], 7, {6: [[1, 0, 1]]}),
+    ('F_8 = F_2[T]/(T^3+T+1)', [2, 1, 1, 0, 7, 0, 3, 6, 1], [7, 3, 4, 1], 7, {4: [[3, 0, 1]], 7: [[2, 1, 0], [2, 0, 1]]}),
+]
+
+
+@pytest.mark.parametrize("name,entries,charpoly,det,kernels", MATRIX_GOLDEN)
+def test_matrix_golden_table(name, entries, charpoly, det, kernels):
+    f = _golden_fields()[name]
+    m = linalg.Matrix(f, 3, 3, [f.from_int(x) for x in entries])
+    assert [c.to_int() for c in m.charpoly()] == charpoly
+    assert m.det().to_int() == det
+    for lam in f.elements():
+        shifted = linalg.Matrix(f, 3, 3, [m[i, j] - (lam if i == j else f.zero)
+                                          for i in range(3) for j in range(3)])
+        got = [[x.to_int() for x in v] for v in shifted.kernel_basis()]
+        assert got == kernels.get(lam.to_int(), [])

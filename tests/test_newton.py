@@ -108,6 +108,19 @@ class TestFamilySlopes:
             segs = torsion_slopes(D5, prime, AT_T)
             assert list(segs) == [(Fraction(0), 24), (Fraction(1, 25), 100)]
 
+    def test_root_valuations_follow_the_c09_slopes(self):
+        # at (T) each segment (s, L) gives L roots of valuation -s, and the
+        # multiplicities count every root of phi_a(x)/x, of degree q^(r deg a) - 1
+        cases = [(parse_poly(f"T+{5 - c}", F5), 5**3 - 1) for c in (1, 2, 3, 4)]
+        for a, length in cases + [(T * T, 5**6 - 1)]:
+            poly = torsion_polygon(D5, a, AT_T)
+            assert poly.root_valuations() == [(-s, L) for s, L in poly.segments]
+            assert sum(L for _, L in poly.root_valuations()) == poly.total_length() == length
+        poly = torsion_polygon(D5, parse_poly("T+4", F5), AT_T)
+        assert poly.root_valuations() == [(Fraction(0), 24), (Fraction(-1, 25), 100)]
+        vals = {v for v, _ in torsion_polygon(D5, T * T, AT_T).root_valuations()}
+        assert {Fraction(-1, 625), Fraction(-1, 25)} <= vals
+
     def test_phi_T2_contains_both_slopes(self):
         slopes = [s for s, _ in torsion_slopes(D5, T * T, AT_T)]
         assert Fraction(1, 625) in slopes

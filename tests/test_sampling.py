@@ -114,6 +114,16 @@ class TestSampling:
         assert len(report.records) == 4 + 10
         assert all(rec.det_ok for rec in report.records)
 
+    def test_det_law_with_sign_other_than_one(self):
+        # phi_T = T + tau + 2 tau^2: (-1)^r epsilon = 1 / Nr(2) != 1, so the
+        # law is not det = p mod l; every record must still pass it
+        D = DrinfeldModule(F5, [parse_poly(t, F5) for t in ("T", "1", "2")])
+        report = sample_frobenii(D, parse_poly("T+3", F5), 3)
+        assert len(report.records) == 53
+        assert all(rec.det_ok for rec in report.records)
+        _, reasons = surjectivity_evidence(report)
+        assert "determinant law failed at some prime" not in reasons
+
     def test_tv_decreases_with_degree(self):
         D = DrinfeldModule.default_family(7, 3)
         ell = parse_poly("T+6", F7)
