@@ -12,10 +12,14 @@ so tau^d acts L[T]-linearly by M = A sigma(A) ... sigma^(d-1)(A), and
     P(X) = x^r + a_1 x^(r-1) + ... + a_r = det(X - M).
 
 The determinant is taken division-free (Berkowitz), so nothing pivots and
-every prime of one degree is computed at once on numpy arrays.  Each
-answer is checked before it is returned: the coefficients land in F_q,
-deg a_i <= i*d/r, a_r = epsilon*p with epsilon in closed form, and the
-operator identity
+every prime of one degree is computed at once on numpy arrays.  The array
+entry point is `charpolys_of_degree`: primes of one degree as a coordinate
+array in, the a_i and epsilon as F_q coordinate arrays out, with the
+reduction of the g_i done by `reduction.reduce_batch` and no per-prime
+`Field`.  `frobenius_charpolys` runs the same route and wraps the arrays
+into `CharPoly` objects.  Each answer is checked before it is returned: the
+coefficients land in F_q, deg a_i <= i*d/r, a_r = epsilon*p with epsilon in
+closed form, and the operator identity
 
     tau^(r d) + phi_(a_1) tau^((r-1)d) + ... + phi_(a_r)  =  0
 
@@ -39,11 +43,20 @@ import numpy as np
 from . import linalg
 from .fields import FieldBatch, FieldElement
 from .linalg import _berkowitz
-from .polynomials import SparsePoly, format_poly, residue_field
+from .polynomials import (
+    PrimeError,
+    ResidueBatch,
+    SparsePoly,
+    coordinates,
+    format_poly,
+    from_coordinates,
+    is_irreducible,
+    residue_field,
+)
 from .reduction import (
     DEFAULT_SPLITTING_CAP,
     ReducedModule,
-    ReductionError,
+    reduce_batch,
     reduce_mod,
     torsion_space,
 )
@@ -149,45 +162,63 @@ def _degree_bounds(r: int, d: int) -> list[int]:
 def frobenius_charpolys(module: DrinfeldModule,
                         primes: Sequence[SparsePoly]) -> list[CharPoly]:
     """Characteristic polynomials of Frobenius at good primes, in input
-    order, through det(X - M) on the Anderson motive.  Primes of one degree
-    are computed together; every answer passes the checks in the module
-    docstring.  The first prime of bad reduction (in input order), or the
-    first failing a check, is named by the CharPolyError raised."""
-    reduced = [_reduce_good(module, prime) for prime in primes]
+    order, through det(X - M) on the Anderson motive: the array route of
+    `charpolys_of_degree`, one batch per degree, wrapped into `CharPoly`
+    objects.  Every answer passes the checks in the module docstring.  The
+    first prime of bad reduction (in input order), or the first failing a
+    check, is named by the CharPolyError raised."""
+    base = module.base
     by_degree: dict[int, list[int]] = {}
     for k, prime in enumerate(primes):
+        if prime.base is not base:
+            raise CharPolyError(f"prime {format_poly(prime)} from a different coefficient field")
+        if not prime.is_monic() or not is_irreducible(prime):
+            raise PrimeError("residue fields require a monic irreducible generator")
         by_degree.setdefault(prime.degree, []).append(k)
+    batches, first_bad = [], len(primes)
+    for d, idx in by_degree.items():
+        residues, g = reduce_batch(module, coordinates(base, (primes[k] for k in idx), d))
+        bad = np.flatnonzero(~g[:, -1].any(axis=-1))
+        if bad.size:
+            first_bad = min(first_bad, idx[bad[0]])
+        batches.append((idx, residues, g))
+    if first_bad < len(primes):
+        raise CharPolyError(f"bad reduction at {format_poly(primes[first_bad])}")
     out: list[CharPoly] = [None] * len(primes)  # type: ignore[list-item]
-    for idx in by_degree.values():
-        for k, cp in zip(idx, _motive_charpolys([reduced[k] for k in idx])):
+    for idx, residues, g in batches:
+        a, eps = _motive_charpolys(module, residues, g)
+        for k, cp in zip(idx, _charpoly_objects(base, [primes[k] for k in idx], a, eps)):
             out[k] = cp
     return out
 
 
-def _reduce_good(module: DrinfeldModule, prime: SparsePoly) -> ReducedModule:
-    try:
-        reduced = reduce_mod(module, prime)
-    except ReductionError as exc:
-        raise CharPolyError(f"bad reduction at {format_poly(prime)}: {exc}") from exc
-    if not reduced.is_good:
-        raise CharPolyError(f"bad reduction at {format_poly(prime)}")
-    return reduced
+def charpolys_of_degree(module: DrinfeldModule,
+                        primes: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The array route at the good primes of one degree d, given as a
+    (B, d+1, e) array (`prime_coordinates`): a list of the (B, i*d/r + 1, e)
+    F_q coefficient arrays of a_1, ..., a_r, and the (B, e) array of
+    epsilon.  Raises a CharPolyError naming the first prime, in row order,
+    of bad reduction (g_r = 0 mod p) or failing a check."""
+    residues, g = reduce_batch(module, primes)
+    _raise_at(module.base, primes, ~g[:, -1].any(axis=-1), "bad reduction")
+    return _motive_charpolys(module, residues, g)
 
 
-def _motive_charpolys(reduced: list[ReducedModule]) -> list[CharPoly]:
-    """All primes here share one degree d, hence one residue-field degree.
-    Arrays run over the batch on axis 0; L-elements are power-basis
-    coordinates on the last axis and L[T]-elements put T-degrees before
-    them."""
-    module = reduced[0].module
+def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
+                      g: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """All primes here share one degree d, hence one residue-field degree;
+    g holds the (B, r+1, n) coordinates of g_i mod p.  Arrays run over the
+    batch on axis 0; L-elements are power-basis coordinates on the last axis
+    and L[T]-elements put T-degrees before them."""
     base = module.base
     r, q = module.r, module.q
-    d = reduced[0].prime.degree
-    fb = FieldBatch.of([red.field for red in reduced])
-    n = fb.n
+    primes, d, fb = residues.primes, residues.degree, residues.fb
+    B, n = len(primes), fb.n
+
+    def raise_at(bad: np.ndarray, message: str):
+        _raise_at(base, primes, bad, message)
 
     # sig[:, k, i] = sigma^k(g_i mod p), k < d: sigma has order d on L
-    g = np.array([[c.coords for c in red.coeffs] for red in reduced], dtype=np.int64)
     frob = fb.frobenius_matrix(q)
     sig = [g]
     for _ in range(d - 1):
@@ -198,11 +229,11 @@ def _motive_charpolys(reduced: list[ReducedModule]) -> list[CharPoly]:
     # M = A sigma(A) ... sigma^(d-1)(A); right multiplication by the
     # companion matrix shifts the columns left and appends M c, where
     # c = sigma^k(g_r)^-1 (T e_0 - sum_(i<r) sigma^k(g_i) e_i)
-    M = np.zeros((len(reduced), r, r, 1, n), dtype=np.int64)
+    M = np.zeros((B, r, r, 1, n), dtype=np.int64)
     M[:, range(r), range(r), 0, 0] = 1
     for k in range(d):
         consts = fb.mul_matrix(fb.mul(u[:, k, None], (-sig[:, k, :r]) % fb.p))
-        last = np.zeros((len(reduced), r, k + 2, n), dtype=np.int64)
+        last = np.zeros((B, r, k + 2, n), dtype=np.int64)
         last[:, :, 1:] = fb.apply(fb.mul_matrix(u[:, k]), M[:, :, 0])  # the T e_0 term
         for i in range(r):
             last[:, :, :-1] += fb.apply(consts[:, i], M[:, :, i])
@@ -210,67 +241,46 @@ def _motive_charpolys(reduced: list[ReducedModule]) -> list[CharPoly]:
         M = np.concatenate([shifted, last[:, :, None] % fb.p], axis=2)
     coeffs = _berkowitz(fb, M)[1:]
 
-    embed = reduced[0].field.base_embedding()  # one F_q embedding per degree
-    pullback = _pullback(embed, fb.p)
+    pullback = linalg.pullback(residues.embed, fb.p)  # one F_q embedding per degree
+    into_base = lambda v, what: _into_base_batch(v, residues.embed, pullback, fb.p, raise_at, what)
     bounds = _degree_bounds(r, d)
     a = []
     for i, c in enumerate(coeffs, start=1):
-        y = _into_base_batch(reduced, c, embed, pullback, f"a_{i} has a coefficient")
-        _raise_at(reduced, y[:, bounds[i - 1] + 1:].any(axis=(1, 2)),
-                  f"deg a_{i} exceeds {i}*d/{r}")
+        y = into_base(c, f"a_{i} has a coefficient")
+        raise_at(y[:, bounds[i - 1] + 1:].any(axis=(1, 2)), f"deg a_{i} exceeds {i}*d/{r}")
         a.append(y[:, : bounds[i - 1] + 1])
 
-    eps = _epsilon_batch(reduced, fb, sig[:, :, r], embed, pullback)
-    prime_coeffs = np.zeros((len(reduced), d + 1, base.n), dtype=np.int64)
-    for b, red in enumerate(reduced):
-        for j, cf in red.prime.terms:
-            prime_coeffs[b, j] = cf.coords
-    eps_p = FieldBatch.of([base]).mul(eps[:, None], prime_coeffs)
-    _raise_at(reduced, (eps_p != a[-1]).any(axis=(1, 2)), "a_r differs from epsilon*p")
+    # epsilon = sign / Nr(g_r), the norm the product of the d conjugates
+    nr = sig[:, 0, r]
+    for k in range(1, d):
+        nr = fb.mul(nr, sig[:, k, r])
+    base_fb = FieldBatch.of([base])
+    eps = _epsilon_sign(r, d) * base_fb.inv(into_base(nr, "Nr(g_r) lies")) % base.p
+    eps_p = base_fb.mul(eps[:, None], primes)
+    raise_at((eps_p != a[-1]).any(axis=(1, 2)), "a_r differs from epsilon*p")
 
-    _check_residual(reduced, fb, g, frob, np.stack([c[:, : d + 1] for c in coeffs], axis=1))
-    return _charpoly_objects(reduced, a, eps)
-
-
-def _pullback(embed: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Rows where the n x e embedding of F_q has full rank, and the inverse
-    of those rows: F_q coordinates from power-basis coordinates."""
-    _, rows = linalg.rref_mod_p(embed.T, p)
-    inv, _ = linalg.solve_mod_p(embed[rows], np.eye(len(rows), dtype=np.int64), p)
-    return rows, inv
+    _check_residual(fb, g, frob, np.stack([c[:, : d + 1] for c in coeffs], axis=1), raise_at)
+    return a, eps
 
 
-def _into_base_batch(reduced, v: np.ndarray, embed: np.ndarray, pullback, what: str):
+def _into_base_batch(v: np.ndarray, embed: np.ndarray, pullback, p: int, raise_at, what: str):
     """F_q coordinates (B, ..., e) of L-elements (B, ..., n) that must lie
     in the embedded F_q; raises naming the first prime where one does not."""
-    p = reduced[0].field.p
     rows, inv = pullback
     y = v[..., rows] @ inv.T % p
-    outside = (y @ embed.T % p != v).reshape(len(reduced), -1).any(axis=1)
-    _raise_at(reduced, outside, f"{what} outside F_q")
+    raise_at((y @ embed.T % p != v).reshape(len(v), -1).any(axis=1), f"{what} outside F_q")
     return y
 
 
-def _raise_at(reduced, bad: np.ndarray, message: str):
+def _raise_at(base, primes: np.ndarray, bad: np.ndarray, message: str):
+    """Raise naming the first prime (a row of `primes`) flagged in `bad`."""
     if bad.any():
-        prime = reduced[int(np.argmax(bad))].prime
+        prime = from_coordinates(base, primes[int(np.argmax(bad))].tolist())
         raise CharPolyError(f"{message} at {format_poly(prime)}")
 
 
-def _epsilon_batch(reduced, fb: FieldBatch, conj: np.ndarray, embed, pullback) -> np.ndarray:
-    """The closed form of `_epsilon_from_reduced`, batched: sign / Nr(g_r)
-    with the norm the product of the d conjugates conj[:, k] = sigma^k(g_r)."""
-    base = reduced[0].module.base
-    nr = conj[:, 0]
-    for k in range(1, conj.shape[1]):
-        nr = fb.mul(nr, conj[:, k])
-    nr = _into_base_batch(reduced, nr, embed, pullback, "Nr(g_r) lies")
-    sign = _epsilon_sign(reduced[0].module.r, reduced[0].prime.degree)
-    return sign * FieldBatch.of([base]).inv(nr) % base.p
-
-
-def _check_residual(reduced, fb: FieldBatch, g: np.ndarray, frob: np.ndarray,
-                    coeffs: np.ndarray):
+def _check_residual(fb: FieldBatch, g: np.ndarray, frob: np.ndarray, coeffs: np.ndarray,
+                    raise_at):
     """tau^(rd) + sum_i phi_(a_i) tau^((r-i)d) = 0 in L{tau}, the a_i given
     by their L-coordinates coeffs[:, i-1] (B, r, d+1, n) within the degree
     bounds.  phi_(T^j) = P_j comes from P_(j+1) = phi_T P_j, that is
@@ -298,11 +308,11 @@ def _check_residual(reduced, fb: FieldBatch, g: np.ndarray, frob: np.ndarray,
             for k in range(r + 1):
                 P[:, k : k + span] += terms[:, k]
             P %= p
-    _raise_at(reduced, (total % p).any(axis=(1, 2)), "residual identity fails")
+    raise_at((total % p).any(axis=(1, 2)), "residual identity fails")
 
 
-def _charpoly_objects(reduced, a: list[np.ndarray], eps: np.ndarray) -> list[CharPoly]:
-    base = reduced[0].module.base
+def _charpoly_objects(base, primes: list[SparsePoly], a: list[np.ndarray],
+                      eps: np.ndarray) -> list[CharPoly]:
     r = len(a)
     elems: dict[tuple[int, ...], FieldElement] = {}
 
@@ -315,12 +325,12 @@ def _charpoly_objects(reduced, a: list[np.ndarray], eps: np.ndarray) -> list[Cha
 
     rows = [ai.tolist() for ai in a]
     out = []
-    for b, (red, e) in enumerate(zip(reduced, eps.tolist())):
+    for b, (prime, e) in enumerate(zip(primes, eps.tolist())):
         polys = tuple(
             SparsePoly(base, [(j, elem(c)) for j, c in enumerate(ai[b]) if any(c)])
             for ai in rows
         )
-        out.append(CharPoly(red.prime, r, polys, elem(e)))
+        out.append(CharPoly(prime, r, polys, elem(e)))
     return out
 
 

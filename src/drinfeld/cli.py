@@ -31,7 +31,7 @@ from .polynomials import (
     residue_field,
 )
 from .linalg import Int64RangeError
-from .reduction import ReductionError, reduce_mod, torsion_space
+from .reduction import ReductionError, TorsionSearchError, reduce_mod, torsion_space
 from .sampling import (
     CONSISTENT,
     SamplingError,
@@ -366,7 +366,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (PolySyntaxError, PrimeError, FieldError, SkewError, ReductionError,
-            CharPolyError, SamplingError, NewtonError, Int64RangeError) as exc:
+            TorsionSearchError, CharPolyError, SamplingError, NewtonError,
+            Int64RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -110,6 +110,14 @@ def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int):
     return (x[:, 0] if rhs.ndim == 1 else x), nullity
 
 
+def pullback(embed: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Rows where an n x e embedding of full column rank is invertible, and
+    the inverse of those rows: y = inv @ v[rows] for v = embed @ y."""
+    _, rows = rref_mod_p(embed.T, p)
+    inv, _ = solve_mod_p(embed[rows], np.eye(len(rows), dtype=np.int64), p)
+    return rows, inv
+
+
 def matpow_mod_p(mat: np.ndarray, k: int, p: int) -> np.ndarray:
     check_int64_range(p, mat.shape[0])
     result = np.eye(mat.shape[0], dtype=np.int64)

@@ -16,7 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .fields import Field, FieldBatch, FieldElement, _digits, make_field, field_with_modulus
+from .fields import _ROOT_BLOCK, Field, FieldBatch, FieldElement, _digits, field_with_modulus, make_field
+from .linalg import check_int64_range, pullback
 
 
 class PrimeError(ValueError):
@@ -453,7 +454,7 @@ def _moebius(n):
     return m
 
 
-_PRIME_CACHE: dict[tuple[int, int], list[SparsePoly]] = {}
+_PRIME_CACHE: dict[tuple[int, int], tuple[list[SparsePoly], np.ndarray]] = {}
 
 
 def primes_of_degree(base: Field, d: int) -> list[SparsePoly]:
@@ -462,16 +463,29 @@ def primes_of_degree(base: Field, d: int) -> list[SparsePoly]:
 
     Results are cached per field; treat the returned list as read-only.
     """
+    return _primes_cached(base, d)[0]
+
+
+def prime_coordinates(base: Field, d: int) -> np.ndarray:
+    """The primes of `primes_of_degree`, in the same order, as one read-only
+    (N, d+1, e) array: row k holds the F_q coordinates of the coefficients
+    of prime k, the constant first."""
+    return _primes_cached(base, d)[1]
+
+
+def _primes_cached(base: Field, d: int) -> tuple[list[SparsePoly], np.ndarray]:
     key = (id(base), d)
     if key not in _PRIME_CACHE:
-        out = _primes_of_degree_np(base, d)
+        coords = _primes_of_degree_np(base, d)
+        coords.flags.writeable = False
+        out = [from_coordinates(base, row) for row in coords.tolist()]
         for f in out:
             _IRRED_CACHE[f] = True
-        _PRIME_CACHE[key] = out
+        _PRIME_CACHE[key] = out, coords
     return _PRIME_CACHE[key]
 
 
-def _primes_of_degree_np(base: Field, d: int) -> list[SparsePoly]:
+def _primes_of_degree_np(base: Field, d: int) -> np.ndarray:
     """Vectorized sieve over F_p: a monic degree-d poly is irreducible iff no
     monic irreducible of degree <= d/2 divides it.  Remainders under a fixed
     divisor are F_q-linear, hence F_p-linear, in the coefficient vector, so
@@ -495,11 +509,7 @@ def _primes_of_degree_np(base: Field, d: int) -> list[SparsePoly]:
         for g in primes_of_degree(base, deg_g):
             rem = coeffs @ _reduction_matrix(g, d + 1).T % p
             alive &= rem.any(axis=1)
-    out = []
-    for row in coeffs[alive].reshape(-1, d + 1, e).tolist():
-        terms = [(i, FieldElement(base, tuple(c))) for i, c in enumerate(row) if any(c)]
-        out.append(SparsePoly(base, terms))
-    return out
+    return coeffs[alive].reshape(-1, d + 1, e)
 
 
 def _reduction_matrix(g: SparsePoly, ncols: int) -> np.ndarray:
@@ -598,6 +608,126 @@ def _first_root(fld: Field, prime: SparsePoly, emb: np.ndarray) -> FieldElement:
     if root is None:
         raise PrimeError("prime has no root in its residue field")  # unreachable
     return root
+
+
+class ResidueBatch:
+    """The residue fields A/(p) at primes p of one degree d, operated on
+    together, with the reduction maps of `residue_field`: the same power
+    bases and the same image T bar of T, so coordinates agree with the
+    scalar route.  `primes` is a (B, d+1, e) array as `prime_coordinates`
+    gives; no `Field` is built per prime.
+
+    For e = 1 the moduli are the primes themselves and T bar is the
+    generator x (for d = 1, the residue -c of T + c).  For e > 1 every prime
+    shares the canonical F_(q^d), and T bar is its first root in index order,
+    read off the table `_first_roots` that one pass over the field fills for
+    the whole degree."""
+
+    def __init__(self, base: Field, primes: np.ndarray):
+        p, e = base.p, base.n
+        B, d = primes.shape[0], primes.shape[1] - 1
+        self.base, self.primes, self.degree = base, primes, d
+        if e == 1:
+            self.fb = FieldBatch(p, primes[:, :, 0])
+            self.embed = np.eye(d, 1, dtype=np.int64)
+            self.t_bar = np.zeros((B, d), dtype=np.int64)
+            if d == 1:
+                self.t_bar[:, 0] = -primes[:, 0, 0] % p
+            else:
+                self.t_bar[:, 1] = 1
+        else:
+            fld = make_field(p, e, d)
+            self.fb = FieldBatch(p, np.broadcast_to(fld.modulus, (B, d * e + 1)))
+            self.embed = fld.base_embedding()
+            roots = _first_roots(base, d)[primes[:, :d].reshape(B, d * e) @ p ** np.arange(d * e)]
+            if (roots < 0).any():
+                raise PrimeError("prime has no root in its residue field")  # unreachable
+            self.t_bar = _digits(roots, p, d * e)
+        self._weights = np.zeros((B, 0, self.fb.n), dtype=np.int64)
+
+    def reduce(self, f: SparsePoly) -> np.ndarray:
+        """(B, n) coordinates of f mod p: Horner over the sparse terms, each
+        gap between exponents bridged by a power of T bar."""
+        fb = self.fb
+        acc = np.zeros_like(self.t_bar)
+        prev = None
+        for exp, c in reversed(f.terms):
+            if prev is not None:
+                acc = fb.mul(acc, fb.pow(self.t_bar, prev - exp))
+            acc = (acc + self.embed @ np.array(c.coords, dtype=np.int64)) % fb.p
+            prev = exp
+        return fb.mul(acc, fb.pow(self.t_bar, prev)) if prev else acc
+
+    def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
+        """(..., n) coordinates mod p of the polynomials with (..., D, e)
+        F_q coefficient arrays, the constant first: one product with the
+        F_p-matrix whose row (j, k) holds T bar^j alpha^k, alpha^k the
+        embedded F_q basis.  A batch of one prime serves any number of
+        polynomials."""
+        fb, e = self.fb, self.base.n
+        D = coeffs.shape[-2]
+        if self._weights.shape[1] < D * e:
+            tpow = [fb.one()]
+            for _ in range(1, D):
+                tpow.append(fb.mul(tpow[-1], self.t_bar))
+            w = fb.mul(np.stack(tpow, axis=1)[:, :, None], self.embed.T)
+            self._weights = w.reshape(w.shape[0], D * e, fb.n)
+        check_int64_range(fb.p, D * e)
+        flat = coeffs.reshape(coeffs.shape[:-2] + (1, D * e))
+        return (flat @ self._weights[:, : D * e])[..., 0, :] % fb.p
+
+
+_ROOTS_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _first_roots(base: Field, d: int) -> np.ndarray:
+    """For e > 1, entry k is the first element of F_(q^d), in index order,
+    whose characteristic polynomial over F_q, the product of X - x^(q^i) for
+    i < d, has index k, or -1.  A prime of degree d is the characteristic
+    polynomial of its roots and of nothing else, so its entry is the first
+    root that `_first_root` finds.  One pass over the field in blocks of
+    `_ROOT_BLOCK`, conjugates by the matrix of the q-power map."""
+    key = (id(base), d)
+    if key not in _ROOTS_CACHE:
+        fld = make_field(base.p, base.e, d)
+        p, n, e = fld.p, fld.n, base.n
+        fb = fld.batch()
+        frob = fld.frobenius_matrix().T
+        rows, inv = pullback(fld.base_embedding(), p)
+        index = p ** np.arange(d * e)
+        table = np.full(base.q**d, -1, dtype=np.int64)
+        for start in range(0, fld.order, _ROOT_BLOCK):
+            ks = np.arange(start, min(start + _ROOT_BLOCK, fld.order), dtype=np.int64)
+            x = _digits(ks, p, n)
+            poly = fb.one((len(ks), 1))[0]
+            for _ in range(d):
+                prod = fb.mul(poly, x[:, None])
+                poly = np.concatenate([-prod[:, :1], poly[:, :-1] - prod[:, 1:], poly[:, -1:]],
+                                      axis=1) % p
+                x = x @ frob % p
+            keys = (poly[:, :d, rows] @ inv.T % p).reshape(len(ks), d * e) @ index
+            uniq, first = np.unique(keys, return_index=True)
+            fresh = table[uniq] < 0
+            table[uniq[fresh]] = ks[first[fresh]]
+        _ROOTS_CACHE[key] = table
+    return _ROOTS_CACHE[key]
+
+
+def from_coordinates(base: Field, coords) -> SparsePoly:
+    """The polynomial with these F_q coefficient coordinates (D rows of e,
+    the constant first), given as a nested list."""
+    terms = [(j, FieldElement(base, tuple(c))) for j, c in enumerate(coords) if any(c)]
+    return SparsePoly(base, terms)
+
+
+def coordinates(base: Field, polys: Iterable[SparsePoly], d: int) -> np.ndarray:
+    """(B, d+1, e) F_q coefficient arrays of polynomials of degree <= d."""
+    polys = list(polys)
+    out = np.zeros((len(polys), d + 1, base.n), dtype=np.int64)
+    for b, f in enumerate(polys):
+        for j, c in f.terms:
+            out[b, j] = c.coords
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from . import linalg
 from .fields import Field, FieldElement, make_field
 from .polynomials import (
+    ResidueBatch,
     ResidueField,
     SparsePoly,
     format_poly,
@@ -44,6 +45,10 @@ GOOD = "Good"
 STABLE_BAD = "StableBad"
 
 DEFAULT_SPLITTING_CAP = 5000
+# Largest F_p-degree e*d*m of a splitting field that `torsion_space` builds.
+# The torsion pairs at q = 5 with primes of degree <= 2 need at most 248;
+# a field of a few thousand digits would take its modulus search hours.
+MAX_SPLITTING_FIELD_DEGREE = 2048
 
 
 class ReducedModule:
@@ -105,6 +110,15 @@ def reduce_mod(module: DrinfeldModule, prime: SparsePoly) -> ReducedModule:
             "unstable model: every non-constant coefficient vanishes at this prime"
         )
     return ReducedModule(module, prime, rf, coeffs, r1)
+
+
+def reduce_batch(module: DrinfeldModule, primes: np.ndarray) -> tuple[ResidueBatch, np.ndarray]:
+    """`reduce_mod` at the primes of one degree at once, given as a
+    (B, d+1, e) array (`prime_coordinates`): the batch of residue fields and
+    the (B, r+1, n) coordinates of g_i mod p.  The reduction at row b is
+    good exactly where g_r mod p, row [b, r], is nonzero."""
+    residues = ResidueBatch(module.base, primes)
+    return residues, np.stack([residues.reduce(g) for g in module.g], axis=1)
 
 
 def height(reduced: ReducedModule) -> int:
@@ -208,6 +222,11 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly,
     N = reduced.r * degl
 
     m = splitting_degree(reduced.phi(ell), d, cap)
+    if e * d * m > MAX_SPLITTING_FIELD_DEGREE:
+        raise TorsionSearchError(
+            f"splitting field of F_p-degree {e * d * m} (m = {m}) exceeds "
+            f"MAX_SPLITTING_FIELD_DEGREE = {MAX_SPLITTING_FIELD_DEGREE}"
+        )
     B = make_field(reduced.field.p, e, d * m)
     p, n = B.p, B.n
     linalg.check_int64_range(p, n)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from drinfeld.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +103,23 @@ class TestTorsion:
         code, out, _ = run_cli(capsys, "charpoly", *args, "--mod-l", "T+3")
         assert code == 0
         assert torsion["charpoly"] == json.loads(out)["mod_l"]["charpoly"]
+
+    def test_exhausted_search_budget_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "torsion", "--q", "5", "--r", "3",
+                               "--p", "T^2+2", "--l", "T+1", "--budget", "1")
+        assert code == 2
+        assert err == "error: splitting degree exceeds the bound 1\n"
+
+    def test_oversized_splitting_field_exits_within_seconds(self):
+        # m = 4095 is found at once; building F_(4^4095) would never finish
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        done = subprocess.run(
+            [sys.executable, "-m", "drinfeld", "torsion", "--q", "4", "--r", "3",
+             "--p", "T+3", "--l", "T^2+2*T+1"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "F_p-degree 8190 (m = 4095) exceeds MAX_SPLITTING_FIELD_DEGREE = 2048" in done.stderr
 
 
 class TestNewtonInertia:
