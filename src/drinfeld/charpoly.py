@@ -224,7 +224,21 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
     for _ in range(d - 1):
         sig.append(fb.apply(frob, sig[-1]))
     sig = np.stack(sig, axis=1)
-    u = fb.inv(sig[:, :, r])  # sigma^k(g_r)^-1
+    pullback = linalg.pullback(residues.embed, fb.p)  # one F_q embedding per degree
+    into_base = lambda v, what: _into_base_batch(v, residues.embed, pullback, fb.p, raise_at, what)
+
+    # sigma^k(g_r)^-1 = Nr(g_r)^-1 prod_(j != k) sigma^j(g_r), the norm the
+    # product of the d conjugates: prefix and suffix products, and one
+    # inverse taken in F_q
+    pre = [fb.one()]
+    for k in range(d):
+        pre.append(fb.mul(pre[-1], sig[:, k, r]))
+    nr_inv = FieldBatch.of([base]).inv(into_base(pre[d], "Nr(g_r) lies"))
+    u, suf = [None] * d, nr_inv @ residues.embed.T % fb.p
+    for k in reversed(range(d)):
+        u[k] = fb.mul(pre[k], suf)
+        suf = fb.mul(suf, sig[:, k, r])
+    u = np.stack(u, axis=1)
 
     # M = A sigma(A) ... sigma^(d-1)(A); right multiplication by the
     # companion matrix shifts the columns left and appends M c, where
@@ -241,8 +255,6 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
         M = np.concatenate([shifted, last[:, :, None] % fb.p], axis=2)
     coeffs = _berkowitz(fb, M)[1:]
 
-    pullback = linalg.pullback(residues.embed, fb.p)  # one F_q embedding per degree
-    into_base = lambda v, what: _into_base_batch(v, residues.embed, pullback, fb.p, raise_at, what)
     bounds = _degree_bounds(r, d)
     a = []
     for i, c in enumerate(coeffs, start=1):
@@ -250,13 +262,8 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
         raise_at(y[:, bounds[i - 1] + 1:].any(axis=(1, 2)), f"deg a_{i} exceeds {i}*d/{r}")
         a.append(y[:, : bounds[i - 1] + 1])
 
-    # epsilon = sign / Nr(g_r), the norm the product of the d conjugates
-    nr = sig[:, 0, r]
-    for k in range(1, d):
-        nr = fb.mul(nr, sig[:, k, r])
-    base_fb = FieldBatch.of([base])
-    eps = _epsilon_sign(r, d) * base_fb.inv(into_base(nr, "Nr(g_r) lies")) % base.p
-    eps_p = base_fb.mul(eps[:, None], primes)
+    eps = _epsilon_sign(r, d) * nr_inv % base.p  # epsilon = sign / Nr(g_r)
+    eps_p = FieldBatch.of([base]).mul(eps[:, None], primes)
     raise_at((eps_p != a[-1]).any(axis=(1, 2)), "a_r differs from epsilon*p")
 
     _check_residual(fb, g, frob, np.stack([c[:, : d + 1] for c in coeffs], axis=1), raise_at)

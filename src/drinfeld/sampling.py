@@ -9,7 +9,8 @@ of one degree goes through the array route of the motive charpolys
 (`charpolys_of_degree`, each answer checked there), then the a_i and the
 determinant law, det = (-1)^r epsilon p mod l (the array form of
 `det_law`), are reduced mod l for the whole chunk at once.  Key counts,
-determinant coverage and the irreducibility flag come from the distinct
+determinant coverage and the irreducibility flag (a lookup among the
+degree-r irreducibles of the prime sieve over F_l) come from the distinct
 keys.  Records are built last; they, and the `progress` callback, follow
 the prime enumeration order.
 
@@ -18,9 +19,12 @@ Two oracle backends compute the exact distribution:
 * backend A enumerates every matrix as F_p digit arrays and takes each
   characteristic polynomial with the batched Berkowitz of `linalg`,
   feasible for |F_l|^(r^2) within the budget;
-* backend B counts matrices per factorization shape of the characteristic
-  polynomial through centralizer orders (r <= 3), cross-validated against
-  backend A at |F_l| = 3.
+* backend B, for every r, counts the matrices of each characteristic
+  polynomial from the centralizer formula: |GL_r| times a weight per
+  factorization type, over products of the irreducibles that the prime
+  sieve lists over F_l (feasible for |F_l|^r within the budget).  It is
+  cross-validated against backend A at |F_l| = 3 and on small fields for
+  r <= 4.
 
 A verdict of ConsistentWithFullImage is evidence, not proof: the
 surjectivity statement it probes assumes p large (an inexplicit constant),
@@ -29,13 +33,16 @@ so a Flagged verdict at small p is inconclusive about that statement.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .charpoly import CharPolyError, charpolys_of_degree
-from .fields import Field, FieldElement, _digits, _int_digits
+from .fields import Field, FieldBatch, FieldElement, _digits, _int_digits, field_with_modulus
 from .linalg import _berkowitz
 from .polynomials import (
     ResidueBatch,
@@ -111,6 +118,8 @@ def gl_charpoly_distribution(r: int, ell_field: Field, backend: str = "auto",
             )
         counts = _backend_a(r, ell_field)
     elif backend == "B":
+        if s**r > budget:
+            raise SamplingError(f"listing {s}^{r} characteristic polynomials exceeds the budget {budget}")
         counts = _backend_b(r, ell_field)
     else:
         raise SamplingError(f"unknown backend {backend!r}")
@@ -144,101 +153,125 @@ def _backend_a(r: int, fld: Field) -> dict[tuple[int, ...], int]:
 
 
 def _backend_b(r: int, fld: Field) -> dict[tuple[int, ...], int]:
-    """Counts per factorization shape; centralizer orders for r <= 3."""
-    if r > 3:
-        raise SamplingError("backend B implements r <= 3")
-    s = fld.order
-    elems = list(fld.elements())
-    counts: dict[tuple[int, ...], int] = {}
+    """Counts from the centralizer formula (Macdonald, *Symmetric Functions
+    and Hall Polynomials*, ch. IV): the matrices with characteristic
+    polynomial prod_i phi_i^(m_i), the phi_i distinct monic irreducibles
+    other than x, number |GL_r(F_s)| prod_i w(deg phi_i, m_i) with
 
-    def key_of(poly: list[FieldElement]) -> tuple[int, ...]:
-        return tuple(c.to_int() for c in poly[:r])
+        w(delta, m) = sum over partitions lambda of m of 1 / c_lambda(s^delta),
 
-    def poly_mul(a: list[FieldElement], b: list[FieldElement]) -> list[FieldElement]:
-        out = [fld.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return out
-
-    def linear(a: FieldElement) -> list[FieldElement]:
-        return [-a, fld.one]
-
-    G = gl_order(s, r)
-    if r == 1:
-        for a in elems:
-            if a:
-                counts[key_of(linear(a))] = 1
-        return counts
-
-    nonzero = [a for a in elems if a]
-    monic_irred: dict[int, list[list[FieldElement]]] = {}
-
-    def irreducibles(deg: int) -> list[list[FieldElement]]:
-        if deg not in monic_irred:
-            out = []
-            if deg == 2:
-                for c1 in elems:
-                    for c0 in elems:
-                        if not _has_root2(fld, c0, c1):
-                            out.append([c0, c1, fld.one])
-            elif deg == 3:
-                for c2 in elems:
-                    for c1 in elems:
-                        for c0 in nonzero:
-                            if not _has_root3(fld, c0, c1, c2):
-                                out.append([c0, c1, c2, fld.one])
-            monic_irred[deg] = out
-        return monic_irred[deg]
-
-    if r == 2:
-        for g in irreducibles(2):
-            if g[0]:
-                counts[key_of(g)] = G // (s**2 - 1)
-        for i, a in enumerate(nonzero):
-            for b in nonzero[i + 1 :]:
-                counts[key_of(poly_mul(linear(a), linear(b)))] = G // (s - 1) ** 2
-        for a in nonzero:
-            counts[key_of(poly_mul(linear(a), linear(a)))] = s**2
-        return counts
-
-    # r = 3
-    n_irred3 = G // (s**3 - 1)
-    n_quad_lin = G // ((s**2 - 1) * (s - 1))
-    n_distinct3 = G // (s - 1) ** 3
-    n_double = G // ((s**2 - 1) * (s**2 - s) * (s - 1)) + G // (s * (s - 1) ** 2)
-    n_triple = s**6
-    for g in irreducibles(3):
-        counts[key_of(g)] = n_irred3
-    for g in irreducibles(2):
-        for a in nonzero:
-            counts[key_of(poly_mul(g, linear(a)))] = n_quad_lin
-    for i, a in enumerate(nonzero):
-        for j, b in enumerate(nonzero[i + 1 :], start=i + 1):
-            for c in nonzero[j + 1 :]:
-                counts[key_of(poly_mul(poly_mul(linear(a), linear(b)), linear(c)))] = n_distinct3
-    for a in nonzero:
-        for b in nonzero:
-            if a == b:
-                continue
-            counts[key_of(poly_mul(poly_mul(linear(a), linear(a)), linear(b)))] = n_double
-    for a in nonzero:
-        counts[key_of(poly_mul(poly_mul(linear(a), linear(a)), linear(a)))] = n_triple
-    return counts
+    c_lambda(Q) = Q^(sum_j lambda'_j^2) prod_k prod_(j <= m_k(lambda)) (1 - Q^-j)
+    the centralizer order of a primary block of type lambda.  Polynomials
+    are enumerated per factorization type, one partition of multiplicities
+    per degree, as products of the sieve's irreducibles on coefficient
+    arrays; all polynomials of one type share its count.  Keys come out in
+    ascending order."""
+    s, fb = fld.order, fld.batch()
+    powers = {}  # powers[d][m]: the m-th powers of the irreducibles of degree d
+    for d in range(1, r + 1):
+        powers[d] = [None, _irreducibles(fld, d)]
+        for _ in range(r // d - 1):
+            powers[d].append(_poly_mul(fb, powers[d][-1], powers[d][1]))
+    keys, counts = [], []
+    for ty in _factorization_types(r):
+        polys, weight = fb.one((1,)), Fraction(1)
+        for d, mult in ty:
+            block = _distinct_products(fb, powers[d], mult)
+            polys = _poly_mul(fb, polys[:, None], block[None])
+            polys = polys.reshape(-1, *polys.shape[2:])
+            for m in mult:
+                weight *= sum(1 / _centralizer_order(lam, s**d) for lam in _partitions(m))
+        count = gl_order(s, r) * weight
+        if count.denominator != 1:
+            raise SamplingError(f"type {ty} gets the non-integral count {count}")
+        keys.append(polys[:, :r] @ fld.p ** np.arange(fld.n))
+        counts += [int(count)] * len(polys)
+    keys = np.concatenate(keys)
+    order = np.lexsort(keys.T[::-1]).tolist()
+    return dict(zip(map(tuple, keys[order].tolist()), (counts[k] for k in order)))
 
 
-def _has_root2(fld: Field, c0: FieldElement, c1: FieldElement) -> bool:
-    for x in fld.elements():
-        if x * x + c1 * x + c0 == fld.zero:
-            return True
-    return False
+@functools.lru_cache(maxsize=None)
+def _plain_copy(p: int, n: int, modulus: tuple[int, ...]) -> Field:
+    """F_l with m = 1 on the same modulus, so element indices agree: the
+    coefficient field the prime sieve takes.  Cached, so the sieve's cache
+    holds one entry per field."""
+    return field_with_modulus(p, n, 1, modulus, validate=False)
 
 
-def _has_root3(fld: Field, c0, c1, c2) -> bool:
-    for x in fld.elements():
-        if ((x + c2) * x + c1) * x + c0 == fld.zero:
-            return True
-    return False
+def _irreducibles(fld: Field, d: int) -> np.ndarray:
+    """(N, d+1, n) coefficient arrays of the monic irreducibles of degree d
+    over F_l other than x, in index order, from the prime sieve."""
+    rows = prime_coordinates(_plain_copy(fld.p, fld.n, fld.modulus), d)
+    return rows[rows[:, 0].any(axis=1)]
+
+
+def _irreducible_keys(fld: Field, r: int) -> np.ndarray:
+    """The keys of the monic irreducibles of degree r over F_l other than x,
+    each encoded as one F_l-digit index c_0 + c_1 s + ... + c_(r-1) s^(r-1)."""
+    irred = _irreducibles(fld, r)
+    return irred[:, :r].reshape(len(irred), -1) @ fld.p ** np.arange(r * fld.n)
+
+
+def _poly_mul(fb: FieldBatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of polynomials given as (..., D, n) coefficient arrays,
+    the constant first, broadcast over the leading axes."""
+    da, db = a.shape[-2], b.shape[-2]
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (da + db - 1, fb.n)
+    out = np.zeros(shape, dtype=fb.dtype)
+    for i in range(da):
+        out[..., i : i + db, :] += fb.mul(a[..., i : i + 1, :], b)
+    return out % fb.p
+
+
+def _distinct_products(fb: FieldBatch, powers: list[np.ndarray],
+                       mult: tuple[int, ...]) -> np.ndarray:
+    """prod_j f_(i_j)^(a_j) over every set i_1 < ... < i_k of k = len(mult)
+    distinct irreducibles f_i of one degree and every distinct arrangement
+    a of the multiplicities mult: each product of that shape exactly once."""
+    picks = np.array(list(itertools.combinations(range(len(powers[1])), len(mult))),
+                     dtype=np.int64).reshape(-1, len(mult))
+    out = []
+    for arrangement in sorted(set(itertools.permutations(mult))):
+        prod = powers[arrangement[0]][picks[:, 0]]
+        for j, m in enumerate(arrangement[1:], start=1):
+            prod = _poly_mul(fb, prod, powers[m][picks[:, j]])
+        out.append(prod)
+    return np.concatenate(out)
+
+
+def _factorization_types(r: int, d: int = 1):
+    """The factorization types of degree r with irreducible factors of
+    degree >= d: lists of (degree, multiplicities), the multiplicities of
+    the distinct factors of one degree a partition in descending order."""
+    if r == 0:
+        yield []
+    elif d <= r:
+        yield from _factorization_types(r, d + 1)
+        for t in range(1, r // d + 1):
+            for mult in _partitions(t):
+                for rest in _factorization_types(r - d * t, d + 1):
+                    yield [(d, mult)] + rest
+
+
+def _partitions(m: int, most: int | None = None):
+    """The partitions of m with parts <= most, as descending tuples."""
+    if m == 0:
+        yield ()
+    for first in range(min(m, most or m), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+
+
+def _centralizer_order(lam: tuple[int, ...], Q: int) -> Fraction:
+    """c_lambda(Q): the order of the centralizer in GL of a primary block of
+    type lambda for an irreducible phi with Q = s^(deg phi)."""
+    conj = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+    out = Fraction(Q) ** sum(c * c for c in conj)
+    for k in set(lam):
+        for j in range(1, lam.count(k) + 1):
+            out *= 1 - Fraction(1, Q**j)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +375,15 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
                     progress(rec)
 
     emp: dict[tuple[int, ...], int] = {}
+    irreducible_seen = False
     if records:
         cells, first, counts = np.unique(np.concatenate(keys), axis=0,
                                          return_index=True, return_counts=True)
         order = np.argsort(first)  # first-seen order: tv_distance sums in it, the JSON keeps it
         emp = dict(zip(map(tuple, cells[order].tolist()), counts[order].tolist()))
+        encoded = cells @ rf.field.order ** np.arange(r)
+        irreducible_seen = bool(np.isin(encoded, _irreducible_keys(rf.field, r)).any())
     tv = tv_distance(emp, len(records), oracle)
-    irreducible_seen = any(_charpoly_irreducible(rf.field, tuple(map(elem, k))) for k in emp)
     det_values = np.unique(np.concatenate(dets))
     det_covers = bool(np.isin(np.arange(1, rf.field.order), det_values).all())
     warnings = []
@@ -371,31 +406,6 @@ def _charpolys_mod_l(at_ell: ResidueBatch, primes: np.ndarray, a: list[np.ndarra
     det = sign * mod_l[0] % fl.p
     law = sign * fl.mul(at_ell.evaluate(eps[:, None]), at_ell.evaluate(primes)) % fl.p
     return np.stack([c @ index for c in mod_l], axis=1), det @ index, (det == law).all(axis=1)
-
-
-def _charpoly_irreducible(fld: Field, coeffs: tuple[FieldElement, ...]) -> bool:
-    """Irreducibility over F_l of the monic polynomial with these non-leading
-    coefficients; degree <= 3 reduces to root-freeness."""
-    r = len(coeffs)
-    if not coeffs[0]:
-        return False
-    if r == 1:
-        return True
-    if r <= 3:
-        for x in fld.elements():
-            acc = fld.one
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            if not acc:
-                return False
-        return True
-    # general degree: no irreducible factor of degree <= r/2
-    from .polynomials import SparsePoly as SP
-
-    if fld.e != 1 and fld.m != 1:
-        raise SamplingError("irreducibility flag for r > 3 needs a plain residue field")
-    poly = SP(fld, [(i, c) for i, c in enumerate(coeffs) if c] + [(r, fld.one)])
-    return is_irreducible(poly)
 
 
 def surjectivity_evidence(report: SampleReport,

@@ -127,7 +127,10 @@ def _module(cfg: VerifyConfig) -> DrinfeldModule:
 
 
 def _linear_prime(base, c: int) -> SparsePoly:
-    return SparsePoly(base, [(0, base.scalar(-c)), (1, base.one)]) if c % base.p else SparsePoly.T(base)
+    """T - a for the element a of index c when e > 1 and c < q, so that c
+    over 1 .. q-1 runs through F_q^*; otherwise T - c with c read mod p."""
+    a = base.from_int(c) if base.e > 1 and c < base.q else base.scalar(c)
+    return SparsePoly(base, [(0, -a), (1, base.one)])
 
 
 def suite_fields(cfg: VerifyConfig) -> _Checker:

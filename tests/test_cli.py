@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from drinfeld.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +168,26 @@ class TestSample:
         assert doc["verdict"] == "flagged"  # not enough mass at max_deg 2
         assert any("tv_distance" in r for r in doc["reasons"])
 
+    def test_rank_five(self, tmp_path, capsys):
+        out_path = tmp_path / "r5.json"
+        code, _, _ = run_cli(capsys, "sample", "--q", "11", "--r", "5", "--l", "T+10",
+                             "--max-deg", "2", "--out", str(out_path))
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        assert len(doc["samples"]) == 64
+        assert all(rec["det_ok"] for rec in doc["samples"])
+
+    @pytest.mark.parametrize("ell", ["T+1", "T+2"])
+    def test_q9_sweep_bytes_match_the_benchmark_reference(self, ell, tmp_path, capsys):
+        # tv_distance sums floats in the order of a set built from the oracle's
+        # keys, so the report's bytes depend on that dict's insertion order
+        out_path = tmp_path / "sweep.json"
+        code, _, _ = run_cli(capsys, "sample", "--q", "9", "--r", "3", "--l", ell,
+                             "--max-deg", "3", "--out", str(out_path))
+        assert code == 0
+        want = json.loads(REFERENCE.read_text())["sweep-q9"][ell]["sha256"]
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want
+
 
 class TestOracleGL:
     def test_rank1(self, capsys):
@@ -180,6 +202,14 @@ class TestOracleGL:
         doc = json.loads(out)
         assert doc["group_order"] == 11232
 
+    def test_rank5(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle-gl", "--q", "3", "--r", "5", "--l", "T+1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["params"]["backend"] == "B"
+        assert doc["group_order"] == (3**5 - 1) * (3**5 - 3) * (3**5 - 9) * (3**5 - 27) * (3**5 - 81)
+        assert doc["cells"] == 2 * 3**4
+
 
 class TestVerify:
     def test_single_suite_exit_zero(self, capsys):
@@ -190,6 +220,13 @@ class TestVerify:
         assert doc["pass"] is True
         assert doc["outcomes"][0]["suite"] == "charpoly"
         assert "[pass] charpoly" in err
+
+    @pytest.mark.parametrize("suite,checks", [("charpoly", 16), ("reduction", 34)])
+    def test_linear_prime_suites_at_q9(self, suite, checks, capsys):
+        # the linear primes T - a run over every a in F_9^*, never the bad prime T
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--q", "9", "--max-deg", "2")
+        assert code == 0
+        assert json.loads(out)["outcomes"][0]["checks"] == checks
 
     def test_unknown_suite_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")

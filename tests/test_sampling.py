@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -23,12 +24,38 @@ from drinfeld.sampling import (
     sample_frobenii,
     surjectivity_evidence,
     tv_distance,
+    _irreducible_keys,
 )
 from drinfeld.skew import DrinfeldModule
 
 F3 = make_field(3, 1, 1)
 F5 = make_field(5, 1, 1)
 F7 = make_field(7, 1, 1)
+
+
+# Backend B before the centralizer formula hand-counted the r <= 3 shapes;
+# these are the first 16 hex digits of the sha256 of repr(sorted(counts.items()))
+# of its counts for r = 1, 2, 3, recorded from that implementation.
+B_GOLDEN = {
+    "2": ("748268a0190b1d5f", "e6837776121e5db3", "0a77a6670f188969"),
+    "3": ("62f4217fb8c07f95", "3cf8ff8f70f8cc9e", "a4972bd460c0fedb"),
+    "4": ("18ac95eeedf264cf", "7d31b7cb1b133389", "0dd8518fd695e70f"),
+    "5": ("0db008e646e0cf6b", "2ace3dd4fee7f506", "46fc216af325879f"),
+    "7": ("a4e50e16b812208a", "e0b8b942e0ad506c", "89ef8a3f6170c8af"),
+    "8": ("e426ed930a6587df", "cbf0cc4a57bd9875", "e3dbbd3b5030260d"),
+    "9": ("0adbec78ad2f3f02", "79fa9ecbb0022f8d", "3667601e342fe20b"),
+    "9m": ("0adbec78ad2f3f02", "79fa9ecbb0022f8d", "3667601e342fe20b"),
+    "25": ("aa80ecccd12fafb5", "51ff24a2d21a7d0f", "8baa1519d28e1722"),
+}
+
+
+def _golden_field(name):
+    return {
+        "2": make_field(2, 1, 1), "3": F3, "4": make_field(2, 2, 1), "5": F5, "7": F7,
+        "8": make_field(2, 3, 1), "9": make_field(3, 2, 1),
+        "9m": residue_field(parse_poly("T^2+1", F3)).field,  # F_3[T]/(T^2+1), m = 2
+        "25": residue_field(parse_poly("T^2+2", F5)).field,  # F_5[T]/(T^2+2), m = 2
+    }[name]
 
 
 class TestGLDistribution:
@@ -75,6 +102,46 @@ class TestGLDistribution:
         a = gl_charpoly_distribution(2, fld, backend="A")
         b = gl_charpoly_distribution(2, fld, backend="B")
         assert a.counts == b.counts
+
+    @pytest.mark.parametrize("name", list(B_GOLDEN))
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_backend_b_matches_recorded_counts(self, name, r):
+        dist = gl_charpoly_distribution(r, _golden_field(name), backend="B")
+        digest = hashlib.sha256(repr(sorted(dist.counts.items())).encode()).hexdigest()
+        assert digest[:16] == B_GOLDEN[name][r - 1]
+
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_backend_b_total_is_gl_order(self, s, r):
+        dist = gl_charpoly_distribution(r, make_field(s, 1, 1), backend="B")
+        assert dist.total == gl_order(s, r)
+
+    def test_backends_agree_rank_four_over_f2(self):
+        fld = make_field(2, 1, 1)
+        a = gl_charpoly_distribution(4, fld, backend="A")
+        b = gl_charpoly_distribution(4, fld, backend="B")
+        assert a.total == gl_order(2, 4)
+        assert a.counts == b.counts
+
+    def test_backend_b_keys_ascend(self):
+        keys = list(gl_charpoly_distribution(3, F5, backend="B").counts)
+        assert keys == sorted(keys)
+
+    def test_backend_b_budget_guard(self):
+        with pytest.raises(SamplingError):
+            gl_charpoly_distribution(5, make_field(11, 1, 1), backend="B", budget=10**5)
+
+    @pytest.mark.parametrize("fld,r", [(F3, 4), (F5, 3), (make_field(3, 2, 1), 2), (F7, 1)])
+    def test_irreducible_keys_match_is_irreducible(self, fld, r):
+        s = fld.order
+        want = []
+        for k in range(s**r):
+            coeffs = [(k // s**i) % s for i in range(r)]
+            poly = SparsePoly(fld, [(i, fld.from_int(c)) for i, c in enumerate(coeffs)]
+                              + [(r, fld.one)])
+            if coeffs[0] and is_irreducible(poly):
+                want.append(k)
+        assert sorted(_irreducible_keys(fld, r).tolist()) == want
 
 
 class TestSampling:
