@@ -294,12 +294,15 @@ class Field:
         return self._frob_q
 
     def frobenius_power_matrix(self, k: int) -> np.ndarray:
+        """Matrix of x -> x^(q^k), the k-th power of `frobenius_matrix`."""
         k %= self.m
         if k not in self._frob_q_pow:
             if k == 0:
                 mat = np.eye(self.n, dtype=np.int64)
             else:
-                mat = (self.frobenius_power_matrix(k - 1) @ self.frobenius_matrix()) % self.p
+                from .linalg import matmul_mod_p
+
+                mat = matmul_mod_p(self.frobenius_power_matrix(k - 1), self.frobenius_matrix(), self.p)
             self._frob_q_pow[k] = mat
         return self._frob_q_pow[k]
 
@@ -507,22 +510,22 @@ class FieldBatch:
         shifted by q and folded through q reduction rows; otherwise it is
         the one before times x^q, found by repeated squaring."""
         n, p = self.n, self.p
-        out = np.zeros((self._red.shape[0], n, n), dtype=self.dtype)
-        out[:, 0, 0] = 1
+        cols = np.zeros((self._red.shape[0], n, n), dtype=self.dtype)  # [:, j]: x^(q j)
+        cols[:, 0, 0] = 1
         if q < n:
             fold = self.red(q)
             for j in range(1, n):
-                prev = out[:, :, j - 1]
-                col = (prev[:, None, n - q :] @ fold)[:, 0]
+                prev, col = cols[:, j - 1], cols[:, j]
+                np.matmul(prev[:, None, n - q :], fold, out=col[:, None])
                 col[:, q:] += prev[:, : n - q]
-                out[:, :, j] = col % p
+                col %= p
         elif n > 1:
-            x = np.zeros_like(out[:, :, 0])
+            x = np.zeros_like(cols[:, 0])
             x[:, 1] = 1
             xq = self.pow(x, q)
             for j in range(1, n):
-                out[:, :, j] = self.mul(out[:, :, j - 1], xq)
-        return out
+                cols[:, j] = self.mul(cols[:, j - 1], xq)
+        return cols.swapaxes(1, 2)
 
     def apply(self, mats: np.ndarray, a: np.ndarray) -> np.ndarray:
         """F_p-linear maps (B, n, n) applied to every element of a."""
@@ -535,21 +538,43 @@ def lex_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     """First monic irreducible of degree n over F_p in ascending index order
     (index = sum c_i p^i over the non-leading coefficients).
 
-    Candidates come in blocks of p^s that share every digit above the low s.
-    `_sieve` drops each candidate with a monic divisor of degree <= depth;
-    when that covers every degree up to n/2 the first survivor is the
-    answer, otherwise the survivors take Rabin's test in index order.
+    The first p candidates are the binomials x^n + c, decided in closed form
+    (`_binomial_irreducible`): either one of them is the answer, or none is
+    and the scan starts at index p.  Candidates come in blocks of p^s that
+    share every digit above the low s.  `_sieve` drops each candidate with a
+    monic divisor of degree <= depth; when that covers every degree up to
+    n/2 the first survivor is the answer, otherwise the survivors take
+    Rabin's test in index order.
     """
     if n == 1:
         return (0, 1)
+    if all((p - 1) % t == 0 for t in _prime_divisors(n)) and (n % 4 or p % 4 == 1):
+        # a generator of F_p^* is -c for an irreducible x^n + c, so this ends
+        c = next(c for c in range(1, p) if _binomial_irreducible(p, n, c))
+        return (c,) + (0,) * (n - 1) + (1,)
     s = min(n, _sieve_digits(p))
     depth = min(n // 2, s)
-    for start in range(0, p**n, p**s):
-        for k in np.flatnonzero(_sieve(p, n, start, s, depth)):
+    for start in range(p if s <= 1 else 0, p**n, p**s):
+        alive = _sieve(p, n, start, s, depth)
+        if start == 0:
+            alive[:p] = False  # the binomials, all reducible
+        for k in np.flatnonzero(alive):
             f = _int_digits(start + int(k), p, n) + (1,)
             if depth == n // 2 or _rabin(f, p, depth):
                 return f
     raise FieldError("no irreducible polynomial found")  # unreachable
+
+
+def _binomial_irreducible(p: int, n: int, c: int) -> bool:
+    """Whether x^n + c is irreducible over F_p, n >= 2, in closed form
+    (Lidl-Niederreiter, *Finite Fields*, Thm 3.75): with a = -c != 0, iff for
+    each prime t | n, t | p - 1 and a is not a t-th power, a^((p-1)/t) != 1,
+    and p = 1 mod 4 if 4 | n.  A prime t that does not divide p - 1 makes
+    every a a t-th power, and every binomial reducible."""
+    a = -c % p
+    if a == 0 or (n % 4 == 0 and p % 4 != 1):
+        return False
+    return all((p - 1) % t == 0 and pow(a, (p - 1) // t, p) != 1 for t in _prime_divisors(n))
 
 
 _SIEVE_SIZE = 1 << 14  # candidates per sieve block; also bounds p^d for divisor degrees d
@@ -580,26 +605,33 @@ def _sieve(p: int, n: int, start: int, s: int, depth: int) -> np.ndarray:
     (depth <= s).
 
     f mod g is F_p-linear in the coefficients of f.  For every irreducible g
-    of degree d, one Horner pass over x^n and the block's fixed high digits
-    gives r = (x^n + high part) mod g, for all g of degree d at once as an
-    (N_d, d) array.  Each choice of the digits d .. s-1 adds a combination
+    of degree d, Horner over x^n and the block's fixed high digits gives
+    r = (x^n + high part) mod g, for all g of degree d at once as an
+    (N_d, d) array; the zero digits above the top nonzero one are a single
+    power of x, by square and multiply in F_p[x]/(g).  Each choice of the digits d .. s-1 adds a combination
     of x^i mod g; the candidate divisible by g is then the one whose low d
     digits are -r, so each (g, digits d .. s-1) crosses out exactly one
     candidate and no candidate is ever tested against a divisor.
     """
     alive = np.ones(p**s, dtype=bool)
     high = _int_digits(start // p**s, p, n - s)
+    top = max((i + 1 for i, c in enumerate(high) if c), default=0)  # high[top:] are 0
     for d in range(1, depth + 1):
-        neg = (-_irreducibles(p, d)) % p  # x^d = neg mod g, one row per g
+        gs = _irreducibles(p, d)
+        neg = (-gs) % p  # x^d = neg mod g, one row per g
+        ring = FieldBatch(p, np.hstack([gs, np.ones((gs.shape[0], 1), dtype=np.int64)]))
 
         def times_x(r):
             out = r[..., -1:] * neg
             out[..., 1:] += r[..., :-1]
             return out % p
 
-        r = np.zeros_like(neg)
-        r[:, 0] = 1
-        for c in reversed(high):
+        r = ring.one()  # x^(n-s-top), then Horner over high[:top]
+        for bit in format(n - s - top, "b"):
+            r = ring.mul(r, r)
+            if bit == "1":
+                r = times_x(r)
+        for c in reversed(high[:top]):
             r = times_x(r)
             if c:
                 r[:, 0] = (r[:, 0] + c) % p
@@ -617,21 +649,29 @@ def _sieve(p: int, n: int, start: int, s: int, depth: int) -> np.ndarray:
 
 
 def _rabin(f: Sequence[int], p: int, depth: int = 0) -> bool:
-    """Rabin's test on the Berlekamp matrix Q of f, whose column j is
-    x^(pj) mod f, so that x^(p^k) = Q^k x: f is irreducible iff
+    """Rabin's test (Rabin 1980) on the Berlekamp matrix Q of f, whose
+    column j is x^(pj) mod f, so that x^(p^k) = Q^k x: f is irreducible iff
     x^(p^n) = x mod f and gcd(x^(p^(n/t)) - x, f) = 1 for each prime t | n.
     The gcd is skipped where n/t <= depth: the caller vouches that f has no
-    factor of degree <= depth.  Exact for every p (`FieldBatch` exact)."""
+    factor of degree <= depth.
+
+    The n steps u <- Q u are the row products u Q^T % p on Q^T packed once
+    (`linalg.PackedMatrix`): at p = 5, n = 248, five columns share an int64.
+    Exact for every p: a p too large for two lanes, or for int64 at all
+    (`FieldBatch` exact, Python ints), takes the plain product."""
+    from .linalg import PackedMatrix
+
     n = len(f) - 1
     if n == 1:
         return True
     Q = FieldBatch(p, f, exact=True).frobenius_matrix(p)[0]
+    step = PackedMatrix(Q.T, p)
     x = np.zeros(n, dtype=Q.dtype)
     x[1] = 1
     checkpoints = {n // t for t in _prime_divisors(n) if n // t > depth}
     u, seen = x, []
     for k in range(1, n + 1):
-        u = Q @ u % p
+        u = step.rmul(u)
         if k in checkpoints:
             seen.append((u - x) % p)
     # most reducible f fail here, before any gcd is paid for

@@ -10,6 +10,14 @@ F_l (the torsion Frobenius and T-action matrices) on these two routines.
 All echelon forms pick pivots by ascending column index, so bases are
 canonical and reproducible.  Everything works in int64 and refuses
 (`Int64RangeError`) any prime whose products could overflow it.
+
+Large products mod p go through `matmul_mod_p`, which packs several columns
+of the right factor into one int64 (SWAR lanes).  A sum of k products of
+residues is at most k(p-1)^2, so each lane gets bits = (k(p-1)^2).bit_length()
+bits and an int64 holds lanes = 63 // bits of them: no lane sum carries into
+the next lane or into the sign bit, and one integer product does the work of
+`lanes`.  Inputs must be reduced mod p.  With fewer than two lanes, or on
+object arrays (Python ints for a large p), it is the plain `a @ b % p`.
 """
 
 from __future__ import annotations
@@ -41,6 +49,43 @@ def check_int64_range(p: int, n: int):
         )
 
 
+class PackedMatrix:
+    """The right factor b (..., k, n) of products a @ b % p, packed once for
+    many left factors: lane j of packed column i holds column j*w + i of b
+    (w = ceil(n / lanes)), shifted up by j*bits bits."""
+
+    def __init__(self, b: np.ndarray, p: int):
+        k, n = b.shape[-2:]
+        self.b, self.p, self.n = b, p, n
+        self.bits = max((k * (p - 1) ** 2).bit_length(), 1)
+        self.lanes = min(63 // self.bits, n) if b.dtype == np.int64 else 1
+        if self.lanes < 2:
+            return
+        w = -(-n // self.lanes)
+        self.packed = np.zeros(b.shape[:-1] + (w,), dtype=np.int64)
+        for j in range(self.lanes):
+            block = b[..., j * w : (j + 1) * w]
+            self.packed[..., : block.shape[-1]] |= block << (j * self.bits)
+        self.shifts = self.bits * np.arange(self.lanes, dtype=np.int64)[:, None]
+        self.mask = (1 << self.bits) - 1
+
+    def rmul(self, a: np.ndarray) -> np.ndarray:
+        """a @ b % p for a (..., m, k) or (k,) with entries in [0, p)."""
+        if self.lanes < 2 or a.dtype != np.int64:
+            return a @ self.b % self.p
+        prod = a @ self.packed
+        lanes = prod[..., None, :] >> self.shifts
+        lanes &= self.mask
+        lanes %= self.p
+        return lanes.reshape(prod.shape[:-1] + (-1,))[..., : self.n]
+
+
+def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b % p, exact, for arrays with entries in [0, p) (see the module
+    docstring for the lane packing and its bound)."""
+    return PackedMatrix(b, p).rmul(a)
+
+
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column list, pivots by column order."""
     check_int64_range(p, 1)
@@ -57,12 +102,13 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        # a[r, :c] is zero already, so only the columns from c on change
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
         col = a[:, c].copy()
         col[r] = 0
         mask = col != 0
         if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+            a[mask, c:] = (a[mask, c:] - np.outer(col[mask], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, pivots

@@ -454,7 +454,8 @@ def _moebius(n):
     return m
 
 
-_PRIME_CACHE: dict[tuple[int, int], tuple[list[SparsePoly], np.ndarray]] = {}
+_PRIME_CACHE: dict[tuple[int, int], list[SparsePoly]] = {}
+_PRIME_COORDS: dict[tuple[int, int], np.ndarray] = {}
 
 
 def primes_of_degree(base: Field, d: int) -> list[SparsePoly]:
@@ -462,27 +463,28 @@ def primes_of_degree(base: Field, d: int) -> list[SparsePoly]:
     coefficient index (constant coefficient varies fastest).
 
     Results are cached per field; treat the returned list as read-only.
+    The first call also records each prime as irreducible for
+    `is_irreducible`.
     """
-    return _primes_cached(base, d)[0]
+    key = (id(base), d)
+    if key not in _PRIME_CACHE:
+        out = [from_coordinates(base, row) for row in prime_coordinates(base, d).tolist()]
+        for f in out:
+            _IRRED_CACHE[f] = True
+        _PRIME_CACHE[key] = out
+    return _PRIME_CACHE[key]
 
 
 def prime_coordinates(base: Field, d: int) -> np.ndarray:
     """The primes of `primes_of_degree`, in the same order, as one read-only
     (N, d+1, e) array: row k holds the F_q coordinates of the coefficients
-    of prime k, the constant first."""
-    return _primes_cached(base, d)[1]
-
-
-def _primes_cached(base: Field, d: int) -> tuple[list[SparsePoly], np.ndarray]:
+    of prime k, the constant first.  Builds no `SparsePoly`."""
     key = (id(base), d)
-    if key not in _PRIME_CACHE:
+    if key not in _PRIME_COORDS:
         coords = _primes_of_degree_np(base, d)
         coords.flags.writeable = False
-        out = [from_coordinates(base, row) for row in coords.tolist()]
-        for f in out:
-            _IRRED_CACHE[f] = True
-        _PRIME_CACHE[key] = out, coords
-    return _PRIME_CACHE[key]
+        _PRIME_COORDS[key] = coords
+    return _PRIME_COORDS[key]
 
 
 def _primes_of_degree_np(base: Field, d: int) -> np.ndarray:

@@ -239,9 +239,10 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly,
 
     A_T = _t_action(reduced, B, sigma)
     # phi_l = l(A_T) by Horner: l is monic and F_q scalars commute with A_T
+    times_A_T = linalg.PackedMatrix(A_T, p)
     L = (A_T + scalar(ell.coeff(degl - 1))) % p
     for j in range(degl - 2, -1, -1):
-        L = (L @ A_T + scalar(ell.coeff(j))) % p
+        L = (times_A_T.rmul(L) + scalar(ell.coeff(j))) % p
     kernel = linalg.kernel_mod_p(L, p)
     if kernel.shape[0] != e * N:
         raise ReductionError(
@@ -307,12 +308,12 @@ def _t_action(reduced: ReducedModule, B: Field, sigma: np.ndarray) -> np.ndarray
     """F_p-matrix on B of phi_T = sum_i g_i tau^i, by Horner in the matrix
     of tau (the q-power map)."""
     p = B.p
-    frob = B.frobenius_matrix()
+    frob = linalg.PackedMatrix(B.frobenius_matrix(), p)
     coeffs = dict(reduced.phi_T.terms)
     mult = lambda c: _mult_matrix(B, sigma @ np.array(c.coords, dtype=np.int64) % p)
     A_T = mult(coeffs[reduced.r])
     for i in range(reduced.r - 1, -1, -1):
-        A_T = A_T @ frob % p
+        A_T = frob.rmul(A_T)
         if i in coeffs:
             A_T = (A_T + mult(coeffs[i])) % p
     return A_T

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import drinfeld.fields as fields
-from drinfeld import reduction
+from drinfeld import linalg, reduction
 from drinfeld.fields import (
     FieldError,
+    _binomial_irreducible,
     _irreducibles,
     _rabin,
     _sieve,
@@ -318,6 +319,61 @@ class TestModulusSearch:
             t0 = time.perf_counter()
             assert _rabin(f, p) == want
             assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_binomial_criterion_agrees_with_rabin(self, p):
+        for n in range(2, 13):
+            binomials = [(c,) + (0,) * (n - 1) + (1,) for c in range(p)]
+            got = [_binomial_irreducible(p, n, c) for c in range(p)]
+            assert got == [_rabin(f, p) for f in binomials]
+            # the search answers with the first irreducible binomial, or
+            # else with the first irreducible past the binomial block
+            k = index_of(lex_smallest_irreducible(p, n), p)
+            if any(got):
+                assert k == got.index(True)
+            else:
+                assert k >= p and _rabin(monic(k, p, n), p)
+                assert not any(_rabin(monic(j, p, n), p) for j in range(p, k))
+
+    def test_no_binomial_reaches_rabin(self, monkeypatch):
+        # x^24 + 2 and x^24 + 3 have no factor of degree <= 6, so the sieve
+        # passes them; the closed form has already ruled them out
+        p, n = 5, 24
+        s = _sieve_digits(p)
+        assert _sieve(p, n, 0, s, s)[[2, 3]].all()
+        tested = []
+        real = fields._rabin
+        monkeypatch.setattr(fields, "_rabin", lambda f, p, depth=0: tested.append(f) or real(f, p, depth))
+        assert index_of(lex_smallest_irreducible.__wrapped__(p, n), p) == GOLDEN[p, n]
+        assert tested and min(index_of(f, p) for f in tested) >= p
+
+    def test_binomial_block_skipped_at_p_1000000007(self):
+        # 3 | 24 but 3 does not divide p - 1, so every c is a cube and every
+        # x^24 + c is reducible: the scan starts past all p of them
+        p = 1000000007
+        assert (p - 1) % 3
+        assert not any(_binomial_irreducible(p, 24, c) for c in range(1000))
+        f = lex_smallest_irreducible(p, 24)
+        assert f == (85, 1) + (0,) * 22 + (1,)
+        assert python_rabin(f, p)
+
+    @pytest.mark.parametrize("n,half", [(25, None), (26, 13), (31, None), (36, 18)])
+    def test_packed_rabin_matches_reference(self, n, half):
+        p = 5
+        f = lex_smallest_irreducible(p, n)
+        Q = fields.FieldBatch(p, f, exact=True).frobenius_matrix(p)[0]
+        assert linalg.PackedMatrix(Q.T, p).lanes > 1  # the lane-packed path runs
+        k = index_of(f, p)
+        cases = [monic(j, p, n) for j in range(max(k - 3, 0), k + 4)]
+        if half:
+            # two irreducibles of degree n/2: x^(p^n) = x mod g h, and only
+            # the gcd at the checkpoint n/2 rejects the product
+            g = lex_smallest_irreducible(p, half)
+            h = next(monic(j, p, half) for j in range(index_of(g, p) + 1, p**half)
+                     if python_rabin(monic(j, p, half), p))
+            cases.append(poly_mul(g, h, p))
+        for f in cases:
+            assert _rabin(f, p) == python_rabin(f, p)
 
 
 def _irreducible_rows(p, d, count):

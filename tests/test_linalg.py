@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld import linalg
 from drinfeld.fields import FieldBatch, make_field
@@ -103,6 +105,80 @@ class TestInt64Guard:
         a = np.array([[self.INSIDE - 2]], dtype=np.int64)
         assert fb.mul(a, a)[0, 0] == pow(self.INSIDE - 2, 2, self.INSIDE)
         assert fb.mul(fb.inv(a), a)[0, 0] == 1
+
+
+PRIMES_TO_1009 = [p for p in range(2, 1010) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def _exact_matmul(a, b, p):
+    """a @ b % p on Python ints, which cannot overflow."""
+    return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+
+
+class TestLanePacked:
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from(PRIMES_TO_1009), k=st.integers(0, 300), m=st.integers(1, 6),
+           n=st.integers(1, 40), lead=st.sampled_from([(), (3,), (2, 1)]),
+           b_lead=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_plain_product(self, p, k, m, n, lead, b_lead, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, p, size=lead + (m, k))
+        b = rng.integers(0, p, size=(lead if b_lead else ()) + (k, n))
+        packed = linalg.PackedMatrix(b, p)
+        assert packed.lanes * packed.bits <= 63 and k * (p - 1) ** 2 < 2**packed.bits
+        assert np.array_equal(linalg.matmul_mod_p(a, b, p), _exact_matmul(a, b, p))
+        v = a[(0,) * len(lead)][0]  # a vector on the left
+        assert np.array_equal(packed.rmul(v), _exact_matmul(v, b, p))
+
+    @pytest.mark.parametrize("k,bits,lanes", [(63, 6, 10), (127, 7, 9), (255, 8, 7), (256, 9, 7)])
+    def test_full_lanes_at_the_boundary(self, k, bits, lanes):
+        # at p = 2 the all-ones product fills each lane with k(p-1)^2 = k,
+        # which is 2^bits - 1 for the first three k: the largest sum a lane holds
+        a = np.ones((3, k), dtype=np.int64)
+        b = np.ones((k, 20), dtype=np.int64)
+        packed = linalg.PackedMatrix(b, 2)
+        assert (packed.bits, packed.lanes) == (bits, lanes)
+        assert np.array_equal(packed.rmul(a), np.full((3, 20), k % 2))
+
+    @pytest.mark.parametrize("p,k", [(1009, 300), (46337, 1), (46349, 1), (3037000493, 1)])
+    def test_worst_case_entries(self, p, k):
+        # every entry p - 1, so each lane sum is exactly k(p-1)^2
+        a = np.full((2, k), p - 1, dtype=np.int64)
+        b = np.full((k, 7), p - 1, dtype=np.int64)
+        packed = linalg.PackedMatrix(b, p)
+        assert packed.lanes == (2 if k * (p - 1) ** 2 < 2**31 else 1)
+        assert np.array_equal(packed.rmul(a), _exact_matmul(a, b, p))
+
+    def test_object_arrays_take_the_plain_product(self):
+        p = 2**61 - 1  # products leave int64: Python ints
+        rng = np.random.default_rng(5)
+        a = np.array(rng.integers(0, p, size=(3, 4)).tolist(), dtype=object)
+        b = np.array(rng.integers(0, p, size=(4, 5)).tolist(), dtype=object)
+        assert linalg.PackedMatrix(b, p).lanes == 1
+        want = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()] for row in a.tolist()]
+        assert linalg.matmul_mod_p(a, b, p).tolist() == want
+        # an object left factor on an int64 right factor that was packed
+        small = np.arange(20, dtype=np.int64).reshape(4, 5) % 7
+        assert linalg.PackedMatrix(small, 7).lanes > 1
+        got = linalg.PackedMatrix(small, 7).rmul(np.array([[1, 2, 3, 4]], dtype=object))
+        assert got.tolist() == (np.array([[1, 2, 3, 4]]) @ small % 7).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 101]), rows=st.integers(1, 9), cols=st.integers(1, 9),
+       rank=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+def test_rref_is_the_reduced_echelon_form(p, rows, cols, rank, seed):
+    """The reduced row echelon form is unique: pivots with unit columns,
+    zeros left of each pivot and below the rank, and the same row space."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    mat = rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, cols)) % p
+    ech, pivots = linalg.rref_mod_p(mat, p)
+    r = len(pivots)
+    assert pivots == sorted(set(pivots)) and not ech[r:].any()
+    assert np.array_equal(ech[:r][:, pivots], np.eye(r, dtype=np.int64))
+    assert all(not ech[i, :c].any() for i, c in enumerate(pivots))
+    assert linalg.rank_mod_p(np.vstack([ech, mat]), p) == r
 
 
 def _coords_matmul(fld, a, b):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from drinfeld.fields import make_field
+from drinfeld import polynomials
+from drinfeld.fields import Field, make_field
 from drinfeld.polynomials import (
     INF,
     Place,
@@ -14,6 +15,7 @@ from drinfeld.polynomials import (
     necklace_count,
     parse_poly,
     poly_valuation,
+    prime_coordinates,
     primes_of_degree,
     residue_field,
     valuation,
@@ -64,6 +66,23 @@ class TestPrimes:
         pr = primes_of_degree(F5, 2)
         idx = [sum(c.to_int() * 5**e for e, c in f.terms if e < 2) for f in pr]
         assert idx == sorted(idx)
+
+    def test_coordinates_build_no_sparse_poly_of_their_degree(self, monkeypatch):
+        base = Field(7, 1, 1, (0, 1))  # a fresh object: the caches key on id
+        built = []
+        real = polynomials.from_coordinates
+        monkeypatch.setattr(polynomials, "from_coordinates",
+                            lambda b, row: built.append(len(row) - 1) or real(b, row))
+        rows = prime_coordinates(base, 3)
+        assert 3 not in built  # only the divisors of degree 1 the sieve reduces by
+        assert not any(polynomials._IRRED_CACHE.get(real(base, row)) for row in rows.tolist())
+        primes = primes_of_degree(base, 3)
+        assert built.count(3) == len(primes) == 112
+        assert [f.coeff(i).coords for f in primes for i in range(4)] == [
+            tuple(c) for c in rows.reshape(-1, 1).tolist()
+        ]
+        assert all(polynomials._IRRED_CACHE[f] for f in primes)
+        assert primes_of_degree(base, 3) is primes and built.count(3) == 112
 
 
 class TestValuation:
