@@ -53,13 +53,7 @@ from .polynomials import (
     is_irreducible,
     residue_field,
 )
-from .reduction import (
-    DEFAULT_SPLITTING_CAP,
-    ReducedModule,
-    reduce_batch,
-    reduce_mod,
-    torsion_space,
-)
+from .reduction import ReducedModule, reduce_batch, reduce_mod, torsion_space
 from .skew import DrinfeldModule, SkewPoly
 
 
@@ -233,7 +227,7 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
     pre = [fb.one()]
     for k in range(d):
         pre.append(fb.mul(pre[-1], sig[:, k, r]))
-    nr_inv = FieldBatch.of([base]).inv(into_base(pre[d], "Nr(g_r) lies"))
+    nr_inv = base.batch().inv(into_base(pre[d], "Nr(g_r) lies"))
     u, suf = [None] * d, nr_inv @ residues.embed.T % fb.p
     for k in reversed(range(d)):
         u[k] = fb.mul(pre[k], suf)
@@ -263,7 +257,7 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
         a.append(y[:, : bounds[i - 1] + 1])
 
     eps = _epsilon_sign(r, d) * nr_inv % base.p  # epsilon = sign / Nr(g_r)
-    eps_p = FieldBatch.of([base]).mul(eps[:, None], primes)
+    eps_p = base.batch().mul(eps[:, None], primes)
     raise_at((eps_p != a[-1]).any(axis=(1, 2)), "a_r differs from epsilon*p")
 
     _check_residual(fb, g, frob, np.stack([c[:, : d + 1] for c in coeffs], axis=1), raise_at)
@@ -401,8 +395,7 @@ def _assert_residual(reduced: ReducedModule, cp: CharPoly):
         raise CharPolyError("residual identity failed (arithmetic bug)")
 
 
-def charpoly_mod_l(module: DrinfeldModule, prime: SparsePoly, ell: SparsePoly,
-                   cap: int = DEFAULT_SPLITTING_CAP) -> list[FieldElement]:
+def charpoly_mod_l(module: DrinfeldModule, prime: SparsePoly, ell: SparsePoly) -> list[FieldElement]:
     """Characteristic polynomial of the Frobenius matrix on the l-torsion:
     monic ascending coefficients over F_l.  Independent of the linear-system
     method; the two must agree after reduction."""
@@ -411,7 +404,7 @@ def charpoly_mod_l(module: DrinfeldModule, prime: SparsePoly, ell: SparsePoly,
     reduced = reduce_mod(module, prime)
     if not reduced.is_good:
         raise CharPolyError("bad reduction at the given prime")
-    ts = torsion_space(reduced, ell, cap)
+    ts = torsion_space(reduced, ell)
     return ts.frobenius_matrix.charpoly()
 
 

@@ -1,9 +1,10 @@
 """Command-line front end: JSON reports over the library.
 
 Subcommands: phi, charpoly, torsion, newton, inertia, sample, oracle-gl,
-verify.  Exit status 0 on success (and on a passing verify), 1 when a
-verify suite fails, 2 on usage errors (malformed polynomials, violated
-preconditions, unknown suites).
+verify.  Each takes only the flags its handler reads.  Exit status 0 on
+success (and on a passing verify), 1 when a verify suite fails, 2 on usage
+errors (malformed polynomials, violated preconditions, unknown suites,
+flags the subcommand does not take).
 
 All field values in JSON are strings in the polynomial syntax
 (`T^3+2*T+1`); counts and degrees stay integers.  Reports are byte-stable
@@ -34,6 +35,8 @@ from .linalg import Int64RangeError
 from .reduction import ReductionError, TorsionSearchError, reduce_mod, torsion_space
 from .sampling import (
     CONSISTENT,
+    DEFAULT_ENUM_BUDGET,
+    DEFAULT_TV_THRESHOLD,
     SamplingError,
     gl_charpoly_distribution,
     sample_frobenii,
@@ -43,6 +46,7 @@ from .skew import DrinfeldModule, SkewError, split_prime_power
 from .verify import SUITES, VerifyConfig, run_suites
 
 USAGE_ERROR = 2
+DEFAULT_RANK = 3  # the default family's r when neither --r nor --coeffs sets it
 
 
 class UsageError(Exception):
@@ -57,15 +61,14 @@ def _split_q(q: int) -> tuple[int, int]:
 
 
 def _build_module(args) -> DrinfeldModule:
+    """The module --coeffs names, else the default family of rank --r."""
     p, e = _split_q(args.q)
-    if getattr(args, "e", None) and args.e != e:
-        raise UsageError(f"--e {args.e} inconsistent with --q {args.q} = {p}^{e}")
     base = make_field(p, e, 1)
-    custom = getattr(args, "coeffs", None)
-    if custom:
-        g = [parse_poly(c, base) for c in custom.split(";")]
-        return DrinfeldModule(base, g)
-    module = DrinfeldModule.default_family(base, args.r)
+    if args.coeffs is None:
+        return DrinfeldModule.default_family(base, DEFAULT_RANK if args.r is None else args.r)
+    module = DrinfeldModule(base, [parse_poly(c, base) for c in args.coeffs.split(";")])
+    if args.r is not None and args.r != module.r:
+        raise UsageError(f"--r {args.r} disagrees with the rank {module.r} of --coeffs")
     return module
 
 
@@ -145,7 +148,7 @@ def cmd_torsion(args) -> int:
         raise UsageError(f"bad reduction at {format_poly(prime)}")
     if prime == ell:
         raise UsageError("--l must differ from --p")
-    ts = torsion_space(reduced, ell, cap=args.budget or 5000)
+    ts = torsion_space(reduced, ell)
     M = ts.frobenius_matrix
     _emit({
         "params": _params(module),
@@ -208,8 +211,7 @@ def cmd_inertia(args) -> int:
 def cmd_sample(args) -> int:
     module = _build_module(args)
     ell = _parse_prime(args.l, module.base)
-    report = sample_frobenii(module, ell, args.max_deg,
-                             budget=args.budget or 2_000_000)
+    report = sample_frobenii(module, ell, args.max_deg, budget=args.budget)
     verdict, reasons = surjectivity_evidence(report, args.tv_threshold)
     base = module.base
     _emit({
@@ -246,8 +248,7 @@ def cmd_oracle_gl(args) -> int:
     base = make_field(p, e, 1)
     ell = _parse_prime(args.l, base)
     fld = residue_field(ell).field
-    dist = gl_charpoly_distribution(args.r, fld, backend=args.backend,
-                                    budget=args.budget or 2_000_000)
+    dist = gl_charpoly_distribution(args.r, fld, backend=args.backend, budget=args.budget)
     counts = [
         {"charpoly": [str(c) for c in key], "count": n}
         for key, n in sorted(dist.counts.items())
@@ -271,8 +272,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; known: all, " + ", ".join(SUITES))
     p, e = _split_q(args.q)
     cfg = VerifyConfig(p=p, e=e, r=args.r, seed=args.seed, max_deg=args.max_deg,
-                       tv_threshold=args.tv_threshold,
-                       budget=args.budget or 2_000_000)
+                       tv_threshold=args.tv_threshold, budget=args.budget)
     outcomes = run_suites(names, cfg)
     for oc in outcomes:
         status = "pass" if oc.passed else "FAIL"
@@ -287,6 +287,23 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
+# Flags that several subcommands read, with their add_argument keywords.
+FLAGS = {
+    "--q": dict(type=int, default=5, help="field size q = p^e"),
+    "--r": dict(type=int, default=None,
+                help=f"rank of the default family (odd prime, default {DEFAULT_RANK}); "
+                     "with --coeffs it must equal their rank"),
+    "--coeffs": dict(default=None,
+                     help="custom phi_T coefficients, semicolon-separated (g_0=T first)"),
+    "--a": dict(required=True, help="element of F_q[T]"),
+    "--p": dict(required=True, help="monic prime of F_q[T]"),
+    "--l": dict(required=True, help="monic prime of F_q[T]"),
+    "--out": dict(default=None, help="write JSON here instead of stdout"),
+    "--tv-threshold": dict(type=float, default=DEFAULT_TV_THRESHOLD),
+    "--budget": dict(type=int, default=DEFAULT_ENUM_BUDGET, help="GL_r enumeration budget"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drinfeld",
@@ -294,60 +311,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, prime_poly=False, ell=False):
-        sp.add_argument("--q", type=int, default=5, help="field size q = p^e")
-        sp.add_argument("--e", type=int, default=None, help="extension degree of F_q over F_p")
-        sp.add_argument("--r", type=int, default=3, help="rank (odd prime for the default family)")
-        sp.add_argument("--coeffs", default=None,
-                        help="custom phi_T coefficients, semicolon-separated (g_0=T first)")
-        sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=None, help="enumeration / search cap")
-        if prime_poly:
-            sp.add_argument("--p", dest="p", required=True, help="monic prime of F_q[T]")
-        if ell:
-            sp.add_argument("--l", dest="l", required=True, help="monic prime of F_q[T]")
+    def add(sp, *flags):
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
 
     sp = sub.add_parser("phi", help="print phi_a")
-    common(sp)
-    sp.add_argument("--a", required=True, help="element of F_q[T]")
+    add(sp, "--q", "--r", "--coeffs", "--a", "--out")
     sp.set_defaults(func=cmd_phi)
 
     sp = sub.add_parser("charpoly", help="Frobenius characteristic polynomial at a prime")
-    common(sp, prime_poly=True)
+    add(sp, "--q", "--r", "--coeffs", "--p", "--out")
     sp.add_argument("--mod-l", dest="mod_l", default=None, help="also reduce mod this prime")
     sp.set_defaults(func=cmd_charpoly)
 
     sp = sub.add_parser("torsion", help="torsion Frobenius matrix at (p, l)")
-    common(sp, prime_poly=True, ell=True)
+    add(sp, "--q", "--r", "--coeffs", "--p", "--l", "--out")
     sp.set_defaults(func=cmd_torsion)
 
     sp = sub.add_parser("newton", help="Newton polygon of phi_a(x)/x at a place")
-    common(sp)
-    sp.add_argument("--a", required=True, help="element of F_q[T]")
+    add(sp, "--q", "--r", "--coeffs", "--a", "--out")
     sp.add_argument("--place", required=True, help="T, inf, or a monic prime")
     sp.set_defaults(func=cmd_newton)
 
     sp = sub.add_parser("inertia", help="ramification size prediction at (T)")
-    common(sp, ell=True)
+    add(sp, "--q", "--r", "--coeffs", "--l", "--out")
     sp.set_defaults(func=cmd_inertia)
 
     sp = sub.add_parser("sample", help="Chebotarev-style Frobenius sampling mod l")
-    common(sp, ell=True)
+    add(sp, "--q", "--r", "--coeffs", "--l", "--out", "--tv-threshold", "--budget")
     sp.add_argument("--max-deg", dest="max_deg", type=int, required=True)
-    sp.add_argument("--tv-threshold", dest="tv_threshold", type=float, default=0.1)
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("oracle-gl", help="exact GL_r char-poly distribution")
-    common(sp, ell=True)
+    add(sp, "--q", "--l", "--out", "--budget")
+    sp.add_argument("--r", type=int, default=DEFAULT_RANK, help="rank")
     sp.add_argument("--backend", choices=["auto", "A", "B"], default="auto")
     sp.set_defaults(func=cmd_oracle_gl)
 
     sp = sub.add_parser("verify", help="run verification suites")
-    common(sp)
+    add(sp, "--q", "--out", "--tv-threshold", "--budget")
+    sp.add_argument("--r", type=int, default=DEFAULT_RANK, help="rank")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--suite", default="all")
     sp.add_argument("--max-deg", dest="max_deg", type=int, default=None)
-    sp.add_argument("--tv-threshold", dest="tv_threshold", type=float, default=0.1)
     sp.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
     sp.set_defaults(func=cmd_verify)
 

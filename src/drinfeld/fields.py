@@ -328,10 +328,6 @@ class Field:
         coords = (mat @ np.array(x.coords, dtype=np.int64)) % self.p
         return FieldElement(self, tuple(int(c) for c in coords))
 
-    def qth_root(self, x: FieldElement) -> FieldElement:
-        """Inverse of the q-power map: x^(q^(m-1))."""
-        return self.frobenius(x, self.m - 1)
-
     def norm_to_base(self, x: FieldElement) -> FieldElement:
         """Norm from F_{q^m} down to F_q: product of the m Frobenius conjugates."""
         acc = self.one
@@ -440,11 +436,6 @@ class FieldBatch:
                 red[:, j] = (red[:, j] + prev[:, -1:] * red[:, 0]) % self.p
             self._red = red
         return self._red[:, :k]
-
-    @classmethod
-    def of(cls, fields: Sequence[Field]) -> "FieldBatch":
-        """The batch of these fields' power bases (one degree, one p)."""
-        return cls(fields[0].p, np.array([f.modulus for f in fields], dtype=np.int64))
 
     def one(self, shape=()) -> np.ndarray:
         out = np.zeros((self._red.shape[0], *shape, self.n), dtype=self.dtype)

@@ -530,7 +530,7 @@ def _reduction_matrix(g: SparsePoly, ncols: int) -> np.ndarray:
             cur = [a - top * c for a, c in zip([base.zero] + cur[:-1], low)]
         cols.append([c.coords for c in cur])
     entries = np.array(cols, dtype=np.int64).transpose(1, 0, 2)  # (dg, ncols, e)
-    blocks = FieldBatch.of([base]).mul_matrix(entries[None])[0]  # (dg, ncols, e, e)
+    blocks = base.batch().mul_matrix(entries[None])[0]  # (dg, ncols, e, e)
     return blocks.transpose(0, 2, 1, 3).reshape(dg * base.n, ncols * base.n)
 
 

@@ -38,14 +38,14 @@ class ReductionError(ValueError):
 
 
 class TorsionSearchError(RuntimeError):
-    """Splitting-degree search exceeded its configured bound."""
+    """The splitting field would exceed MAX_SPLITTING_FIELD_DEGREE."""
 
 
 GOOD = "Good"
 STABLE_BAD = "StableBad"
 
-DEFAULT_SPLITTING_CAP = 5000
-# Largest F_p-degree e*d*m of a splitting field that `torsion_space` builds.
+# Largest F_p-degree e*d*m of a splitting field that `torsion_space` builds;
+# `splitting_degree` searches m only up to this bound over e*d.
 # The torsion pairs at q = 5 with primes of degree <= 2 need at most 248;
 # a field of a few thousand digits would take its modulus search hours.
 MAX_SPLITTING_FIELD_DEGREE = 2048
@@ -150,21 +150,26 @@ def torsion_at_char(reduced: ReducedModule, e_prime: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def splitting_degree(phil: SkewPoly, d: int, cap: int = DEFAULT_SPLITTING_CAP) -> int:
+def splitting_degree(phil: SkewPoly) -> int:
     """Minimal m with all roots of phi_l rational over the degree-m extension
-    of the residue field: tau^(d*m) = 1 in the quotient by right division.
-    tau^d commutes with residue-field coefficients, so remainders iterate."""
+    of the residue field F_(q^d) that phi_l lives over: tau^(d*m) = 1 in the
+    quotient by right division.  tau^d commutes with residue-field
+    coefficients, so remainders iterate.  Only m with a splitting field of
+    F_p-degree e*d*m <= MAX_SPLITTING_FIELD_DEGREE are searched."""
     ring = phil.ring
-    taud = SkewPoly.tau(ring, d)
+    n = ring.field.n
+    m_max = MAX_SPLITTING_FIELD_DEGREE // n
+    taud = SkewPoly.tau(ring, ring.field.m)
     one = SkewPoly.one(ring)
     u = taud.divmod_right(phil)[1]
-    m = 1
-    while u != one:
+    for m in range(1, m_max + 1):
+        if u == one:
+            return m
         u = (u * taud).divmod_right(phil)[1]
-        m += 1
-        if m > cap:
-            raise TorsionSearchError(f"splitting degree exceeds the bound {cap}")
-    return m
+    raise TorsionSearchError(
+        f"no splitting degree m <= {m_max}; at m = {m_max + 1} the F_p-degree "
+        f"{n * (m_max + 1)} exceeds MAX_SPLITTING_FIELD_DEGREE = {MAX_SPLITTING_FIELD_DEGREE}"
+    )
 
 
 class TorsionSpace:
@@ -204,8 +209,7 @@ def _check_distinct_primes(p1: SparsePoly, p2: SparsePoly):
         raise ReductionError("the two primes must be distinct")
 
 
-def torsion_space(reduced: ReducedModule, ell: SparsePoly,
-                  cap: int = DEFAULT_SPLITTING_CAP) -> TorsionSpace:
+def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
     """Torsion of a good reduction at a prime l away from the characteristic.
 
     All the linear algebra is numpy over F_p: an F_q-span is the F_p-span
@@ -221,12 +225,7 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly,
     degl = ell.degree
     N = reduced.r * degl
 
-    m = splitting_degree(reduced.phi(ell), d, cap)
-    if e * d * m > MAX_SPLITTING_FIELD_DEGREE:
-        raise TorsionSearchError(
-            f"splitting field of F_p-degree {e * d * m} (m = {m}) exceeds "
-            f"MAX_SPLITTING_FIELD_DEGREE = {MAX_SPLITTING_FIELD_DEGREE}"
-        )
+    m = splitting_degree(reduced.phi(ell))
     B = make_field(reduced.field.p, e, d * m)
     p, n = B.p, B.n
     linalg.check_int64_range(p, n)
@@ -235,7 +234,7 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly,
 
     def scalar(c: FieldElement) -> np.ndarray:
         """F_p-matrix of an element of F_q acting on B."""
-        return _mult_matrix(B, np.array(c.coords, dtype=np.int64) @ alphas % p)
+        return B.batch().mul_matrix((np.array(c.coords, dtype=np.int64) @ alphas % p)[None])[0]
 
     A_T = _t_action(reduced, B, sigma)
     # phi_l = l(A_T) by Horner: l is monic and F_q scalars commute with A_T
@@ -299,18 +298,13 @@ def _residue_embedding(rf_field: Field, B: Field, d: int) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T % B.p
 
 
-def _mult_matrix(B: Field, coords: np.ndarray) -> np.ndarray:
-    """F_p-matrix of multiplication by the element with these coordinates."""
-    return B.batch().mul_matrix(coords[None])[0]
-
-
 def _t_action(reduced: ReducedModule, B: Field, sigma: np.ndarray) -> np.ndarray:
     """F_p-matrix on B of phi_T = sum_i g_i tau^i, by Horner in the matrix
     of tau (the q-power map)."""
     p = B.p
     frob = linalg.PackedMatrix(B.frobenius_matrix(), p)
     coeffs = dict(reduced.phi_T.terms)
-    mult = lambda c: _mult_matrix(B, sigma @ np.array(c.coords, dtype=np.int64) % p)
+    mult = lambda c: B.batch().mul_matrix((sigma @ np.array(c.coords, dtype=np.int64) % p)[None])[0]
     A_T = mult(coeffs[reduced.r])
     for i in range(reduced.r - 1, -1, -1):
         A_T = frob.rmul(A_T)

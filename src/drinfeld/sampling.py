@@ -325,8 +325,7 @@ def tv_distance(emp_counts: dict[tuple[int, ...], int], n: int,
 
 
 def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
-                    backend: str = "auto", budget: int = DEFAULT_ENUM_BUDGET,
-                    progress=None) -> SampleReport:
+                    budget: int = DEFAULT_ENUM_BUDGET, progress=None) -> SampleReport:
     """Characteristic polynomials mod l over every usable prime of degree up
     to the bound; usable excludes (T) (bad reduction) and l itself.  A
     prime of bad reduction or a failed check aborts with a SamplingError
@@ -340,7 +339,7 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
     if not is_irreducible(ell) or not ell.is_monic():
         raise SamplingError("l must be a monic prime of A")
     rf = residue_field(ell)
-    oracle = gl_charpoly_distribution(r, rf.field, backend, budget)
+    oracle = gl_charpoly_distribution(r, rf.field, budget=budget)
     at_ell = ResidueBatch(base, coordinates(base, [ell], ell.degree))
     elems: dict[int, FieldElement] = {}
 

@@ -47,6 +47,8 @@ from .reduction import (
 )
 from .sampling import (
     CONSISTENT,
+    DEFAULT_ENUM_BUDGET,
+    DEFAULT_TV_THRESHOLD,
     gl_charpoly_distribution,
     sample_frobenii,
     surjectivity_evidence,
@@ -61,12 +63,16 @@ class VerifyConfig:
     r: int = 3
     seed: int = 0
     max_deg: int | None = None
-    tv_threshold: float = 0.1
-    budget: int = 2_000_000
+    tv_threshold: float = DEFAULT_TV_THRESHOLD
+    budget: int = DEFAULT_ENUM_BUDGET
 
     @property
     def q(self) -> int:
         return self.p**self.e
+
+    def degree_bound(self, default: int) -> int:
+        """`max_deg` when it is set (0 included), else the suite's default."""
+        return default if self.max_deg is None else self.max_deg
 
     def as_dict(self) -> dict:
         return {
@@ -209,7 +215,7 @@ def suite_charpoly_bounds(cfg: VerifyConfig) -> _Checker:
     D = _module(cfg)
     base = D.base
     r = cfg.r
-    max_d = cfg.max_deg or 4
+    max_d = cfg.degree_bound(4)
     for d in range(1, max_d + 1):
         # (T) has bad reduction; every answer is checked by its residual identity
         primes = [f for f in primes_of_degree(base, d) if f.coeff(0)]
@@ -227,7 +233,7 @@ def suite_two_method(cfg: VerifyConfig) -> _Checker:
     D = _module(cfg)
     base = D.base
     ells = [_linear_prime(base, c) for c in (1, 2, 3)]
-    max_d = cfg.max_deg or 2
+    max_d = cfg.degree_bound(2)
     for d in range(1, max_d + 1):
         for prime in primes_of_degree(base, d):
             if not prime.coeff(0):
@@ -251,7 +257,7 @@ def suite_det_law(cfg: VerifyConfig) -> _Checker:
     D = _module(cfg7)
     base = D.base
     ell = _linear_prime(base, 1)
-    max_d = cfg.max_deg or 5
+    max_d = cfg.degree_bound(5)
     for d in range(1, max_d + 1):
         for prime in primes_of_degree(base, d):
             if not prime.coeff(0) or prime == ell:
@@ -375,7 +381,7 @@ def suite_chebotarev(cfg: VerifyConfig) -> _Checker:
     a3 = gl_charpoly_distribution(3, f3, backend="A")
     b3 = gl_charpoly_distribution(3, f3, backend="B")
     ch.equal(a3.counts, b3.counts, "oracle backends agree at F_3", "F_3")
-    max_deg = cfg.max_deg or 6
+    max_deg = cfg.degree_bound(6)
     report = sample_frobenii(D, ell, max_deg, budget=cfg.budget)
     verdict, reasons = surjectivity_evidence(report, cfg.tv_threshold)
     ch.check(report.tv_distance < cfg.tv_threshold, "TV distance",

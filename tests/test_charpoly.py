@@ -1,7 +1,10 @@
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from drinfeld import reduction
 from drinfeld.charpoly import (
     CharPoly,
     CharPolyError,
@@ -220,7 +223,8 @@ def _torsion_pair(module, max_n=40):
                 if ell == prime:
                     continue
                 try:
-                    return prime, ell, torsion_space(reduced, ell, cap=max_n // (base.e * d))
+                    with mock.patch.object(reduction, "MAX_SPLITTING_FIELD_DEGREE", max_n):
+                        return prime, ell, torsion_space(reduced, ell)
                 except TorsionSearchError:
                     continue
     return None

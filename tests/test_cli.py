@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from drinfeld import reduction
 from drinfeld.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -106,14 +107,18 @@ class TestTorsion:
         assert code == 0
         assert torsion["charpoly"] == json.loads(out)["mod_l"]["charpoly"]
 
-    def test_exhausted_search_budget_is_usage_error(self, capsys):
+    def test_exhausted_search_budget_is_usage_error(self, capsys, monkeypatch):
+        # over F_25 (p of degree 2) a bound of 2 allows m = 1 only
+        monkeypatch.setattr(reduction, "MAX_SPLITTING_FIELD_DEGREE", 2)
         code, _, err = run_cli(capsys, "torsion", "--q", "5", "--r", "3",
-                               "--p", "T^2+2", "--l", "T+1", "--budget", "1")
+                               "--p", "T^2+2", "--l", "T+1")
         assert code == 2
-        assert err == "error: splitting degree exceeds the bound 1\n"
+        assert err == ("error: no splitting degree m <= 1; at m = 2 the F_p-degree 4 "
+                       "exceeds MAX_SPLITTING_FIELD_DEGREE = 2\n")
 
     def test_oversized_splitting_field_exits_within_seconds(self):
-        # m = 4095 is found at once; building F_(4^4095) would never finish
+        # the search stops at m = 1024 = 2048 // 2; m = 4095 would split it,
+        # and building F_(4^4095) would never finish
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
         done = subprocess.run(
@@ -121,7 +126,8 @@ class TestTorsion:
              "--p", "T+3", "--l", "T^2+2*T+1"],
             env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
-        assert "F_p-degree 8190 (m = 4095) exceeds MAX_SPLITTING_FIELD_DEGREE = 2048" in done.stderr
+        assert ("at m = 1025 the F_p-degree 2050 exceeds MAX_SPLITTING_FIELD_DEGREE = 2048"
+                in done.stderr)
 
 
 class TestNewtonInertia:
@@ -261,6 +267,63 @@ class TestVerify:
         assert ce["check"] == "forced failure"
         assert ce["expected"] == "3"
         assert ce["got"] == "2"
+
+
+# valid arguments of each subcommand, for appending one flag it does not read
+BASE_ARGS = {
+    "phi": ["--a", "T"],
+    "charpoly": ["--p", "T+4"],
+    "torsion": ["--p", "T+4", "--l", "T+3"],
+    "newton": ["--a", "T+4", "--place", "T"],
+    "inertia": ["--l", "T^2+2"],
+    "sample": ["--l", "T+4", "--max-deg", "1"],
+    "oracle-gl": ["--l", "T+1"],
+    "verify": ["--suite", "phi"],
+}
+UNREAD_FLAGS = [(cmd, "--e", "3") for cmd in BASE_ARGS] + [
+    ("verify", "--coeffs", "T;1;2"), ("oracle-gl", "--coeffs", "garbage"),
+] + [(cmd, "--seed", "1") for cmd in BASE_ARGS if cmd != "verify"] + [
+    ("phi", "--budget", "5"), ("charpoly", "--budget", "5"), ("torsion", "--budget", "1"),
+    ("newton", "--budget", "5"), ("inertia", "--budget", "5"),
+]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("cmd,flag,value", UNREAD_FLAGS)
+    def test_flag_the_handler_does_not_read_is_usage_error(self, cmd, flag, value, capsys):
+        code, out, err = run_cli(capsys, cmd, *BASE_ARGS[cmd], flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"error: unrecognized arguments: {flag} {value}" in err
+
+    def test_rank_disagreeing_with_coeffs_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "phi", "--q", "5", "--r", "7",
+                                 "--coeffs", "T;1;2", "--a", "T")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --r 7 disagrees with the rank 2 of --coeffs\n"
+
+    def test_rank_agreeing_with_coeffs_changes_nothing(self, capsys):
+        argv = ["phi", "--q", "5", "--coeffs", "T;1;2", "--a", "T^2"]
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(plain)["params"]["r"] == 2
+        code, with_r, _ = run_cli(capsys, *argv, "--r", "2")
+        assert code == 0
+        assert with_r == plain
+
+    def test_zero_budget_means_zero(self, capsys):
+        code, _, err = run_cli(capsys, "oracle-gl", "--q", "3", "--r", "3", "--l", "T+1",
+                               "--budget", "0")
+        assert code == 2
+        assert err == "error: listing 3^3 characteristic polynomials exceeds the budget 0\n"
+
+    def test_zero_max_deg_means_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "charpoly-bounds", "--max-deg", "0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["max_deg"] == 0
+        assert doc["outcomes"][0]["checks"] == 0
 
 
 class TestErrorHandling:

@@ -1,8 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
-from drinfeld import linalg
+from drinfeld import linalg, reduction
 from drinfeld.fields import make_field
 from drinfeld.polynomials import SparsePoly, parse_poly, primes_of_degree
 from drinfeld.reduction import (
@@ -151,10 +152,11 @@ class TestTorsionSpace:
         with pytest.raises(ReductionError):
             torsion_space(R, parse_poly("T+4", F5))
 
-    def test_search_bound_error(self):
+    def test_search_bound_error(self, monkeypatch):
+        monkeypatch.setattr(reduction, "MAX_SPLITTING_FIELD_DEGREE", 3)
         R = reduce_mod(D5, parse_poly("T+4", F5))
-        with pytest.raises(TorsionSearchError):
-            torsion_space(R, parse_poly("T+3", F5), cap=3)
+        with pytest.raises(TorsionSearchError, match="MAX_SPLITTING_FIELD_DEGREE = 3"):
+            torsion_space(R, parse_poly("T+3", F5))
 
     def test_kernel_vectors_vanish(self):
         R = reduce_mod(D5, parse_poly("T+4", F5))
@@ -191,7 +193,7 @@ class TestTorsionSpace:
         R = reduce_mod(D5, prime)
         ell = parse_poly("T+2", F5)
         phil = R.phi(ell)
-        m = splitting_degree(phil, 1)
+        m = splitting_degree(phil)
         ts = torsion_space(R, ell)
         assert ts.m == m
         B = ts.field
@@ -244,7 +246,9 @@ class TestExtensionBaseTorsion:
             prime = SparsePoly(base, [(0, -c), (1, base.one)])
             R = reduce_mod(D, prime)
             try:
-                m = splitting_degree(R.phi(ell), 1, cap=24)
+                # m <= 24 over F_25: F_p-degree 2m <= 48
+                with mock.patch.object(reduction, "MAX_SPLITTING_FIELD_DEGREE", 48):
+                    m = splitting_degree(R.phi(ell))
             except TorsionSearchError:
                 continue
             picked = (prime, R, m)
