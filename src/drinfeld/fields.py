@@ -535,7 +535,8 @@ def lex_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     share every digit above the low s.  `_sieve` drops each candidate with a
     monic divisor of degree <= depth; when that covers every degree up to
     n/2 the first survivor is the answer, otherwise the survivors take
-    Rabin's test in index order.
+    Rabin's test in index order, except those that Stickelberger's parity
+    (`_disc_character`, odd p) already shows reducible.
     """
     if n == 1:
         return (0, 1)
@@ -545,13 +546,16 @@ def lex_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
         return (c,) + (0,) * (n - 1) + (1,)
     s = min(n, _sieve_digits(p))
     depth = min(n // 2, s)
+    parity = (-1) ** (n - 1)  # the discriminant character of an irreducible
     for start in range(p if s <= 1 else 0, p**n, p**s):
         alive = _sieve(p, n, start, s, depth)
         if start == 0:
             alive[:p] = False  # the binomials, all reducible
         for k in np.flatnonzero(alive):
             f = _int_digits(start + int(k), p, n) + (1,)
-            if depth == n // 2 or _rabin(f, p, depth):
+            if depth == n // 2:
+                return f
+            if (p == 2 or _disc_character(f, p) == parity) and _rabin(f, p, depth):
                 return f
     raise FieldError("no irreducible polynomial found")  # unreachable
 
@@ -637,6 +641,86 @@ def _sieve(p: int, n: int, start: int, s: int, depth: int) -> np.ndarray:
         low = (-r) % p @ p ** np.arange(d)
         alive[low + p**d * np.arange(low.shape[0])[:, None]] = False
     return alive
+
+
+def _disc_character(f: Sequence[int], p: int) -> int:
+    """The quadratic character of disc(f) in F_p, p odd, for monic f with
+    coefficients in [0, p): 1 or -1, and 0 when f is not squarefree.
+
+    Stickelberger's theorem (Swan, Pacific J. Math. 12, 1962): a squarefree
+    f of degree n with k irreducible factors has character (-1)^(n-k).
+
+    disc(f) = (-1)^(n(n-1)/2) Res(f, f'), Res(f, h) the product of h over
+    the roots of f.  Write f = x^n + g with g(0) != 0.  Every root a has
+    a f'(a) = -h(a), h = n g - x g', so Res(f, f') = Res(f, h) / g(0).
+    Euclid's first step, f mod h, is x^n mod h (square and multiply) plus
+    g mod h; every later step is on polynomials of degree <= deg g.  A
+    factor x splits off: disc(x f1) = disc(f1) f1(0)^2.
+    """
+    n = len(f) - 1
+    if n == 1:
+        return 1
+    if not f[0]:
+        return 0 if not f[1] else _disc_character(f[1:], p)
+    h = _trim([(n - i) * c % p for i, c in enumerate(f[:n])])
+    if len(h) <= 1:
+        res = pow(h[0], n, p) if h else 0  # h = 0: f' = 0
+    else:
+        low = list(f[:n])
+        for i, c in enumerate(_xpow_mod(n, h, p)):
+            low[i] += c
+        r = _poly_mod(low, h, p)
+        # Res(f, h) = (-1)^(n deg h) lc(h)^(n - deg r) Res(h, r)
+        sign = (-1) ** (n * (len(h) - 1))
+        res = sign * pow(h[-1], n + 1 - len(r), p) * _resultant(h, r, p) if r else 0
+    disc = (-1) ** (n * (n - 1) // 2) * res * pow(f[0], p - 2, p) % p
+    return 1 if pow(disc, (p - 1) // 2, p) == 1 else -1 if disc else 0
+
+
+def _resultant(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) = lc(a)^deg(b) * (product of b over the roots of a), mod p,
+    for nonzero a and b (coefficients constant first, no leading zeros), by
+    Euclid: Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
+    with r = a mod b."""
+    acc = 1
+    while len(b) > 1:
+        r = _poly_mod(a, b, p)
+        if not r:
+            return 0
+        acc = (-1) ** ((len(a) - 1) * (len(b) - 1)) * acc * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return acc * pow(b[0], len(a) - 1, p) % p
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_mod(a: Sequence[int], b: list[int], p: int) -> list[int]:
+    """a mod b over F_p on coefficient lists, b with no leading zero.
+    Entries are reduced mod p only as they are read."""
+    a, db = list(a), len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv % p  # a[i] is not read again
+        if c:
+            for j in range(db):
+                a[i - db + j] -= c * b[j]
+    return _trim([c % p for c in a[:db]])
+
+
+def _xpow_mod(e: int, b: list[int], p: int) -> list[int]:
+    """x^e mod b over F_p, e >= 1, by square and multiply."""
+    r = _poly_mod([0, 1], b, p)
+    for bit in format(e, "b")[1:]:
+        sq = [0] * (2 * len(r) - 1)
+        for i, u in enumerate(r):
+            for j, v in enumerate(r):
+                sq[i + j] += u * v
+        r = _poly_mod([0] + sq if bit == "1" else sq, b, p)
+    return r
 
 
 def _rabin(f: Sequence[int], p: int, depth: int = 0) -> bool:

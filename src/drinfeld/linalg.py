@@ -87,15 +87,23 @@ def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column list, pivots by column order."""
+    """Reduced row echelon form and pivot column list, pivots by column order.
+
+    Rows are updated without a reduction mod p: only the column being
+    scanned and the pivot row are reduced, so each update moves an entry by
+    at most (p-1)^2, and the whole array is reduced before the entries
+    could leave int64, after every int64_products(p) - 1 updates."""
     check_int64_range(p, 1)
     a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
     pivots: list[int] = []
+    budget = max(int64_products(p) - 1, 1)
+    updates = 0
     r = 0
     for c in range(cols):
         if r >= rows:
             break
+        a[:, c] %= p
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
@@ -103,14 +111,19 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if i != r:
             a[[r, i]] = a[[i, r]]
         # a[r, :c] is zero already, so only the columns from c on change
-        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
+        a[r, c:] = a[r, c:] % p * pow(int(a[r, c]), p - 2, p) % p
         col = a[:, c].copy()
         col[r] = 0
         mask = col != 0
         if mask.any():
-            a[mask, c:] = (a[mask, c:] - np.outer(col[mask], a[r, c:])) % p
+            if updates == budget:
+                a %= p
+                updates = 0
+            a[mask, c:] -= np.outer(col[mask], a[r, c:])
+            updates += 1
         pivots.append(c)
         r += 1
+    a %= p
     return a, pivots
 
 
@@ -121,13 +134,12 @@ def kernel_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     ordered by free column index.
     """
     a, pivots = rref_mod_p(mat, p)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-a[r, fc]) % p
+    is_free = np.ones(a.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-a[: len(pivots), free].T) % p
     return basis
 
 

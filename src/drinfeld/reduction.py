@@ -4,8 +4,10 @@ with explicit Frobenius matrices, and quotient isogenies over the reduction.
 The torsion space at l is computed inside the minimal extension of the
 residue field that contains all of ker(phi_l); that splitting degree is
 found by the equivalent divisibility condition (tau^(d*m) - 1 right
-divisible by phi_l in the reduced skew ring), which costs a handful of
-small-field multiplications per step instead of a kernel probe.  The
+divisible by phi_l in the reduced skew ring), as the order of right
+multiplication by tau^d on the quotient: an F_p matrix of side
+e*d*deg_tau(phi_l), built from deg_tau(phi_l) skew remainders and then
+iterated by matrix-vector products, instead of a kernel probe.  The
 kernel dimension is still verified on the constructed field.
 
 All of the F_q-linear algebra is numpy over F_p, with F_q acting through
@@ -152,20 +154,33 @@ def torsion_at_char(reduced: ReducedModule, e_prime: int) -> int:
 
 def splitting_degree(phil: SkewPoly) -> int:
     """Minimal m with all roots of phi_l rational over the degree-m extension
-    of the residue field F_(q^d) that phi_l lives over: tau^(d*m) = 1 in the
-    quotient by right division.  tau^d commutes with residue-field
-    coefficients, so remainders iterate.  Only m with a splitting field of
-    F_p-degree e*d*m <= MAX_SPLITTING_FIELD_DEGREE are searched."""
+    of the residue field L = F_(q^d) that phi_l lives over: tau^(d*m) = 1 in
+    the quotient by right division.  Only m with a splitting field of
+    F_p-degree e*d*m <= MAX_SPLITTING_FIELD_DEGREE are searched.
+
+    tau^d is central in L{tau}, so right multiplication by it is a left
+    L-linear map N of L{tau}/L{tau}phi_l, basis tau^0 .. tau^(R-1), R the
+    tau-degree of phi_l.  On F_p coordinates its block (j, i) multiplies by
+    the coefficient of tau^j in tau^(d+i) mod phi_l.  N^m e_0 = e_0, e_0
+    the coordinates of 1, says tau^(d*m) = 1; the least such m is found by
+    matrix-vector products."""
     ring = phil.ring
-    n = ring.field.n
+    field = ring.field
+    p, n, d, R = field.p, field.n, field.m, phil.degree
     m_max = MAX_SPLITTING_FIELD_DEGREE // n
-    taud = SkewPoly.tau(ring, ring.field.m)
-    one = SkewPoly.one(ring)
-    u = taud.divmod_right(phil)[1]
-    for m in range(1, m_max + 1):
-        if u == one:
+    mul_matrix = field.batch().mul_matrix
+    N = np.zeros((R * n, R * n), dtype=np.int64 if linalg.int64_products(p) >= R * n else object)
+    for i in range(R):
+        rem = SkewPoly.tau(ring, d + i).divmod_right(phil)[1]
+        for j, c in rem.terms:
+            N[j * n : (j + 1) * n, i * n : (i + 1) * n] = mul_matrix(np.array(c.coords)[None])[0]
+    start = np.zeros(R * n, dtype=N.dtype)
+    start[:1] = 1
+    v = start
+    for m in range(1, m_max + 1 if R else 1):  # every remainder mod a constant is 0, not 1
+        v = N @ v % p
+        if np.array_equal(v, start):
             return m
-        u = (u * taud).divmod_right(phil)[1]
     raise TorsionSearchError(
         f"no splitting degree m <= {m_max}; at m = {m_max + 1} the F_p-degree "
         f"{n * (m_max + 1)} exceeds MAX_SPLITTING_FIELD_DEGREE = {MAX_SPLITTING_FIELD_DEGREE}"

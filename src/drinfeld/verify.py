@@ -108,9 +108,17 @@ class VerifyOutcome:
 
 
 class _Checker:
-    def __init__(self):
+    """The checks of one suite: their count, the first failure, and the
+    input being computed, which a raised exception names."""
+
+    def __init__(self, suite: str):
         self.count = 0
         self.failure: dict | None = None
+        self.inputs = suite
+
+    def at(self, inputs):
+        """Name the input the suite computes next."""
+        self.inputs = inputs
 
     def check(self, ok: bool, name: str, inputs, expected, got) -> bool:
         self.count += 1
@@ -139,8 +147,7 @@ def _linear_prime(base, c: int) -> SparsePoly:
     return SparsePoly(base, [(0, -a), (1, base.one)])
 
 
-def suite_fields(cfg: VerifyConfig) -> _Checker:
-    ch = _Checker()
+def suite_fields(cfg: VerifyConfig, ch: _Checker):
     rng = random.Random(cfg.seed)
     fld = make_field(cfg.p, cfg.e, 2)
     for _ in range(40):
@@ -159,11 +166,9 @@ def suite_fields(cfg: VerifyConfig) -> _Checker:
     for d in (1, 2, 3):
         pr = primes_of_degree(base, d)
         ch.equal(len(pr), necklace_count(cfg.q, d), f"prime count deg {d}", d)
-    return ch
 
 
-def suite_phi(cfg: VerifyConfig) -> _Checker:
-    ch = _Checker()
+def suite_phi(cfg: VerifyConfig, ch: _Checker):
     q, r = cfg.q, cfg.r
     D = _module(cfg)
     base = D.base
@@ -178,7 +183,6 @@ def suite_phi(cfg: VerifyConfig) -> _Checker:
         ch.equal(lead[0], r * d, f"phi_l tau-degree (deg {d})", format_poly(ell))
         ch.equal(lead[1], SparsePoly.monomial(base, exp_exp),
                  f"leading coefficient law (deg {d})", format_poly(ell))
-    return ch
 
 
 def _phi_t2_expected(D: DrinfeldModule) -> SkewPoly:
@@ -196,22 +200,20 @@ def _phi_t2_expected(D: DrinfeldModule) -> SkewPoly:
     return SkewPoly(D.ring, pairs.items())
 
 
-def suite_charpoly(cfg: VerifyConfig) -> _Checker:
-    ch = _Checker()
+def suite_charpoly(cfg: VerifyConfig, ch: _Checker):
     D = _module(cfg)
     base = D.base
     r = cfg.r
     for c in range(1, cfg.q):
         prime = _linear_prime(base, c)
+        ch.at(format_poly(prime))
         cp = charpoly_linear_system(D, prime)
         want = [SparsePoly.one(base)] + [SparsePoly.zero(base)] * (r - 2) + [-prime]
         ch.equal(list(cp.a), want, "closed form x^r + x^(r-1) - p", format_poly(prime))
         ch.equal(cp.epsilon, base.scalar(-1), "epsilon = -1", format_poly(prime))
-    return ch
 
 
-def suite_charpoly_bounds(cfg: VerifyConfig) -> _Checker:
-    ch = _Checker()
+def suite_charpoly_bounds(cfg: VerifyConfig, ch: _Checker):
     D = _module(cfg)
     base = D.base
     r = cfg.r
@@ -219,17 +221,16 @@ def suite_charpoly_bounds(cfg: VerifyConfig) -> _Checker:
     for d in range(1, max_d + 1):
         # (T) has bad reduction; every answer is checked by its residual identity
         primes = [f for f in primes_of_degree(base, d) if f.coeff(0)]
+        ch.at({"degree": d})
         for prime, cp in zip(primes, frobenius_charpolys(D, primes)):
             for i in range(1, r + 1):
                 ch.check(cp.a[i - 1].degree <= i * d // r, "degree bound",
                          (format_poly(prime), i), f"<= {i * d // r}", cp.a[i - 1].degree)
             ch.equal(cp.a[-1], prime * epsilon_of(D, prime), "a_r = epsilon*p",
                      format_poly(prime))
-    return ch
 
 
-def suite_two_method(cfg: VerifyConfig) -> _Checker:
-    ch = _Checker()
+def suite_two_method(cfg: VerifyConfig, ch: _Checker):
     D = _module(cfg)
     base = D.base
     ells = [_linear_prime(base, c) for c in (1, 2, 3)]
@@ -238,21 +239,21 @@ def suite_two_method(cfg: VerifyConfig) -> _Checker:
         for prime in primes_of_degree(base, d):
             if not prime.coeff(0):
                 continue
+            ch.at(format_poly(prime))
             cp = charpoly_linear_system(D, prime)
             for ell in ells:
                 if ell == prime:
                     continue
+                ch.at((format_poly(prime), format_poly(ell)))
                 via_torsion = charpoly_mod_l(D, prime, ell)
                 via_system = cp.reduce_mod(ell)
                 ch.equal([c.to_int() for c in via_system],
                          [c.to_int() for c in via_torsion],
                          "two-method agreement",
                          (format_poly(prime), format_poly(ell)))
-    return ch
 
 
-def suite_det_law(cfg: VerifyConfig) -> _Checker:
-    ch = _Checker()
+def suite_det_law(cfg: VerifyConfig, ch: _Checker):
     cfg7 = VerifyConfig(p=7, e=1, r=3)
     D = _module(cfg7)
     base = D.base
@@ -262,13 +263,12 @@ def suite_det_law(cfg: VerifyConfig) -> _Checker:
         for prime in primes_of_degree(base, d):
             if not prime.coeff(0) or prime == ell:
                 continue
+            ch.at((format_poly(prime), format_poly(ell)))
             ch.check(det_check(D, prime, ell), "determinant law",
                      (format_poly(prime), format_poly(ell)), True, False)
-    return ch
 
 
-def suite_reduction(cfg: VerifyConfig) -> _Checker:
-    ch = _Checker()
+def suite_reduction(cfg: VerifyConfig, ch: _Checker):
     D = _module(cfg)
     base = D.base
     r = cfg.r
@@ -279,6 +279,7 @@ def suite_reduction(cfg: VerifyConfig) -> _Checker:
              "reduced phi_T = tau^(r-1)", "T")
     for c in range(1, cfg.q):
         prime = _linear_prime(base, c)
+        ch.at(format_poly(prime))
         R = reduce_mod(D, prime)
         ch.equal(R.describe(), "Good", "good at linear primes", format_poly(prime))
         ch.equal(height(R), r - 1, "height r-1", format_poly(prime))
@@ -286,11 +287,9 @@ def suite_reduction(cfg: VerifyConfig) -> _Checker:
         for e_prime in (1, 2):
             ch.equal(torsion_at_char(R, e_prime), (r - h) * e_prime * prime.degree,
                      "torsion dim at characteristic", (format_poly(prime), e_prime))
-    return ch
 
 
-def suite_newton(cfg: VerifyConfig) -> _Checker:
-    ch = _Checker()
+def suite_newton(cfg: VerifyConfig, ch: _Checker):
     D = _module(cfg)
     base = D.base
     q, r = cfg.q, cfg.r
@@ -319,11 +318,9 @@ def suite_newton(cfg: VerifyConfig) -> _Checker:
                  f"inertia order (deg {d})", format_poly(ell))
     cert = np_irreducibility([(e - 1, c) for e, c in D.phi_as_x_poly(p1)], inf)
     ch.equal(cert, "Irreducible", "single-slope certificate", format_poly(p1))
-    return ch
 
 
-def suite_isogeny(cfg: VerifyConfig) -> _Checker:
-    ch = _Checker()
+def suite_isogeny(cfg: VerifyConfig, ch: _Checker):
     D = _module(cfg)
     base = D.base
     prime = _linear_prime(base, 1)
@@ -346,6 +343,7 @@ def suite_isogeny(cfg: VerifyConfig) -> _Checker:
         ell_c = _linear_prime(base, c)
         if ell_c == prime:
             continue
+        ch.at(format_poly(ell_c))
         ts_c = torsion_space(R, ell_c)
         M = ts_c.frobenius_matrix
         Fl = M.field
@@ -366,11 +364,9 @@ def suite_isogeny(cfg: VerifyConfig) -> _Checker:
         if found:
             break
     ch.check(found, "eigenline found", "search over linear l", True, False)
-    return ch
 
 
-def suite_chebotarev(cfg: VerifyConfig) -> _Checker:
-    ch = _Checker()
+def suite_chebotarev(cfg: VerifyConfig, ch: _Checker):
     cfg7 = VerifyConfig(p=7, e=1, r=3, seed=cfg.seed,
                         max_deg=cfg.max_deg, tv_threshold=cfg.tv_threshold,
                         budget=cfg.budget)
@@ -390,7 +386,6 @@ def suite_chebotarev(cfg: VerifyConfig) -> _Checker:
     ch.check(all(r.det_ok for r in report.records), "determinant law over sample",
              {"max_deg": max_deg}, True, False)
     ch.equal(verdict, CONSISTENT, "verdict", {"max_deg": max_deg, "reasons": reasons})
-    return ch
 
 
 SUITES = {
@@ -413,17 +408,17 @@ def run_suites(names: list[str], cfg: VerifyConfig) -> list[VerifyOutcome]:
         if name not in names:
             continue
         t0 = time.perf_counter()
+        ch = _Checker(name)
         try:
-            checker = SUITES[name](cfg)
-            passed, checks, failure = checker.failure is None, checker.count, checker.failure
+            SUITES[name](cfg, ch)
+            failure = ch.failure
         except Exception as exc:  # noqa: BLE001 - a crashed suite is a failed suite
-            passed, checks = False, 0
-            failure = {"check": "suite raised", "inputs": name,
+            failure = {"check": "suite raised", "inputs": str(ch.inputs),
                        "expected": "no exception", "got": f"{type(exc).__name__}: {exc}"}
         outcomes.append(VerifyOutcome(
             suite=name,
-            passed=passed,
-            checks=checks,
+            passed=failure is None,
+            checks=ch.count,
             counterexample=failure,
             wall_time=time.perf_counter() - t0,
         ))

@@ -252,10 +252,8 @@ class TestVerify:
         # is identical across two runs
         import drinfeld.verify as verify_mod
 
-        def broken(cfg):
-            ch = verify_mod._Checker()
+        def broken(cfg, ch):
             ch.equal(1 + 1, 3, "forced failure", {"a": 1})
-            return ch
 
         monkeypatch.setitem(verify_mod.SUITES, "charpoly", broken)
         code1, out1, _ = run_cli(capsys, "verify", "--suite", "charpoly")
@@ -267,6 +265,40 @@ class TestVerify:
         assert ce["check"] == "forced failure"
         assert ce["expected"] == "3"
         assert ce["got"] == "2"
+
+    def test_raising_suite_keeps_its_checks_and_names_the_input(self, capsys, monkeypatch):
+        # the torsion route refuses one pair; the report keeps the checks
+        # made before it and names that pair
+        import drinfeld.verify as verify_mod
+        from drinfeld.polynomials import format_poly
+        from drinfeld.reduction import TorsionSearchError
+
+        def charpoly_mod_l(D, prime, ell):
+            if (format_poly(prime), format_poly(ell)) == ("T+2", "T+3"):
+                raise TorsionSearchError("refused")
+            return verify_mod.charpoly_linear_system(D, prime).reduce_mod(ell)
+
+        monkeypatch.setattr(verify_mod, "charpoly_mod_l", charpoly_mod_l)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "two-method", "--max-deg", "1")
+        assert code == 1
+        outcome = json.loads(out)["outcomes"][0]
+        # T+1 against T+4, T+3, T+2, then T+2 against T+4
+        assert outcome["checks"] == 4
+        assert outcome["counterexample"] == {
+            "check": "suite raised", "inputs": "('T+2', 'T+3')",
+            "expected": "no exception", "got": "TorsionSearchError: refused"}
+
+    def test_suite_raising_before_any_input_names_the_suite(self, capsys, monkeypatch):
+        import drinfeld.verify as verify_mod
+
+        def broken(cfg, ch):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(verify_mod.SUITES, "phi", broken)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "phi")
+        outcome = json.loads(out)["outcomes"][0]
+        assert code == 1 and outcome["checks"] == 0
+        assert outcome["counterexample"]["inputs"] == "phi"
 
 
 # valid arguments of each subcommand, for appending one flag it does not read

@@ -9,6 +9,7 @@ from drinfeld import linalg, reduction
 from drinfeld.fields import (
     FieldError,
     _binomial_irreducible,
+    _disc_character,
     _irreducibles,
     _rabin,
     _sieve,
@@ -375,6 +376,77 @@ class TestModulusSearch:
             cases.append(poly_mul(g, h, p))
         for f in cases:
             assert _rabin(f, p) == python_rabin(f, p)
+
+
+def monic_rows(p, n):
+    """Every monic polynomial of degree n over F_p, one row each, in index
+    order."""
+    ks = np.arange(p**n)
+    out = np.ones((ks.size, n + 1), dtype=np.int64)
+    for j in range(n):
+        out[:, j] = ks % p
+        ks = ks // p
+    return out
+
+
+def factor_table(p, nmax):
+    """For every degree n <= nmax, indexed by `index_of`: the number of
+    irreducible factors with multiplicity and whether f is squarefree.
+    Trial division turned around: every product g*h of a monic irreducible
+    g with a monic h is marked, and so is every g*g*h; what no product
+    reaches is irreducible."""
+    omega, sqfree, irreducible = {0: np.zeros(1, dtype=np.int64)}, {}, {}
+
+    def products(g, h):
+        out = np.zeros((g.shape[0], h.shape[0], g.shape[1] + h.shape[1] - 1), dtype=np.int64)
+        for i in range(g.shape[1]):
+            out[:, :, i : i + h.shape[1]] += g[:, None, i : i + 1] * h[None]
+        return out % p
+
+    index = lambda rows: rows[..., :-1] @ p ** np.arange(rows.shape[-1] - 1)
+    for n in range(1, nmax + 1):
+        om, sf = np.zeros(p**n, dtype=np.int64), np.ones(p**n, dtype=bool)
+        for d in range(1, n):
+            g = irreducible[d]
+            om[index(products(g, monic_rows(p, n - d)))] = omega[n - d] + 1
+            if 2 * d <= n:
+                squares = np.einsum("kk...->k...", products(g, g))
+                sf[index(products(squares, monic_rows(p, n - 2 * d)))] = False
+        irreducible[n] = monic_rows(p, n)[om == 0]
+        om[om == 0] = 1
+        omega[n], sqfree[n] = om, sf
+    return omega, sqfree
+
+
+class TestDiscriminantCharacter:
+    """Stickelberger: a squarefree f of degree n with k irreducible factors
+    has disc(f) of quadratic character (-1)^(n-k); otherwise disc(f) = 0."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_factor_count_parity(self, p):
+        omega, sqfree = factor_table(p, 6)
+        assert [(omega[n] == 1).sum() for n in (1, 2, 3)] == [p, (p * p - p) // 2, (p**3 - p) // 3]
+        for n in range(1, 7):
+            want = np.where(sqfree[n], (-1) ** (n - omega[n]), 0).tolist()
+            assert [_disc_character(f, p) for f in map(tuple, monic_rows(p, n).tolist())] == want
+
+    def test_constant_derivative(self):
+        # f' = 18x^17 + 3x^2 - 1 = -1 at p = 3, so f is squarefree and Berlekamp's
+        # count n - rank(Q - I) is its number of irreducible factors
+        p, f = 3, (1, 2, 0, 1) + (0,) * 14 + (1,)
+        n = len(f) - 1
+        xp = poly_mod([0] * p + [1], f, p)
+        col, cols = [1], []
+        for _ in range(n):
+            cols.append(col + [0] * (n - len(col)))
+            col = poly_mod(list(poly_mul(col, xp, p)), f, p)
+        Q = np.array(cols, dtype=np.int64).T
+        k = n - linalg.rank_mod_p((Q - np.eye(n, dtype=np.int64)) % p, p)
+        assert _disc_character(f, p) == (-1) ** (n - k)
+        # x f has the character of f, since f(0) != 0; x^2 f is not squarefree;
+        # the Artin-Schreier x^3 - x + 1 is irreducible
+        assert [_disc_character(g, p) for g in [(0,) + f, (0, 0) + f, (1, 2, 0, 1)]] == [
+            (-1) ** (n - k), 0, 1]
 
 
 def _irreducible_rows(p, d, count):

@@ -181,6 +181,42 @@ def test_rref_is_the_reduced_echelon_form(p, rows, cols, rank, seed):
     assert linalg.rank_mod_p(np.vstack([ech, mat]), p) == r
 
 
+def python_rref(mat, p):
+    """Gaussian elimination on Python ints, every entry reduced at once."""
+    a = [[x % p for x in row] for row in mat]
+    pivots = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for k in range(len(a)):
+            if k != r and a[k][c]:
+                f = a[k][c]
+                a[k] = [(x - f * y) % p for x, y in zip(a[k], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+@pytest.mark.parametrize("p,products", [(2147483647, 2), (3037000493, 1)])
+@pytest.mark.parametrize("rows,cols,rank,seed", [(20, 24, 20, 0), (24, 20, 13, 1), (30, 30, 22, 2)])
+def test_rref_matches_python_ints_at_large_p(p, products, rows, cols, rank, seed):
+    """Near the int64 limit the whole array is reduced between every two
+    row updates; the echelon form is still the exact one."""
+    assert linalg.int64_products(p) == products
+    rng = random.Random(seed)
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+    mat = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left]
+    ech, pivots = linalg.rref_mod_p(np.array(mat, dtype=np.int64), p)
+    want, want_pivots = python_rref(mat, p)
+    assert pivots == want_pivots and len(pivots) == rank
+    assert ech.tolist() == want
+
+
 def _coords_matmul(fld, a, b):
     """Product of coordinate arrays (rows, k, n) @ (k, cols, n) over fld."""
     return fld.batch().mul(a[:, :, None], b[None]).sum(axis=1) % fld.p

@@ -230,6 +230,67 @@ class TestTorsionSpace:
         assert [c.to_int() for c in cp.reduce_mod(l2)] == [c.to_int() for c in cp2]
 
 
+def remainder_loop_splitting_degree(phil):
+    """Reference: tau^(d*m) mod phi_l by one skew product and one right
+    division per m, until the remainder is 1."""
+    ring = phil.ring
+    n = ring.field.n
+    m_max = reduction.MAX_SPLITTING_FIELD_DEGREE // n
+    taud = SkewPoly.tau(ring, ring.field.m)
+    one = SkewPoly.one(ring)
+    u = taud.divmod_right(phil)[1]
+    for m in range(1, m_max + 1):
+        if u == one:
+            return m
+        u = (u * taud).divmod_right(phil)[1]
+    raise TorsionSearchError(
+        f"no splitting degree m <= {m_max}; at m = {m_max + 1} the F_p-degree "
+        f"{n * (m_max + 1)} exceeds MAX_SPLITTING_FIELD_DEGREE = "
+        f"{reduction.MAX_SPLITTING_FIELD_DEGREE}"
+    )
+
+
+def _m_or_refusal(fn, phil):
+    try:
+        return fn(phil)
+    except TorsionSearchError as exc:
+        return str(exc)
+
+
+class TestSplittingDegree:
+    @pytest.mark.parametrize("r", [3, 5])
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 9, 25])
+    def test_matches_remainder_loop(self, monkeypatch, q, r):
+        # the bound keeps the reference loop short; both answers and
+        # refusals occur at each q
+        monkeypatch.setattr(reduction, "MAX_SPLITTING_FIELD_DEGREE", 250)
+        D = DrinfeldModule.default_family(q, r)
+        firsts = [[f for f in primes_of_degree(D.base, d) if f.coeff(0)] for d in (1, 2)]
+        primes = [f for fs in firsts for f in fs[:2]]
+        ells = [f for fs in firsts for f in fs[1:3]]
+        outcomes = []
+        for prime in primes:
+            R = reduce_mod(D, prime)
+            for ell in ells:
+                if ell != prime:
+                    phil = R.phi(ell)
+                    want = _m_or_refusal(remainder_loop_splitting_degree, phil)
+                    assert _m_or_refusal(splitting_degree, phil) == want
+                    outcomes.append(want)
+        assert any(isinstance(m, str) for m in outcomes)
+        if (q, r) != (7, 5):  # every pair at q = 7, r = 5 needs m > 250
+            assert any(isinstance(m, int) for m in outcomes)
+
+    def test_refusal_text(self, monkeypatch):
+        # m = 312 here
+        monkeypatch.setattr(reduction, "MAX_SPLITTING_FIELD_DEGREE", 100)
+        phil = reduce_mod(D5, parse_poly("T+4", F5)).phi(parse_poly("T^2+2", F5))
+        want = ("no splitting degree m <= 100; at m = 101 the F_p-degree 101 exceeds "
+                "MAX_SPLITTING_FIELD_DEGREE = 100")
+        for fn in (splitting_degree, remainder_loop_splitting_degree):
+            assert _m_or_refusal(fn, phil) == want
+
+
 class TestExtensionBaseTorsion:
     def test_q25_torsion_agrees_with_linear_system(self):
         # e = 2: find a pair (p, l) of linear primes over F_25 whose torsion
