@@ -14,6 +14,7 @@ from .fields import (
     FieldBatch,
     FieldElement,
     FieldError,
+    PrimalityError,
     field_with_modulus,
     is_prime,
     make_field,

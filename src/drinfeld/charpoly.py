@@ -41,8 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .fields import FieldBatch, FieldElement
-from .linalg import _berkowitz
+from .fields import FieldBatch, FieldElement, mod_p
+from .linalg import _berkowitz, int64_products
 from .polynomials import (
     PrimeError,
     ResidueBatch,
@@ -228,7 +228,7 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
     for k in range(d):
         pre.append(fb.mul(pre[-1], sig[:, k, r]))
     nr_inv = base.batch().inv(into_base(pre[d], "Nr(g_r) lies"))
-    u, suf = [None] * d, nr_inv @ residues.embed.T % fb.p
+    u, suf = [None] * d, mod_p(nr_inv @ residues.embed.T, fb.p)
     for k in reversed(range(d)):
         u[k] = fb.mul(pre[k], suf)
         suf = fb.mul(suf, sig[:, k, r])
@@ -240,14 +240,14 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
     M = np.zeros((B, r, r, 1, n), dtype=np.int64)
     M[:, range(r), range(r), 0, 0] = 1
     for k in range(d):
-        consts = fb.mul_matrix(fb.mul(u[:, k, None], (-sig[:, k, :r]) % fb.p))
+        consts = fb.mul_matrix(fb.mul(u[:, k, None], mod_p(-sig[:, k, :r], fb.p)))
         last = np.zeros((B, r, k + 2, n), dtype=np.int64)
         last[:, :, 1:] = fb.apply(fb.mul_matrix(u[:, k]), M[:, :, 0])  # the T e_0 term
         for i in range(r):
             last[:, :, :-1] += fb.apply(consts[:, i], M[:, :, i])
         shifted = np.pad(M[:, :, 1:], [(0, 0)] * 3 + [(0, 1), (0, 0)])
-        M = np.concatenate([shifted, last[:, :, None] % fb.p], axis=2)
-    coeffs = _berkowitz(fb, M)[1:]
+        M = np.concatenate([shifted, mod_p(last[:, :, None], fb.p)], axis=2)
+    coeffs = _berkowitz(fb, M, d + 1)[1:]
 
     bounds = _degree_bounds(r, d)
     a = []
@@ -260,7 +260,7 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
     eps_p = base.batch().mul(eps[:, None], primes)
     raise_at((eps_p != a[-1]).any(axis=(1, 2)), "a_r differs from epsilon*p")
 
-    _check_residual(fb, g, frob, np.stack([c[:, : d + 1] for c in coeffs], axis=1), raise_at)
+    _check_residual(fb, g, frob, np.stack(coeffs, axis=1), raise_at)
     return a, eps
 
 
@@ -268,8 +268,8 @@ def _into_base_batch(v: np.ndarray, embed: np.ndarray, pullback, p: int, raise_a
     """F_q coordinates (B, ..., e) of L-elements (B, ..., n) that must lie
     in the embedded F_q; raises naming the first prime where one does not."""
     rows, inv = pullback
-    y = v[..., rows] @ inv.T % p
-    raise_at((y @ embed.T % p != v).reshape(len(v), -1).any(axis=1), f"{what} outside F_q")
+    y = mod_p(v[..., rows] @ inv.T, p)
+    raise_at((mod_p(y @ embed.T, p) != v).reshape(len(v), -1).any(axis=1), f"{what} outside F_q")
     return y
 
 
@@ -291,25 +291,32 @@ def _check_residual(fb: FieldBatch, g: np.ndarray, frob: np.ndarray, coeffs: np.
     p = fb.p
     steps = [np.broadcast_to(np.eye(n, dtype=np.int64), frob.shape)]
     for _ in range(r):
-        steps.append(steps[-1] @ frob % p)
-    steps = fb.mul_matrix(g) @ np.stack(steps, axis=1) % p  # x -> g_k sigma^k(x)
+        steps.append(mod_p(steps[-1] @ frob, p))
+    steps = mod_p(fb.mul_matrix(g) @ np.stack(steps, axis=1), p)  # x -> g_k sigma^k(x)
     steps = steps.swapaxes(-1, -2)
+    # unreduced, an entry of P_(j+1) sums r+1 matrix products of n terms
+    # and one of the total at most (d+1)r of them, plus the 1 of tau^(rd)
+    raw = int64_products(p) > n * max(r + 1, (d + 1) * r)
     total = np.zeros((batch, r * d + 1, n), dtype=np.int64)
     total[:, r * d, 0] = 1
     P = fb.one((1,))
     for j in range(d + 1):
         span = P.shape[1]
-        terms = P[:, None] @ fb.mul_matrix(coeffs[:, :, j]).swapaxes(-1, -2) % p
+        terms = P[:, None] @ fb.mul_matrix(coeffs[:, :, j]).swapaxes(-1, -2)
+        if not raw:
+            terms = mod_p(terms, p)
         for i, bound in enumerate(_degree_bounds(r, d), start=1):
             if j <= bound:
                 total[:, (r - i) * d : (r - i) * d + span] += terms[:, i - 1]
         if j < d:
-            terms = P[:, None] @ steps % p
+            terms = P[:, None] @ steps
+            if not raw:
+                terms = mod_p(terms, p)
             P = np.zeros((batch, span + r, n), dtype=np.int64)
             for k in range(r + 1):
                 P[:, k : k + span] += terms[:, k]
-            P %= p
-    raise_at((total % p).any(axis=(1, 2)), "residual identity fails")
+            P = mod_p(P, p)
+    raise_at(mod_p(total, p).any(axis=(1, 2)), "residual identity fails")
 
 
 def _charpoly_objects(base, primes: list[SparsePoly], a: list[np.ndarray],

@@ -225,7 +225,7 @@ def cmd_sample(args) -> int:
         },
         "samples": [
             {
-                "prime": format_poly(rec.prime),
+                "prime": rec.name,
                 "deg": rec.degree,
                 "charpoly": [format_field_element(c) for c in rec.charpoly],
                 "det_ok": rec.det_ok,

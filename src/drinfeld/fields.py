@@ -21,24 +21,62 @@ from typing import Iterable, Sequence
 import numpy as np
 
 _NUMPY_MUL_CUTOFF = 32  # coordinate length above which products go through numpy
+_MOD_P_MIN_SIZE = 1024  # int64 elements from which `mod_p` beats `%` (even at 1024, 4x at 35k)
+
+
+# Miller-Rabin with the prime bases 2 .. 41 is exact below the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; a PrimalityError for an n >= _MR_LIMIT
+    that no base divides."""
     if n < 2:
         return False
-    for d in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % d == 0:
-            return n == d
-    d = 41
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_LIMIT:
+        raise PrimalityError(
+            f"{n} is not below {_MR_LIMIT}, the bound of the deterministic primality test"
+        )
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * t, t odd
+    t = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p, in [0, p), for an int64 or object array.  From
+    _MOD_P_MIN_SIZE int64 elements on it is a - (a // p) * p: numpy divides
+    by a scalar with a multiply and a shift, several times faster than `%`
+    on batch-sized arrays, and exact for every sign, the wrap-around of
+    (a // p) * p cancelling in the difference.  Below that size the one
+    ufunc call of `%` costs less than three."""
+    if a.dtype == object or a.size < _MOD_P_MIN_SIZE:
+        return a % p
+    out = a // p
+    out *= p
+    return np.subtract(a, out, out=out)
 
 
 class FieldError(ValueError):
     pass
+
+
+class PrimalityError(FieldError):
+    """An integer too large for the deterministic primality test."""
 
 
 class FieldElement:
@@ -451,19 +489,18 @@ class FieldBatch:
             flat = high.reshape(high.shape[0], -1, high.shape[-1])
             folded = flat @ self.red(high.shape[-1])
             low = low + folded.reshape(high.shape[:-1] + (n,))
-        return low % self.p
+        return mod_p(low, self.p)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of broadcastable element arrays."""
         n = self.n
         if n == 1:
-            return a * b % self.p
+            return mod_p(a * b, self.p)
         shape = np.broadcast_shapes(a.shape, b.shape)
         prod = np.zeros(shape[:-1] + (2 * n - 1,), dtype=self.dtype)
         for i in range(n):
             prod[..., i : i + n] += a[..., i : i + 1] * b
-        prod %= self.p
-        return self.reduce(prod)
+        return self.reduce(mod_p(prod, self.p))
 
     def pow(self, a: np.ndarray, k: int) -> np.ndarray:
         result = np.zeros_like(a)
@@ -492,7 +529,7 @@ class FieldBatch:
             prev = out[..., j - 1]
             cur = prev[..., -1:] * red0
             cur[..., 1:] += prev[..., :-1]
-            out[..., j] = cur % self.p
+            out[..., j] = mod_p(cur, self.p)
         return out
 
     def frobenius_matrix(self, q: int) -> np.ndarray:
@@ -521,7 +558,7 @@ class FieldBatch:
     def apply(self, mats: np.ndarray, a: np.ndarray) -> np.ndarray:
         """F_p-linear maps (B, n, n) applied to every element of a."""
         flat = a.reshape(a.shape[0], -1, self.n)
-        return (flat @ mats.transpose(0, 2, 1) % self.p).reshape(a.shape)
+        return mod_p(flat @ mats.transpose(0, 2, 1), self.p).reshape(a.shape)
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import Field, FieldBatch, FieldElement
+from .fields import Field, FieldBatch, FieldElement, mod_p
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -203,25 +203,35 @@ def _padd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lt_mul(fb: FieldBatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products in L[T] of broadcastable (B, ..., D, n) arrays: the shorter
-    factor's coefficients act through their multiplication matrices."""
+def _lt_mul(fb: FieldBatch, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """Products mod T^width in L[T] of broadcastable (B, ..., D, n) arrays:
+    the shorter factor's coefficients act through their multiplication
+    matrices.  Each shift adds a sum of n products of residues; the shifts
+    are reduced one by one only when int64 cannot hold all of them."""
+    a, b = a[..., :width, :], b[..., :width, :]
     if a.shape[-2] < b.shape[-2]:
         a, b = b, a
     da, db = a.shape[-2], b.shape[-2]
     if da == 1:  # T-degree 0: products in L
         return fb.mul(a, b)
+    p, n = fb.p, fb.n
+    D = min(da + db - 1, width)
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     mats = fb.mul_matrix(b).swapaxes(-1, -2)
-    acc = np.zeros(lead + (da + db - 1, fb.n), dtype=np.int64)
-    for t in range(db):
-        acc[..., t : t + da, :] += a @ mats[..., t, :, :] % fb.p
-    return acc % fb.p
+    raw = int64_products(p) >= n * db
+    acc = np.zeros(lead + (D, n), dtype=np.int64)
+    for t in range(min(db, D)):
+        k = min(da, D - t)
+        term = a[..., :k, :] @ mats[..., t, :, :]
+        acc[..., t : t + k, :] += term if raw else mod_p(term, p)
+    return mod_p(acc, p)
 
 
-def _berkowitz(fb: FieldBatch, M: np.ndarray) -> list[np.ndarray]:
+def _berkowitz(fb: FieldBatch, M: np.ndarray, width: int) -> list[np.ndarray]:
     """det(X - M) = sum_i c_i X^(r-i) for (B, r, r, D, n) matrices over
-    L[T], division-free (Berkowitz, IPL 1984): returns [1, c_1, ..., c_r].
+    L[T], division-free (Berkowitz, IPL 1984), every c_i taken mod T^width:
+    returns [1, c_1, ..., c_r].  Reduction mod T^width is a ring map, so it
+    commutes with a formula without division.
 
     Going up from the trailing 1 x 1 block, the block [[a, R], [C, S]] of
     size m has the characteristic vector of S multiplied by the lower
@@ -229,22 +239,23 @@ def _berkowitz(fb: FieldBatch, M: np.ndarray) -> list[np.ndarray]:
     -RS^(m-2)C."""
     p = fb.p
     r = M.shape[1]
+    M = M[..., :width, :]
     one = fb.one((1,))
     vec = [one]
     for k in range(r - 1, -1, -1):
         m = r - k
         row, col, S = M[:, k, k + 1 :], M[:, k + 1 :, k], M[:, k + 1 :, k + 1 :]
-        t = [one, (-M[:, k, k]) % p]
+        t = [one, mod_p(-M[:, k, k], p)]
         for j in range(m - 1):
-            t.append((-_lt_mul(fb, row, col).sum(axis=1)) % p)
+            t.append(mod_p(-_lt_mul(fb, row, col, width).sum(axis=1), p))
             if j < m - 2:
-                col = _lt_mul(fb, S, col[:, None]).sum(axis=2) % p
+                col = mod_p(_lt_mul(fb, S, col[:, None], width).sum(axis=2), p)
         new = [one]
         for i in range(1, m + 1):
             acc = t[i] if i == m else _padd(t[i], vec[i])
             for j in range(1, i):
-                acc = _padd(acc, _lt_mul(fb, t[j], vec[i - j]))
-            new.append(acc % p)
+                acc = _padd(acc, _lt_mul(fb, t[j], vec[i - j], width))
+            new.append(mod_p(acc, p))
         vec = new
     return vec
 
@@ -325,7 +336,7 @@ class Matrix:
         """Coordinates of [1, c_1, ..., c_n] with det(xI - M) = sum c_i x^(n-i)."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of non-square matrix")
-        vec = _berkowitz(self.field.batch(), self.coords[None, :, :, None])
+        vec = _berkowitz(self.field.batch(), self.coords[None, :, :, None], 1)
         return [c[0, 0].tolist() for c in vec]
 
     def det(self) -> FieldElement:

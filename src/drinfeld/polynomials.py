@@ -16,7 +16,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .fields import _ROOT_BLOCK, Field, FieldBatch, FieldElement, _digits, field_with_modulus, make_field
+from .fields import (
+    _ROOT_BLOCK,
+    Field,
+    FieldBatch,
+    FieldElement,
+    _digits,
+    field_with_modulus,
+    make_field,
+    mod_p,
+)
 from .linalg import check_int64_range, pullback
 
 
@@ -676,7 +685,7 @@ class ResidueBatch:
             self._weights = w.reshape(w.shape[0], D * e, fb.n)
         check_int64_range(fb.p, D * e)
         flat = coeffs.reshape(coeffs.shape[:-2] + (1, D * e))
-        return (flat @ self._weights[:, : D * e])[..., 0, :] % fb.p
+        return mod_p((flat @ self._weights[:, : D * e])[..., 0, :], fb.p)
 
 
 _ROOTS_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -787,33 +796,25 @@ def parse_poly(text: str, base: Field) -> SparsePoly:
 
 def format_poly(f: SparsePoly, var: str = "T") -> str:
     """Canonical rendering: descending exponents, integer coefficients."""
-    if not f:
-        return "0"
+    return format_terms(((e, c.to_int()) for e, c in reversed(f.terms)), var)
+
+
+def format_field_element(x: FieldElement, var: str = "T") -> str:
+    """Residue-field elements rendered as polynomials in the field generator."""
+    return format_terms(zip(range(len(x.coords) - 1, -1, -1), reversed(x.coords)), var)
+
+
+def format_terms(terms: Iterable[tuple[int, int]], var: str = "T") -> str:
+    """The rendering of `format_poly` from (exponent, coefficient index)
+    pairs in descending exponent order; zero coefficients are skipped."""
     parts = []
-    for e, c in reversed(f.terms):
-        ci = c.to_int()
+    for e, ci in terms:
+        if not ci:
+            continue
         if e == 0:
             parts.append(str(ci))
         elif e == 1:
             parts.append(var if ci == 1 else f"{ci}*{var}")
         else:
             parts.append(f"{var}^{e}" if ci == 1 else f"{ci}*{var}^{e}")
-    return "+".join(parts)
-
-
-def format_field_element(x: FieldElement, var: str = "T") -> str:
-    """Residue-field elements rendered as polynomials in the field generator."""
-    if not x:
-        return "0"
-    parts = []
-    for i in range(len(x.coords) - 1, -1, -1):
-        ci = x.coords[i]
-        if not ci:
-            continue
-        if i == 0:
-            parts.append(str(ci))
-        elif i == 1:
-            parts.append(var if ci == 1 else f"{ci}*{var}")
-        else:
-            parts.append(f"{var}^{i}" if ci == 1 else f"{ci}*{var}^{i}")
-    return "+".join(parts)
+    return "+".join(parts) or "0"

@@ -38,19 +38,21 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .charpoly import CharPolyError, charpolys_of_degree
-from .fields import Field, FieldBatch, FieldElement, _digits, _int_digits, field_with_modulus
+from .fields import Field, FieldBatch, FieldElement, _digits, _int_digits, field_with_modulus, mod_p
 from .linalg import _berkowitz
 from .polynomials import (
     ResidueBatch,
     SparsePoly,
     coordinates,
+    format_poly,
+    format_terms,
     is_irreducible,
     prime_coordinates,
-    primes_of_degree,
     residue_field,
 )
 from .skew import DrinfeldModule
@@ -144,7 +146,7 @@ def _backend_a(r: int, fld: Field) -> dict[tuple[int, ...], int]:
     counts = np.zeros(s**r, dtype=np.int64)
     for high in range(p ** (size - low)):
         block[:, low:] = _int_digits(high, p, size - low)
-        vec = _berkowitz(fld.batch(), block.reshape(-1, r, r, 1, n))
+        vec = _berkowitz(fld.batch(), block.reshape(-1, r, r, 1, n), 1)
         # det(xI - M) = sum c_i x^(r-i), ascending: c_r first
         keys = np.concatenate([c[:, 0] for c in vec[:0:-1]], axis=1)
         counts += np.bincount(keys[vec[-1][:, 0].any(axis=1)] @ index, minlength=s**r)
@@ -279,12 +281,41 @@ def _centralizer_order(lam: tuple[int, ...], Q: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+class _PrimeRow(NamedTuple):
+    """A prime as the sweep holds it: the indices (`FieldElement.to_int`)
+    of its coefficients over `base`, the constant first."""
+
+    base: Field
+    coeffs: tuple[int, ...]
+
+
 class SampleRecord:
-    prime: SparsePoly
-    degree: int
-    charpoly: tuple[FieldElement, ...]  # ascending non-leading coefficients (c_0..c_(r-1))
-    det_ok: bool
+    """One sampled prime, its degree, the ascending non-leading coefficients
+    (c_0..c_(r-1)) of its characteristic polynomial mod l, and whether the
+    determinant law held.  The sweep passes the prime as a `_PrimeRow`:
+    `prime` builds the `SparsePoly` from it on first access, and `name`
+    writes the `format_poly` string from its indices."""
+
+    def __init__(self, prime: SparsePoly | _PrimeRow, degree: int,
+                 charpoly: tuple[FieldElement, ...], det_ok: bool):
+        self._prime = prime
+        self.degree = degree
+        self.charpoly = charpoly
+        self.det_ok = det_ok
+
+    @property
+    def prime(self) -> SparsePoly:
+        if isinstance(self._prime, _PrimeRow):
+            base, coeffs = self._prime
+            self._prime = SparsePoly(base, [(j, base.from_int(k)) for j, k in enumerate(coeffs)])
+        return self._prime
+
+    @property
+    def name(self) -> str:
+        if isinstance(self._prime, _PrimeRow):
+            coeffs = self._prime.coeffs
+            return format_terms(zip(range(len(coeffs) - 1, -1, -1), reversed(coeffs)))
+        return format_poly(self._prime)
 
     def key(self) -> tuple[int, ...]:
         return tuple(c.to_int() for c in self.charpoly)
@@ -334,7 +365,8 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
     Each chunk of primes of one degree goes through the array route
     `charpolys_of_degree`; the a_i and epsilon*p are then reduced mod l, and
     the determinant law compared, as arrays for the whole chunk.  Records
-    are built last, with one FieldElement per element of F_l."""
+    are built last, with one FieldElement per element of F_l and each prime
+    kept as its row of coefficient indices (no `SparsePoly` is built)."""
     base, r = module.base, module.r
     if not is_irreducible(ell) or not ell.is_monic():
         raise SamplingError("l must be a monic prime of A")
@@ -351,8 +383,10 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
 
     records: list[SampleRecord] = []
     keys, dets = [], [np.zeros(0, dtype=np.int64)]
+    index = base.p ** np.arange(base.n)
     for d in range(1, max_degree + 1):
-        primes, rows = primes_of_degree(base, d), prime_coordinates(base, d)
+        rows = prime_coordinates(base, d)
+        indices = (rows @ index).tolist()
         usable = np.ones(len(rows), dtype=bool)
         for f in (SparsePoly.T(base), ell):
             if f.degree == d:
@@ -368,7 +402,8 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
             keys.append(key)
             dets.append(det)
             for b, row, ok in zip(chunk.tolist(), key.tolist(), det_ok.tolist()):
-                rec = SampleRecord(primes[b], d, tuple(elem(k) for k in row), ok)
+                rec = SampleRecord(_PrimeRow(base, tuple(indices[b])), d,
+                                   tuple(elem(k) for k in row), ok)
                 records.append(rec)
                 if progress is not None:
                     progress(rec)
@@ -402,8 +437,8 @@ def _charpolys_mod_l(at_ell: ResidueBatch, primes: np.ndarray, a: list[np.ndarra
     fl, sign = at_ell.fb, (-1) ** len(a)
     index = fl.p ** np.arange(fl.n)
     mod_l = [at_ell.evaluate(ai) for ai in reversed(a)]
-    det = sign * mod_l[0] % fl.p
-    law = sign * fl.mul(at_ell.evaluate(eps[:, None]), at_ell.evaluate(primes)) % fl.p
+    det = mod_p(sign * mod_l[0], fl.p)
+    law = mod_p(sign * fl.mul(at_ell.evaluate(eps[:, None]), at_ell.evaluate(primes)), fl.p)
     return np.stack([c @ index for c in mod_l], axis=1), det @ index, (det == law).all(axis=1)
 
 

@@ -12,7 +12,6 @@ with field coefficients into the additive map x |-> sum c_i x^(q^i).
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 from .fields import Field, FieldElement, make_field
@@ -356,17 +355,25 @@ def _field_for_q(q: int) -> Field:
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e; SkewError if q is not a prime power.  The
-    smallest divisor p > 1 of q is prime, found by trial division."""
-    if q >= 2:
-        p = next((k for k in range(2, math.isqrt(q) + 1) if q % k == 0), q)
-        e, t = 0, q
-        while t % p == 0:
-            t //= p
-            e += 1
-        if t == 1:
+    """(p, e) with q = p^e; SkewError if q is not a prime power.  For each
+    exponent e, p is the integer e-th root of q when it is exact and prime."""
+    from .fields import is_prime
+
+    for e in range(1, max(q, 1).bit_length()):
+        p = _integer_root(q, e)
+        if p**e == q and is_prime(p):
             return p, e
     raise SkewError(f"{q} is not a prime power")
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1: Newton's method on integers, from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _is_odd_prime(r: int) -> bool:

@@ -9,6 +9,9 @@ import pytest
 
 from drinfeld import reduction
 from drinfeld.cli import main
+from drinfeld.fields import make_field
+from drinfeld.polynomials import format_poly, from_coordinates, prime_coordinates
+from drinfeld.skew import split_prime_power
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
@@ -194,6 +197,21 @@ class TestSample:
         want = json.loads(REFERENCE.read_text())["sweep-q9"][ell]["sha256"]
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want
 
+    @pytest.mark.parametrize("q,ell", [(7, "T+6"), (9, "T+2")])
+    def test_prime_strings_come_from_the_coordinates(self, q, ell, tmp_path, capsys):
+        # at q = 9 a coefficient is an F_9 index written from its e = 2 digits
+        base = make_field(*split_prime_power(q), 1)
+        out_path = tmp_path / "sweep.json"
+        code, _, _ = run_cli(capsys, "sample", "--q", str(q), "--r", "3", "--l", ell,
+                             "--max-deg", "3", "--out", str(out_path))
+        assert code == 0
+        excluded = {"T", ell}
+        want = [format_poly(from_coordinates(base, row))
+                for d in range(1, 4) for row in prime_coordinates(base, d).tolist()]
+        want = [name for name in want if name not in excluded]
+        assert len(want) == {7: 7 + 21 + 112, 9: 9 + 36 + 240}[q] - 2
+        assert [rec["prime"] for rec in json.loads(out_path.read_text())["samples"]] == want
+
 
 class TestOracleGL:
     def test_rank1(self, capsys):
@@ -359,6 +377,24 @@ class TestFlags:
 
 
 class TestErrorHandling:
+    def test_huge_prime_characteristic_answers_at_once(self):
+        # q = 2^61 - 1 once hung in trial division before any arithmetic
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        q = 2**61 - 1
+        done = subprocess.run(
+            [sys.executable, "-m", "drinfeld", "phi", "--q", str(q), "--r", "3", "--a", "T"],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0
+        doc = json.loads(done.stdout)
+        assert doc["params"] == {"p": q, "e": 1, "q": q, "r": 3}
+        assert doc["phi_a"] == f"T + t^2 + T^{q - 1}*t^3"
+
+    def test_q_beyond_the_primality_bound_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "phi", "--q", str(2**89 - 1), "--a", "T")
+        assert code == 2
+        assert "bound of the deterministic primality test" in err
+
     def test_plain_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
         # an internal ValueError (say, a numpy broadcasting bug) must surface
         # with its traceback instead of exiting 2 as bad input

@@ -3,19 +3,25 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import drinfeld.fields as fields
 from drinfeld import linalg, reduction
 from drinfeld.fields import (
+    _MR_LIMIT,
     FieldError,
+    PrimalityError,
     _binomial_irreducible,
     _disc_character,
     _irreducibles,
     _rabin,
     _sieve,
     _sieve_digits,
+    is_prime,
     lex_smallest_irreducible,
     make_field,
+    mod_p,
 )
 from drinfeld.linalg import Int64RangeError
 
@@ -107,6 +113,70 @@ class TestMakeField:
 
     def test_caching_is_identity(self):
         assert make_field(5, 1, 2) is make_field(5, 1, 2)
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_1e5(self):
+        sieve = np.ones(100_000, dtype=bool)
+        sieve[:2] = False
+        for k in range(2, 317):
+            if sieve[k]:
+                sieve[k * k :: k] = False
+        assert [n for n in range(100_000) if is_prime(n)] == np.flatnonzero(sieve).tolist()
+
+    @pytest.mark.parametrize("n", [
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+        5394826801, 232250619601, 9746347772161,  # Carmichael numbers
+        2047, 3215031751, 3825123056546413051,  # strong pseudoprimes to small bases
+        (2**31 - 1) * 1_000_000_007, 3825123056546413051 * 863,
+    ])
+    def test_composites(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**31 - 1, 1_000_000_007, 3037000493, 2**61 - 1, 10**24 + 7])
+    def test_large_primes(self, n):
+        assert is_prime(n)
+
+    def test_refuses_beyond_the_deterministic_bound(self):
+        # the bound is itself a strong pseudoprime to every base 2 .. 41
+        with pytest.raises(PrimalityError, match="bound of the deterministic primality test"):
+            is_prime(_MR_LIMIT)
+        with pytest.raises(PrimalityError):
+            is_prime(2**89 - 1)
+        assert not is_prime(2 * _MR_LIMIT)  # a base divides it
+
+    def test_large_prime_field_is_immediate(self):
+        start = time.perf_counter()
+        fld = make_field(2**61 - 1, 1, 1)
+        assert time.perf_counter() - start < 1.0
+        assert fld.modulus == (0, 1)
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+SIZES = [1, fields._MOD_P_MIN_SIZE + 3]  # `%` below the threshold, floor division from it
+
+
+class TestModPHelper:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(INT64, min_size=1, max_size=40), size=st.sampled_from(SIZES),
+           p=st.sampled_from([2, 3, 5, 7, 1_000_000_007, 2**31 - 1, 3037000493]))
+    def test_equals_percent_on_int64(self, values, size, p):
+        a = np.resize(np.array(values, dtype=np.int64), max(size, len(values)))
+        assert np.array_equal(mod_p(a, p), a % p)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_extremes_of_int64(self, size):
+        extremes = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+        a = np.resize(np.array(extremes, dtype=np.int64), max(size, len(extremes)))
+        for p in (2, 3, 7, 2**31 - 1, 3037000493):
+            assert mod_p(a, p).tolist() == [v % p for v in a.tolist()]
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=20),
+           p=st.sampled_from([5, 2**61 - 1, 2**89 - 1]))
+    def test_equals_percent_on_object_arrays(self, values, p):
+        a = np.array(values, dtype=object)
+        assert mod_p(a, p).tolist() == [v % p for v in values]
 
 
 class TestFieldAxioms:

@@ -15,6 +15,7 @@ from drinfeld.charpoly import (
     frobenius_charpolys,
 )
 from drinfeld.fields import make_field
+from drinfeld.linalg import int64_products
 from drinfeld.polynomials import SparsePoly, format_poly, parse_poly, primes_of_degree
 from drinfeld.reduction import ReductionError, reduce_mod
 from drinfeld.sampling import SamplingError, sample_frobenii
@@ -131,8 +132,8 @@ def _corrupt(monkeypatch, index, t_degree, coord):
     """Add 1 to one coordinate of one charpoly coefficient out of Berkowitz."""
     berkowitz = charpoly_mod._berkowitz
 
-    def corrupted(fb, M):
-        out = berkowitz(fb, M)
+    def corrupted(fb, M, width):
+        out = berkowitz(fb, M, width)
         out[index] = out[index].copy()
         out[index][:, t_degree, coord] = (out[index][:, t_degree, coord] + 1) % fb.p
         return out
@@ -162,6 +163,27 @@ def test_linear_system_refuses_an_ambiguous_system(monkeypatch):
                         lambda *a: (solve(*a)[0], 1))
     with pytest.raises(CharPolyError, match=r"ambiguous Frobenius system at T\+3$"):
         charpoly_linear_system(module, parse_poly("T+3", base))
+
+
+@pytest.mark.parametrize("p,products,texts", [
+    (2**31 - 1, 2, ["T^2+3*T+1", "T^2+1", "T^2+2", "T^2+4"]),
+    (1_000_000_007, 9, ["T^2+3*T+1", "T^2+T+3", "T^2+1", "T^2+2"]),
+])
+@pytest.mark.parametrize("coeffs", [None, "T;288545019*T+1222356006;1819850096*T+1722851097;"
+                                          "1640193507*T+135520873"])
+def test_large_p_degree_two_agrees_with_linear_system(p, products, texts, coeffs):
+    # an int64 sum holds `products` products of residues here, too few for
+    # the unreduced sums of the kernel, so they must be reduced as they go;
+    # the dense coefficients make the residual's sums large as well
+    assert int64_products(p) == products
+    base = make_field(p, 1, 1)
+    if coeffs is None:
+        module = DrinfeldModule.default_family(base, 3)
+    else:
+        module = DrinfeldModule(base, [parse_poly(c, base) for c in coeffs.split(";")])
+    primes = [parse_poly(t, base) for t in texts]
+    assert frobenius_charpolys(module, primes) == [
+        charpoly_linear_system(module, f) for f in primes]
 
 
 def test_boundary_prime_of_the_int64_guard():

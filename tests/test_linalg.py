@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from drinfeld import linalg
 from drinfeld.fields import FieldBatch, make_field
+from drinfeld.linalg import _berkowitz
 from drinfeld.polynomials import parse_poly, residue_field
 
 
@@ -354,3 +355,28 @@ def test_matrix_golden_table(name, entries, charpoly, det, kernels):
                                           for i in range(3) for j in range(3)])
         got = [[x.to_int() for x in v] for v in shifted.kernel_basis()]
         assert got == kernels.get(lam.to_int(), [])
+
+
+def _cut(c, width):
+    """c padded with zero T-coefficients or cut to T-length width."""
+    out = np.zeros(c.shape[:1] + (width,) + c.shape[2:], dtype=c.dtype)
+    out[:, : min(width, c.shape[1])] = c[:, :width]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1_000_000_007, 2147483647])
+@settings(max_examples=15, deadline=None)
+@given(e=st.integers(1, 2), r=st.integers(1, 4), D=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_truncated_berkowitz_is_the_full_one_cut(p, e, r, D, seed, data):
+    # at p = 2^31 - 1 an int64 holds 2 products, so _lt_mul reduces every shift
+    fb = make_field(p, e, 1).batch()
+    rng = np.random.default_rng(seed)
+    M = rng.integers(0, p, size=(3, r, r, D, e), dtype=np.int64)
+    full = _berkowitz(fb, M, r * D)
+    width = data.draw(st.integers(1, r * D))
+    cut = _berkowitz(fb, M, width)
+    assert len(cut) == len(full) == r + 1
+    for got, want in zip(cut, full):
+        assert got.shape[1] <= width
+        assert np.array_equal(_cut(got, width), _cut(want, width))

@@ -6,8 +6,11 @@ import pytest
 from drinfeld.fields import make_field
 from drinfeld.polynomials import (
     SparsePoly,
+    format_poly,
+    from_coordinates,
     is_irreducible,
     parse_poly,
+    prime_coordinates,
     primes_of_degree,
     residue_field,
 )
@@ -156,6 +159,21 @@ class TestSampling:
             # closed form: x^3 + x^2 - p mod l
             assert [c.to_int() for c in rec.charpoly] == [(-want).to_int(), 0, 1]
             assert rec.det_ok
+
+    @pytest.mark.parametrize("q,ell", [(7, "T+6"), (9, "T+2")])
+    def test_record_primes_are_built_from_their_rows(self, q, ell):
+        p, e = {7: (7, 1), 9: (3, 2)}[q]
+        base = make_field(p, e, 1)
+        report = sample_frobenii(DrinfeldModule.default_family(base, 3),
+                                 parse_poly(ell, base), 2)
+        rows = [row for d in (1, 2) for row in prime_coordinates(base, d).tolist()]
+        want = [from_coordinates(base, row) for row in rows]
+        want = [f for f in want if format_poly(f) not in ("T", ell)]
+        assert [rec.name for rec in report.records] == [format_poly(f) for f in want]
+        assert [rec.prime for rec in report.records] == want
+        assert [rec.name for rec in report.records] == [format_poly(f) for f in want]
+        given = SampleRecord(want[0], 1, report.records[0].charpoly, True)
+        assert given.prime is want[0] and given.name == format_poly(want[0])
 
     def test_det_values_distinct_at_degree_one(self):
         D = DrinfeldModule.default_family(7, 3)

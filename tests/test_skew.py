@@ -9,7 +9,9 @@ from drinfeld.skew import (
     SkewDivisionError,
     SkewError,
     SkewPoly,
+    _integer_root,
     linearized_eval,
+    split_prime_power,
 )
 
 F5 = make_field(5, 1, 1)
@@ -239,3 +241,40 @@ class TestLinearizedEval:
             x = F25.from_int(rng.randrange(25))
             for c in range(5):
                 assert linearized_eval(f, x * c) == linearized_eval(f, x) * c
+
+
+class TestSplitPrimePower:
+    @pytest.mark.parametrize("q,pe", [
+        (2, (2, 1)), (4, (2, 2)), (9, (3, 2)), (25, (5, 2)), (3**20, (3, 20)),
+        (2**61 - 1, (2**61 - 1, 1)), ((2**31 - 1) ** 2, (2**31 - 1, 2)), (5**27, (5, 27)),
+    ])
+    def test_prime_powers(self, q, pe):
+        assert split_prime_power(q) == pe
+
+    @pytest.mark.parametrize("q", [-4, 0, 1, 6, 12, 36, 100, 3**5 * 5, (2**31 - 1) * 1_000_000_007])
+    def test_refuses_others(self, q):
+        with pytest.raises(SkewError, match="is not a prime power"):
+            split_prime_power(q)
+
+    def test_agrees_with_trial_division(self):
+        def by_trial(q):
+            p = next(k for k in range(2, q + 1) if q % k == 0)
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            return (p, e) if q == 1 else None
+
+        for q in range(2, 5000):
+            try:
+                got = split_prime_power(q)
+            except SkewError:
+                got = None
+            assert got == by_trial(q)
+
+    def test_integer_root(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            n, k = rng.getrandbits(rng.randint(1, 200)) or 1, rng.randint(1, 40)
+            x = _integer_root(n, k)
+            assert x**k <= n < (x + 1) ** k
