@@ -89,7 +89,10 @@ def _parse_prime(text: str, base) -> SparsePoly:
 
 
 def _emit(obj: dict, out_path: str | None):
-    text = json.dumps(obj, indent=2)
+    _write(json.dumps(obj, indent=2), out_path)
+
+
+def _write(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -214,7 +217,7 @@ def cmd_sample(args) -> int:
     report = sample_frobenii(module, ell, args.max_deg, budget=args.budget)
     verdict, reasons = surjectivity_evidence(report, args.tv_threshold)
     base = module.base
-    _emit({
+    text = json.dumps({
         "params": {
             "p": base.p,
             "e": base.e,
@@ -223,15 +226,7 @@ def cmd_sample(args) -> int:
             "l": format_poly(ell),
             "max_deg": args.max_deg,
         },
-        "samples": [
-            {
-                "prime": rec.name,
-                "deg": rec.degree,
-                "charpoly": [format_field_element(c) for c in rec.charpoly],
-                "det_ok": rec.det_ok,
-            }
-            for rec in report.records
-        ],
+        "samples": [],  # written below, record by record
         "tv_distance": report.tv_distance,
         "flags": {
             "irreducible_seen": report.irreducible_seen,
@@ -239,8 +234,36 @@ def cmd_sample(args) -> int:
         },
         "verdict": "consistent" if verdict == CONSISTENT else "flagged",
         "reasons": reasons,
-    }, args.out)
+    }, indent=2)
+    if report.records:
+        samples = ",\n".join(_sample_records(report.records))
+        text = text.replace('"samples": []', f'"samples": [\n{samples}\n  ]', 1)
+    _write(text, args.out)
     return 0
+
+
+_SAMPLE_RECORD = """\
+    {{
+      "prime": {},
+      "deg": {},
+      "charpoly": [
+        {}
+      ],
+      "det_ok": {}
+    }}"""
+
+
+def _sample_records(records):
+    """Each record as `json.dumps(indent=2)` writes it inside the report,
+    from one JSON string per F_l element of the charpolys."""
+    strings = {}
+    for rec in records:
+        for c in rec.charpoly:
+            if c not in strings:
+                strings[c] = json.dumps(format_field_element(c))
+        yield _SAMPLE_RECORD.format(json.dumps(rec.name), rec.degree,
+                                    ",\n        ".join(map(strings.get, rec.charpoly)),
+                                    "true" if rec.det_ok else "false")
 
 
 def cmd_oracle_gl(args) -> int:

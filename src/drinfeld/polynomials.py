@@ -497,50 +497,40 @@ def prime_coordinates(base: Field, d: int) -> np.ndarray:
 
 
 def _primes_of_degree_np(base: Field, d: int) -> np.ndarray:
-    """Vectorized sieve over F_p: a monic degree-d poly is irreducible iff no
-    monic irreducible of degree <= d/2 divides it.  Remainders under a fixed
-    divisor are F_q-linear, hence F_p-linear, in the coefficient vector, so
-    each divisor knocks out its multiples with one matrix product over all
-    candidates.
+    """Sieve of products: a monic polynomial of degree d is reducible iff it
+    is g h with g a monic irreducible of degree j <= d/2 and h monic of
+    degree d - j.  For each j, every such product is formed at once on
+    coefficient arrays and its index crossed out; the survivors are the
+    primes, in index order.  There are at most q^j / j irreducibles of
+    degree j, so no product array is larger than the q^d candidates'.
 
-    A candidate is a row of F_p digits: coefficient i of T^i is the F_q
-    element whose e coordinates are digits i*e .. i*e+e-1.  Row k holds the
-    base-p digits of k, so candidate k is the polynomial of index k and the
-    primes come out in index order.
+    Index k is the monic polynomial whose F_p coordinates, e per F_q
+    coefficient and the constant first, are the base-p digits of k.
     """
     if d < 1:
         raise PrimeError("degree must be >= 1")
-    p, e = base.p, base.n
-    count = base.q**d
-    coeffs = np.zeros((count, (d + 1) * e), dtype=np.int64)
-    coeffs[:, : d * e] = _digits(np.arange(count, dtype=np.int64), p, d * e)
-    coeffs[:, d * e] = 1  # monic: the leading coefficient is 1 of F_q
-    alive = np.ones(count, dtype=bool)
-    for deg_g in range(1, d // 2 + 1):
-        for g in primes_of_degree(base, deg_g):
-            rem = coeffs @ _reduction_matrix(g, d + 1).T % p
-            alive &= rem.any(axis=1)
-    return coeffs[alive].reshape(-1, d + 1, e)
+    p, e, fb = base.p, base.n, base.batch()
+    alive = np.ones(base.q**d, dtype=bool)
+    for j in range(1, d // 2 + 1):
+        # coefficient-major, (degree, N, M, e), so that numpy's inner loops
+        # run over the M cofactors rather than the e coordinates
+        g = prime_coordinates(base, j).transpose(1, 0, 2)[:, :, None]
+        h = _monics(base, np.arange(base.q ** (d - j)), d - j).transpose(1, 0, 2)[:, None]
+        index = 0
+        for m in range(d):  # the leading coefficient is 1
+            c = sum(fb.mul(g[i], h[m - i]) for i in range(max(0, m - d + j), min(j, m) + 1))
+            index = index + (c % p) @ p ** np.arange(m * e, m * e + e)
+        alive[index.ravel()] = False
+    return _monics(base, np.flatnonzero(alive), d)
 
 
-def _reduction_matrix(g: SparsePoly, ncols: int) -> np.ndarray:
-    """F_p matrix R with coords(f mod g) = R @ coords(f) for deg f < ncols,
-    coordinates taken e per F_q coefficient.  Column block i is T^i mod g,
-    each F_q entry expanded to the e x e matrix of multiplication by it
-    (for e = 1, the entry itself)."""
-    base, dg = g.base, g.degree
-    low = [g.coeff(i) for i in range(dg)]
-    cols = []
-    for i in range(ncols):
-        if i < dg:
-            cur = [base.one if j == i else base.zero for j in range(dg)]
-        else:
-            top = cur[-1]
-            cur = [a - top * c for a, c in zip([base.zero] + cur[:-1], low)]
-        cols.append([c.coords for c in cur])
-    entries = np.array(cols, dtype=np.int64).transpose(1, 0, 2)  # (dg, ncols, e)
-    blocks = base.batch().mul_matrix(entries[None])[0]  # (dg, ncols, e, e)
-    return blocks.transpose(0, 2, 1, 3).reshape(dg * base.n, ncols * base.n)
+def _monics(base: Field, ks: np.ndarray, d: int) -> np.ndarray:
+    """(len(ks), d+1, e) coefficient arrays of the monic polynomials of
+    degree d with these indices."""
+    out = np.zeros((len(ks), d + 1, base.n), dtype=np.int64)
+    out[:, :d] = _digits(ks, base.p, d * base.n).reshape(len(ks), d, base.n)
+    out[:, d, 0] = 1  # the leading coefficient is 1 of F_q
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ is array-native from the prime list to the records: each chunk of primes
 of one degree goes through the array route of the motive charpolys
 (`charpolys_of_degree`, each answer checked there), then the a_i and the
 determinant law, det = (-1)^r epsilon p mod l (the array form of
-`det_law`), are reduced mod l for the whole chunk at once.  Key counts,
-determinant coverage and the irreducibility flag (a lookup among the
-degree-r irreducibles of the prime sieve over F_l) come from the distinct
-keys.  Records are built last; they, and the `progress` callback, follow
-the prime enumeration order.
+`det_law`), are reduced mod l for the whole chunk at once.  Each key is
+one integer sum c_i s^i (s = |F_l|); key counts and the irreducibility flag
+(a lookup among the degree-r irreducibles of the prime sieve over F_l) come
+from the distinct integers, determinant coverage from a bincount.  Records
+are built last; they, and the `progress` callback, follow the prime
+enumeration order.
 
 Two oracle backends compute the exact distribution:
 
@@ -70,7 +71,9 @@ DEFAULT_TV_THRESHOLD = 0.1
 DEFAULT_ENUM_BUDGET = 2_000_000
 # Primes per batched charpoly call.  It bounds the working arrays: on the
 # q = 7, degree-5 sweep 128 primes ran the kernel about 20% faster than 64
-# at the same peak RSS, 256 no faster, and at q = 9 256 raised the peak by 2 MB.
+# at the same peak RSS.  256 runs 1.10-1.17x faster than 128 there and
+# 1.2x at q = 9, degree 3 (in process), but at q = 9 a chunk of 256 or 512
+# raises the sweep's peak RSS by 1.6-1.7 MB, about 5%, in a 33 MB process.
 CHARPOLY_CHUNK = 128
 # Matrices per batched Berkowitz call of backend A (p of them when p is larger).
 _ENUM_BLOCK = 1 << 14
@@ -333,14 +336,6 @@ class SampleReport:
     det_covers: bool
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def empirical(self) -> dict[tuple[int, ...], float]:
-        n = len(self.records)
-        out: dict[tuple[int, ...], int] = {}
-        for rec in self.records:
-            out[rec.key()] = out.get(rec.key(), 0) + 1
-        return {k: v / n for k, v in out.items()}
-
 
 def tv_distance(emp_counts: dict[tuple[int, ...], int], n: int,
                 oracle: GLDistribution) -> float:
@@ -371,18 +366,14 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
     if not is_irreducible(ell) or not ell.is_monic():
         raise SamplingError("l must be a monic prime of A")
     rf = residue_field(ell)
+    s = rf.field.order
+    if s**r >= 2**63:
+        raise SamplingError(f"a key of {s}^{r} values does not fit in int64")
     oracle = gl_charpoly_distribution(r, rf.field, budget=budget)
     at_ell = ResidueBatch(base, coordinates(base, [ell], ell.degree))
-    elems: dict[int, FieldElement] = {}
-
-    def elem(k: int) -> FieldElement:
-        x = elems.get(k)
-        if x is None:
-            x = elems[k] = rf.field.from_int(k)
-        return x
-
+    elem = functools.lru_cache(maxsize=None)(rf.field.from_int)  # one object per element
     records: list[SampleRecord] = []
-    keys, dets = [], [np.zeros(0, dtype=np.int64)]
+    keys, dets = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     index = base.p ** np.arange(base.n)
     for d in range(1, max_degree + 1):
         rows = prime_coordinates(base, d)
@@ -399,7 +390,7 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
             except CharPolyError as exc:
                 raise SamplingError(f"charpoly failed: {exc}") from exc
             key, det, det_ok = _charpolys_mod_l(at_ell, rows[chunk], a, eps)
-            keys.append(key)
+            keys.append(key @ s ** np.arange(r))  # (c_0, ..., c_(r-1)) as sum c_i s^i
             dets.append(det)
             for b, row, ok in zip(chunk.tolist(), key.tolist(), det_ok.tolist()):
                 rec = SampleRecord(_PrimeRow(base, tuple(indices[b])), d,
@@ -408,18 +399,12 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
                 if progress is not None:
                     progress(rec)
 
-    emp: dict[tuple[int, ...], int] = {}
-    irreducible_seen = False
-    if records:
-        cells, first, counts = np.unique(np.concatenate(keys), axis=0,
-                                         return_index=True, return_counts=True)
-        order = np.argsort(first)  # first-seen order: tv_distance sums in it, the JSON keeps it
-        emp = dict(zip(map(tuple, cells[order].tolist()), counts[order].tolist()))
-        encoded = cells @ rf.field.order ** np.arange(r)
-        irreducible_seen = bool(np.isin(encoded, _irreducible_keys(rf.field, r)).any())
+    cells, first, counts = np.unique(np.concatenate(keys), return_index=True, return_counts=True)
+    order = np.argsort(first)  # first-seen order: tv_distance sums in it
+    emp = dict(zip(map(tuple, _digits(cells[order], s, r).tolist()), counts[order].tolist()))
     tv = tv_distance(emp, len(records), oracle)
-    det_values = np.unique(np.concatenate(dets))
-    det_covers = bool(np.isin(np.arange(1, rf.field.order), det_values).all())
+    irreducible_seen = bool(np.isin(cells, _irreducible_keys(rf.field, r)).any())
+    det_covers = bool(np.bincount(np.concatenate(dets), minlength=s)[1:].all())
     warnings = []
     if module.q % r != 1:
         warnings.append(f"q = {module.q} is not 1 mod r = {r}; "

@@ -17,6 +17,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
+def src_env():
+    """The environment of a fresh interpreter that imports the library from src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -122,12 +128,10 @@ class TestTorsion:
     def test_oversized_splitting_field_exits_within_seconds(self):
         # the search stops at m = 1024 = 2048 // 2; m = 4095 would split it,
         # and building F_(4^4095) would never finish
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
         done = subprocess.run(
             [sys.executable, "-m", "drinfeld", "torsion", "--q", "4", "--r", "3",
              "--p", "T+3", "--l", "T^2+2*T+1"],
-            env=env, capture_output=True, text=True, timeout=60)
+            env=src_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
         assert ("at m = 1025 the F_p-degree 2050 exceeds MAX_SPLITTING_FIELD_DEGREE = 2048"
                 in done.stderr)
@@ -196,6 +200,55 @@ class TestSample:
         assert code == 0
         want = json.loads(REFERENCE.read_text())["sweep-q9"][ell]["sha256"]
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want
+
+    def test_q7_sweep_bytes_match_the_benchmark_reference(self, tmp_path, capsys):
+        out_path = tmp_path / "sweep.json"
+        code, _, _ = run_cli(capsys, "sample", "--q", "7", "--r", "3", "--l", "T+6",
+                             "--max-deg", "5", "--out", str(out_path))
+        assert code == 0
+        want = json.loads(REFERENCE.read_text())["sweep-q7"]["T+6"]["sha256"]
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want
+
+    @pytest.mark.parametrize("argv,samples,width", [
+        (["--q", "7", "--r", "3", "--l", "T+6", "--max-deg", "0"], 0, None),
+        (["--q", "9", "--r", "3", "--l", "T+2", "--max-deg", "2"], 9 + 36 - 2, 3),
+        (["--q", "5", "--coeffs", "T;1;2;1", "--l", "T^2+2", "--max-deg", "2"], 5 + 10 - 2, 3),
+        (["--q", "11", "--r", "5", "--l", "T+10", "--max-deg", "1"], 11 - 2, 5),
+    ])
+    def test_records_are_written_as_json_dumps_writes_them(self, argv, samples, width,
+                                                           tmp_path, capsys):
+        # the samples array is written record by record, the rest by json.dumps
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "sample", *argv, "--out", str(out_path))
+        assert code == 0
+        text = out_path.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert len(doc["samples"]) == samples
+        assert all(len(rec["charpoly"]) == width for rec in doc["samples"])
+        if not samples:
+            assert '"samples": [],' in text
+
+    def test_records_on_stdout_match_the_file(self, tmp_path, capsys):
+        argv = ["sample", "--q", "9", "--r", "3", "--l", "T+1", "--max-deg", "1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        run_cli(capsys, *argv, "--out", str(tmp_path / "report.json"))
+        assert (tmp_path / "report.json").read_text() == out
+
+    def test_sweep_does_not_import_numpy_ma(self):
+        # numpy.ma costs about 15 ms and 0.45 MB per process; a bare np.unique
+        # (or np.setdiff1d) imports it
+        script = ("import sys\n"
+                  "from drinfeld.cli import main\n"
+                  "main(['sample', '--q', '9', '--r', '3', '--l', 'T+2', '--max-deg', '3',\n"
+                  "      '--out', sys.argv[1]])\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script, os.devnull], env=src_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     @pytest.mark.parametrize("q,ell", [(7, "T+6"), (9, "T+2")])
     def test_prime_strings_come_from_the_coordinates(self, q, ell, tmp_path, capsys):
@@ -379,12 +432,10 @@ class TestFlags:
 class TestErrorHandling:
     def test_huge_prime_characteristic_answers_at_once(self):
         # q = 2^61 - 1 once hung in trial division before any arithmetic
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
         q = 2**61 - 1
         done = subprocess.run(
             [sys.executable, "-m", "drinfeld", "phi", "--q", str(q), "--r", "3", "--a", "T"],
-            env=env, capture_output=True, text=True, timeout=10)
+            env=src_env(), capture_output=True, text=True, timeout=10)
         assert done.returncode == 0
         doc = json.loads(done.stdout)
         assert doc["params"] == {"p": q, "e": 1, "q": q, "r": 3}

@@ -1,5 +1,7 @@
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from drinfeld import polynomials
@@ -67,6 +69,27 @@ class TestPrimes:
         idx = [sum(c.to_int() * 5**e for e, c in f.terms if e < 2) for f in pr]
         assert idx == sorted(idx)
 
+    @pytest.mark.parametrize("p,dmax", [(7, 6), (2, 10), (11, 4)])
+    def test_product_sieve_counts_order_and_leading_one(self, p, dmax):
+        base = make_field(p, 1, 1)
+        for d in range(1, dmax + 1):
+            rows = prime_coordinates(base, d)
+            assert len(rows) == necklace_count(p, d) == moebius_count(p, d)
+            index = rows[:, :d, 0] @ p ** np.arange(d)
+            assert (np.diff(index) > 0).all()
+            assert (rows[:, d, 0] == 1).all()
+
+    # recorded from the sieve that reduced every candidate by each divisor
+    @pytest.mark.parametrize("p,e,d,shape,digest", [
+        (7, 1, 5, (3360, 6, 1), "ec4bab250ac36f908a64d6d30757ff8bc9da8ae660c751d15153c15101bd78b3"),
+        (3, 2, 4, (1620, 5, 2), "38e3a8602d47642982450fa89fbc6080a9f7c93e20355dadc02078e6c3c46b79"),
+        (2, 3, 4, (1008, 5, 3), "73a880ef37842c8dbfb8b18a2ea91da5b4bb3503274f830b08cbb5485a607b5d"),
+    ])
+    def test_prime_coordinates_digests(self, p, e, d, shape, digest):
+        rows = prime_coordinates(make_field(p, e, 1), d)
+        assert rows.shape == shape and rows.dtype == np.int64
+        assert hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest() == digest
+
     def test_coordinates_build_no_sparse_poly_of_their_degree(self, monkeypatch):
         base = Field(7, 1, 1, (0, 1))  # a fresh object: the caches key on id
         built = []
@@ -74,7 +97,7 @@ class TestPrimes:
         monkeypatch.setattr(polynomials, "from_coordinates",
                             lambda b, row: built.append(len(row) - 1) or real(b, row))
         rows = prime_coordinates(base, 3)
-        assert 3 not in built  # only the divisors of degree 1 the sieve reduces by
+        assert not built  # the sieve works on coordinate arrays only
         assert not any(polynomials._IRRED_CACHE.get(real(base, row)) for row in rows.tolist())
         primes = primes_of_degree(base, 3)
         assert built.count(3) == len(primes) == 112

@@ -278,6 +278,32 @@ class TestSampling:
         assert verdict == CONSISTENT
         assert reasons == []
 
+    @pytest.mark.parametrize("q,ell,max_deg", [(7, "T+6", 3), (9, "T+2", 2)])
+    def test_tally_matches_the_records(self, q, ell, max_deg):
+        # the integer-key tally against one made from the records' own keys
+        p, e = {7: (7, 1), 9: (3, 2)}[q]
+        base = make_field(p, e, 1)
+        report = sample_frobenii(DrinfeldModule.default_family(base, 3),
+                                 parse_poly(ell, base), max_deg)
+        emp = {}
+        for rec in report.records:
+            emp[rec.key()] = emp.get(rec.key(), 0) + 1
+        assert report.tv_distance == tv_distance(emp, len(report.records), report.oracle)
+        fl = residue_field(parse_poly(ell, base)).field
+        x = SparsePoly.T(fl)
+        polys = {key: x**3 + SparsePoly(fl, [(i, fl.from_int(c)) for i, c in enumerate(key)])
+                 for key in emp}
+        assert report.irreducible_seen == any(is_irreducible(f) for f in polys.values())
+        dets = {(-rec.charpoly[0]).to_int() for rec in report.records}
+        assert report.det_covers == (dets >= set(range(1, fl.order)))
+
+    def test_key_beyond_int64_is_refused(self):
+        # s^r >= 2^63: each key (c_0, c_1, c_2) could not be one int64
+        p = 2097169  # the least prime above 2^21
+        base = make_field(p, 1, 1)
+        with pytest.raises(SamplingError, match=f"{p}\\^3 values does not fit in int64"):
+            sample_frobenii(DrinfeldModule.default_family(base, 3), parse_poly("T+1", base), 1)
+
     def test_warning_when_q_not_1_mod_r(self):
         D = DrinfeldModule.default_family(5, 3)  # 5 = 2 mod 3
         report = sample_frobenii(D, parse_poly("T+4", F5), 1)
