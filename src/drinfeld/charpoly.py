@@ -23,15 +23,17 @@ closed form, and the operator identity
 
     tau^(r d) + phi_(a_1) tau^((r-1)d) + ... + phi_(a_r)  =  0
 
-holds exactly in L{tau}.
+holds exactly in L{tau}, phi_(T^j) taken from `reduction.phi_T_powers`.
 
 Two independent oracles remain.  `charpoly_linear_system` solves that
 identity as a linear system in the coefficients of the a_i inside their
 degree bounds, posed over F_p with e digits per F_q coefficient (a unique
 F_q solution is F_p nullity 0); for prime rank the bounded solution is unique
 (the constant term is a unit times the prime, ruling out a full r-th
-power), and a system that is not raises.  `charpoly_mod_l` reads the
-characteristic polynomial off the torsion Frobenius matrix at l.
+power), and a system that is not raises.  It is assembled from the same
+`phi_T_powers` arrays and checked by the same `_check_residual`, but the
+primary route never uses those powers to produce the a_i.  `charpoly_mod_l`
+reads the characteristic polynomial off the torsion Frobenius matrix at l.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from .polynomials import (
     is_irreducible,
     residue_field,
 )
-from .reduction import ReducedModule, reduce_batch, reduce_mod, torsion_space
-from .skew import DrinfeldModule, SkewPoly
+from .reduction import ReducedModule, phi_T_powers, reduce_batch, reduce_mod, torsion_space
+from .skew import DrinfeldModule
 
 
 class CharPolyError(ValueError):
@@ -99,8 +101,6 @@ class CharPoly:
         )
 
     def __repr__(self):
-        from .polynomials import format_poly
-
         parts = [f"x^{self.r}"]
         for i, a in enumerate(self.a, start=1):
             if a:
@@ -260,7 +260,7 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
     eps_p = base.batch().mul(eps[:, None], primes)
     raise_at((eps_p != a[-1]).any(axis=(1, 2)), "a_r differs from epsilon*p")
 
-    _check_residual(fb, g, frob, np.stack(coeffs, axis=1), raise_at)
+    _check_residual(fb, phi_T_powers(fb, g, frob, d), np.stack(coeffs, axis=1), raise_at)
     return a, eps
 
 
@@ -280,27 +280,18 @@ def _raise_at(base, primes: np.ndarray, bad: np.ndarray, message: str):
         raise CharPolyError(f"{message} at {format_poly(prime)}")
 
 
-def _check_residual(fb: FieldBatch, g: np.ndarray, frob: np.ndarray, coeffs: np.ndarray,
-                    raise_at):
+def _check_residual(fb: FieldBatch, powers: list[np.ndarray], coeffs: np.ndarray, raise_at):
     """tau^(rd) + sum_i phi_(a_i) tau^((r-i)d) = 0 in L{tau}, the a_i given
     by their L-coordinates coeffs[:, i-1] (B, r, d+1, n) within the degree
-    bounds.  phi_(T^j) = P_j comes from P_(j+1) = phi_T P_j, that is
-    P_(j+1)[m] = sum_k g_k sigma^k(P_j[m-k]): one matrix per k."""
-    batch, r, width, n = coeffs.shape
-    d = width - 1
-    p = fb.p
-    steps = [np.broadcast_to(np.eye(n, dtype=np.int64), frob.shape)]
-    for _ in range(r):
-        steps.append(mod_p(steps[-1] @ frob, p))
-    steps = mod_p(fb.mul_matrix(g) @ np.stack(steps, axis=1), p)  # x -> g_k sigma^k(x)
-    steps = steps.swapaxes(-1, -2)
-    # unreduced, an entry of P_(j+1) sums r+1 matrix products of n terms
-    # and one of the total at most (d+1)r of them, plus the 1 of tau^(rd)
-    raw = int64_products(p) > n * max(r + 1, (d + 1) * r)
-    total = np.zeros((batch, r * d + 1, n), dtype=np.int64)
+    bounds and phi_(T^j) by powers[j] (`phi_T_powers`), j <= d."""
+    batch, r, _, n = coeffs.shape
+    d, p = len(powers) - 1, fb.p
+    # unreduced, an entry of the total sums at most (d+1)r matrix products
+    # of n terms, plus the 1 of tau^(rd)
+    raw = int64_products(p) > n * (d + 1) * r
+    total = np.zeros((batch, r * d + 1, n), dtype=fb.dtype)
     total[:, r * d, 0] = 1
-    P = fb.one((1,))
-    for j in range(d + 1):
+    for j, P in enumerate(powers):
         span = P.shape[1]
         terms = P[:, None] @ fb.mul_matrix(coeffs[:, :, j]).swapaxes(-1, -2)
         if not raw:
@@ -308,14 +299,6 @@ def _check_residual(fb: FieldBatch, g: np.ndarray, frob: np.ndarray, coeffs: np.
         for i, bound in enumerate(_degree_bounds(r, d), start=1):
             if j <= bound:
                 total[:, (r - i) * d : (r - i) * d + span] += terms[:, i - 1]
-        if j < d:
-            terms = P[:, None] @ steps
-            if not raw:
-                terms = mod_p(terms, p)
-            P = np.zeros((batch, span + r, n), dtype=np.int64)
-            for k in range(r + 1):
-                P[:, k : k + span] += terms[:, k]
-            P = mod_p(P, p)
     raise_at(mod_p(total, p).any(axis=(1, 2)), "residual identity fails")
 
 
@@ -356,50 +339,31 @@ def charpoly_linear_system(module: DrinfeldModule, prime: SparsePoly) -> CharPol
     layout = [(i, j) for i in range(1, r + 1) for j in range(bounds[i - 1] + 1)]
     ncols = len(layout)
 
-    # coefficients of phi_(T^j) in the residue field
-    phis = [reduced.phi_T_power(j) for j in range(d + 1)]
-    coeff = [{e: c for e, c in f.terms} for f in phis]
-
     # each F_q unknown is e F_p digits: digit k's column holds alpha^k c,
-    # alpha^k the embedded powers of the F_q generator
+    # alpha^k the embedded powers of the F_q generator and c a coefficient
+    # of phi_(T^j) = P_j
     fld = reduced.field
-    nf, e, p = fld.n, base.e, base.p
-    times_alpha = fld.batch().mul_matrix(fld.base_embedding().T)  # x -> alpha^k x
-    rows = np.zeros(((r * d + 1) * nf, ncols * e), dtype=np.int64)
-    rhs = np.zeros((r * d + 1) * nf, dtype=np.int64)
+    fb, nf, e, p = fld.batch(), fld.n, base.e, base.p
+    alphas = fld.base_embedding().T
+    powers = reduced.phi_T_arrays(d)
+    blocks = [fb.mul(alphas[:, None], P[0]).transpose(1, 2, 0) for P in powers]  # (m, n, k)
+    rows = np.zeros((r * d + 1, nf, ncols, e), dtype=np.int64)
     for col, (i, j) in enumerate(layout):
-        shift = (r - i) * d
-        for ex, c in coeff[j].items():
-            k = ex + shift
-            rows[k * nf : (k + 1) * nf, col * e : (col + 1) * e] = (times_alpha @ c.coords % p).T
-    rhs[r * d * nf : r * d * nf + nf] = [(-v) % p for v in fld.one.coords]
-    sol = linalg.solve_mod_p(rows, rhs, p)
+        rows[(r - i) * d : (r - i) * d + j * r + 1, :, col] = blocks[j]
+    rhs = np.zeros((r * d + 1) * nf, dtype=np.int64)
+    rhs[r * d * nf] = p - 1  # the -1 of -tau^(rd)
+    sol = linalg.solve_mod_p(rows.reshape(len(rhs), ncols * e), rhs, p)
     if sol is None:
         raise CharPolyError("inconsistent Frobenius system (arithmetic bug)")
     vec, nullity = sol
     if nullity:
         raise CharPolyError(f"ambiguous Frobenius system at {format_poly(prime)}")
-    terms: list[list[tuple[int, FieldElement]]] = [[] for _ in range(r)]
-    for (i, j), digits in zip(layout, vec.reshape(ncols, e).tolist()):
-        if any(digits):
-            terms[i - 1].append((j, base.elem(digits)))
-    a = [SparsePoly(base, t) for t in terms]
-
-    eps = _epsilon_from_reduced(reduced)
-    cp = CharPoly(prime, r, tuple(a), eps)
-    _assert_residual(reduced, cp)
-    return cp
-
-
-def _assert_residual(reduced: ReducedModule, cp: CharPoly):
-    """Substituting Frobenius back must give the zero skew polynomial."""
-    r = cp.r
-    d = cp.prime.degree
-    total = SkewPoly.tau(reduced.ring, r * d)
-    for i in range(1, r + 1):
-        total = total + reduced.phi(cp.a[i - 1]).shift_tau((r - i) * d)
-    if total:
-        raise CharPolyError("residual identity failed (arithmetic bug)")
+    digits = np.zeros((1, r, d + 1, e), dtype=np.int64)
+    digits[0, [i - 1 for i, _ in layout], [j for _, j in layout]] = vec.reshape(ncols, e)
+    primes = coordinates(base, [prime], d)
+    _check_residual(fb, powers, digits @ alphas % p, lambda bad, msg: _raise_at(base, primes, bad, msg))
+    a = [digits[:, i, : bound + 1] for i, bound in enumerate(bounds)]
+    return _charpoly_objects(base, [prime], a, np.array([_epsilon_from_reduced(reduced).coords]))[0]
 
 
 def charpoly_mod_l(module: DrinfeldModule, prime: SparsePoly, ell: SparsePoly) -> list[FieldElement]:

@@ -340,7 +340,9 @@ class Field:
             else:
                 from .linalg import matmul_mod_p
 
-                mat = matmul_mod_p(self.frobenius_power_matrix(k - 1), self.frobenius_matrix(), self.p)
+                dtype = self.batch().dtype  # Python ints where int64 sums would wrap
+                mat = matmul_mod_p(self.frobenius_power_matrix(k - 1).astype(dtype),
+                                   self.frobenius_matrix().astype(dtype), self.p).astype(np.int64)
             self._frob_q_pow[k] = mat
         return self._frob_q_pow[k]
 

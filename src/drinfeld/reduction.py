@@ -1,6 +1,9 @@
 """Reduction of a Drinfeld module at primes of A, heights, torsion spaces
 with explicit Frobenius matrices, and quotient isogenies over the reduction.
 
+`phi_T_powers` is the one source of phi_(T^j) mod p, on coordinate arrays;
+`ReducedModule.phi_T_power`, and all that is built on it, reads from it.
+
 The torsion space at l is computed inside the minimal extension of the
 residue field that contains all of ker(phi_l); that splitting degree is
 found by the equivalent divisibility condition (tau^(d*m) - 1 right
@@ -24,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .fields import Field, FieldElement, make_field
+from .fields import Field, FieldBatch, FieldElement, make_field, mod_p
 from .polynomials import (
     ResidueBatch,
     ResidueField,
@@ -68,7 +71,7 @@ class ReducedModule:
         self.kind = GOOD if r1 == module.r else STABLE_BAD
         self.ring = _FieldRing(rf.field)
         self.phi_T = SkewPoly(self.ring, [(i, c) for i, c in enumerate(coeffs)])
-        self._pows = [SkewPoly.one(self.ring), self.phi_T]
+        self._powers: list[np.ndarray] = []  # P_0 .. P_k of `phi_T_powers`
 
     @property
     def is_good(self) -> bool:
@@ -79,15 +82,22 @@ class ReducedModule:
             return GOOD
         return f"{STABLE_BAD}({self.r1})"
 
+    def phi_T_arrays(self, upto: int) -> list[np.ndarray]:
+        """phi_(T^j), j <= upto, as the (1, j*r+1, n) arrays of `phi_T_powers`."""
+        if len(self._powers) <= upto:
+            fb = self.field.batch()
+            g = np.array([[c.coords for c in self.coeffs]], dtype=fb.dtype)
+            self._powers = phi_T_powers(fb, g, self.field.frobenius_matrix()[None], upto)
+        return self._powers[: upto + 1]
+
     def phi_T_power(self, j: int) -> SkewPoly:
-        while len(self._pows) <= j:
-            self._pows.append(self._pows[-1] * self.phi_T)
-        return self._pows[j]
+        P = self.phi_T_arrays(j)[j][0].tolist()
+        return SkewPoly(self.ring, [(m, FieldElement(self.field, tuple(c))) for m, c in enumerate(P)])
 
     def phi(self, a: SparsePoly) -> SkewPoly:
         """Image of a in the reduced skew ring F_p{tau}."""
         acc = SkewPoly.zero(self.ring)
-        for e, c in a.terms:
+        for e, c in reversed(a.terms):  # the top power first: one recurrence
             acc = acc + self.phi_T_power(e).scale(self.rf.embed_base(c))
         return acc
 
@@ -121,6 +131,33 @@ def reduce_batch(module: DrinfeldModule, primes: np.ndarray) -> tuple[ResidueBat
     good exactly where g_r mod p, row [b, r], is nonzero."""
     residues = ResidueBatch(module.base, primes)
     return residues, np.stack([residues.reduce(g) for g in module.g], axis=1)
+
+
+def phi_T_powers(fb: FieldBatch, g: np.ndarray, frob: np.ndarray, upto: int) -> list[np.ndarray]:
+    """phi_(T^j) mod p for j <= upto, in the fields of `fb`: P_j is the
+    (B, j*r+1, n) array of its tau-coefficients, in `fb.dtype`, given the
+    (B, r+1, n) coordinates g of the g_i mod p and the matrices `frob` of
+    sigma, the q-power map.  P_(j+1) = phi_T P_j, that is
+    P_(j+1)[m] = sum_k g_k sigma^k(P_j[m-k]): one matrix per k."""
+    r, n, p = g.shape[1] - 1, fb.n, fb.p
+    steps = [np.broadcast_to(np.eye(n, dtype=fb.dtype), frob.shape)]
+    for _ in range(r):
+        steps.append(mod_p(steps[-1] @ frob, p))
+    steps = mod_p(fb.mul_matrix(g) @ np.stack(steps, axis=1), p)  # x -> g_k sigma^k(x)
+    steps = steps.swapaxes(-1, -2)
+    # unreduced, an entry of P_(j+1) sums r+1 matrix products of n terms
+    raw = linalg.int64_products(p) > n * (r + 1)
+    powers = [np.broadcast_to(fb.one((1,)), (len(g), 1, n))]
+    for _ in range(upto):
+        span = powers[-1].shape[1]
+        terms = powers[-1][:, None] @ steps
+        if not raw:
+            terms = mod_p(terms, p)
+        P = np.zeros((len(g), span + r, n), dtype=fb.dtype)
+        for k in range(r + 1):
+            P[:, k : k + span] += terms[:, k]
+        powers.append(mod_p(P, p))
+    return powers
 
 
 def height(reduced: ReducedModule) -> int:
@@ -219,11 +256,6 @@ class TorsionSpace:
         return SkewPoly(_FieldRing(self.field), [(e, self.embed(c)) for e, c in f.terms])
 
 
-def _check_distinct_primes(p1: SparsePoly, p2: SparsePoly):
-    if p1 == p2:
-        raise ReductionError("the two primes must be distinct")
-
-
 def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
     """Torsion of a good reduction at a prime l away from the characteristic.
 
@@ -232,7 +264,8 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
     alpha taken through the residue field (the embedding by which A acts)."""
     if not reduced.is_good:
         raise ReductionError("torsion spaces require good reduction")
-    _check_distinct_primes(reduced.prime, ell)
+    if reduced.prime == ell:
+        raise ReductionError("the two primes must be distinct")
     if not ell.is_monic():
         raise ReductionError("l must be monic")
     e = reduced.module.base.e

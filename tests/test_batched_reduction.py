@@ -3,6 +3,7 @@ reduction against `reduce_mod` and `residue_field`, the mod-l keys and the
 determinant law against `CharPoly.reduce_mod` and `det_law`."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from drinfeld.polynomials import (
 )
 from drinfeld.reduction import ReductionError, reduce_batch, reduce_mod
 from drinfeld.sampling import _charpolys_mod_l, sample_frobenii
-from drinfeld.skew import DrinfeldModule
+from drinfeld.skew import DrinfeldModule, SkewPoly
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -75,6 +76,49 @@ def test_batched_reduction_matches_reduce_mod(pe, r, d, data):
             assert not g[b, 1:].any()
             continue
         assert g[b].tolist() == [list(c.coords) for c in want]
+
+
+def _assert_skew_chain(reduced, order):
+    """phi_T_power(j), asked for in `order`, against SkewPoly.one * phi_T * ..."""
+    chain = [SkewPoly.one(reduced.ring)]
+    for _ in range(max(order)):
+        chain.append(chain[-1] * reduced.phi_T)
+    for j in order:
+        assert reduced.phi_T_power(j) == chain[j], j
+
+
+@SETTINGS
+@given(pe=st.sampled_from(FIELDS + [(2, 3)]), r=st.sampled_from([2, 3, 5]),
+       d=st.integers(1, 3), data=st.data())
+def test_phi_T_power_is_the_skew_product_chain(pe, r, d, data):
+    base = make_field(pe[0], pe[1], 1)
+    module = _module(base, r, data)
+    (k,) = _draw_primes(base, d, data, size=1)
+    try:
+        reduced = reduce_mod(module, primes_of_degree(base, d)[k])
+    except ReductionError:  # every non-constant coefficient vanishes
+        return
+    _assert_skew_chain(reduced, data.draw(st.permutations(range(2 * d + 2))))
+
+
+@pytest.mark.parametrize("p,prime", [
+    (2**61 - 1, "T^2+5"),      # object arrays
+    (2**61 - 1, "T^3+7"),
+    (3037000493, "T+1"),       # (p-1)^2 just inside int64
+    (3037000493, "T^2+T+1"),
+    (2**31 - 1, "T^2+3*T+1"),  # two products per int64 sum
+    (2**31 - 1, "T^3+5"),
+])
+@pytest.mark.parametrize("coeffs", [None, "T;288545019*T+1222356006;1819850096*T+1722851097;"
+                                          "1640193507*T+135520873"])
+def test_phi_T_power_is_the_skew_product_chain_at_large_p(p, prime, coeffs):
+    base = make_field(p, 1, 1)
+    if coeffs is None:
+        module = DrinfeldModule.default_family(base, 3)
+    else:
+        module = DrinfeldModule(base, [parse_poly(c, base) for c in coeffs.split(";")])
+    prime = parse_poly(prime, base)
+    _assert_skew_chain(reduce_mod(module, prime), range(2 * prime.degree + 2))
 
 
 @SETTINGS

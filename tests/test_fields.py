@@ -239,6 +239,15 @@ class TestFrobenius:
             x = fld.from_int(rng.randrange(fld.order))
             assert fld.frobenius(fld.frobenius(x, -1), 1) == x
 
+    @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+    def test_powers_beyond_int64_products(self, p):
+        # x -> x^(q^2) multiplies two Frobenius matrices whose sums of
+        # products do not fit in int64
+        fld = make_field(p, 1, 3)
+        x = fld.gen + fld.scalar(3)
+        assert fld.frobenius(x, 2) == (x**p) ** p
+        assert fld.frobenius(fld.frobenius(x, 2), 1) == x
+
     def test_e2_frobenius_fixes_base_subfield(self):
         fld = make_field(5, 2, 2)  # F_625 over F_25
         alpha = fld.base_generator()

@@ -165,6 +165,22 @@ def test_linear_system_refuses_an_ambiguous_system(monkeypatch):
         charpoly_linear_system(module, parse_poly("T+3", base))
 
 
+def test_linear_system_checks_its_solution_by_the_residual_identity(monkeypatch):
+    base = make_field(5, 1, 1)
+    module = DrinfeldModule.default_family(base, 3)
+    solve = charpoly_mod.linalg.solve_mod_p
+
+    def perturbed(*a):
+        x, nullity = solve(*a)
+        x = x.copy()
+        x[0] = (x[0] + 1) % 5
+        return x, nullity
+
+    monkeypatch.setattr(charpoly_mod.linalg, "solve_mod_p", perturbed)
+    with pytest.raises(CharPolyError, match=r"residual identity fails at T\+3$"):
+        charpoly_linear_system(module, parse_poly("T+3", base))
+
+
 @pytest.mark.parametrize("p,products,texts", [
     (2**31 - 1, 2, ["T^2+3*T+1", "T^2+1", "T^2+2", "T^2+4"]),
     (1_000_000_007, 9, ["T^2+3*T+1", "T^2+T+3", "T^2+1", "T^2+2"]),
