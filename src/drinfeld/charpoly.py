@@ -392,10 +392,15 @@ def det_check(module: DrinfeldModule, prime: SparsePoly, ell: SparsePoly,
               torsion: "TorsionSpace | None" = None) -> bool:
     """Determinant law: (-1)^r a_r = (-1)^r epsilon p mod l with epsilon in
     closed form, and when a torsion space is supplied its matrix
-    determinant must give the same residue."""
+    determinant must give the same residue.  A charpoly built here carries
+    that closed-form epsilon already; a given one may not, so epsilon is
+    computed afresh for it."""
     if charpoly is None:
         charpoly = charpoly_linear_system(module, prime)
-    want = det_law(module.r, epsilon_of(module, prime), prime, ell)
+        epsilon = charpoly.epsilon
+    else:
+        epsilon = epsilon_of(module, prime)
+    want = det_law(module.r, epsilon, prime, ell)
     if charpoly.det_of_frobenius_mod(ell) != want:
         return False
     return torsion is None or torsion.frobenius_matrix.det() == want

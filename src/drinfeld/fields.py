@@ -187,6 +187,7 @@ class Field:
         self._frob_q = None          # numpy matrix of x -> x^q
         self._frob_q_pow: dict[int, np.ndarray] = {}
         self._frob_rows_py: dict[int, tuple] = {}
+        self._subfield: dict[int, np.ndarray] = {}  # read-only bases by d mod m
         self._base_gen = None        # embedded generator of F_q (e > 1)
 
     # -- construction helpers -------------------------------------------------
@@ -332,18 +333,19 @@ class Field:
         return self._frob_q
 
     def frobenius_power_matrix(self, k: int) -> np.ndarray:
-        """Matrix of x -> x^(q^k), the k-th power of `frobenius_matrix`."""
+        """Matrix of x -> x^(q^k), the k-th power of `frobenius_matrix`.
+        Powers 2 .. m-1 are cached; power 1 is `frobenius_matrix` itself and
+        power 0 a fresh identity."""
         k %= self.m
+        if k <= 1:
+            return self.frobenius_matrix() if k else np.eye(self.n, dtype=np.int64)
         if k not in self._frob_q_pow:
-            if k == 0:
-                mat = np.eye(self.n, dtype=np.int64)
-            else:
-                from .linalg import matmul_mod_p
+            from .linalg import matmul_mod_p
 
-                dtype = self.batch().dtype  # Python ints where int64 sums would wrap
-                mat = matmul_mod_p(self.frobenius_power_matrix(k - 1).astype(dtype),
-                                   self.frobenius_matrix().astype(dtype), self.p).astype(np.int64)
-            self._frob_q_pow[k] = mat
+            dtype = self.batch().dtype  # Python ints where int64 sums would wrap
+            mat = matmul_mod_p(self.frobenius_power_matrix(k - 1).astype(dtype, copy=False),
+                               self.frobenius_matrix().astype(dtype, copy=False), self.p)
+            self._frob_q_pow[k] = mat.astype(np.int64, copy=False)
         return self._frob_q_pow[k]
 
     def frobenius(self, x: FieldElement, k: int = 1) -> FieldElement:
@@ -409,11 +411,16 @@ class Field:
 
     def subfield_basis(self, d: int) -> np.ndarray:
         """Canonical F_p-basis, one row each, of the subfield fixed by the
-        q^d-power map."""
+        q^d-power map; computed once per d mod m and returned read-only."""
         from . import linalg
 
-        mat = (self.frobenius_power_matrix(d % self.m) - np.eye(self.n, dtype=np.int64)) % self.p
-        return linalg.kernel_mod_p(mat, self.p)
+        d %= self.m
+        if d not in self._subfield:
+            mat = (self.frobenius_power_matrix(d) - np.eye(self.n, dtype=np.int64)) % self.p
+            basis = linalg.kernel_mod_p(mat, self.p)
+            basis.flags.writeable = False
+            self._subfield[d] = basis
+        return self._subfield[d]
 
     def first_root(self, coeffs: np.ndarray, basis: np.ndarray) -> FieldElement | None:
         """First root of a monic polynomial among the elements digits(k) @

@@ -89,13 +89,18 @@ def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column list, pivots by column order.
 
-    Rows are updated without a reduction mod p: only the column being
-    scanned and the pivot row are reduced, so each update moves an entry by
-    at most (p-1)^2, and the whole array is reduced before the entries
-    could leave int64, after every int64_products(p) - 1 updates."""
+    The elimination runs on a column-major copy, `at` = a.T, so that the
+    columns from the scanned one on are one contiguous block: each pivot
+    subtracts one rank-1 update from all of it, the pivot row times the
+    scanned column with the pivot's own entry zeroed (rows where the column
+    is 0 lose 0).  Nothing is reduced mod p there: only the column being
+    scanned and the pivot row are, so each update moves an entry by at most
+    (p-1)^2, and the whole array is reduced before the entries could leave
+    int64, after every int64_products(p) - 1 updates."""
     check_int64_range(p, 1)
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
+    at = np.array(np.asarray(mat).T, dtype=np.int64, order="C")
+    at %= p
+    cols, rows = at.shape
     pivots: list[int] = []
     budget = max(int64_products(p) - 1, 1)
     updates = 0
@@ -103,28 +108,28 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r >= rows:
             break
-        a[:, c] %= p
-        nz = np.nonzero(a[r:, c])[0]
+        col = at[c]
+        col %= p
+        nz = np.flatnonzero(col[r:])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        # a[r, :c] is zero already, so only the columns from c on change
-        a[r, c:] = a[r, c:] % p * pow(int(a[r, c]), p - 2, p) % p
-        col = a[:, c].copy()
+            at[c:, [r, i]] = at[c:, [i, r]]
+        # row r is zero left of c already, so only the columns from c on change
+        at[c:, r] = at[c:, r] % p * pow(int(col[r]), p - 2, p) % p
+        col = col.copy()
         col[r] = 0
-        mask = col != 0
-        if mask.any():
+        if col.any():
             if updates == budget:
-                a %= p
+                at %= p
                 updates = 0
-            a[mask, c:] -= np.outer(col[mask], a[r, c:])
+            at[c:] -= np.outer(at[c:, r], col)
             updates += 1
         pivots.append(c)
         r += 1
-    a %= p
-    return a, pivots
+    at %= p
+    return at.T, pivots
 
 
 def kernel_mod_p(mat: np.ndarray, p: int) -> np.ndarray:

@@ -282,6 +282,8 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
 
     def scalar(c: FieldElement) -> np.ndarray:
         """F_p-matrix of an element of F_q acting on B."""
+        if e == 1:
+            return c.coords[0] * np.eye(n, dtype=np.int64)
         return B.batch().mul_matrix((np.array(c.coords, dtype=np.int64) @ alphas % p)[None])[0]
 
     A_T = _t_action(reduced, B, sigma)
@@ -296,7 +298,10 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
             f"kernel F_p-dimension {kernel.shape[0]} != e*r*deg(l) = {e * N}"
         )
     basis = kernel if e == 1 else _fq_echelon(B, alphas, kernel)
-    fq_span = lambda vecs: B.batch().mul(alphas, vecs[:, None]).reshape(-1, n)
+    if e == 1:
+        fq_span = lambda vecs: vecs
+    else:
+        fq_span = lambda vecs: B.batch().mul(alphas, vecs[:, None]).reshape(-1, n)
 
     # greedy F_l-module basis: first kernel vector outside the F_q-span of
     # the T-orbits taken so far (the orbits form a direct sum)
@@ -347,18 +352,23 @@ def _residue_embedding(rf_field: Field, B: Field, d: int) -> np.ndarray:
 
 
 def _t_action(reduced: ReducedModule, B: Field, sigma: np.ndarray) -> np.ndarray:
-    """F_p-matrix on B of phi_T = sum_i g_i tau^i, by Horner in the matrix
-    of tau (the q-power map)."""
-    p = B.p
-    frob = linalg.PackedMatrix(B.frobenius_matrix(), p)
-    coeffs = dict(reduced.phi_T.terms)
-    mult = lambda c: B.batch().mul_matrix((sigma @ np.array(c.coords, dtype=np.int64) % p)[None])[0]
-    A_T = mult(coeffs[reduced.r])
-    for i in range(reduced.r - 1, -1, -1):
-        A_T = frob.rmul(A_T)
-        if i in coeffs:
-            A_T = (A_T + mult(coeffs[i])) % p
-    return A_T
+    """F_p-matrix on B of phi_T = sum_i g_i tau^i: the sum of mult(g_i) F^i
+    over the nonzero g_i, F^i the cached matrices of the q^i-power maps of
+    B.  mult(g) is sum_k g_k mult(beta^k) over the residue-field basis
+    beta^k, the columns of sigma, with mult(beta^0) = I.  A g_i equal to 1
+    adds F^i and g_0 adds mult(g_0), with no product."""
+    p, n = B.p, B.n
+    betas = B.batch().mul_matrix(sigma.T[1:])  # mult(beta^k), k >= 1
+    A_T = np.zeros((n, n), dtype=np.int64)
+    for i, c in reduced.phi_T.terms:
+        if i and c == reduced.field.one:
+            A_T += B.frobenius_power_matrix(i)
+            continue
+        mult = np.tensordot(np.array(c.coords[1:], dtype=np.int64), betas, 1)
+        mult[np.diag_indices(n)] += c.coords[0]
+        mult %= p
+        A_T += linalg.matmul_mod_p(mult, B.frobenius_power_matrix(i), p) if i else mult
+    return A_T % p
 
 
 def _fq_echelon(B: Field, alphas: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -608,3 +608,16 @@ class TestSubfieldRoots:
         k, beta = brute_subfield_root(B, modulus, d)
         assert k >= 3  # past the first block of 3
         assert tuple(sigma[:, 1]) == beta.coords
+
+    @pytest.mark.parametrize("p,e,m,d", [(5, 1, 6, 2), (5, 1, 6, 3), (3, 2, 4, 2), (2, 3, 2, 1)])
+    def test_subfield_basis_is_cached_and_read_only(self, p, e, m, d):
+        fld = make_field(p, e, m)
+        basis = fld.subfield_basis(d)
+        assert fld.subfield_basis(d) is basis and fld.subfield_basis(d + m) is basis
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1
+        fresh = linalg.kernel_mod_p(
+            (fld.frobenius_power_matrix(d) - np.eye(fld.n, dtype=np.int64)) % p, p)
+        assert basis.dtype == np.int64 and basis.tolist() == fresh.tolist()
+        assert basis.shape[0] == e * np.gcd(d, m)  # the fixed field F_(q^gcd(d, m))

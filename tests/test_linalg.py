@@ -202,8 +202,22 @@ def python_rref(mat, p):
     return a, pivots
 
 
+@pytest.mark.parametrize("p", [2, 5, 7])
+@pytest.mark.parametrize("rows,cols,rank,seed", [(120, 120, 100, 0), (60, 140, 45, 1),
+                                                 (140, 60, 52, 2)])
+def test_rref_matches_python_ints_at_size(p, rows, cols, rank, seed):
+    """Rank-deficient matrices of the sizes of the torsion kernels."""
+    rng = np.random.default_rng(seed)
+    mat = (rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, cols)) % p).tolist()
+    ech, pivots = linalg.rref_mod_p(np.array(mat, dtype=np.int64), p)
+    want, want_pivots = python_rref(mat, p)
+    assert pivots == want_pivots and len(pivots) < min(rows, cols)
+    assert ech.tolist() == want
+
+
 @pytest.mark.parametrize("p,products", [(2147483647, 2), (3037000493, 1)])
-@pytest.mark.parametrize("rows,cols,rank,seed", [(20, 24, 20, 0), (24, 20, 13, 1), (30, 30, 22, 2)])
+@pytest.mark.parametrize("rows,cols,rank,seed", [(20, 24, 20, 0), (24, 20, 13, 1), (30, 30, 22, 2),
+                                                 (56, 60, 50, 3)])
 def test_rref_matches_python_ints_at_large_p(p, products, rows, cols, rank, seed):
     """Near the int64 limit the whole array is reduced between every two
     row updates; the echelon form is still the exact one."""

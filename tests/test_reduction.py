@@ -1,6 +1,9 @@
+import hashlib
+import json
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from drinfeld import linalg, reduction
@@ -431,6 +434,10 @@ TORSION_GOLDEN = [
       '112420204232040034213132',
       '220304322221201421443303'],
      None, None),
+    # n = 124: the basis by the sha256 of its digit strings, one a line
+    (5, None, 'T^2+T+2', 'T+4', 62, (0, 1, 2),
+     'c1f5fbff55aac9db97f70a24261ebae07f205316e00a83fcd9ab90bca5b957c9',
+     [3, 3, 4, 2, 2, 2, 3, 0, 1], [1, 0, 0, 0, 1, 0, 0, 0, 1]),
 ]
 
 
@@ -451,11 +458,82 @@ class TestTorsionGolden:
         digits = lambda v: "".join(map(str, v.coords))
         indices = lambda M: [M[i, j].to_int() for i in range(M.rows) for j in range(M.cols)]
         assert ts.m == m
-        assert [digits(v) for v in ts.basis] == basis
+        got = [digits(v) for v in ts.basis]
+        if isinstance(basis, str):
+            assert hashlib.sha256("\n".join(got).encode()).hexdigest() == basis
+            basis = got
+        assert got == basis
         assert [digits(v) for v in ts.module_basis] == [basis[i] for i in module_idx]
         if frob is not None:
             assert indices(ts.frobenius_matrix) == frob
             assert indices(ts.t_action_matrix) == t_act
+
+    def test_q5_pairs_digest(self):
+        """The records of the torsion-q5 benchmark workload at seed 0: every
+        prime of degree <= 2 but T against l = T+2, T+3, T+4, as sha256 of
+        their sorted-key JSON."""
+        from drinfeld import charpoly
+        from drinfeld.polynomials import format_poly
+
+        primes = [f for d in (1, 2) for f in primes_of_degree(F5, d) if f != T]
+        ells = [parse_poly(f"T+{c}", F5) for c in (2, 3, 4)]
+        records = []
+        for f in primes:
+            cp = charpoly.charpoly_linear_system(D5, f)
+            for ell in ells:
+                if ell == f:
+                    continue
+                ts = torsion_space(reduce_mod(D5, f), ell)
+                records.append({
+                    "p": format_poly(f), "l": format_poly(ell),
+                    "det_ok": charpoly.det_check(D5, f, ell, cp, ts), "m": ts.m,
+                    "system": [c.to_int() for c in cp.reduce_mod(ell)],
+                    "torsion": [c.to_int() for c in ts.frobenius_matrix.charpoly()],
+                })
+        assert len(records) == 39
+        digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+        assert digest == "9e22889a897e1596f78d11f10609fc978cbcf95acef69914ead8df89e543bb25"
+
+
+class TestTAction:
+    """`_t_action` against phi_T built by Horner in the matrix of tau."""
+
+    @staticmethod
+    def horner(reduced, B, sigma):
+        p, F = B.p, B.frobenius_matrix()
+        coeffs = dict(reduced.phi_T.terms)
+        mult = lambda c: B.batch().mul_matrix((sigma @ np.array(c.coords) % p)[None])[0]
+        A = mult(coeffs[reduced.r])
+        for i in range(reduced.r - 1, -1, -1):
+            A = A @ F % p
+            if i in coeffs:
+                A = (A + mult(coeffs[i])) % p
+        return A
+
+    @pytest.mark.parametrize("q, coeffs, prime_text, m", [
+        (5, "T;2*T+1;T^2+3;4*T+2", "T^2+2", 3),
+        (5, "T;1;3;T+1", "T+2", 5),
+        (7, "T;3;1;T^2+5*T+1;2", "T^2+1", 2),
+        (4, None, "T^2+T+2", 2),
+        (9, "T;T+1;2*T;T^2+1", "T^2+4", 2),
+        (25, None, "T+1", 3),
+    ])
+    def test_matches_horner(self, q, coeffs, prime_text, m):
+        from drinfeld.skew import split_prime_power
+
+        p, e = split_prime_power(q)
+        base = make_field(p, e, 1)
+        if coeffs:
+            D = DrinfeldModule(base, [parse_poly(c, base) for c in coeffs.split(";")])
+        else:
+            D = DrinfeldModule.default_family(base, 3)
+        R = reduce_mod(D, parse_poly(prime_text, base))
+        d = R.prime.degree
+        B = make_field(p, e, d * m)
+        sigma = reduction._residue_embedding(R.field, B, d)
+        got = reduction._t_action(R, B, sigma)
+        assert got.dtype == np.int64
+        assert got.tolist() == self.horner(R, B, sigma).tolist()
 
 
 class TestQuotient:
