@@ -44,7 +44,7 @@ import numpy as np
 
 from . import linalg
 from .fields import FieldBatch, FieldElement, mod_p
-from .linalg import _berkowitz, int64_products
+from .linalg import _berkowitz, int64_products, sum_products
 from .polynomials import (
     PrimeError,
     ResidueBatch,
@@ -207,61 +207,81 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
     base = module.base
     r, q = module.r, module.q
     primes, d, fb = residues.primes, residues.degree, residues.fb
-    B, n = len(primes), fb.n
 
     def raise_at(bad: np.ndarray, message: str):
         _raise_at(base, primes, bad, message)
 
-    # sig[:, k, i] = sigma^k(g_i mod p), k < d: sigma has order d on L
     frob = fb.frobenius_matrix(q)
-    sig = [g]
-    for _ in range(d - 1):
-        sig.append(fb.apply(frob, sig[-1]))
-    sig = np.stack(sig, axis=1)
     pullback = linalg.pullback(residues.embed, fb.p)  # one F_q embedding per degree
     into_base = lambda v, what: _into_base_batch(v, residues.embed, pullback, fb.p, raise_at, what)
 
-    # sigma^k(g_r)^-1 = Nr(g_r)^-1 prod_(j != k) sigma^j(g_r), the norm the
-    # product of the d conjugates: prefix and suffix products, and one
-    # inverse taken in F_q
-    pre = [fb.one()]
-    for k in range(d):
-        pre.append(fb.mul(pre[-1], sig[:, k, r]))
-    nr_inv = base.batch().inv(into_base(pre[d], "Nr(g_r) lies"))
-    u, suf = [None] * d, mod_p(nr_inv @ residues.embed.T, fb.p)
-    for k in reversed(range(d)):
-        u[k] = fb.mul(pre[k], suf)
-        suf = fb.mul(suf, sig[:, k, r])
-    u = np.stack(u, axis=1)
-
-    # M = A sigma(A) ... sigma^(d-1)(A); right multiplication by the
-    # companion matrix shifts the columns left and appends M c, where
-    # c = sigma^k(g_r)^-1 (T e_0 - sum_(i<r) sigma^k(g_i) e_i)
-    M = np.zeros((B, r, r, 1, n), dtype=np.int64)
-    M[:, range(r), range(r), 0, 0] = 1
-    for k in range(d):
-        consts = fb.mul_matrix(fb.mul(u[:, k, None], mod_p(-sig[:, k, :r], fb.p)))
-        last = np.zeros((B, r, k + 2, n), dtype=np.int64)
-        last[:, :, 1:] = fb.apply(fb.mul_matrix(u[:, k]), M[:, :, 0])  # the T e_0 term
-        for i in range(r):
-            last[:, :, :-1] += fb.apply(consts[:, i], M[:, :, i])
-        shifted = np.pad(M[:, :, 1:], [(0, 0)] * 3 + [(0, 1), (0, 0)])
-        M = np.concatenate([shifted, mod_p(last[:, :, None], fb.p)], axis=2)
-    coeffs = _berkowitz(fb, M, d + 1)[1:]
+    # g_r^-1 = Nr(g_r)^-1 s, s = sigma(g_r sigma(g_r) ... sigma^(d-2)(g_r)),
+    # the norm Nr(g_r) = g_r s inverted in F_q
+    s = fb.one()
+    for _ in range(d - 1):
+        s = fb.apply(frob, fb.mul(g[:, r], s))
+    nr_inv = base.batch().inv(into_base(fb.mul(g[:, r], s), "Nr(g_r) lies"))
+    u = fb.mul(mod_p(nr_inv @ residues.embed.T, fb.p), s)
+    coeffs = _berkowitz(fb, _motive_matrix(fb, frob, g, u, d), d + 1)[1:]
 
     bounds = _degree_bounds(r, d)
-    a = []
+    digits = []
     for i, c in enumerate(coeffs, start=1):
         y = into_base(c, f"a_{i} has a coefficient")
         raise_at(y[:, bounds[i - 1] + 1:].any(axis=(1, 2)), f"deg a_{i} exceeds {i}*d/{r}")
-        a.append(y[:, : bounds[i - 1] + 1])
+        digits.append(y)
+    digits = np.stack(digits, axis=1)
+    a = [digits[:, i, : bound + 1] for i, bound in enumerate(bounds)]
 
     eps = _epsilon_sign(r, d) * nr_inv % base.p  # epsilon = sign / Nr(g_r)
     eps_p = base.batch().mul(eps[:, None], primes)
     raise_at((eps_p != a[-1]).any(axis=(1, 2)), "a_r differs from epsilon*p")
 
-    _check_residual(fb, phi_T_powers(fb, g, frob, d), np.stack(coeffs, axis=1), raise_at)
+    _check_residual(fb, phi_T_powers(fb, g, frob, d), digits, residues.embed, raise_at)
     return a, eps
+
+
+def _motive_matrix(fb: FieldBatch, frob: np.ndarray, g: np.ndarray, u: np.ndarray,
+                   d: int) -> np.ndarray:
+    """M = A sigma(A) ... sigma^(d-1)(A) as (B, r, r, d+1, n), given the
+    matrices `frob` of sigma, the g_i mod p and u = g_r^-1."""
+    B, r, n = len(g), g.shape[1] - 1, fb.n
+    # the companion column c = u (T e_0 - sum_(i<r) g_i e_i) has the
+    # constants u and -g_i u at the g_i nonzero somewhere in the batch; the
+    # sigma^k-images of those, k < d, act through multiplication matrices
+    # (transposed: rows of coordinates times them)
+    live = [i for i in range(r) if g[:, i].any()]
+    consts = [np.concatenate([u[:, None], fb.mul(u[:, None], mod_p(-g[:, live], fb.p))], axis=1)]
+    for _ in range(d - 1):
+        consts.append(fb.apply(frob, consts[-1]))
+    mats = fb.mul_matrix(np.stack(consts, axis=1)).swapaxes(-1, -2)  # (B, d, 1 + live, n, n)
+    stacked = mats[:, :, 1:].reshape(B, d, len(live) * n, n)
+
+    # M held as (B, row, T-degree, column, n): right multiplication by
+    # sigma^k(A) shifts the columns left and appends M sigma^k(c); before
+    # step k the entries have T-degree <= k
+    M = np.zeros((B, r, d + 1, r, n), dtype=np.int64)
+    M[:, range(r), 0, range(r), 0] = 1
+    for k in range(d):
+        last = _companion_column(M[:, :, : k + 1], mats[:, k, 0], stacked[:, k], live, fb.p)
+        M[:, :, : k + 1, :-1] = M[:, :, : k + 1, 1:]
+        M[:, :, : k + 2, -1] = last
+    return M.transpose(0, 1, 3, 2, 4)
+
+
+def _companion_column(M: np.ndarray, u: np.ndarray, c: np.ndarray, live: list[int],
+                      p: int) -> np.ndarray:
+    """M c over L[T], reduced, for M (B, r, D, r, n) as (row, T-degree,
+    column) and the column c = T u e_0 + sum_(i in live) c_i e_i given by
+    transposed multiplication matrices: u (B, n, n), and c (B, len(live) n, n)
+    the c_i stacked in order.  Two products: the live columns of M against
+    c, and column 0 against u, shifted up one T-degree."""
+    B, r, D, _, n = M.shape
+    cols = M[:, :, :, live].reshape(B, r * D, -1)
+    out = np.zeros((B, r, D + 1, n), dtype=M.dtype)
+    out[:, :, :-1] = sum_products(cols, c, p, n).reshape(B, r, D, n)
+    out[:, :, 1:] += sum_products(M[:, :, :, 0], u[:, None], p, cols.shape[-1])
+    return mod_p(out, p)
 
 
 def _into_base_batch(v: np.ndarray, embed: np.ndarray, pullback, p: int, raise_at, what: str):
@@ -280,26 +300,44 @@ def _raise_at(base, primes: np.ndarray, bad: np.ndarray, message: str):
         raise CharPolyError(f"{message} at {format_poly(prime)}")
 
 
-def _check_residual(fb: FieldBatch, powers: list[np.ndarray], coeffs: np.ndarray, raise_at):
+def _check_residual(fb: FieldBatch, powers: list[np.ndarray], digits: np.ndarray,
+                    embed: np.ndarray, raise_at):
     """tau^(rd) + sum_i phi_(a_i) tau^((r-i)d) = 0 in L{tau}, the a_i given
-    by their L-coordinates coeffs[:, i-1] (B, r, d+1, n) within the degree
-    bounds and phi_(T^j) by powers[j] (`phi_T_powers`), j <= d."""
-    batch, r, _, n = coeffs.shape
-    d, p = len(powers) - 1, fb.p
-    # unreduced, an entry of the total sums at most (d+1)r matrix products
-    # of n terms, plus the 1 of tau^(rd)
-    raw = int64_products(p) > n * (d + 1) * r
-    total = np.zeros((batch, r * d + 1, n), dtype=fb.dtype)
+    by their F_q digits within the degree bounds (`_phi_of`)."""
+    batch, r, width, _ = digits.shape
+    d = width - 1
+    phi_a = _phi_of(fb, powers, digits, embed)
+    # phi_(a_i) has tau-degree <= i*d, the bound on deg a_i times r
+    total = np.zeros((batch, r * d + 1, fb.n), dtype=fb.dtype)
     total[:, r * d, 0] = 1
-    for j, P in enumerate(powers):
-        span = P.shape[1]
-        terms = P[:, None] @ fb.mul_matrix(coeffs[:, :, j]).swapaxes(-1, -2)
-        if not raw:
-            terms = mod_p(terms, p)
-        for i, bound in enumerate(_degree_bounds(r, d), start=1):
-            if j <= bound:
-                total[:, (r - i) * d : (r - i) * d + span] += terms[:, i - 1]
-    raise_at(mod_p(total, p).any(axis=(1, 2)), "residual identity fails")
+    for i in range(1, r + 1):
+        total[:, (r - i) * d :] += phi_a[:, i - 1, : i * d + 1]
+    raise_at(mod_p(total, fb.p).any(axis=(1, 2)), "residual identity fails")
+
+
+def _phi_of(fb: FieldBatch, powers: list[np.ndarray], digits: np.ndarray,
+            embed: np.ndarray) -> np.ndarray:
+    """phi_(a_i) as (B, r, r*d+1, n) tau-coefficients, reduced, for the a_i
+    given by their F_q digits (B, r, d+1, e), digit k of a coefficient
+    standing for alpha^k (column k of `embed`), and phi_(T^j) by powers[j]
+    (`phi_T_powers`), j <= d.  For each k, sum_j a_ijk phi_(T^j) is summed
+    over j in place, then multiplied by alpha^k when k >= 1."""
+    batch, r, width, e = digits.shape
+    n, p = fb.n, fb.p
+    # unreduced, an entry sums d+1 products of residues
+    raw = int64_products(p) >= width
+    phi_a = 0
+    for k in range(e):
+        term = np.zeros((batch, r) + powers[-1].shape[1:], dtype=fb.dtype)
+        for j, P in enumerate(powers):
+            prod = digits[:, :, j, k, None, None] * P[:, None]
+            term[:, :, : P.shape[1]] += prod if raw else mod_p(prod, p)
+        term = mod_p(term, p)
+        if k:
+            alpha = fb.mul_matrix(np.broadcast_to(embed[:, k], (batch, n)))
+            term = mod_p(term @ alpha.swapaxes(-1, -2)[:, None], p)
+        phi_a = phi_a + term
+    return phi_a
 
 
 def _charpoly_objects(base, primes: list[SparsePoly], a: list[np.ndarray],
@@ -361,7 +399,7 @@ def charpoly_linear_system(module: DrinfeldModule, prime: SparsePoly) -> CharPol
     digits = np.zeros((1, r, d + 1, e), dtype=np.int64)
     digits[0, [i - 1 for i, _ in layout], [j for _, j in layout]] = vec.reshape(ncols, e)
     primes = coordinates(base, [prime], d)
-    _check_residual(fb, powers, digits @ alphas % p, lambda bad, msg: _raise_at(base, primes, bad, msg))
+    _check_residual(fb, powers, digits, alphas.T, lambda bad, msg: _raise_at(base, primes, bad, msg))
     a = [digits[:, i, : bound + 1] for i, bound in enumerate(bounds)]
     return _charpoly_objects(base, [prime], a, np.array([_epsilon_from_reduced(reduced).coords]))[0]
 

@@ -327,70 +327,69 @@ FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand: its help line and its arguments in order, a name from
+# FLAGS or a (flag, add_argument keywords) pair.  Subcommand `name` is
+# handled by `cmd_<name>`, looked up when it runs.
+COMMANDS = {
+    "phi": ("print phi_a", ["--q", "--r", "--coeffs", "--a", "--out"]),
+    "charpoly": ("Frobenius characteristic polynomial at a prime", [
+        "--q", "--r", "--coeffs", "--p", "--out",
+        ("--mod-l", dict(dest="mod_l", default=None, help="also reduce mod this prime")),
+    ]),
+    "torsion": ("torsion Frobenius matrix at (p, l)",
+                ["--q", "--r", "--coeffs", "--p", "--l", "--out"]),
+    "newton": ("Newton polygon of phi_a(x)/x at a place", [
+        "--q", "--r", "--coeffs", "--a", "--out",
+        ("--place", dict(required=True, help="T, inf, or a monic prime")),
+    ]),
+    "inertia": ("ramification size prediction at (T)",
+                ["--q", "--r", "--coeffs", "--l", "--out"]),
+    "sample": ("Chebotarev-style Frobenius sampling mod l", [
+        "--q", "--r", "--coeffs", "--l", "--out", "--tv-threshold", "--budget",
+        ("--max-deg", dict(dest="max_deg", type=int, required=True)),
+    ]),
+    "oracle-gl": ("exact GL_r char-poly distribution", [
+        "--q", "--l", "--out", "--budget",
+        ("--r", dict(type=int, default=DEFAULT_RANK, help="rank")),
+        ("--backend", dict(choices=["auto", "A", "B"], default="auto")),
+    ]),
+    "verify": ("run verification suites", [
+        "--q", "--out", "--tv-threshold", "--budget",
+        ("--r", dict(type=int, default=DEFAULT_RANK, help="rank")),
+        ("--seed", dict(type=int, default=0)),
+        ("--suite", dict(default="all")),
+        ("--max-deg", dict(dest="max_deg", type=int, default=None)),
+        ("--timings", dict(action="store_true", help="include wall times (non-reproducible)")),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Given a command, only its subparser
+    gets its arguments: parsing never reaches the others."""
     parser = argparse.ArgumentParser(
         prog="drinfeld",
         description="arithmetic reports for prime-rank Drinfeld modules over F_q(T)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(sp, *flags):
-        for flag in flags:
-            sp.add_argument(flag, **FLAGS[flag])
-
-    sp = sub.add_parser("phi", help="print phi_a")
-    add(sp, "--q", "--r", "--coeffs", "--a", "--out")
-    sp.set_defaults(func=cmd_phi)
-
-    sp = sub.add_parser("charpoly", help="Frobenius characteristic polynomial at a prime")
-    add(sp, "--q", "--r", "--coeffs", "--p", "--out")
-    sp.add_argument("--mod-l", dest="mod_l", default=None, help="also reduce mod this prime")
-    sp.set_defaults(func=cmd_charpoly)
-
-    sp = sub.add_parser("torsion", help="torsion Frobenius matrix at (p, l)")
-    add(sp, "--q", "--r", "--coeffs", "--p", "--l", "--out")
-    sp.set_defaults(func=cmd_torsion)
-
-    sp = sub.add_parser("newton", help="Newton polygon of phi_a(x)/x at a place")
-    add(sp, "--q", "--r", "--coeffs", "--a", "--out")
-    sp.add_argument("--place", required=True, help="T, inf, or a monic prime")
-    sp.set_defaults(func=cmd_newton)
-
-    sp = sub.add_parser("inertia", help="ramification size prediction at (T)")
-    add(sp, "--q", "--r", "--coeffs", "--l", "--out")
-    sp.set_defaults(func=cmd_inertia)
-
-    sp = sub.add_parser("sample", help="Chebotarev-style Frobenius sampling mod l")
-    add(sp, "--q", "--r", "--coeffs", "--l", "--out", "--tv-threshold", "--budget")
-    sp.add_argument("--max-deg", dest="max_deg", type=int, required=True)
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("oracle-gl", help="exact GL_r char-poly distribution")
-    add(sp, "--q", "--l", "--out", "--budget")
-    sp.add_argument("--r", type=int, default=DEFAULT_RANK, help="rank")
-    sp.add_argument("--backend", choices=["auto", "A", "B"], default="auto")
-    sp.set_defaults(func=cmd_oracle_gl)
-
-    sp = sub.add_parser("verify", help="run verification suites")
-    add(sp, "--q", "--out", "--tv-threshold", "--budget")
-    sp.add_argument("--r", type=int, default=DEFAULT_RANK, help="rank")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--suite", default="all")
-    sp.add_argument("--max-deg", dest="max_deg", type=int, default=None)
-    sp.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
-    sp.set_defaults(func=cmd_verify)
-
+    for name, (help_text, args) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            for arg in args:
+                flag, kwargs = (arg, FLAGS[arg]) if isinstance(arg, str) else arg
+                sp.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

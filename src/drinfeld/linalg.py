@@ -40,6 +40,20 @@ def int64_products(p: int) -> int:
     return _INT64_MAX // max((p - 1) ** 2, 1)
 
 
+def sum_products(a: np.ndarray, b: np.ndarray, p: int, spare: int = 0) -> np.ndarray:
+    """a @ b for entries in [0, p), left unreduced when an int64 sum holds
+    its a.shape[-1] products and `spare` more that the caller adds to it;
+    otherwise the sums are taken in chunks that int64 holds, each reduced
+    mod p as it is added."""
+    k, step = a.shape[-1], int64_products(p)
+    if k + spare <= step:
+        return a @ b
+    out = mod_p(a[..., :step] @ b[..., :step, :], p)
+    for s in range(step, k, step):
+        out += mod_p(a[..., s : s + step] @ b[..., s : s + step, :], p)
+    return out
+
+
 def check_int64_range(p: int, n: int):
     """Refuse p when a sum of n products of residues, (p-1)^2 * n, could
     exceed the int64 range: numpy would wrap around without a word."""

@@ -231,17 +231,6 @@ class SparsePoly:
             return target.zero
         return acc * t_image**prev_e if prev_e else acc
 
-    def qpower_root(self, k: int = 1) -> "SparsePoly":
-        """Exact q^k-th root: defined when every exponent is divisible by q^k
-        (coefficients are q-power fixed).  Raises ValueError otherwise."""
-        step = self.base.q**k
-        out = []
-        for e, c in self.terms:
-            if e % step:
-                raise ValueError("polynomial is not a q-power")
-            out.append((e // step, c))
-        return SparsePoly(self.base, out)
-
     def dense_coeffs(self) -> list[int]:
         """Ascending coefficient indices; only for small degrees."""
         if self.degree > 10**4:

@@ -138,15 +138,18 @@ def phi_T_powers(fb: FieldBatch, g: np.ndarray, frob: np.ndarray, upto: int) -> 
     (B, j*r+1, n) array of its tau-coefficients, in `fb.dtype`, given the
     (B, r+1, n) coordinates g of the g_i mod p and the matrices `frob` of
     sigma, the q-power map.  P_(j+1) = phi_T P_j, that is
-    P_(j+1)[m] = sum_k g_k sigma^k(P_j[m-k]): one matrix per k."""
+    P_(j+1)[m] = sum_k g_k sigma^k(P_j[m-k]): one matrix per k with g_k
+    nonzero somewhere in the batch."""
     r, n, p = g.shape[1] - 1, fb.n, fb.p
+    live = [k for k in range(r + 1) if g[:, k].any()]
     steps = [np.broadcast_to(np.eye(n, dtype=fb.dtype), frob.shape)]
-    for _ in range(r):
+    for _ in range(live[-1]):
         steps.append(mod_p(steps[-1] @ frob, p))
-    steps = mod_p(fb.mul_matrix(g) @ np.stack(steps, axis=1), p)  # x -> g_k sigma^k(x)
+    steps = np.stack([steps[k] for k in live], axis=1)
+    steps = mod_p(fb.mul_matrix(g[:, live]) @ steps, p)  # x -> g_k sigma^k(x)
     steps = steps.swapaxes(-1, -2)
-    # unreduced, an entry of P_(j+1) sums r+1 matrix products of n terms
-    raw = linalg.int64_products(p) > n * (r + 1)
+    # unreduced, an entry of P_(j+1) sums one matrix product of n terms per k
+    raw = linalg.int64_products(p) > n * len(live)
     powers = [np.broadcast_to(fb.one((1,)), (len(g), 1, n))]
     for _ in range(upto):
         span = powers[-1].shape[1]
@@ -154,8 +157,8 @@ def phi_T_powers(fb: FieldBatch, g: np.ndarray, frob: np.ndarray, upto: int) -> 
         if not raw:
             terms = mod_p(terms, p)
         P = np.zeros((len(g), span + r, n), dtype=fb.dtype)
-        for k in range(r + 1):
-            P[:, k : k + span] += terms[:, k]
+        for t, k in enumerate(live):
+            P[:, k : k + span] += terms[:, t]
         powers.append(mod_p(P, p))
     return powers
 

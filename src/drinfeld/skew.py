@@ -60,9 +60,6 @@ class _PolyRing:
         step = self.q**k
         return SparsePoly(self.base, [(e * step, cf) for e, cf in c.terms])
 
-    def untwist(self, c, k):
-        return c.qpower_root(k)
-
     def invert(self, c):
         if c.degree != 0:
             raise SkewDivisionError("leading coefficient not invertible in F_q[T]")
@@ -104,9 +101,6 @@ class _FieldRing:
 
     def twist(self, c, k):
         return self.field.frobenius(c, k)
-
-    def untwist(self, c, k):
-        return self.field.frobenius(c, -k)
 
     def invert(self, c):
         return self.field.inv(c)

@@ -467,3 +467,69 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "oracle-gl", "--q", "5", "--r", "0", "--l", "T+1")
         assert code == 2
         assert "rank must be >= 1" in err
+
+
+# the parser's own output (exit code, stdout, stderr) at a fixed width of 80
+# columns, recorded when every call built every subcommand's arguments:
+# building only the named subcommand's must not change a byte
+PARSER_OUTPUT = {
+    ('--help',): (0, (
+        'usage: drinfeld [-h]\n'
+        '                {phi,charpoly,torsion,newton,inertia,sample,oracle-gl,verify}\n'
+        '                ...\n'
+        '\n'
+        'arithmetic reports for prime-rank Drinfeld modules over F_q(T)\n'
+        '\n'
+        'positional arguments:\n'
+        '  {phi,charpoly,torsion,newton,inertia,sample,oracle-gl,verify}\n'
+        '    phi                 print phi_a\n'
+        '    charpoly            Frobenius characteristic polynomial at a prime\n'
+        '    torsion             torsion Frobenius matrix at (p, l)\n'
+        '    newton              Newton polygon of phi_a(x)/x at a place\n'
+        '    inertia             ramification size prediction at (T)\n'
+        '    sample              Chebotarev-style Frobenius sampling mod l\n'
+        '    oracle-gl           exact GL_r char-poly distribution\n'
+        '    verify              run verification suites\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+    ), ""),
+    ('sample', '--help'): (0, (
+        'usage: drinfeld sample [-h] [--q Q] [--r R] [--coeffs COEFFS] --l L\n'
+        '                       [--out OUT] [--tv-threshold TV_THRESHOLD]\n'
+        '                       [--budget BUDGET] --max-deg MAX_DEG\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --q Q                 field size q = p^e\n'
+        '  --r R                 rank of the default family (odd prime, default 3);\n'
+        '                        with --coeffs it must equal their rank\n'
+        '  --coeffs COEFFS       custom phi_T coefficients, semicolon-separated (g_0=T\n'
+        '                        first)\n'
+        '  --l L                 monic prime of F_q[T]\n'
+        '  --out OUT             write JSON here instead of stdout\n'
+        '  --tv-threshold TV_THRESHOLD\n'
+        '  --budget BUDGET       GL_r enumeration budget\n'
+        '  --max-deg MAX_DEG\n'
+    ), ""),
+    ('frobnicate',): (2, "", (
+        'usage: drinfeld [-h]\n'
+        '                {phi,charpoly,torsion,newton,inertia,sample,oracle-gl,verify}\n'
+        '                ...\n'
+        "drinfeld: error: argument command: invalid choice: 'frobnicate' (choose from "
+        "'phi', 'charpoly', 'torsion', 'newton', 'inertia', 'sample', 'oracle-gl', 'verify')\n"
+    )),
+    ('sample', '--q', '7', '--l', 'T+6'): (2, "", (
+        'usage: drinfeld sample [-h] [--q Q] [--r R] [--coeffs COEFFS] --l L\n'
+        '                       [--out OUT] [--tv-threshold TV_THRESHOLD]\n'
+        '                       [--budget BUDGET] --max-deg MAX_DEG\n'
+        'drinfeld sample: error: the following arguments are required: --max-deg\n'
+    )),
+}
+
+
+class TestParserOutput:
+    @pytest.mark.parametrize("argv", PARSER_OUTPUT)
+    def test_bytes(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(capsys, *argv) == PARSER_OUTPUT[argv]

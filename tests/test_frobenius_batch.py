@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,16 @@ from drinfeld.charpoly import (
     charpoly_mod_l,
     frobenius_charpolys,
 )
-from drinfeld.fields import make_field
+from drinfeld.fields import FieldBatch, make_field
 from drinfeld.linalg import int64_products
-from drinfeld.polynomials import SparsePoly, format_poly, parse_poly, primes_of_degree
+from drinfeld.polynomials import (
+    ResidueBatch,
+    SparsePoly,
+    coordinates,
+    format_poly,
+    parse_poly,
+    primes_of_degree,
+)
 from drinfeld.reduction import ReductionError, reduce_mod
 from drinfeld.sampling import SamplingError, sample_frobenii
 from drinfeld.skew import DrinfeldModule, split_prime_power
@@ -128,14 +136,15 @@ def test_bad_prime_named_in_enumeration_order(g_r, first_bad):
         sample_frobenii(module, parse_poly("T+4", base), 2)
 
 
-def _corrupt(monkeypatch, index, t_degree, coord):
-    """Add 1 to one coordinate of one charpoly coefficient out of Berkowitz."""
+def _corrupt(monkeypatch, index, t_degree, coord, row=slice(None), delta=1):
+    """Add delta to coordinates `coord` of one charpoly coefficient out of
+    Berkowitz, at the given rows of the batch."""
     berkowitz = charpoly_mod._berkowitz
 
     def corrupted(fb, M, width):
         out = berkowitz(fb, M, width)
         out[index] = out[index].copy()
-        out[index][:, t_degree, coord] = (out[index][:, t_degree, coord] + 1) % fb.p
+        out[index][row, t_degree, coord] = (out[index][row, t_degree, coord] + delta) % fb.p
         return out
 
     monkeypatch.setattr(charpoly_mod, "_berkowitz", corrupted)
@@ -153,6 +162,60 @@ def test_corrupted_coefficient_is_caught(monkeypatch, index, t_degree, coord, me
     _corrupt(monkeypatch, index, t_degree, coord)
     with pytest.raises(CharPolyError, match=f"{message} at {re.escape(format_poly(primes[0]))}$"):
         frobenius_charpolys(module, primes)
+
+
+@pytest.mark.parametrize("q,r,index,t_degree,k", [
+    (9, 3, 1, 0, 1),   # alpha added to a_1: the alpha-twisted digit
+    (9, 3, 2, 1, 1),   # alpha T added to a_2
+    (11, 5, 1, 0, 0),  # rank 5: g_0 and g_4 are the only nonzero g_i below g_5
+    (11, 5, 4, 1, 0),
+])
+def test_corrupted_digit_is_caught(monkeypatch, q, r, index, t_degree, k):
+    # the corrupted a_i stays in F_q[T] within its degree bound, so only the
+    # residual identity can catch it, and only at the corrupted row
+    base = _base(q)
+    module = DrinfeldModule.default_family(base, r)
+    primes = _good_primes(module, 2)[:6]
+    alpha_k = ResidueBatch(base, coordinates(base, primes, 2)).embed[:, k]
+    _corrupt(monkeypatch, index, t_degree, slice(None), row=3, delta=alpha_k)
+    with pytest.raises(CharPolyError,
+                       match=f"residual identity fails at {re.escape(format_poly(primes[3]))}$"):
+        frobenius_charpolys(module, primes)
+
+
+def test_stacked_sums_stay_exact_at_their_worst_case():
+    # every entry p - 1: a companion column sums (live columns + the T e_0
+    # term) * n = 15 or 10 products of residues, the residual combination
+    # d + 1 = 10 per digit, where an int64 sum holds 9
+    p, n, r, d = 1_000_000_007, 5, 3, 9
+    assert int64_products(p) == 9
+
+    def full(*shape):
+        return np.full(shape, p - 1, dtype=np.int64)
+
+    for live in ([0, 2], [1]):
+        M, u, c = full(2, r, 2, r, n), full(2, n, n), full(2, len(live) * n, n)
+        got = charpoly_mod._companion_column(M, u, c, live, p)
+        M, u, c = M.astype(object), u.astype(object), c.astype(object)
+        want = np.zeros((2, r, 3, n), dtype=object)
+        for t, i in enumerate(live):
+            want[:, :, :-1] += M[:, :, :, i] @ c[:, None, t * n : (t + 1) * n]
+        want[:, :, 1:] += M[:, :, :, 0] @ u[:, None]
+        assert np.array_equal(got, want % p), live
+
+    # e = 2 in a field of degree 5, alpha with every coordinate p - 1
+    fb = FieldBatch(p, [[2, 1, 0, 0, 0, 1]])
+    powers = [full(1, j * r + 1, n) for j in range(d + 1)]
+    digits, embed = full(1, r, d + 1, 2), full(n, 2)
+    embed[:, 0] = np.eye(n, dtype=np.int64)[0]
+    got = charpoly_mod._phi_of(fb, powers, digits, embed)
+    alpha = fb.mul_matrix(embed[None, :, 1])[0].astype(object)
+    want = np.zeros((1, r, d * r + 1, n), dtype=object)
+    for i in range(r):
+        for j, P in enumerate(powers):
+            P = P[0].astype(object)
+            want[0, i, : P.shape[0]] += digits[0, i, j, 0] * P + digits[0, i, j, 1] * (P @ alpha.T)
+    assert np.array_equal(got, want % p)
 
 
 def test_linear_system_refuses_an_ambiguous_system(monkeypatch):
