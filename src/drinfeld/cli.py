@@ -351,7 +351,7 @@ COMMANDS = {
     "oracle-gl": ("exact GL_r char-poly distribution", [
         "--q", "--l", "--out", "--budget",
         ("--r", dict(type=int, default=DEFAULT_RANK, help="rank")),
-        ("--backend", dict(choices=["auto", "A", "B"], default="auto")),
+        ("--backend", dict(choices=["A", "B"], default="B")),
     ]),
     "verify": ("run verification suites", [
         "--q", "--out", "--tv-threshold", "--budget",

@@ -177,8 +177,6 @@ class Field:
         self.q = p**e
         self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
         self.order = p**n
-        # rows[k] = coords of x^(n+k) mod modulus, k = 0 .. n-2
-        self._red_rows = self._build_reduction_rows()
         self.zero = FieldElement(self, (0,) * n)
         one = (1,) + (0,) * (n - 1) if n > 1 else (1,)
         self.one = FieldElement(self, one)
@@ -191,20 +189,6 @@ class Field:
         self._base_gen = None        # embedded generator of F_q (e > 1)
 
     # -- construction helpers -------------------------------------------------
-
-    def _build_reduction_rows(self):
-        p, n = self.p, self.n
-        rows = []
-        # x^n = -(low part of modulus)
-        cur = [(-c) % p for c in self.modulus[:n]]
-        rows.append(tuple(cur))
-        for _ in range(n - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [(a + top * rows[0][i]) % p for i, a in enumerate(cur)]
-            rows.append(tuple(cur))
-        return tuple(rows)
 
     def __repr__(self):
         return f"Field(p={self.p}, e={self.e}, m={self.m})"
@@ -251,6 +235,12 @@ class Field:
             yield self.from_int(k)
 
     # -- core arithmetic -------------------------------------------------------
+
+    @functools.cached_property
+    def _red_rows(self) -> tuple[tuple[int, ...], ...]:
+        """rows[k] = coords of x^(n+k) mod modulus, k = 0 .. n-2 (one row at
+        n = 1): the rows of `batch().red` as Python ints."""
+        return tuple(map(tuple, self.batch().red(max(self.n - 1, 1))[0].tolist()))
 
     def _reduce(self, prod: list[int]) -> tuple[int, ...]:
         p, n = self.p, self.n

@@ -238,7 +238,7 @@ def _lt_mul(fb: FieldBatch, a: np.ndarray, b: np.ndarray, width: int) -> np.ndar
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     mats = fb.mul_matrix(b).swapaxes(-1, -2)
     raw = int64_products(p) >= n * db
-    acc = np.zeros(lead + (D, n), dtype=np.int64)
+    acc = np.zeros(lead + (D, n), dtype=np.result_type(a, mats))
     for t in range(min(db, D)):
         k = min(da, D - t)
         term = a[..., :k, :] @ mats[..., t, :, :]

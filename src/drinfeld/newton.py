@@ -43,9 +43,6 @@ class NewtonPolygon:
         """(valuation, multiplicity) per segment: L roots of valuation -s."""
         return [(-s, L) for s, L in self.segments]
 
-    def total_length(self) -> int:
-        return sum(L for _, L in self.segments)
-
     def __repr__(self):
         segs = ", ".join(f"{s}x{L}" for s, L in self.segments)
         return f"NewtonPolygon({self.place!r}, [{segs}])"

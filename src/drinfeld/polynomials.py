@@ -208,16 +208,9 @@ class SparsePoly:
             a, b = b, a % b
         return a.monic() if a else a
 
-    def eval_in(self, target: Field, t_image: FieldElement, embed=None) -> FieldElement:
-        """Evaluate at T = t_image inside `target`.
-
-        `embed` maps base-field coefficients into `target`; defaults to the
-        scalar embedding, valid when e = 1 or base is the prime field.
-        """
-        if embed is None:
-            if self.base.n != 1:
-                raise ValueError("need an explicit embedding for non-prime coefficient fields")
-            embed = lambda c: target.scalar(c.coords[0])
+    def eval_in(self, target: Field, t_image: FieldElement, embed) -> FieldElement:
+        """Evaluate at T = t_image inside `target`; `embed` maps base-field
+        coefficients into `target`."""
         acc = target.zero
         prev_e = None
         # Horner over the sparse terms, highest first

@@ -15,17 +15,16 @@ from the distinct integers, determinant coverage from a bincount.  Records
 are built last; they, and the `progress` callback, follow the prime
 enumeration order.
 
-Two oracle backends compute the exact distribution:
+The exact distribution has one primary algorithm and one oracle:
 
-* backend A enumerates every matrix as F_p digit arrays and takes each
-  characteristic polynomial with the batched Berkowitz of `linalg`,
-  feasible for |F_l|^(r^2) within the budget;
-* backend B, for every r, counts the matrices of each characteristic
-  polynomial from the centralizer formula: |GL_r| times a weight per
-  factorization type, over products of the irreducibles that the prime
-  sieve lists over F_l (feasible for |F_l|^r within the budget).  It is
-  cross-validated against backend A at |F_l| = 3 and on small fields for
-  r <= 4.
+* backend B, the primary, for every r, counts the matrices of each
+  characteristic polynomial from the centralizer formula: |GL_r| times a
+  weight per factorization type, over products of the irreducibles that
+  the prime sieve lists over F_l (feasible for |F_l|^r within the budget);
+* backend A, its oracle, run only when asked for by name, enumerates every
+  matrix as F_p digit arrays and takes each characteristic polynomial with
+  the batched Berkowitz of `linalg` (feasible for |F_l|^(r^2) within the
+  budget).  The two agree at |F_l| = 3 and on small fields for r <= 4.
 
 A verdict of ConsistentWithFullImage is evidence, not proof: the
 surjectivity statement it probes assumes p large (an inexplicit constant),
@@ -45,7 +44,7 @@ import numpy as np
 
 from .charpoly import CharPolyError, charpolys_of_degree
 from .fields import Field, FieldBatch, FieldElement, _digits, _int_digits, field_with_modulus, mod_p
-from .linalg import _berkowitz
+from .linalg import _berkowitz, _lt_mul
 from .polynomials import (
     ResidueBatch,
     SparsePoly,
@@ -108,14 +107,13 @@ class GLDistribution:
         return sum(self.counts.values())
 
 
-def gl_charpoly_distribution(r: int, ell_field: Field, backend: str = "auto",
+def gl_charpoly_distribution(r: int, ell_field: Field, backend: str = "B",
                              budget: int = DEFAULT_ENUM_BUDGET) -> GLDistribution:
-    """Exact char-poly distribution of GL_r over a finite field."""
+    """Exact char-poly distribution of GL_r over a finite field: counted
+    (backend B), or enumerated (backend A, the oracle of the count)."""
     if r < 1:
         raise SamplingError("rank must be >= 1")
     s = ell_field.order
-    if backend == "auto":
-        backend = "A" if (r <= 3 and s**(r * r) <= budget) else "B"
     if backend == "A":
         if s ** (r * r) > budget:
             raise SamplingError(
@@ -176,13 +174,13 @@ def _backend_b(r: int, fld: Field) -> dict[tuple[int, ...], int]:
     for d in range(1, r + 1):
         powers[d] = [None, _irreducibles(fld, d)]
         for _ in range(r // d - 1):
-            powers[d].append(_poly_mul(fb, powers[d][-1], powers[d][1]))
+            powers[d].append(_lt_mul(fb, powers[d][-1], powers[d][1], r + 1))
     keys, counts = [], []
     for ty in _factorization_types(r):
         polys, weight = fb.one((1,)), Fraction(1)
         for d, mult in ty:
             block = _distinct_products(fb, powers[d], mult)
-            polys = _poly_mul(fb, polys[:, None], block[None])
+            polys = _lt_mul(fb, polys[:, None], block[None], r + 1)
             polys = polys.reshape(-1, *polys.shape[2:])
             for m in mult:
                 weight *= sum(1 / _centralizer_order(lam, s**d) for lam in _partitions(m))
@@ -218,17 +216,6 @@ def _irreducible_keys(fld: Field, r: int) -> np.ndarray:
     return irred[:, :r].reshape(len(irred), -1) @ fld.p ** np.arange(r * fld.n)
 
 
-def _poly_mul(fb: FieldBatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of polynomials given as (..., D, n) coefficient arrays,
-    the constant first, broadcast over the leading axes."""
-    da, db = a.shape[-2], b.shape[-2]
-    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (da + db - 1, fb.n)
-    out = np.zeros(shape, dtype=fb.dtype)
-    for i in range(da):
-        out[..., i : i + db, :] += fb.mul(a[..., i : i + 1, :], b)
-    return out % fb.p
-
-
 def _distinct_products(fb: FieldBatch, powers: list[np.ndarray],
                        mult: tuple[int, ...]) -> np.ndarray:
     """prod_j f_(i_j)^(a_j) over every set i_1 < ... < i_k of k = len(mult)
@@ -240,7 +227,8 @@ def _distinct_products(fb: FieldBatch, powers: list[np.ndarray],
     for arrangement in sorted(set(itertools.permutations(mult))):
         prod = powers[arrangement[0]][picks[:, 0]]
         for j, m in enumerate(arrangement[1:], start=1):
-            prod = _poly_mul(fb, prod, powers[m][picks[:, j]])
+            factor = powers[m][picks[:, j]]
+            prod = _lt_mul(fb, prod, factor, prod.shape[-2] + factor.shape[-2] - 1)
         out.append(prod)
     return np.concatenate(out)
 

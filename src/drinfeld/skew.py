@@ -3,7 +3,10 @@
 Two coefficient backends sit behind one class: exact F_q[T] coefficients
 (`SparsePoly`, the generic-characteristic ring) and finite-field
 coefficients (`FieldElement`, the reduction of the ring mod a prime).
-Passing from one to the other is a backend change, nothing else.
+`SkewPoly` adds, multiplies and compares with the coefficients' own
+operators; a backend supplies only what differs between the two: zero,
+one, the twist c |-> c^(q^k), the leading-term division and the printed
+form.
 
 `DrinfeldModule` holds the defining image of T and extends it to the full
 ring homomorphism a |-> phi_a; `linearized_eval` turns a skew polynomial
@@ -35,23 +38,11 @@ class _PolyRing:
         self.base = base
         self.q = base.q
 
-    def is_zero(self, c):
-        return not c
-
     def zero(self):
         return SparsePoly.zero(self.base)
 
     def one(self):
         return SparsePoly.one(self.base)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def twist(self, c, k):
         """c^(q^k): coefficients are q-power fixed, exponents scale."""
@@ -60,13 +51,12 @@ class _PolyRing:
         step = self.q**k
         return SparsePoly(self.base, [(e * step, cf) for e, cf in c.terms])
 
-    def invert(self, c):
-        if c.degree != 0:
-            raise SkewDivisionError("leading coefficient not invertible in F_q[T]")
-        return SparsePoly.monomial(self.base, 0, self.base.inv(c.constant()))
-
-    def eq(self, a, b):
-        return a == b
+    def divide(self, num, den):
+        """num / den, which must divide exactly in F_q[T]."""
+        quot, rem = num.divmod(den)
+        if rem:
+            raise SkewDivisionError("leading term not divisible; extend scalars")
+        return quot
 
     def fmt(self, c):
         return format_poly(c)
@@ -81,32 +71,17 @@ class _FieldRing:
         self.field = field
         self.q = field.q
 
-    def is_zero(self, c):
-        return not c
-
     def zero(self):
         return self.field.zero
 
     def one(self):
         return self.field.one
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def twist(self, c, k):
         return self.field.frobenius(c, k)
 
-    def invert(self, c):
-        return self.field.inv(c)
-
-    def eq(self, a, b):
-        return a == b
+    def divide(self, num, den):
+        return num * self.field.inv(den)
 
     def fmt(self, c):
         from .polynomials import format_field_element
@@ -120,7 +95,7 @@ class SkewPoly:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms: Iterable[tuple[int, object]]):
-        clean = [(e, c) for e, c in terms if not ring.is_zero(c)]
+        clean = [(e, c) for e, c in terms if c]
         clean.sort(key=lambda t: t[0])
         self.ring = ring
         self.terms = tuple(clean)
@@ -147,12 +122,7 @@ class SkewPoly:
     def __eq__(self, other):
         if not isinstance(other, SkewPoly):
             return NotImplemented
-        if len(self.terms) != len(other.terms):
-            return False
-        return all(
-            e1 == e2 and self.ring.eq(c1, c2)
-            for (e1, c1), (e2, c2) in zip(self.terms, other.terms)
-        )
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(tuple((e, c) for e, c in self.terms))
@@ -191,11 +161,11 @@ class SkewPoly:
         self._same_ring(other)
         acc = dict(self.terms)
         for e, c in other.terms:
-            acc[e] = self.ring.add(acc[e], c) if e in acc else c
+            acc[e] = acc[e] + c if e in acc else c
         return SkewPoly(self.ring, acc.items())
 
     def __neg__(self):
-        return SkewPoly(self.ring, [(e, self.ring.neg(c)) for e, c in self.terms])
+        return SkewPoly(self.ring, [(e, -c) for e, c in self.terms])
 
     def __sub__(self, other):
         return self + (-other)
@@ -208,13 +178,13 @@ class SkewPoly:
         for i, a in self.terms:
             for j, b in other.terms:
                 e = i + j
-                prod = ring.mul(a, ring.twist(b, i))
-                acc[e] = ring.add(acc[e], prod) if e in acc else prod
+                prod = a * ring.twist(b, i)
+                acc[e] = acc[e] + prod if e in acc else prod
         return SkewPoly(ring, acc.items())
 
     def scale(self, c) -> "SkewPoly":
         """Left multiplication by a coefficient: scales every term."""
-        return SkewPoly(self.ring, [(e, self.ring.mul(c, cf)) for e, cf in self.terms])
+        return SkewPoly(self.ring, [(e, c * cf) for e, cf in self.terms])
 
     def shift_tau(self, k: int) -> "SkewPoly":
         """Right multiplication by tau^k (coefficients untouched)."""
@@ -238,15 +208,7 @@ class SkewPoly:
         while rem and rem.degree >= dg:
             k = rem.degree - dg
             # lead(rem) = c * lead(g)^(q^k)  =>  c = lead(rem) / lead(g)^(q^k)
-            target = ring.twist(glead, k)
-            if ring.kind == "poly":
-                num = rem.terms[-1][1]
-                quot, r = num.divmod(target) if target.degree <= num.degree else (None, None)
-                if quot is None or r:
-                    raise SkewDivisionError("leading term not divisible; extend scalars")
-                c = quot
-            else:
-                c = ring.mul(rem.terms[-1][1], ring.invert(target))
+            c = ring.divide(rem.terms[-1][1], ring.twist(glead, k))
             q_terms.append((k, c))
             rem = rem - SkewPoly(ring, [(k, c)]) * g
         return SkewPoly(ring, q_terms), rem

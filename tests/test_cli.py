@@ -11,6 +11,7 @@ from drinfeld import reduction
 from drinfeld.cli import main
 from drinfeld.fields import make_field
 from drinfeld.polynomials import format_poly, from_coordinates, prime_coordinates
+from drinfeld.sampling import gl_order
 from drinfeld.skew import split_prime_power
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -209,6 +210,20 @@ class TestSample:
         want = json.loads(REFERENCE.read_text())["sweep-q7"]["T+6"]["sha256"]
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want
 
+    @pytest.mark.parametrize("q,ell,max_deg,digest", [
+        ("5", "T+4", "4", "1f374de017a9e7fb3f27bf9ab9b9ccc4ba2e03f5e8b70a501007bb7c990abdd9"),
+        ("3", "T+1", "5", "f6413d22b1880984958590afadd7c24c5d1cc3503212caca3726d060b255348c"),
+        ("4", "T+1", "5", "855dbb5f2687f4b4dbe8c624ed81d49a5d5aba6d690ec7c043746cfd0e2d0c45"),
+    ])
+    def test_small_field_sweep_bytes(self, q, ell, max_deg, digest, tmp_path, capsys):
+        # |F_l|^9 fits the default budget here, so these reports were once
+        # compared against the enumerated oracle; the digests are from then
+        out_path = tmp_path / "sweep.json"
+        code, _, _ = run_cli(capsys, "sample", "--q", q, "--r", "3", "--l", ell,
+                             "--max-deg", max_deg, "--out", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("argv,samples,width", [
         (["--q", "7", "--r", "3", "--l", "T+6", "--max-deg", "0"], 0, None),
         (["--q", "9", "--r", "3", "--l", "T+2", "--max-deg", "2"], 9 + 36 - 2, 3),
@@ -286,6 +301,19 @@ class TestOracleGL:
         assert doc["params"]["backend"] == "B"
         assert doc["group_order"] == (3**5 - 1) * (3**5 - 3) * (3**5 - 9) * (3**5 - 27) * (3**5 - 81)
         assert doc["cells"] == 2 * 3**4
+
+    def test_default_is_counting_with_the_enumerated_counts(self, capsys):
+        argv = ["oracle-gl", "--q", "5", "--r", "3", "--l", "T+1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        counted = json.loads(out)
+        assert counted["params"]["backend"] == "B"
+        code, out, _ = run_cli(capsys, *argv, "--backend", "A")
+        assert code == 0
+        enumerated = json.loads(out)
+        assert enumerated["params"]["backend"] == "A"
+        assert counted["counts"] == enumerated["counts"]
+        assert counted["group_order"] == enumerated["group_order"] == gl_order(5, 3)
 
 
 class TestVerify:
@@ -420,6 +448,13 @@ class TestFlags:
                                "--budget", "0")
         assert code == 2
         assert err == "error: listing 3^3 characteristic polynomials exceeds the budget 0\n"
+
+    def test_auto_backend_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "oracle-gl", "--q", "3", "--r", "3", "--l", "T+1",
+                                 "--backend", "auto")
+        assert code == 2
+        assert out == ""
+        assert "argument --backend: invalid choice: 'auto'" in err
 
     def test_zero_max_deg_means_zero(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "charpoly-bounds", "--max-deg", "0")

@@ -394,3 +394,24 @@ def test_truncated_berkowitz_is_the_full_one_cut(p, e, r, D, seed, data):
     for got, want in zip(cut, full):
         assert got.shape[1] <= width
         assert np.array_equal(_cut(got, width), _cut(want, width))
+
+
+@pytest.mark.parametrize("p,e", [(2**61 - 1, 1), (3037000493, 2)])
+@pytest.mark.parametrize("da,db", [(2, 2), (3, 2), (2, 4)])
+def test_lt_mul_stays_exact_on_object_fields(p, e, da, db):
+    # int64 cannot hold n products at these p, so the batch works on Python ints
+    fld = make_field(p, e, 1)
+    fb = fld.batch()
+    assert fb.dtype == object
+    rng = random.Random(p + 10 * da + db)
+    a = np.array([[[rng.randrange(p) for _ in range(e)] for _ in range(da)] for _ in range(2)],
+                 dtype=object)
+    b = np.array([[[rng.randrange(p) for _ in range(e)] for _ in range(db)] for _ in range(2)],
+                 dtype=object)
+    got = linalg._lt_mul(fb, a, b, da + db - 1)
+    for row_a, row_b, row_got in zip(a.tolist(), b.tolist(), got.tolist()):
+        want = [fld.zero] * (da + db - 1)
+        for i, x in enumerate(row_a):
+            for j, y in enumerate(row_b):
+                want[i + j] = want[i + j] + fld.elem(x) * fld.elem(y)
+        assert row_got == [list(w.coords) for w in want]

@@ -60,7 +60,7 @@ class TestHull:
             xs = rng.sample(range(0, 60), n)
             pts = [(x, rng.randrange(-9, 9)) for x in xs]
             poly = NewtonPolygon(AT_T, pts)
-            assert poly.total_length() == max(xs) - min(xs)
+            assert sum(L for _, L in poly.segments) == max(xs) - min(xs)
 
     def test_slopes_increase(self):
         rng = random.Random(10)
@@ -115,7 +115,7 @@ class TestFamilySlopes:
         for a, length in cases + [(T * T, 5**6 - 1)]:
             poly = torsion_polygon(D5, a, AT_T)
             assert poly.root_valuations() == [(-s, L) for s, L in poly.segments]
-            assert sum(L for _, L in poly.root_valuations()) == poly.total_length() == length
+            assert sum(L for _, L in poly.root_valuations()) == length
         poly = torsion_polygon(D5, parse_poly("T+4", F5), AT_T)
         assert poly.root_valuations() == [(Fraction(0), 24), (Fraction(-1, 25), 100)]
         vals = {v for v, _ in torsion_polygon(D5, T * T, AT_T).root_valuations()}
