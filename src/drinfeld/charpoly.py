@@ -225,12 +225,13 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
     coeffs = _berkowitz(fb, _motive_matrix(fb, frob, g, u, d), d + 1)[1:]
 
     bounds = _degree_bounds(r, d)
-    digits = []
+    # c_i has the T-length its products reached, at most d + 1; the T-degrees
+    # past it are 0, in F_q and within every bound
+    digits = np.zeros((len(primes), r, d + 1, base.e), dtype=fb.dtype)
     for i, c in enumerate(coeffs, start=1):
         y = into_base(c, f"a_{i} has a coefficient")
         raise_at(y[:, bounds[i - 1] + 1:].any(axis=(1, 2)), f"deg a_{i} exceeds {i}*d/{r}")
-        digits.append(y)
-    digits = np.stack(digits, axis=1)
+        digits[:, i - 1, : y.shape[1]] = y
     a = [digits[:, i, : bound + 1] for i, bound in enumerate(bounds)]
 
     eps = _epsilon_sign(r, d) * nr_inv % base.p  # epsilon = sign / Nr(g_r)
@@ -243,8 +244,12 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
 
 def _motive_matrix(fb: FieldBatch, frob: np.ndarray, g: np.ndarray, u: np.ndarray,
                    d: int) -> np.ndarray:
-    """M = A sigma(A) ... sigma^(d-1)(A) as (B, r, r, d+1, n), given the
-    matrices `frob` of sigma, the g_i mod p and u = g_r^-1."""
+    """M = A sigma(A) ... sigma^(d-1)(A) as (B, r, r, D, n), given the
+    matrices `frob` of sigma, the g_i mod p and u = g_r^-1.  D is 1 + the
+    largest T-degree of an entry of M at some prime of the batch (at most
+    d + 1; ceil(d/r) + 1 for the default family): after every step the
+    T-degrees that are zero throughout the batch are cut, so M is exact and
+    only its zero coefficients are left out."""
     B, r, n = len(g), g.shape[1] - 1, fb.n
     # the companion column c = u (T e_0 - sum_(i<r) g_i e_i) has the
     # constants u and -g_i u at the g_i nonzero somewhere in the batch; the
@@ -258,15 +263,21 @@ def _motive_matrix(fb: FieldBatch, frob: np.ndarray, g: np.ndarray, u: np.ndarra
     stacked = mats[:, :, 1:].reshape(B, d, len(live) * n, n)
 
     # M held as (B, row, T-degree, column, n): right multiplication by
-    # sigma^k(A) shifts the columns left and appends M sigma^k(c); before
-    # step k the entries have T-degree <= k
+    # sigma^k(A) shifts the columns left and appends M sigma^k(c), raising
+    # the T-length D by at most one; D then drops to 1 + the largest
+    # T-degree still nonzero somewhere in the batch, so the entries beyond
+    # D are zero and every product reads only the first D
     M = np.zeros((B, r, d + 1, r, n), dtype=np.int64)
     M[:, range(r), 0, range(r), 0] = 1
+    D = 1
     for k in range(d):
-        last = _companion_column(M[:, :, : k + 1], mats[:, k, 0], stacked[:, k], live, fb.p)
-        M[:, :, : k + 1, :-1] = M[:, :, : k + 1, 1:]
-        M[:, :, : k + 2, -1] = last
-    return M.transpose(0, 1, 3, 2, 4)
+        last = _companion_column(M[:, :, :D], mats[:, k, 0], stacked[:, k], live, fb.p)
+        M[:, :, :D, :-1] = M[:, :, :D, 1:]
+        M[:, :, : D + 1, -1] = last
+        D += 1
+        while D > 1 and not M[:, :, D - 1].any():
+            D -= 1
+    return M[:, :, :D].transpose(0, 1, 3, 2, 4)
 
 
 def _companion_column(M: np.ndarray, u: np.ndarray, c: np.ndarray, live: list[int],
@@ -321,23 +332,31 @@ def _phi_of(fb: FieldBatch, powers: list[np.ndarray], digits: np.ndarray,
     given by their F_q digits (B, r, d+1, e), digit k of a coefficient
     standing for alpha^k (column k of `embed`), and phi_(T^j) by powers[j]
     (`phi_T_powers`), j <= d.  For each k, sum_j a_ijk phi_(T^j) is summed
-    over j in place, then multiplied by alpha^k when k >= 1."""
+    over j in place, then multiplied by alpha^k when k >= 1.  The sum for
+    (j, k) runs over the rows i >= i0 only, i0 the first a_i whose digit
+    there is nonzero at some prime of the batch: the rows before it add 0,
+    so leaving them out is exact for any digits (a (j, k) with no nonzero
+    digit adds nothing at all)."""
     batch, r, width, e = digits.shape
     n, p = fb.n, fb.p
     # unreduced, an entry sums d+1 products of residues
     raw = int64_products(p) >= width
+    first = np.where(digits.any(axis=0), np.arange(r)[:, None, None], r).min(axis=0)  # (d+1, e)
     phi_a = 0
     for k in range(e):
         term = np.zeros((batch, r) + powers[-1].shape[1:], dtype=fb.dtype)
         for j, P in enumerate(powers):
-            prod = digits[:, :, j, k, None, None] * P[:, None]
-            term[:, :, : P.shape[1]] += prod if raw else mod_p(prod, p)
+            i0 = first[j, k]
+            if i0 == r:
+                continue
+            prod = digits[:, i0:, j, k, None, None] * P[:, None]
+            term[:, i0:, : P.shape[1]] += prod if raw else mod_p(prod, p)
         term = mod_p(term, p)
         if k:
             alpha = fb.mul_matrix(np.broadcast_to(embed[:, k], (batch, n)))
             term = mod_p(term @ alpha.swapaxes(-1, -2)[:, None], p)
         phi_a = phi_a + term
-    return phi_a
+    return phi_a if e == 1 else mod_p(phi_a, p)  # e reduced terms
 
 
 def _charpoly_objects(base, primes: list[SparsePoly], a: list[np.ndarray],

@@ -38,6 +38,7 @@ from .sampling import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_TV_THRESHOLD,
     SamplingError,
+    check_tv_threshold,
     gl_charpoly_distribution,
     sample_frobenii,
     surjectivity_evidence,
@@ -212,6 +213,7 @@ def cmd_inertia(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    check_tv_threshold(args.tv_threshold)
     module = _build_module(args)
     ell = _parse_prime(args.l, module.base)
     report = sample_frobenii(module, ell, args.max_deg, budget=args.budget)
@@ -293,6 +295,7 @@ def cmd_verify(args) -> int:
         names = [args.suite]
     else:
         raise UsageError(f"unknown suite {args.suite!r}; known: all, " + ", ".join(SUITES))
+    check_tv_threshold(args.tv_threshold)
     p, e = _split_q(args.q)
     cfg = VerifyConfig(p=p, e=e, r=args.r, seed=args.seed, max_deg=args.max_deg,
                        tv_threshold=args.tv_threshold, budget=args.budget)

@@ -252,6 +252,12 @@ def _berkowitz(fb: FieldBatch, M: np.ndarray, width: int) -> list[np.ndarray]:
     returns [1, c_1, ..., c_r].  Reduction mod T^width is a ring map, so it
     commutes with a formula without division.
 
+    Every product is only as long as its operands make it (`_lt_mul`), so
+    the work follows the T-length D of M, not the width: c_i, a sum of
+    products of i entries, comes out with T-length min(i(D-1) + 1, width),
+    its higher coefficients being zero.  Callers that want width
+    coefficients pad.
+
     Going up from the trailing 1 x 1 block, the block [[a, R], [C, S]] of
     size m has the characteristic vector of S multiplied by the lower
     triangular Toeplitz matrix with first column 1, -a, -RC, -RSC, ...,

@@ -415,10 +415,20 @@ def _charpolys_mod_l(at_ell: ResidueBatch, primes: np.ndarray, a: list[np.ndarra
     return np.stack([c @ index for c in mod_l], axis=1), det @ index, (det == law).all(axis=1)
 
 
+def check_tv_threshold(tv_threshold: float):
+    """Refuse a TV threshold outside 0 < t <= 1, NaN included: a NaN
+    compares false against every distance and an infinite one flags
+    nothing, so either would make the TV test vacuous."""
+    if not 0 < tv_threshold <= 1:
+        raise SamplingError(f"tv threshold {tv_threshold} is not in (0, 1]")
+
+
 def surjectivity_evidence(report: SampleReport,
                           tv_threshold: float = DEFAULT_TV_THRESHOLD) -> tuple[str, list[str]]:
     """ConsistentWithFullImage iff the TV distance is below threshold, some
-    sampled polynomial is irreducible mod l, and determinants cover F_l^*."""
+    sampled polynomial is irreducible mod l, and determinants cover F_l^*.
+    The threshold must lie in (0, 1] (`check_tv_threshold`)."""
+    check_tv_threshold(tv_threshold)
     reasons: list[str] = []
     if not report.records:
         reasons.append("no samples")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from drinfeld import reduction
+from drinfeld import cli, reduction
 from drinfeld.cli import main
 from drinfeld.fields import make_field
 from drinfeld.polynomials import format_poly, from_coordinates, prime_coordinates
@@ -462,6 +462,25 @@ class TestFlags:
         doc = json.loads(out)
         assert doc["config"]["max_deg"] == 0
         assert doc["outcomes"][0]["checks"] == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--q", "7", "--r", "3", "--l", "T+6", "--max-deg", "2"),
+        ("verify", "--suite", "chebotarev", "--max-deg", "1"),
+    ])
+    def test_threshold_that_is_not_finite_is_usage_error(self, argv, value, capsys,
+                                                          monkeypatch):
+        # refused before any sweep: sample once said "consistent" at
+        # tv_distance 0.910, and verify failed its TV check instead
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before checking the threshold")
+
+        monkeypatch.setattr(cli, "sample_frobenii", no_sweep)
+        monkeypatch.setattr(cli, "run_suites", no_sweep)
+        code, out, err = run_cli(capsys, *argv, "--tv-threshold", value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tv threshold {value} is not in (0, 1]\n"
 
 
 class TestErrorHandling:

@@ -13,6 +13,7 @@ from drinfeld.charpoly import (
     CharPolyError,
     charpoly_linear_system,
     charpoly_mod_l,
+    charpolys_of_degree,
     frobenius_charpolys,
 )
 from drinfeld.fields import FieldBatch, make_field
@@ -22,6 +23,7 @@ from drinfeld.polynomials import (
     SparsePoly,
     coordinates,
     format_poly,
+    is_irreducible,
     parse_poly,
     primes_of_degree,
 )
@@ -108,6 +110,55 @@ def test_input_order_across_degrees():
     primes = _good_primes(module, 2)[:5] + _good_primes(module, 1) + _good_primes(module, 3)[:4]
     primes = primes[::-1]
     _assert_matches_linear_system(module, primes)
+
+
+def _some_primes(base, d, count, seed):
+    """`count` monic primes of degree d, drawn at random by a seeded
+    generator: no enumeration of the degree."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        coeffs = rng.integers(0, base.order, size=d).tolist() + [1]
+        f = SparsePoly(base, [(j, base.from_int(c)) for j, c in enumerate(coeffs) if c])
+        if f not in found and is_irreducible(f):
+            found.append(f)
+    return found
+
+
+@pytest.mark.parametrize("q,r,d", [(7, 3, 5), (9, 3, 4), (11, 5, 4), (5, 3, 7)])
+def test_motive_matrix_keeps_only_the_present_t_degrees(monkeypatch, q, r, d):
+    # the default family's M has T-degree ceil(d/r), reached at some prime
+    base = _base(q)
+    module = DrinfeldModule.default_family(base, r)
+    seen = []
+    motive_matrix = charpoly_mod._motive_matrix
+
+    def spy(*args):
+        seen.append(motive_matrix(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(charpoly_mod, "_motive_matrix", spy)
+    charpolys_of_degree(module, coordinates(base, _some_primes(base, d, 24, seed=d), d))
+    (M,) = seen
+    assert M.shape[3] == -(-d // r) + 1
+    assert M[:, :, :, -1].any()
+
+
+@pytest.mark.parametrize("q,r,texts,degrees", [
+    (5, 3, None, (4, 5, 6)),
+    (9, 3, None, (4, 5)),  # d = 6 spends 16 s finding the residue fields
+    (7, 5, None, (4, 5, 6)),
+    (5, 3, ["2*T^2+T+3", "T+4", "3*T^2+1"], (4, 5, 6)),  # every g_i nonzero
+])
+def test_motive_route_matches_linear_system_at_higher_degree(q, r, texts, degrees):
+    base = _base(q)
+    if texts is None:
+        module = DrinfeldModule.default_family(base, r)
+    else:
+        module = DrinfeldModule(base, [parse_poly(t, base) for t in ["T"] + texts])
+        assert module.r == r and all(module.g)
+    for d in degrees:
+        _assert_matches_linear_system(module, _some_primes(base, d, 2, seed=d))
 
 
 def test_sweep_over_several_chunks_keeps_prime_order(monkeypatch):
@@ -209,13 +260,39 @@ def test_stacked_sums_stay_exact_at_their_worst_case():
     digits, embed = full(1, r, d + 1, 2), full(n, 2)
     embed[:, 0] = np.eye(n, dtype=np.int64)[0]
     got = charpoly_mod._phi_of(fb, powers, digits, embed)
-    alpha = fb.mul_matrix(embed[None, :, 1])[0].astype(object)
-    want = np.zeros((1, r, d * r + 1, n), dtype=object)
-    for i in range(r):
-        for j, P in enumerate(powers):
-            P = P[0].astype(object)
-            want[0, i, : P.shape[0]] += digits[0, i, j, 0] * P + digits[0, i, j, 1] * (P @ alpha.T)
-    assert np.array_equal(got, want % p)
+    assert np.array_equal(got, _phi_of_reference(fb, powers, digits, embed))
+
+
+def _phi_of_reference(fb, powers, digits, embed):
+    """`_phi_of` on Python ints, every (row, i, j, k) summed: the digit
+    a_ijk times phi_(T^j) times alpha^k."""
+    batch, r, width, e = digits.shape
+    want = np.zeros((batch, r, powers[-1].shape[1], fb.n), dtype=object)
+    for k in range(e):
+        alpha = fb.mul_matrix(np.broadcast_to(embed[:, k], (batch, fb.n))).astype(object)
+        for b in range(batch):
+            for i in range(r):
+                for j, P in enumerate(powers):
+                    P = P[b].astype(object)
+                    want[b, i, : P.shape[0]] += int(digits[b, i, j, k]) * (P @ alpha[b].T)
+    return want % fb.p
+
+
+@pytest.mark.parametrize("row,i,j,k", [(1, 2, 0, 0), (0, 0, 4, 1), (2, 1, 3, 0), (1, 2, 4, 1)])
+def test_a_single_nonzero_digit_is_summed(row, i, j, k):
+    # one (row, i) has a digit at T^j, every other digit there is 0: the
+    # rows before i are left out of that sum, and nothing is lost by it
+    p, n, r, d = 7, 5, 3, 4
+    fb = FieldBatch(p, [[2, 1, 0, 0, 0, 1]])
+    rng = np.random.default_rng(row * 1000 + i * 100 + j * 10 + k)
+    powers = [rng.integers(0, p, size=(3, t * r + 1, n)) for t in range(d + 1)]
+    embed = np.stack([np.eye(n, dtype=np.int64)[0], rng.integers(0, p, size=n)], axis=1)
+    digits = np.zeros((3, r, d + 1, 2), dtype=np.int64)
+    digits[row, i, j, k] = 5
+    digits[:, :, d, 0] = rng.integers(0, p, size=(3, r))  # other powers stay dense
+    got = charpoly_mod._phi_of(fb, powers, digits, embed)
+    assert np.array_equal(got, _phi_of_reference(fb, powers, digits, embed))
+    assert got[row, i].any()
 
 
 def test_linear_system_refuses_an_ambiguous_system(monkeypatch):

@@ -278,6 +278,16 @@ class TestSampling:
         assert verdict == CONSISTENT
         assert reasons == []
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf"),
+                                           0.0, -0.1, 1.5])
+    def test_threshold_outside_the_unit_interval_is_refused(self, threshold):
+        # tv >= nan is False, so a NaN threshold once let any report through
+        D = DrinfeldModule.default_family(7, 3)
+        oracle = gl_charpoly_distribution(3, residue_field(parse_poly("T+6", F7)).field)
+        empty = SampleReport(D, parse_poly("T+6", F7), 0, [], oracle, 1.0, False, False)
+        with pytest.raises(SamplingError, match="is not in \\(0, 1\\]$"):
+            surjectivity_evidence(empty, threshold)
+
     @pytest.mark.parametrize("q,ell,max_deg", [(7, "T+6", 3), (9, "T+2", 2)])
     def test_tally_matches_the_records(self, q, ell, max_deg):
         # the integer-key tally against one made from the records' own keys
