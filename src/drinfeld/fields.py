@@ -10,7 +10,13 @@ object and its precomputed tables.
 `make_field` picks the canonical modulus: the first monic irreducible in
 the ascending coefficient-index order (constant coefficient varies
 fastest), so every field of a given degree is reproducible without
-external polynomial tables.
+external polynomial tables.  Candidates past the closed-form binomials and
+a small-divisor sieve take Rabin's test, whose n steps u -> u^p mod f take
+one of two exact routes by the shape of f = x^n + g: a sparse closed form
+when p < n, p deg g < n and int64_products(p) >= 2 n^2 (which bounds every
+unreduced sum of a step, see `_sparse_frobenius`), the packed Berlekamp
+matrix otherwise.  A search that would run on Python ints, where
+(p-1)^2 n leaves int64, is refused above MAX_EXACT_SEARCH_DEGREE.
 """
 
 from __future__ import annotations
@@ -77,6 +83,18 @@ class FieldError(ValueError):
 
 class PrimalityError(FieldError):
     """An integer too large for the deterministic primality test."""
+
+
+class ModulusSearchError(FieldError):
+    """A canonical-modulus search on Python ints of degree above
+    MAX_EXACT_SEARCH_DEGREE."""
+
+
+# Largest degree n whose canonical-modulus search may run on Python ints,
+# which it does where (p-1)^2 n leaves int64: every Rabin test there costs
+# n^3 big-int products.  At p = 2^61 - 1 the search takes 0.3 s at n = 32,
+# 1.5 s at n = 40 and 6.8 s at n = 64, and grows without bound after.
+MAX_EXACT_SEARCH_DEGREE = 32
 
 
 class FieldElement:
@@ -580,6 +598,13 @@ def lex_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
         # a generator of F_p^* is -c for an irreducible x^n + c, so this ends
         c = next(c for c in range(1, p) if _binomial_irreducible(p, n, c))
         return (c,) + (0,) * (n - 1) + (1,)
+    from .linalg import int64_products
+
+    if n > MAX_EXACT_SEARCH_DEGREE and int64_products(p) < n:
+        raise ModulusSearchError(
+            f"the degree-{n} modulus search over F_{p} would run on Python ints; "
+            f"degree {n} exceeds MAX_EXACT_SEARCH_DEGREE = {MAX_EXACT_SEARCH_DEGREE}"
+        )
     s = min(n, _sieve_digits(p))
     depth = min(n // 2, s)
     parity = (-1) ** (n - 1)  # the discriminant character of an irreducible
@@ -760,33 +785,99 @@ def _xpow_mod(e: int, b: list[int], p: int) -> list[int]:
 
 
 def _rabin(f: Sequence[int], p: int, depth: int = 0) -> bool:
-    """Rabin's test (Rabin 1980) on the Berlekamp matrix Q of f, whose
-    column j is x^(pj) mod f, so that x^(p^k) = Q^k x: f is irreducible iff
+    """Rabin's test (Rabin 1980): f of degree n is irreducible iff
     x^(p^n) = x mod f and gcd(x^(p^(n/t)) - x, f) = 1 for each prime t | n.
     The gcd is skipped where n/t <= depth: the caller vouches that f has no
     factor of degree <= depth.
 
-    The n steps u <- Q u are the row products u Q^T % p on Q^T packed once
-    (`linalg.PackedMatrix`): at p = 5, n = 248, five columns share an int64.
-    Exact for every p: a p too large for two lanes, or for int64 at all
-    (`FieldBatch` exact, Python ints), takes the plain product."""
-    from .linalg import PackedMatrix
-
+    x^(p^k) comes from k steps of the F_p-linear map u -> u^p mod f.  The
+    route of the step is chosen by the shape of f = x^n + g alone:
+    `_sparse_frobenius` when p < n, p deg g < n and int64 holds its sums
+    (every candidate of the search's first sieve block at (5, 248)), the
+    packed Berlekamp matrix of `_dense_frobenius` for every other f (later
+    sieve blocks, p >= n, small n, p past int64).  Both are exact, so the
+    answer does not depend on the route."""
     n = len(f) - 1
     if n == 1:
         return True
-    Q = FieldBatch(p, f, exact=True).frobenius_matrix(p)[0]
-    step = PackedMatrix(Q.T, p)
-    x = np.zeros(n, dtype=Q.dtype)
+    step = _sparse_frobenius(f, p) or _dense_frobenius(f, p)
+    x = np.zeros(n, dtype=np.int64)
     x[1] = 1
     checkpoints = {n // t for t in _prime_divisors(n) if n // t > depth}
     u, seen = x, []
     for k in range(1, n + 1):
-        u = step.rmul(u)
+        u = step(u)
         if k in checkpoints:
             seen.append((u - x) % p)
     # most reducible f fail here, before any gcd is paid for
     return not ((u - x) % p).any() and all(_gcd_is_unit(f, h, p) for h in seen)
+
+
+def _dense_frobenius(f: Sequence[int], p: int):
+    """u -> u^p mod f as the row product u Q^T % p, Q the Berlekamp matrix
+    of f (column j is x^(pj) mod f), packed once (`linalg.PackedMatrix`): at
+    p = 5, n = 248, five columns share an int64.  Exact for every p: a p
+    too large for two lanes, or for int64 at all (`FieldBatch` exact, Python
+    ints), takes the plain product."""
+    from .linalg import PackedMatrix
+
+    Q = FieldBatch(p, f, exact=True).frobenius_matrix(p)[0]
+    return PackedMatrix(Q.T, p).rmul
+
+
+def _sparse_frobenius(f: Sequence[int], p: int):
+    """u -> u^p mod f in closed form for f = x^n + g with p < n,
+    p deg g < n and int64_products(p) >= 2 n^2; None for any other f.
+
+    u^p = sum_i u_i x^(pi), as u_i^p = u_i in F_p.  With pi = an + b,
+    0 <= b < n, a <= p - 1, and x^n = -g, x^(pi) = x^b h_a, h_a = (-g)^a of
+    degree a deg g.  So coefficient j < W = n + (p-1) deg g of the unfolded
+    sum collects u_i h_a[j - b] over the i whose window b .. b + a deg g
+    holds j: at most K <= n of them (K <= 9 in the (5, 248) search),
+    gathered into (K, W) arrays of source indices and values, zero values
+    padding.  The part above n, x^n H with deg H < (p-1) deg g, folds in as
+    -g H, of degree < p deg g < n, so one convolution leaves the result
+    reduced.
+
+    Each step is reduced mod p once, at the end: a gathered sum is at most
+    K (p-1)^2 and a folded one adds deg g + 1 products of (p-1) by such a
+    sum, so every entry stays below K (p-1)^2 (1 + (p-1)(deg g + 1)) <
+    2 n^2 (p-1)^2, since (p-1)(deg g + 1) < p deg g + p < 2n."""
+    from .linalg import int64_products
+
+    n = len(f) - 1
+    g = _trim([c % p for c in f[:n]])
+    G = max(len(g) - 1, 0)  # deg g, and 0 for g = 0
+    if not (p < n and p * G < n and int64_products(p) >= 2 * n * n):
+        return None
+    neg = np.array([-c % p for c in g] or [0], dtype=np.int64)  # h_1 = -g
+    h = np.ones(1, dtype=np.int64)  # h_a, from a = 0
+    src, pos, val = [], [], []
+    for a in range(p):
+        rows = np.arange(-(-a * n // p), -(-(a + 1) * n // p))  # the i with pi // n = a
+        t = np.flatnonzero(h)
+        src.append(np.repeat(rows, t.size))
+        pos.append((p * rows[:, None] - a * n + t).ravel())  # b + t
+        val.append(np.tile(h[t], rows.size))
+        h = np.convolve(h, neg) % p
+    src, pos, val = (np.concatenate(v) for v in (src, pos, val))
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    counts = np.bincount(pos, minlength=n + (p - 1) * G)
+    rank = np.arange(pos.size) - (np.cumsum(counts) - counts)[pos]  # slot within position
+    idx = np.zeros((int(counts.max()), counts.size), dtype=np.int64)
+    vals = np.zeros_like(idx)
+    idx[rank, pos] = src[order]
+    vals[rank, pos] = val[order]
+
+    def step(u: np.ndarray) -> np.ndarray:
+        w = (u[idx] * vals).sum(axis=0)
+        out = w[:n]
+        if G:
+            out[: p * G] += np.convolve(w[n:], neg)
+        return out % p
+
+    return step
 
 
 def _gcd_is_unit(f: Sequence[int], h: np.ndarray, p: int) -> bool:

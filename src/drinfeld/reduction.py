@@ -342,7 +342,11 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
 
 def _residue_embedding(rf_field: Field, B: Field, d: int) -> np.ndarray:
     """Matrix of the embedding F_p -> B: the generator of the residue field
-    goes to the first root of its modulus in the q^d-fixed subfield of B."""
+    goes to the first root of its modulus in the q^d-fixed subfield of B.
+    A residue field F_p (e*d = 1) has the one basis vector 1, which goes to
+    e_0 whatever the root, so neither the subfield nor a root is computed."""
+    if rf_field.n == 1:
+        return B.scalars([1]).T
     beta = B.first_root(B.scalars(rf_field.modulus), B.subfield_basis(d))
     if beta is None:
         raise ReductionError("no embedding of the residue field found")  # unreachable

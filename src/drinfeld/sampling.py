@@ -70,9 +70,10 @@ DEFAULT_TV_THRESHOLD = 0.1
 DEFAULT_ENUM_BUDGET = 2_000_000
 # Primes per batched charpoly call.  It bounds the working arrays: on the
 # q = 7, degree-5 sweep 128 primes ran the kernel about 20% faster than 64
-# at the same peak RSS.  256 runs 1.10-1.17x faster than 128 there and
-# 1.2x at q = 9, degree 3 (in process), but at q = 9 a chunk of 256 or 512
-# raises the sweep's peak RSS by 1.6-1.7 MB, about 5%, in a 33 MB process.
+# at the same peak RSS.  On the degree-aware kernel 256 runs no faster than
+# 128 there (1.000x over 10 paired in-process sweeps), and at q = 9 a chunk
+# of 256 or 512 raised the sweep's peak RSS by 1.6-1.7 MB, about 5%, in a
+# 33 MB process.
 CHARPOLY_CHUNK = 128
 # Matrices per batched Berkowitz call of backend A (p of them when p is larger).
 _ENUM_BLOCK = 1 << 14

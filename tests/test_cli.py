@@ -126,6 +126,17 @@ class TestTorsion:
         assert err == ("error: no splitting degree m <= 1; at m = 2 the F_p-degree 4 "
                        "exceeds MAX_SPLITTING_FIELD_DEGREE = 2\n")
 
+    def test_modulus_search_on_python_ints_past_its_bound_is_usage_error(self, capsys, monkeypatch):
+        # m = 33 stands in for a pair whose splitting field has F_p-degree
+        # 33: at p = 10^9 + 7 its modulus search would run on Python ints
+        monkeypatch.setattr(reduction, "splitting_degree", lambda phil: 33)
+        code, out, err = run_cli(capsys, "torsion", "--q", "1000000007", "--r", "3",
+                                 "--p", "T+1", "--l", "T+2")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the degree-33 modulus search over F_1000000007 would run on "
+                       "Python ints; degree 33 exceeds MAX_EXACT_SEARCH_DEGREE = 32\n")
+
     def test_oversized_splitting_field_exits_within_seconds(self):
         # the search stops at m = 1024 = 2048 // 2; m = 4095 would split it,
         # and building F_(4^4095) would never finish

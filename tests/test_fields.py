@@ -11,6 +11,7 @@ from drinfeld import linalg, reduction
 from drinfeld.fields import (
     _MR_LIMIT,
     FieldError,
+    ModulusSearchError,
     PrimalityError,
     _binomial_irreducible,
     _disc_character,
@@ -457,6 +458,149 @@ class TestModulusSearch:
             assert _rabin(f, p) == python_rabin(f, p)
 
 
+def frobenius_powers(step, n):
+    """x^(p^k) mod f for k = 1 .. n, by n applications of a route's step."""
+    u = np.zeros(n, dtype=np.int64)
+    u[1] = 1
+    out = []
+    for _ in range(n):
+        u = step(u)
+        out.append([int(c) for c in u])
+    return out
+
+
+def route_counts(monkeypatch):
+    """Spies on the two Frobenius routes of `_rabin`: [sparse, dense] calls."""
+    counts = [0, 0]
+    sparse, dense = fields._sparse_frobenius, fields._dense_frobenius
+
+    def counted_sparse(f, p):
+        step = sparse(f, p)
+        counts[0] += step is not None
+        return step
+
+    def counted_dense(f, p):
+        counts[1] += 1
+        return dense(f, p)
+
+    monkeypatch.setattr(fields, "_sparse_frobenius", counted_sparse)
+    monkeypatch.setattr(fields, "_dense_frobenius", counted_dense)
+    return counts
+
+
+def random_first_block(rng, p, deg_g, extra):
+    """x^n + g, n = max(p deg g, p) + extra, deg g = deg_g, g(0) != 0."""
+    n = max(p * deg_g, p) + extra
+    g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(deg_g)]
+    if deg_g:
+        g[-1] = rng.randrange(1, p)
+    return tuple(g) + (0,) * (n - deg_g - 1) + (1,)
+
+
+# (sparse, dense) Frobenius routes that the search for each `GOLDEN` modulus
+# takes, one per Rabin test; a modulus found by the closed form or by the
+# sieve alone takes none.  The p = 5 rows are the nine splitting fields of
+# the q = 5 torsion benchmark.
+GOLDEN_ROUTES = {
+    (2, 30): (1, 0), (2, 32): (1, 0), (2, 64): (1, 0), (2, 100): (3, 0), (2, 128): (1, 0),
+    (2, 256): (33, 0), (3, 24): (1, 0), (3, 27): (3, 0), (3, 36): (1, 0), (3, 81): (28, 0),
+    (5, 20): (1, 0), (5, 24): (5, 0), (5, 40): (6, 0), (5, 48): (2, 0), (5, 62): (5, 0),
+    (5, 124): (1, 0), (5, 248): (43, 0), (7, 12): (0, 1), (7, 21): (1, 0), (7, 30): (1, 0),
+    (7, 49): (1, 0),
+}
+
+
+class TestFrobeniusRoutes:
+    """`_rabin` steps u -> u^p mod f by the sparse closed form for
+    f = x^n + g with p < n and p deg g < n, and by the packed Berlekamp
+    matrix otherwise; both must give the same powers and answers."""
+
+    @pytest.mark.parametrize("p,canonical", [(2, 30), (3, 24), (5, 20), (7, 21)])
+    def test_routes_agree_with_each_other_and_python_rabin(self, monkeypatch, p, canonical):
+        rng = random.Random(1980 + p)
+        cases = [random_first_block(rng, p, deg_g, extra)
+                 for deg_g in (0, 1, 2, 3, 4) for extra in (1, 2, 3, 5) for _ in range(2)]
+        cases.append(lex_smallest_irreducible(p, canonical))
+        for f in cases:
+            n = len(f) - 1
+            powers = frobenius_powers(fields._sparse_frobenius(f, p), n)
+            assert powers == frobenius_powers(fields._dense_frobenius(f, p), n)
+            want = python_xpow(f, p, p**n)
+            assert powers[-1] == want + [0] * (n - len(want))
+        want = [python_rabin(f, p) for f in cases]
+        assert any(want) and not all(want)
+        counts = route_counts(monkeypatch)
+        assert [_rabin(f, p) for f in cases] == want
+        assert counts == [len(cases), 0]
+        monkeypatch.setattr(fields, "_sparse_frobenius", lambda f, p: None)
+        assert [_rabin(f, p) for f in cases] == want
+        assert counts == [len(cases), len(cases)]
+
+    @pytest.mark.parametrize("p,n,want", [
+        (2, 12, [15]), (2, 15, [139]), (3, 10, [20, 29, 56]), (5, 14, [26, 29, 51, 54]),
+        (7, 12, [1, 2, 3, 4, 5, 6, 9, 13, 16, 20, 23, 27, 30, 34, 37, 41, 44, 48]),
+    ])
+    def test_reducible_fixed_by_frobenius_fails_at_a_gcd(self, monkeypatch, p, n, want):
+        # every x^n + g with g(0) != 0 and p deg g < n for which x^(p^n) = x
+        # mod f although f is reducible, found by brute force: only a gcd
+        # checkpoint rejects these
+        cases = [monic(k, p, n) for k in range(1, p ** ((n - 1) // p + 1)) if k % p]
+        hits = [f for f in cases if python_xpow(f, p, p**n) == [0, 1] and not python_rabin(f, p)]
+        assert [index_of(f, p) for f in hits] == want
+        for f in hits:
+            assert frobenius_powers(fields._sparse_frobenius(f, p), n)[-1] == [0, 1] + [0] * (n - 2)
+        counts = route_counts(monkeypatch)
+        assert not any(_rabin(f, p) for f in hits)
+        monkeypatch.setattr(fields, "_sparse_frobenius", lambda f, p: None)
+        assert not any(_rabin(f, p) for f in hits)
+        assert counts == [len(hits), len(hits)]
+
+    @pytest.mark.parametrize("p,n", sorted(GOLDEN))
+    def test_golden_searches_take_the_expected_route(self, monkeypatch, p, n):
+        # a search that silently fell back to the dense route would still
+        # answer right; the counts catch it
+        counts = route_counts(monkeypatch)
+        assert index_of(lex_smallest_irreducible.__wrapped__(p, n), p) == GOLDEN[p, n]
+        assert tuple(counts) == GOLDEN_ROUTES.get((p, n), (0, 0))
+
+    @pytest.mark.parametrize("p,f", [
+        (7, (1, 2, 0, 0, 0, 1)),                      # p >= n
+        (7, monic(GOLDEN[7, 12], 7, 12)),             # p deg g = 14 >= n = 12
+        (2, monic(2**14 + 5, 2, 20)),                 # second sieve block at p = 2
+        (3, monic(3**4 + 2, 3, 12)),                  # p deg g = n
+    ])
+    def test_other_shapes_take_the_dense_route(self, monkeypatch, p, f):
+        assert fields._sparse_frobenius(f, p) is None
+        counts = route_counts(monkeypatch)
+        assert _rabin(f, p) == python_rabin(f, p)
+        assert counts == [0, 1]
+
+    def test_python_int_p_takes_the_dense_route(self):
+        # the Python-int case of `test_degree_25_at_p_1000000007`: a short g,
+        # but sums that int64 cannot hold
+        f = (1000000007 - 55, 1000000006) + (0,) * 23 + (1,)
+        assert fields._sparse_frobenius(f, 1000000007) is None
+
+
+class TestSearchBound:
+    def test_first_degree_above_the_bound_refuses_at_once(self):
+        # 3 divides 33 but not p - 1, so no binomial decides it: the search
+        # would run Rabin's test on Python ints
+        p, n = 1000000007, fields.MAX_EXACT_SEARCH_DEGREE + 1
+        assert n == 33 and linalg.int64_products(p) < n and (p - 1) % 3
+        start = time.perf_counter()
+        with pytest.raises(ModulusSearchError,
+                           match="degree 33 exceeds MAX_EXACT_SEARCH_DEGREE = 32"):
+            make_field(p, 1, n)
+        assert time.perf_counter() - start < 1.0
+
+    def test_searches_within_the_bound_or_in_int64_still_run(self):
+        assert lex_smallest_irreducible(1000000007, fields.MAX_EXACT_SEARCH_DEGREE)[-1] == 1
+        assert index_of(lex_smallest_irreducible(5, 248), 5) == GOLDEN[5, 248]
+        # a closed-form binomial is no search: 3 and 11 divide p - 1
+        assert make_field(2**61 - 1, 1, 33).modulus[1:] == (0,) * 32 + (1,)
+
+
 def monic_rows(p, n):
     """Every monic polynomial of degree n over F_p, one row each, in index
     order."""
@@ -540,22 +684,26 @@ def _irreducible_rows(p, d, count):
     return out
 
 
-def python_rabin(f, p):
-    """Rabin's test with x^(p^k) by square-and-multiply on Python ints."""
-    n = len(f) - 1
+def python_xpow(f, p, e):
+    """x^e mod f by square-and-multiply on Python ints, trimmed."""
 
     def mulmod(a, b):
         return poly_mod(list(poly_mul(a, b, p)), f, p)
 
-    def xpow(e):
-        result, base = [1], [0, 1]
-        while e:
-            if e & 1:
-                result = mulmod(result, base)
-            e >>= 1
-            if e:
-                base = mulmod(base, base)
-        return result
+    result, base = [1], [0, 1]
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        e >>= 1
+        if e:
+            base = mulmod(base, base)
+    return result
+
+
+def python_rabin(f, p):
+    """Rabin's test with x^(p^k) by square-and-multiply on Python ints."""
+    n = len(f) - 1
+    xpow = lambda e: python_xpow(f, p, e)
 
     def minus_x(a):
         a = list(a) + [0] * (2 - len(a))
@@ -608,6 +756,16 @@ class TestSubfieldRoots:
         k, beta = brute_subfield_root(B, modulus, d)
         assert k >= 3  # past the first block of 3
         assert tuple(sigma[:, 1]) == beta.coords
+
+    @pytest.mark.parametrize("p,c,n", [(5, 1, 20), (5, 4, 124), (3, 2, 6)])
+    def test_residue_field_f_p_embeds_without_a_subfield_basis(self, p, c, n):
+        # F_p = F_p[T]/(T + c) has the one basis vector 1: sigma is e_0, and
+        # no q-fixed subfield of B (an n x n elimination) is computed
+        rf = fields.field_with_modulus(p, 1, 1, (c, 1))
+        B = fields.field_with_modulus(p, 1, n, make_field(p, 1, n).modulus)  # fresh caches
+        sigma = reduction._residue_embedding(rf, B, 1)
+        assert sigma.dtype == np.int64 and sigma.tolist() == [[1]] + [[0]] * (n - 1)
+        assert B._subfield == {}
 
     @pytest.mark.parametrize("p,e,m,d", [(5, 1, 6, 2), (5, 1, 6, 3), (3, 2, 4, 2), (2, 3, 2, 1)])
     def test_subfield_basis_is_cached_and_read_only(self, p, e, m, d):
