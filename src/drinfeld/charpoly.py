@@ -44,7 +44,7 @@ import numpy as np
 
 from . import linalg
 from .fields import FieldBatch, FieldElement, mod_p
-from .linalg import _berkowitz, int64_products, sum_products
+from .linalg import _berkowitz, products, sum_products
 from .polynomials import (
     PrimeError,
     ResidueBatch,
@@ -212,7 +212,8 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
         _raise_at(base, primes, bad, message)
 
     frob = fb.frobenius_matrix(q)
-    pullback = linalg.pullback(residues.embed, fb.p)  # one F_q embedding per degree
+    rows, inv = linalg.pullback(residues.embed, fb.p)  # one F_q embedding per degree
+    pullback = rows, inv.astype(fb.dtype)
     into_base = lambda v, what: _into_base_batch(v, residues.embed, pullback, fb.p, raise_at, what)
 
     # g_r^-1 = Nr(g_r)^-1 s, s = sigma(g_r sigma(g_r) ... sigma^(d-2)(g_r)),
@@ -267,7 +268,7 @@ def _motive_matrix(fb: FieldBatch, frob: np.ndarray, g: np.ndarray, u: np.ndarra
     # the T-length D by at most one; D then drops to 1 + the largest
     # T-degree still nonzero somewhere in the batch, so the entries beyond
     # D are zero and every product reads only the first D
-    M = np.zeros((B, r, d + 1, r, n), dtype=np.int64)
+    M = np.zeros((B, r, d + 1, r, n), dtype=fb.dtype)
     M[:, range(r), 0, range(r), 0] = 1
     D = 1
     for k in range(d):
@@ -339,8 +340,8 @@ def _phi_of(fb: FieldBatch, powers: list[np.ndarray], digits: np.ndarray,
     digit adds nothing at all)."""
     batch, r, width, e = digits.shape
     n, p = fb.n, fb.p
-    # unreduced, an entry sums d+1 products of residues
-    raw = int64_products(p) >= width
+    # unreduced, an entry of `term` sums d+1 products of residues
+    raw = products(p, fb.dtype) >= width
     first = np.where(digits.any(axis=0), np.arange(r)[:, None, None], r).min(axis=0)  # (d+1, e)
     phi_a = 0
     for k in range(e):
@@ -415,7 +416,7 @@ def charpoly_linear_system(module: DrinfeldModule, prime: SparsePoly) -> CharPol
     vec, nullity = sol
     if nullity:
         raise CharPolyError(f"ambiguous Frobenius system at {format_poly(prime)}")
-    digits = np.zeros((1, r, d + 1, e), dtype=np.int64)
+    digits = np.zeros((1, r, d + 1, e), dtype=fb.dtype)
     digits[0, [i - 1 for i, _ in layout], [j for _, j in layout]] = vec.reshape(ncols, e)
     primes = coordinates(base, [prime], d)
     _check_residual(fb, powers, digits, alphas.T, lambda bad, msg: _raise_at(base, primes, bad, msg))

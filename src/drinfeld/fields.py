@@ -13,7 +13,7 @@ fastest), so every field of a given degree is reproducible without
 external polynomial tables.  Candidates past the closed-form binomials and
 a small-divisor sieve take Rabin's test, whose n steps u -> u^p mod f take
 one of two exact routes by the shape of f = x^n + g: a sparse closed form
-when p < n, p deg g < n and int64_products(p) >= 2 n^2 (which bounds every
+when p < n, p deg g < n and products(p, int64) >= 2 n^2 (which bounds every
 unreduced sum of a step, see `_sparse_frobenius`), the packed Berlekamp
 matrix otherwise.  A search that would run on Python ints, where
 (p-1)^2 n leaves int64, is refused above MAX_EXACT_SEARCH_DEGREE.
@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 _NUMPY_MUL_CUTOFF = 32  # coordinate length above which products go through numpy
-_MOD_P_MIN_SIZE = 1024  # int64 elements from which `mod_p` beats `%` (even at 1024, 4x at 35k)
+_MOD_P_MIN_SIZE = 1024  # elements from which `mod_p` beats `%` (at 35k: 2x in int64, 6x in int16)
 
 
 # Miller-Rabin with the prime bases 2 .. 41 is exact below the least strong
@@ -64,12 +64,13 @@ def is_prime(n: int) -> bool:
 
 
 def mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """a mod p, in [0, p), for an int64 or object array.  From
-    _MOD_P_MIN_SIZE int64 elements on it is a - (a // p) * p: numpy divides
-    by a scalar with a multiply and a shift, several times faster than `%`
-    on batch-sized arrays, and exact for every sign, the wrap-around of
-    (a // p) * p cancelling in the difference.  Below that size the one
-    ufunc call of `%` costs less than three."""
+    """a mod p, in [0, p), for an integer or object array, in its own dtype.
+    From _MOD_P_MIN_SIZE elements on it is a - (a // p) * p: numpy divides
+    an integer array by a scalar with a multiply and a shift, several times
+    faster than `%` on batch-sized arrays (most of all in int16), and exact
+    for every sign and width, the wrap-around of (a // p) * p cancelling in
+    the difference.  Below that size the one ufunc call of `%` costs less
+    than three."""
     if a.dtype == object or a.size < _MOD_P_MIN_SIZE:
         return a % p
     out = a // p
@@ -350,7 +351,7 @@ class Field:
         if k not in self._frob_q_pow:
             from .linalg import matmul_mod_p
 
-            dtype = self.batch().dtype  # Python ints where int64 sums would wrap
+            dtype = np.result_type(np.int64, self.batch().dtype)  # object where int64 wraps
             mat = matmul_mod_p(self.frobenius_power_matrix(k - 1).astype(dtype, copy=False),
                                self.frobenius_matrix().astype(dtype, copy=False), self.p)
             self._frob_q_pow[k] = mat.astype(np.int64, copy=False)
@@ -458,20 +459,28 @@ class FieldBatch:
 
     An element array has shape (B, ..., n): power-basis coordinates, row b
     living in field b.  A single modulus (B = 1) broadcasts over any batch.
-    Every sum of products is reduced mod p after at most n terms, which the
-    int64 guard of `linalg` is asked to allow.  With `exact`, a p that int64
-    cannot hold is served on Python ints (object arrays) instead of refused.
+    Every sum of products is reduced mod p after at most n terms.
+
+    `dtype`, the dtype of every array built here, is the narrowest that
+    holds the sums: int16 where an int16 sum holds n^2 products of residues
+    (`linalg.products`; p = 7 up to n = 30, p = 5 up to n = 45), which
+    leaves room for the unreduced sums of the callers' guarded products;
+    int64 otherwise, where the work of a large field is n x n products that
+    a narrow dtype does not speed up and the `Field` matrices it meets are
+    int64.  A p whose n products int64 cannot hold is refused
+    (`linalg.Int64RangeError`), or with `exact` served on Python ints
+    (object arrays).
     """
 
     def __init__(self, p: int, moduli, exact: bool = False):
-        from .linalg import check_int64_range, int64_products
+        from .linalg import check_int64_range, products
 
         n = np.shape(moduli)[-1] - 1
-        if exact and int64_products(p) < n:
-            self.dtype = object
+        if exact and products(p, np.int64) < n:
+            self.dtype = np.dtype(object)
         else:
             check_int64_range(p, n)
-            self.dtype = np.int64
+            self.dtype = np.dtype(np.int16 if products(p, np.int16) >= n * n else np.int64)
         moduli = np.atleast_2d(np.array(moduli, dtype=self.dtype)) % p
         self.p = p
         self.n = n
@@ -598,9 +607,9 @@ def lex_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
         # a generator of F_p^* is -c for an irreducible x^n + c, so this ends
         c = next(c for c in range(1, p) if _binomial_irreducible(p, n, c))
         return (c,) + (0,) * (n - 1) + (1,)
-    from .linalg import int64_products
+    from .linalg import products
 
-    if n > MAX_EXACT_SEARCH_DEGREE and int64_products(p) < n:
+    if n > MAX_EXACT_SEARCH_DEGREE and products(p, np.int64) < n:
         raise ModulusSearchError(
             f"the degree-{n} modulus search over F_{p} would run on Python ints; "
             f"degree {n} exceeds MAX_EXACT_SEARCH_DEGREE = {MAX_EXACT_SEARCH_DEGREE}"
@@ -827,7 +836,7 @@ def _dense_frobenius(f: Sequence[int], p: int):
 
 def _sparse_frobenius(f: Sequence[int], p: int):
     """u -> u^p mod f in closed form for f = x^n + g with p < n,
-    p deg g < n and int64_products(p) >= 2 n^2; None for any other f.
+    p deg g < n and products(p, int64) >= 2 n^2; None for any other f.
 
     u^p = sum_i u_i x^(pi), as u_i^p = u_i in F_p.  With pi = an + b,
     0 <= b < n, a <= p - 1, and x^n = -g, x^(pi) = x^b h_a, h_a = (-g)^a of
@@ -843,12 +852,12 @@ def _sparse_frobenius(f: Sequence[int], p: int):
     K (p-1)^2 and a folded one adds deg g + 1 products of (p-1) by such a
     sum, so every entry stays below K (p-1)^2 (1 + (p-1)(deg g + 1)) <
     2 n^2 (p-1)^2, since (p-1)(deg g + 1) < p deg g + p < 2n."""
-    from .linalg import int64_products
+    from .linalg import products
 
     n = len(f) - 1
     g = _trim([c % p for c in f[:n]])
     G = max(len(g) - 1, 0)  # deg g, and 0 for g = 0
-    if not (p < n and p * G < n and int64_products(p) >= 2 * n * n):
+    if not (p < n and p * G < n and products(p, np.int64) >= 2 * n * n):
         return None
     neg = np.array([-c % p for c in g] or [0], dtype=np.int64)  # h_1 = -g
     h = np.ones(1, dtype=np.int64)  # h_a, from a = 0

@@ -1,4 +1,4 @@
-"""Exact linear algebra over finite fields, on int64 numpy arrays.
+"""Exact linear algebra over finite fields, on numpy integer arrays.
 
 Every echelon form is one `rref_mod_p` over F_p: an F_(p^n)-linear
 problem is posed over F_p with n digits per unknown.  Every determinant
@@ -8,44 +8,61 @@ field is the case of T-degree 0.  `Matrix` holds the small matrices over
 F_l (the torsion Frobenius and T-action matrices) on these two routines.
 
 All echelon forms pick pivots by ascending column index, so bases are
-canonical and reproducible.  Everything works in int64 and refuses
-(`Int64RangeError`) any prime whose products could overflow it.
+canonical and reproducible.
+
+The integer width is a property of the arithmetic in use.  A sum of k
+products of residues mod p is at most k(p-1)^2, so a dtype holds
+`products(p, dtype)` of them, and every unreduced sum is guarded by the
+headroom of the dtype that holds it: it is left unreduced only while that
+dtype holds all of its products, and is otherwise reduced in pieces.
+Arrays of a `FieldBatch` are in its `dtype`, the narrowest that its p and n
+allow (see there); `rref_mod_p` eliminates in the narrowest dtype whose
+update budget covers the elimination.  int64 is the widest integer dtype:
+a prime whose products could overflow it is refused (`Int64RangeError`)
+or, where a caller asks for exactness, served on Python ints (object
+arrays).  No float touches a result.
 
 Large products mod p go through `matmul_mod_p`, which packs several columns
-of the right factor into one int64 (SWAR lanes).  A sum of k products of
-residues is at most k(p-1)^2, so each lane gets bits = (k(p-1)^2).bit_length()
-bits and an int64 holds lanes = 63 // bits of them: no lane sum carries into
-the next lane or into the sign bit, and one integer product does the work of
-`lanes`.  Inputs must be reduced mod p.  With fewer than two lanes, or on
-object arrays (Python ints for a large p), it is the plain `a @ b % p`.
+of the right factor into one int64 (SWAR lanes).  Each lane gets
+bits = (k(p-1)^2).bit_length() bits for a sum of k products, and an int64
+holds lanes = 63 // bits of them: no lane sum carries into the next lane
+or into the sign bit, and one integer product does the work of `lanes`.
+Inputs must be reduced mod p; the lanes are int64 whatever the dtype of
+the factors.  With fewer than two lanes, or on object arrays (Python ints
+for a large p), it is the plain `a @ b % p`.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 import numpy as np
 
 from .fields import Field, FieldBatch, FieldElement, mod_p
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_WIDTHS = (np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64))  # narrowest first
 
 
 class Int64RangeError(ValueError):
     """The prime is too large for exact int64 arithmetic."""
 
 
-def int64_products(p: int) -> int:
-    """How many products of two residues mod p an int64 sum can hold."""
-    return _INT64_MAX // max((p - 1) ** 2, 1)
+def products(p: int, dtype) -> int:
+    """How many products of two residues mod p a sum in `dtype` can hold:
+    any number for object arrays (Python ints)."""
+    dtype = np.dtype(dtype)
+    if dtype == object:
+        return sys.maxsize
+    return int(np.iinfo(dtype).max) // max((p - 1) ** 2, 1)
 
 
 def sum_products(a: np.ndarray, b: np.ndarray, p: int, spare: int = 0) -> np.ndarray:
-    """a @ b for entries in [0, p), left unreduced when an int64 sum holds
-    its a.shape[-1] products and `spare` more that the caller adds to it;
-    otherwise the sums are taken in chunks that int64 holds, each reduced
-    mod p as it is added."""
-    k, step = a.shape[-1], int64_products(p)
+    """a @ b for entries in [0, p), left unreduced when its dtype holds the
+    a.shape[-1] products of a sum and `spare` more that the caller adds to
+    it; otherwise the sums are taken in chunks that the dtype holds, each
+    reduced mod p as it is added."""
+    k, step = a.shape[-1], products(p, np.result_type(a, b))
     if k + spare <= step:
         return a @ b
     out = mod_p(a[..., :step] @ b[..., :step, :], p)
@@ -57,7 +74,7 @@ def sum_products(a: np.ndarray, b: np.ndarray, p: int, spare: int = 0) -> np.nda
 def check_int64_range(p: int, n: int):
     """Refuse p when a sum of n products of residues, (p-1)^2 * n, could
     exceed the int64 range: numpy would wrap around without a word."""
-    if int64_products(p) < max(n, 1):
+    if products(p, np.int64) < max(n, 1):
         raise Int64RangeError(
             f"p = {p} is too large for exact int64 arithmetic ({n} products per sum)"
         )
@@ -70,6 +87,7 @@ class PackedMatrix:
 
     def __init__(self, b: np.ndarray, p: int):
         k, n = b.shape[-2:]
+        b = b.astype(np.result_type(np.int64, b), copy=False)  # int64 lanes, or Python ints
         self.b, self.p, self.n = b, p, n
         self.bits = max((k * (p - 1) ** 2).bit_length(), 1)
         self.lanes = min(63 // self.bits, n) if b.dtype == np.int64 else 1
@@ -85,7 +103,7 @@ class PackedMatrix:
 
     def rmul(self, a: np.ndarray) -> np.ndarray:
         """a @ b % p for a (..., m, k) or (k,) with entries in [0, p)."""
-        if self.lanes < 2 or a.dtype != np.int64:
+        if self.lanes < 2 or a.dtype == object:
             return a @ self.b % self.p
         prod = a @ self.packed
         lanes = prod[..., None, :] >> self.shifts
@@ -101,7 +119,8 @@ def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column list, pivots by column order.
+    """Reduced row echelon form (int64) and pivot column list, pivots by
+    column order.
 
     The elimination runs on a column-major copy, `at` = a.T, so that the
     columns from the scanned one on are one contiguous block: each pivot
@@ -109,14 +128,21 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     scanned column with the pivot's own entry zeroed (rows where the column
     is 0 lose 0).  Nothing is reduced mod p there: only the column being
     scanned and the pivot row are, so each update moves an entry by at most
-    (p-1)^2, and the whole array is reduced before the entries could leave
-    int64, after every int64_products(p) - 1 updates."""
+    (p-1)^2, and after k updates since the last full reduction an entry lies
+    in [-k(p-1)^2, p).  The budget k <= products(p, dtype) keeps it inside
+    the dtype; the whole array is reduced when the budget is spent.  The
+    copy takes the narrowest dtype whose budget covers the elimination, one
+    update per pivot and at most min(rows, cols) pivots, so a narrow
+    elimination is never reduced midway (int16 up to 2,047 pivots at p = 5),
+    and int64 takes whatever no narrower dtype covers."""
     check_int64_range(p, 1)
-    at = np.array(np.asarray(mat).T, dtype=np.int64, order="C")
-    at %= p
+    mat = np.asarray(mat)
+    need = max(min(mat.shape), 1)
+    dtype = next(t for t in _WIDTHS if products(p, t) >= need or t == np.int64)
+    at = np.array(mat.T % p, dtype=dtype, order="C")  # reduced before it is narrowed
     cols, rows = at.shape
     pivots: list[int] = []
-    budget = max(int64_products(p) - 1, 1)
+    budget = products(p, dtype)
     updates = 0
     r = 0
     for c in range(cols):
@@ -143,7 +169,7 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     at %= p
-    return at.T, pivots
+    return at.T.astype(np.int64, copy=False), pivots
 
 
 def kernel_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
@@ -222,28 +248,40 @@ def _padd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lt_mul(fb: FieldBatch, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+def _lt_mul(fb: FieldBatch, a: np.ndarray, b: np.ndarray, width: int,
+            mats: np.ndarray | None = None) -> np.ndarray:
     """Products mod T^width in L[T] of broadcastable (B, ..., D, n) arrays:
-    the shorter factor's coefficients act through their multiplication
-    matrices.  Each shift adds a sum of n products of residues; the shifts
-    are reduced one by one only when int64 cannot hold all of them."""
+    the shorter factor's coefficients act through their transposed
+    multiplication matrices, or b's through `mats` when the caller built
+    them once for several products (`_lt_matrices`; b need not be the
+    shorter then).  Each shift adds a sum of n products of residues; the
+    shifts are reduced one by one only when the dtype of the sums cannot
+    hold all of them."""
     a, b = a[..., :width, :], b[..., :width, :]
-    if a.shape[-2] < b.shape[-2]:
+    if mats is None and a.shape[-2] < b.shape[-2]:
         a, b = b, a
     da, db = a.shape[-2], b.shape[-2]
-    if da == 1:  # T-degree 0: products in L
+    if da == db == 1:  # T-degree 0: products in L
         return fb.mul(a, b)
+    if mats is None:
+        mats = _lt_matrices(fb, b)
     p, n = fb.p, fb.n
     D = min(da + db - 1, width)
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    mats = fb.mul_matrix(b).swapaxes(-1, -2)
-    raw = int64_products(p) >= n * db
     acc = np.zeros(lead + (D, n), dtype=np.result_type(a, mats))
+    raw = products(p, acc.dtype) >= n * db
     for t in range(min(db, D)):
         k = min(da, D - t)
         term = a[..., :k, :] @ mats[..., t, :, :]
         acc[..., t : t + k, :] += term if raw else mod_p(term, p)
     return mod_p(acc, p)
+
+
+def _lt_matrices(fb: FieldBatch, b: np.ndarray) -> np.ndarray:
+    """The transposed multiplication matrices (..., D, n, n) of the
+    coefficients of b, as `_lt_mul` takes them: rows of coordinates times
+    them are products by b_t."""
+    return fb.mul_matrix(b).swapaxes(-1, -2)
 
 
 def _berkowitz(fb: FieldBatch, M: np.ndarray, width: int) -> list[np.ndarray]:
@@ -256,13 +294,14 @@ def _berkowitz(fb: FieldBatch, M: np.ndarray, width: int) -> list[np.ndarray]:
     the work follows the T-length D of M, not the width: c_i, a sum of
     products of i entries, comes out with T-length min(i(D-1) + 1, width),
     its higher coefficients being zero.  Callers that want width
-    coefficients pad.
+    coefficients pad.  Sums stay in `fb.dtype`.
 
     Going up from the trailing 1 x 1 block, the block [[a, R], [C, S]] of
     size m has the characteristic vector of S multiplied by the lower
     triangular Toeplitz matrix with first column 1, -a, -RC, -RSC, ...,
-    -RS^(m-2)C."""
-    p = fb.p
+    -RS^(m-2)C.  R and S, no longer than any RS^jC, act through their
+    multiplication matrices, built once per block."""
+    p, dtype = fb.p, fb.dtype
     r = M.shape[1]
     M = M[..., :width, :]
     one = fb.one((1,))
@@ -270,11 +309,13 @@ def _berkowitz(fb: FieldBatch, M: np.ndarray, width: int) -> list[np.ndarray]:
     for k in range(r - 1, -1, -1):
         m = r - k
         row, col, S = M[:, k, k + 1 :], M[:, k + 1 :, k], M[:, k + 1 :, k + 1 :]
+        by_row = _lt_matrices(fb, row) if M.shape[-2] > 1 else None
+        by_S = _lt_matrices(fb, S) if M.shape[-2] > 1 and m > 2 else None
         t = [one, mod_p(-M[:, k, k], p)]
         for j in range(m - 1):
-            t.append(mod_p(-_lt_mul(fb, row, col, width).sum(axis=1), p))
+            t.append(mod_p(-_lt_mul(fb, col, row, width, by_row).sum(axis=1, dtype=dtype), p))
             if j < m - 2:
-                col = mod_p(_lt_mul(fb, S, col[:, None], width).sum(axis=2), p)
+                col = mod_p(_lt_mul(fb, col[:, None], S, width, by_S).sum(axis=2, dtype=dtype), p)
         new = [one]
         for i in range(1, m + 1):
             acc = t[i] if i == m else _padd(t[i], vec[i])

@@ -26,7 +26,7 @@ from .fields import (
     make_field,
     mod_p,
 )
-from .linalg import check_int64_range, pullback
+from .linalg import pullback, sum_products
 
 
 class PrimeError(ValueError):
@@ -612,8 +612,8 @@ class ResidueBatch:
         self.base, self.primes, self.degree = base, primes, d
         if e == 1:
             self.fb = FieldBatch(p, primes[:, :, 0])
-            self.embed = np.eye(d, 1, dtype=np.int64)
-            self.t_bar = np.zeros((B, d), dtype=np.int64)
+            self.embed = np.eye(d, 1, dtype=self.fb.dtype)
+            self.t_bar = np.zeros((B, d), dtype=self.fb.dtype)
             if d == 1:
                 self.t_bar[:, 0] = -primes[:, 0, 0] % p
             else:
@@ -621,12 +621,12 @@ class ResidueBatch:
         else:
             fld = make_field(p, e, d)
             self.fb = FieldBatch(p, np.broadcast_to(fld.modulus, (B, d * e + 1)))
-            self.embed = fld.base_embedding()
+            self.embed = fld.base_embedding().astype(self.fb.dtype)
             roots = _first_roots(base, d)[primes[:, :d].reshape(B, d * e) @ p ** np.arange(d * e)]
             if (roots < 0).any():
                 raise PrimeError("prime has no root in its residue field")  # unreachable
-            self.t_bar = _digits(roots, p, d * e)
-        self._weights = np.zeros((B, 0, self.fb.n), dtype=np.int64)
+            self.t_bar = _digits(roots, p, d * e).astype(self.fb.dtype)
+        self._weights = np.zeros((B, 0, self.fb.n), dtype=self.fb.dtype)
 
     def reduce(self, f: SparsePoly) -> np.ndarray:
         """(B, n) coordinates of f mod p: Horner over the sparse terms, each
@@ -637,7 +637,7 @@ class ResidueBatch:
         for exp, c in reversed(f.terms):
             if prev is not None:
                 acc = fb.mul(acc, fb.pow(self.t_bar, prev - exp))
-            acc = (acc + self.embed @ np.array(c.coords, dtype=np.int64)) % fb.p
+            acc = (acc + self.embed @ np.array(c.coords, dtype=fb.dtype)) % fb.p
             prev = exp
         return fb.mul(acc, fb.pow(self.t_bar, prev)) if prev else acc
 
@@ -655,9 +655,8 @@ class ResidueBatch:
                 tpow.append(fb.mul(tpow[-1], self.t_bar))
             w = fb.mul(np.stack(tpow, axis=1)[:, :, None], self.embed.T)
             self._weights = w.reshape(w.shape[0], D * e, fb.n)
-        check_int64_range(fb.p, D * e)
         flat = coeffs.reshape(coeffs.shape[:-2] + (1, D * e))
-        return mod_p((flat @ self._weights[:, : D * e])[..., 0, :], fb.p)
+        return mod_p(sum_products(flat, self._weights[:, : D * e], fb.p)[..., 0, :], fb.p)
 
 
 _ROOTS_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -675,13 +674,13 @@ def _first_roots(base: Field, d: int) -> np.ndarray:
         fld = make_field(base.p, base.e, d)
         p, n, e = fld.p, fld.n, base.n
         fb = fld.batch()
-        frob = fld.frobenius_matrix().T
+        frob = fld.frobenius_matrix().T.astype(fb.dtype)
         rows, inv = pullback(fld.base_embedding(), p)
         index = p ** np.arange(d * e)
         table = np.full(base.q**d, -1, dtype=np.int64)
         for start in range(0, fld.order, _ROOT_BLOCK):
             ks = np.arange(start, min(start + _ROOT_BLOCK, fld.order), dtype=np.int64)
-            x = _digits(ks, p, n)
+            x = _digits(ks, p, n).astype(fb.dtype)
             poly = fb.one((len(ks), 1))[0]
             for _ in range(d):
                 prod = fb.mul(poly, x[:, None])

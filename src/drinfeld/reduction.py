@@ -87,7 +87,8 @@ class ReducedModule:
         if len(self._powers) <= upto:
             fb = self.field.batch()
             g = np.array([[c.coords for c in self.coeffs]], dtype=fb.dtype)
-            self._powers = phi_T_powers(fb, g, self.field.frobenius_matrix()[None], upto)
+            frob = self.field.frobenius_matrix()[None].astype(fb.dtype)
+            self._powers = phi_T_powers(fb, g, frob, upto)
         return self._powers[: upto + 1]
 
     def phi_T_power(self, j: int) -> SkewPoly:
@@ -149,7 +150,7 @@ def phi_T_powers(fb: FieldBatch, g: np.ndarray, frob: np.ndarray, upto: int) -> 
     steps = mod_p(fb.mul_matrix(g[:, live]) @ steps, p)  # x -> g_k sigma^k(x)
     steps = steps.swapaxes(-1, -2)
     # unreduced, an entry of P_(j+1) sums one matrix product of n terms per k
-    raw = linalg.int64_products(p) > n * len(live)
+    raw = linalg.products(p, fb.dtype) > n * len(live)
     powers = [np.broadcast_to(fb.one((1,)), (len(g), 1, n))]
     for _ in range(upto):
         span = powers[-1].shape[1]
@@ -209,7 +210,7 @@ def splitting_degree(phil: SkewPoly) -> int:
     p, n, d, R = field.p, field.n, field.m, phil.degree
     m_max = MAX_SPLITTING_FIELD_DEGREE // n
     mul_matrix = field.batch().mul_matrix
-    N = np.zeros((R * n, R * n), dtype=np.int64 if linalg.int64_products(p) >= R * n else object)
+    N = np.zeros((R * n, R * n), dtype=np.int64 if linalg.products(p, np.int64) >= R * n else object)
     for i in range(R):
         rem = SkewPoly.tau(ring, d + i).divmod_right(phil)[1]
         for j, c in rem.terms:

@@ -142,7 +142,7 @@ def _backend_a(r: int, fld: Field) -> dict[tuple[int, ...], int]:
     low = 1  # digits varied within a block: p^low <= _ENUM_BLOCK, or one
     while low < size and p ** (low + 1) <= _ENUM_BLOCK:
         low += 1
-    block = np.empty((p**low, size), dtype=np.int64)
+    block = np.empty((p**low, size), dtype=fld.batch().dtype)
     block[:, :low] = _digits(np.arange(p**low), p, low)
     index = p ** np.arange(r * n)  # the key (c_r, ..., c_1) as one index
     counts = np.zeros(s**r, dtype=np.int64)
@@ -173,7 +173,7 @@ def _backend_b(r: int, fld: Field) -> dict[tuple[int, ...], int]:
     s, fb = fld.order, fld.batch()
     powers = {}  # powers[d][m]: the m-th powers of the irreducibles of degree d
     for d in range(1, r + 1):
-        powers[d] = [None, _irreducibles(fld, d)]
+        powers[d] = [None, _irreducibles(fld, d).astype(fb.dtype)]
         for _ in range(r // d - 1):
             powers[d].append(_lt_mul(fb, powers[d][-1], powers[d][1], r + 1))
     keys, counts = [], []

@@ -312,10 +312,14 @@ def _field_for_q(q: int) -> Field:
 
 def split_prime_power(q: int) -> tuple[int, int]:
     """(p, e) with q = p^e; SkewError if q is not a prime power.  For each
-    exponent e, p is the integer e-th root of q when it is exact and prime."""
+    exponent e, p is the integer e-th root of q when it is exact and prime.
+    The exponents are tried from the largest down: the first exact root is
+    then p itself (the roots for the divisors of e are powers of p), so
+    primality is asked of p alone, never of q, and a large q = p^e needs
+    only p below the bound of `is_prime`."""
     from .fields import is_prime
 
-    for e in range(1, max(q, 1).bit_length()):
+    for e in range(max(q, 1).bit_length() - 1, 0, -1):
         p = _integer_root(q, e)
         if p**e == q and is_prime(p):
             return p, e

@@ -79,6 +79,12 @@ class TestCharpoly:
         assert code == 2
         assert "too large for exact int64" in err
 
+    def test_prime_power_past_the_primality_bound(self, capsys):
+        # q = (2^61 - 1)^3 is past the bound of `is_prime`, its p is not
+        code, out, _ = run_cli(capsys, "phi", "--q", str((2**61 - 1) ** 3), "--r", "3", "--a", "T")
+        assert code == 0
+        assert json.loads(out)["params"]["p"] == 2**61 - 1
+
     def test_q_not_a_prime_power(self, capsys):
         code, _, err = run_cli(capsys, "charpoly", "--q", "12", "--r", "3", "--p", "T+1")
         assert code == 2

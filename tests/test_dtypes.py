@@ -1,0 +1,182 @@
+"""Narrow integer dtypes: the arithmetic in the dtype that `FieldBatch`
+picks equals the same arithmetic on Python ints, every guarded sum holds at
+its worst case, and the sweep kernel keeps its arrays narrow."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import drinfeld.charpoly as charpoly_mod
+from drinfeld import fields, linalg
+from drinfeld.charpoly import _phi_of, charpolys_of_degree
+from drinfeld.fields import FieldBatch, make_field
+from drinfeld.polynomials import prime_coordinates
+from drinfeld.reduction import phi_T_powers
+from drinfeld.skew import DrinfeldModule
+
+SETTINGS = settings(max_examples=25, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def on_python_ints(fb: FieldBatch) -> FieldBatch:
+    """The same batch with object arrays: the same algorithm on Python ints,
+    which cannot overflow."""
+    ref = FieldBatch.__new__(FieldBatch)
+    ref.__dict__.update(fb.__dict__, dtype=np.dtype(object), _red=fb._red.astype(object))
+    return ref
+
+
+def residues(data, p, shape, dtype):
+    """Entries in [0, p): random, or all p - 1 (the worst case of every sum)."""
+    if data.draw(st.booleans(), label="worst case"):
+        return np.full(shape, p - 1, dtype=dtype)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    return np.random.default_rng(seed).integers(0, p, size=shape).astype(dtype)
+
+
+# (p, n, dtype): each side of the int16 switch, products(p, int16) >= n^2,
+# and of the object switch of an exact batch, products(p, int64) >= n
+SWITCHES = [
+    (181, 1, np.int16), (191, 1, np.int64),
+    (89, 2, np.int16), (97, 2, np.int64),
+    (61, 3, np.int16), (67, 3, np.int64),
+    (31, 6, np.int16), (37, 6, np.int64),
+    (7, 30, np.int16), (7, 31, np.int64),
+    (2147483647, 2, np.int64), (2147483659, 2, object),
+]
+
+
+@pytest.mark.parametrize("p,n,dtype", SWITCHES)
+def test_dtype_switches_where_the_sums_leave_it(p, n, dtype):
+    modulus = [1] + [0] * (n - 1) + [1]
+    assert FieldBatch(p, modulus, exact=True).dtype == dtype
+
+
+@pytest.mark.parametrize("p,n,dtype", SWITCHES)
+@SETTINGS
+@given(data=st.data())
+def test_field_batch_matches_python_ints(p, n, dtype, data):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="modulus seed")
+    B = 3
+    moduli = np.hstack([np.random.default_rng(seed).integers(0, p, size=(B, n)),
+                        np.ones((B, 1), dtype=np.int64)])
+    fb = FieldBatch(p, moduli, exact=True)
+    ref = on_python_ints(fb)
+    a = residues(data, p, (B, 2, n), fb.dtype)
+    b = residues(data, p, (B, 1, n), fb.dtype)
+    prod = residues(data, p, (B, 2, 2 * n - 1), fb.dtype)
+    mats = residues(data, p, (B, n, n), fb.dtype)
+    obj = lambda x: x.astype(object)
+    for got, want in [(fb.mul(a, b), ref.mul(obj(a), obj(b))),
+                      (fb.reduce(prod), ref.reduce(obj(prod))),
+                      (fb.mul_matrix(a), ref.mul_matrix(obj(a))),
+                      (fb.apply(mats, a), ref.apply(obj(mats), obj(a)))]:
+        assert got.dtype == fb.dtype
+        assert got.tolist() == want.tolist()
+
+
+# F_29[x]/(x^6 - 1), int16 (36 <= 41 products): multiplication by x is a
+# cyclic shift, so the multiplication matrix of the all-(p-1) element is all
+# p - 1 and every guarded sum below meets its worst case
+P29, N6 = 29, 6
+X6_MINUS_1 = [P29 - 1, 0, 0, 0, 0, 0, 1]
+
+
+def test_sum_products_chunks_past_the_narrow_headroom():
+    # an int16 sum holds 41 products at p = 29: 42 of p - 1 would wrap
+    p = 29
+    k = linalg.products(p, np.int16) + 1
+    a = np.full((2, k), p - 1, dtype=np.int16)
+    b = np.full((k, 3), p - 1, dtype=np.int16)
+    got = linalg.sum_products(a, b, p) % p
+    assert got.tolist() == [[k * (p - 1) ** 2 % p] * 3] * 2
+
+
+@pytest.mark.parametrize("da,db", [(7, 7), (9, 7), (7, 12)])
+def test_lt_mul_reduces_shifts_the_narrow_dtype_cannot_hold(da, db):
+    # a product over db >= 7 shifts sums 6 db > 41 products, so each shift
+    # must be reduced
+    p, n = P29, N6
+    fb = FieldBatch(p, X6_MINUS_1)
+    assert fb.dtype == np.int16 and linalg.products(p, np.int16) < n * min(da, db)
+    a = np.full((2, da, n), p - 1, dtype=np.int16)
+    b = np.full((2, db, n), p - 1, dtype=np.int16)
+    width = da + db - 1
+    got = linalg._lt_mul(fb, a, b, width)
+    want = linalg._lt_mul(on_python_ints(fb), a.astype(object), b.astype(object), width)
+    assert got.dtype == np.int16 and got.tolist() == want.tolist()
+
+
+def test_phi_of_reduces_what_the_narrow_dtype_cannot_hold():
+    # d + 1 = 42 digits of p - 1 times coefficients of p - 1: 42 products,
+    # one more than an int16 sum holds at p = 29
+    p, n, r, d = P29, N6, 1, 41
+    fb = FieldBatch(p, X6_MINUS_1)
+    assert linalg.products(p, fb.dtype) < d + 1
+    powers = [np.full((1, j * r + 1, n), p - 1, dtype=fb.dtype) for j in range(d + 1)]
+    digits = np.full((1, r, d + 1, 1), p - 1, dtype=fb.dtype)
+    embed = np.eye(n, 1, dtype=fb.dtype)
+    got = _phi_of(fb, powers, digits, embed)
+    want = _phi_of(on_python_ints(fb), [P.astype(object) for P in powers],
+                   digits.astype(object), embed.astype(object))
+    assert got.dtype == np.int16 and got.tolist() == want.tolist()
+
+
+@SETTINGS
+@given(data=st.data())
+def test_phi_T_powers_match_python_ints(data):
+    # r = 6 with every g_k nonzero: 7 matrix products of n = 6 terms per
+    # entry, past the 41 an int16 sum holds; in the worst case (every g_k
+    # all p - 1, sigma the identity) every product matrix is all p - 1, and
+    # so is P_1
+    p, n, r = P29, N6, 6
+    fb = FieldBatch(p, X6_MINUS_1)
+    g = residues(data, p, (2, r + 1, n), fb.dtype)
+    g[:, :, 0] = np.maximum(g[:, :, 0], 1)  # every g_k nonzero
+    frob = residues(data, p, (2, n, n), fb.dtype)
+    if (g == p - 1).all():
+        frob = np.broadcast_to(np.eye(n, dtype=fb.dtype), frob.shape)
+    got = phi_T_powers(fb, g, frob, 3)
+    want = phi_T_powers(on_python_ints(fb), g.astype(object), frob.astype(object), 3)
+    assert [P.tolist() for P in got] == [P.tolist() for P in want]
+    assert got[-1].dtype == np.int16
+
+
+class TestSweepStaysNarrow:
+    """A stray int64 allocation in the kernel costs speed without a wrong
+    answer; these fail on it instead."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_small_fields_at_q_7_are_int16(self, n):
+        assert FieldBatch(7, [1] + [0] * (n - 1) + [1]).dtype == np.int16
+
+    def test_motive_matrix_and_berkowitz_keep_the_batch_dtype(self, monkeypatch):
+        base = make_field(7, 1, 1)
+        rows = prime_coordinates(base, 5)
+        rows = rows[rows[:, 0].any(axis=1)][:64]
+        seen = {}
+
+        def record(name, f):
+            def wrapped(fb, *args):
+                out = f(fb, *args)
+                seen[name] = (fb.dtype, [x.dtype for x in (out if isinstance(out, list) else [out])])
+                return out
+            monkeypatch.setattr(charpoly_mod, name, wrapped)
+
+        record("_motive_matrix", charpoly_mod._motive_matrix)
+        record("_berkowitz", charpoly_mod._berkowitz)
+        a, _ = charpolys_of_degree(DrinfeldModule.default_family(base, 3), rows)
+        assert set(seen) == {"_motive_matrix", "_berkowitz"}
+        for dtype, outs in seen.values():
+            assert dtype == np.int16 and all(o == dtype for o in outs)
+        assert all(ai.dtype == np.int16 for ai in a)
+
+    @pytest.mark.parametrize("n", [25, 36])
+    def test_narrow_berlekamp_matrix_still_packs_lanes(self, n):
+        p = 5
+        Q = fields.FieldBatch(p, fields.lex_smallest_irreducible(p, n), exact=True).frobenius_matrix(p)[0]
+        packed = linalg.PackedMatrix(Q.T, p)
+        assert Q.dtype == np.int16 and packed.lanes > 1 and packed.packed.dtype == np.int64
+        u = np.arange(n, dtype=np.int64) % p
+        assert packed.rmul(u).tolist() == (u @ Q.T.astype(np.int64) % p).tolist()

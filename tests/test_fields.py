@@ -587,7 +587,7 @@ class TestSearchBound:
         # 3 divides 33 but not p - 1, so no binomial decides it: the search
         # would run Rabin's test on Python ints
         p, n = 1000000007, fields.MAX_EXACT_SEARCH_DEGREE + 1
-        assert n == 33 and linalg.int64_products(p) < n and (p - 1) % 3
+        assert n == 33 and linalg.products(p, np.int64) < n and (p - 1) % 3
         start = time.perf_counter()
         with pytest.raises(ModulusSearchError,
                            match="degree 33 exceeds MAX_EXACT_SEARCH_DEGREE = 32"):

@@ -17,7 +17,7 @@ from drinfeld.charpoly import (
     frobenius_charpolys,
 )
 from drinfeld.fields import FieldBatch, make_field
-from drinfeld.linalg import int64_products
+from drinfeld.linalg import products as dtype_products
 from drinfeld.polynomials import (
     ResidueBatch,
     SparsePoly,
@@ -239,7 +239,7 @@ def test_stacked_sums_stay_exact_at_their_worst_case():
     # term) * n = 15 or 10 products of residues, the residual combination
     # d + 1 = 10 per digit, where an int64 sum holds 9
     p, n, r, d = 1_000_000_007, 5, 3, 9
-    assert int64_products(p) == 9
+    assert dtype_products(p, np.int64) == 9
 
     def full(*shape):
         return np.full(shape, p - 1, dtype=np.int64)
@@ -331,7 +331,7 @@ def test_large_p_degree_two_agrees_with_linear_system(p, products, texts, coeffs
     # an int64 sum holds `products` products of residues here, too few for
     # the unreduced sums of the kernel, so they must be reduced as they go;
     # the dense coefficients make the residual's sums large as well
-    assert int64_products(p) == products
+    assert dtype_products(p, np.int64) == products
     base = make_field(p, 1, 1)
     if coeffs is None:
         module = DrinfeldModule.default_family(base, 3)

@@ -219,9 +219,9 @@ def test_rref_matches_python_ints_at_size(p, rows, cols, rank, seed):
 @pytest.mark.parametrize("rows,cols,rank,seed", [(20, 24, 20, 0), (24, 20, 13, 1), (30, 30, 22, 2),
                                                  (56, 60, 50, 3)])
 def test_rref_matches_python_ints_at_large_p(p, products, rows, cols, rank, seed):
-    """Near the int64 limit the whole array is reduced between every two
-    row updates; the echelon form is still the exact one."""
-    assert linalg.int64_products(p) == products
+    """Near the int64 limit the whole array is reduced after every one or
+    two row updates; the echelon form is still the exact one."""
+    assert linalg.products(p, np.int64) == products
     rng = random.Random(seed)
     left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
     right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
@@ -229,6 +229,29 @@ def test_rref_matches_python_ints_at_large_p(p, products, rows, cols, rank, seed
     ech, pivots = linalg.rref_mod_p(np.array(mat, dtype=np.int64), p)
     want, want_pivots = python_rref(mat, p)
     assert pivots == want_pivots and len(pivots) == rank
+    assert ech.tolist() == want
+
+
+# (p, min(rows, cols), dtype) on each side of the dtype switches of
+# `rref_mod_p`: the narrowest dtype whose budget, products(p, dtype) updates,
+# covers one update per pivot; at 2^31 - 1 int64 is reduced every 2 updates
+RREF_SWITCHES = [(181, 1, np.int16), (181, 2, np.int32), (127, 2, np.int16), (127, 3, np.int32),
+                 (26737, 3, np.int32), (26737, 4, np.int64), (2147483647, 5, np.int64)]
+
+
+@pytest.mark.parametrize("p,need,dtype", RREF_SWITCHES)
+@settings(max_examples=20, deadline=None)
+@given(extra=st.integers(0, 5), tall=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_rref_matches_python_ints_across_dtypes(p, need, dtype, extra, tall, seed):
+    narrower = [t for t in (np.int16, np.int32, np.int64) if np.dtype(t).itemsize < np.dtype(dtype).itemsize]
+    assert dtype == np.int64 or linalg.products(p, dtype) >= need  # int64 takes the rest
+    assert need > max((linalg.products(p, t) for t in narrower), default=0)
+    rng = random.Random(seed)
+    shape = (need + extra, need) if tall else (need, need + extra)
+    mat = [[rng.randrange(p) for _ in range(shape[1])] for _ in range(shape[0])]
+    ech, pivots = linalg.rref_mod_p(np.array(mat, dtype=np.int64), p)
+    want, want_pivots = python_rref(mat, p)
+    assert ech.dtype == np.int64 and pivots == want_pivots
     assert ech.tolist() == want
 
 

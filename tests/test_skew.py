@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from drinfeld.fields import make_field
+from drinfeld.fields import PrimalityError, make_field
 from drinfeld.polynomials import SparsePoly, parse_poly, primes_of_degree
 from drinfeld.skew import (
     DrinfeldModule,
@@ -247,9 +247,15 @@ class TestSplitPrimePower:
     @pytest.mark.parametrize("q,pe", [
         (2, (2, 1)), (4, (2, 2)), (9, (3, 2)), (25, (5, 2)), (3**20, (3, 20)),
         (2**61 - 1, (2**61 - 1, 1)), ((2**31 - 1) ** 2, (2**31 - 1, 2)), (5**27, (5, 27)),
+        ((2**61 - 1) ** 3, (2**61 - 1, 3)),  # q past the primality bound, p below it
     ])
     def test_prime_powers(self, q, pe):
         assert split_prime_power(q) == pe
+
+    def test_prime_past_the_primality_bound_is_refused(self):
+        # only e = 1 has an exact root, so primality is asked of q itself
+        with pytest.raises(PrimalityError, match="bound of the deterministic primality test"):
+            split_prime_power(2**89 - 1)
 
     @pytest.mark.parametrize("q", [-4, 0, 1, 6, 12, 36, 100, 3**5 * 5, (2**31 - 1) * 1_000_000_007])
     def test_refuses_others(self, q):
