@@ -43,8 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .fields import FieldBatch, FieldElement, mod_p
-from .linalg import _berkowitz, products, sum_products
+from .fields import FieldBatch, FieldElement
+from .linalg import _berkowitz, matmul_mod_p, mod_p, products, sum_products
 from .polynomials import (
     PrimeError,
     ResidueBatch,
@@ -212,8 +212,7 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
         _raise_at(base, primes, bad, message)
 
     frob = fb.frobenius_matrix(q)
-    rows, inv = linalg.pullback(residues.embed, fb.p)  # one F_q embedding per degree
-    pullback = rows, inv.astype(fb.dtype)
+    pullback = linalg.pullback(residues.embed, fb.p)  # one F_q embedding per degree
     into_base = lambda v, what: _into_base_batch(v, residues.embed, pullback, fb.p, raise_at, what)
 
     # g_r^-1 = Nr(g_r)^-1 s, s = sigma(g_r sigma(g_r) ... sigma^(d-2)(g_r)),
@@ -222,7 +221,7 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
     for _ in range(d - 1):
         s = fb.apply(frob, fb.mul(g[:, r], s))
     nr_inv = base.batch().inv(into_base(fb.mul(g[:, r], s), "Nr(g_r) lies"))
-    u = fb.mul(mod_p(nr_inv @ residues.embed.T, fb.p), s)
+    u = fb.mul(matmul_mod_p(nr_inv, residues.embed.T, fb.p), s)
     coeffs = _berkowitz(fb, _motive_matrix(fb, frob, g, u, d), d + 1)[1:]
 
     bounds = _degree_bounds(r, d)
@@ -300,8 +299,9 @@ def _into_base_batch(v: np.ndarray, embed: np.ndarray, pullback, p: int, raise_a
     """F_q coordinates (B, ..., e) of L-elements (B, ..., n) that must lie
     in the embedded F_q; raises naming the first prime where one does not."""
     rows, inv = pullback
-    y = mod_p(v[..., rows] @ inv.T, p)
-    raise_at((mod_p(y @ embed.T, p) != v).reshape(len(v), -1).any(axis=1), f"{what} outside F_q")
+    y = matmul_mod_p(v[..., rows], inv.T, p)
+    bad = (matmul_mod_p(y, embed.T, p) != v).reshape(len(v), -1).any(axis=1)
+    raise_at(bad, f"{what} outside F_q")
     return y
 
 
@@ -355,7 +355,7 @@ def _phi_of(fb: FieldBatch, powers: list[np.ndarray], digits: np.ndarray,
         term = mod_p(term, p)
         if k:
             alpha = fb.mul_matrix(np.broadcast_to(embed[:, k], (batch, n)))
-            term = mod_p(term @ alpha.swapaxes(-1, -2)[:, None], p)
+            term = matmul_mod_p(term, alpha.swapaxes(-1, -2)[:, None], p)
         phi_a = phi_a + term
     return phi_a if e == 1 else mod_p(phi_a, p)  # e reduced terms
 

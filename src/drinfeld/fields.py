@@ -26,8 +26,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .linalg import (PackedMatrix, check_int64_range, kernel_mod_p, matmul_mod_p, mod_p,
+                     products, sum_products)
+
 _NUMPY_MUL_CUTOFF = 32  # coordinate length above which products go through numpy
-_MOD_P_MIN_SIZE = 1024  # elements from which `mod_p` beats `%` (at 35k: 2x in int64, 6x in int16)
 
 
 # Miller-Rabin with the prime bases 2 .. 41 is exact below the least strong
@@ -61,21 +63,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """a mod p, in [0, p), for an integer or object array, in its own dtype.
-    From _MOD_P_MIN_SIZE elements on it is a - (a // p) * p: numpy divides
-    an integer array by a scalar with a multiply and a shift, several times
-    faster than `%` on batch-sized arrays (most of all in int16), and exact
-    for every sign and width, the wrap-around of (a // p) * p cancelling in
-    the difference.  Below that size the one ufunc call of `%` costs less
-    than three."""
-    if a.dtype == object or a.size < _MOD_P_MIN_SIZE:
-        return a % p
-    out = a // p
-    out *= p
-    return np.subtract(a, out, out=out)
 
 
 class FieldError(ValueError):
@@ -335,10 +322,10 @@ class Field:
     # -- Frobenius -------------------------------------------------------------
 
     def frobenius_matrix(self) -> np.ndarray:
-        """Matrix of x -> x^q on the power basis (columns are images); for
-        e = 1 the Berlekamp Q-matrix of the modulus."""
+        """Matrix of x -> x^q on the power basis (columns are images), in
+        `batch().dtype`; for e = 1 the Berlekamp Q-matrix of the modulus."""
         if self._frob_q is None:
-            self._frob_q = self.batch().frobenius_matrix(self.q)[0].astype(np.int64, copy=False)
+            self._frob_q = self.batch().frobenius_matrix(self.q)[0]
         return self._frob_q
 
     def frobenius_power_matrix(self, k: int) -> np.ndarray:
@@ -347,14 +334,10 @@ class Field:
         power 0 a fresh identity."""
         k %= self.m
         if k <= 1:
-            return self.frobenius_matrix() if k else np.eye(self.n, dtype=np.int64)
+            return self.frobenius_matrix() if k else np.eye(self.n, dtype=self.batch().dtype)
         if k not in self._frob_q_pow:
-            from .linalg import matmul_mod_p
-
-            dtype = np.result_type(np.int64, self.batch().dtype)  # object where int64 wraps
-            mat = matmul_mod_p(self.frobenius_power_matrix(k - 1).astype(dtype, copy=False),
-                               self.frobenius_matrix().astype(dtype, copy=False), self.p)
-            self._frob_q_pow[k] = mat.astype(np.int64, copy=False)
+            self._frob_q_pow[k] = matmul_mod_p(self.frobenius_power_matrix(k - 1),
+                                               self.frobenius_matrix(), self.p)
         return self._frob_q_pow[k]
 
     def frobenius(self, x: FieldElement, k: int = 1) -> FieldElement:
@@ -375,8 +358,7 @@ class Field:
             return FieldElement(
                 self, tuple(sum(r * c for r, c in zip(row, xc)) % p for row in rows)
             )
-        mat = self.frobenius_power_matrix(k)
-        coords = (mat @ np.array(x.coords, dtype=np.int64)) % self.p
+        coords = matmul_mod_p(np.array(x.coords), self.frobenius_power_matrix(k).T, self.p)
         return FieldElement(self, tuple(int(c) for c in coords))
 
     def norm_to_base(self, x: FieldElement) -> FieldElement:
@@ -404,13 +386,13 @@ class Field:
         return self._base_gen
 
     def base_embedding(self) -> np.ndarray:
-        """n x e matrix taking F_q coordinates (powers of the base generator)
-        to power-basis coordinates: the embedding of F_q."""
+        """n x e matrix in `batch().dtype` taking F_q coordinates (powers of the
+        base generator) to power-basis coordinates: the embedding of F_q."""
         alpha = self.base_generator()
         cols = [self.one]
         for _ in range(self.e - 1):
             cols.append(cols[-1] * alpha)
-        return np.array([c.coords for c in cols], dtype=np.int64).T
+        return np.array([c.coords for c in cols], dtype=self.batch().dtype).T
 
     def scalars(self, coeffs: Sequence[int]) -> np.ndarray:
         """Coordinate vectors of these F_p scalars, one row each."""
@@ -421,12 +403,10 @@ class Field:
     def subfield_basis(self, d: int) -> np.ndarray:
         """Canonical F_p-basis, one row each, of the subfield fixed by the
         q^d-power map; computed once per d mod m and returned read-only."""
-        from . import linalg
-
         d %= self.m
         if d not in self._subfield:
             mat = (self.frobenius_power_matrix(d) - np.eye(self.n, dtype=np.int64)) % self.p
-            basis = linalg.kernel_mod_p(mat, self.p)
+            basis = kernel_mod_p(mat, self.p)
             basis.flags.writeable = False
             self._subfield[d] = basis
         return self._subfield[d]
@@ -441,7 +421,7 @@ class Field:
         batch = self.batch()
         for start in range(0, count, _ROOT_BLOCK):
             ks = np.arange(start, min(start + _ROOT_BLOCK, count), dtype=np.int64)
-            xs = (_digits(ks, p, basis.shape[0]) @ basis % p)[None]
+            xs = matmul_mod_p(_digits(ks, p, basis.shape[0]), basis, p)[None]
             acc = (xs + coeffs[-2]) % p
             for c in coeffs[-3::-1]:
                 acc = (batch.mul(acc, xs) + c) % p
@@ -466,15 +446,12 @@ class FieldBatch:
     (`linalg.products`; p = 7 up to n = 30, p = 5 up to n = 45), which
     leaves room for the unreduced sums of the callers' guarded products;
     int64 otherwise, where the work of a large field is n x n products that
-    a narrow dtype does not speed up and the `Field` matrices it meets are
-    int64.  A p whose n products int64 cannot hold is refused
-    (`linalg.Int64RangeError`), or with `exact` served on Python ints
-    (object arrays).
+    a narrow dtype does not speed up.  A p whose n products int64 cannot
+    hold is refused (`linalg.Int64RangeError`), or with `exact` served on
+    Python ints (object arrays).
     """
 
     def __init__(self, p: int, moduli, exact: bool = False):
-        from .linalg import check_int64_range, products
-
         n = np.shape(moduli)[-1] - 1
         if exact and products(p, np.int64) < n:
             self.dtype = np.dtype(object)
@@ -513,7 +490,7 @@ class FieldBatch:
         high = prod[..., n:]
         if high.shape[-1]:
             flat = high.reshape(high.shape[0], -1, high.shape[-1])
-            folded = flat @ self.red(high.shape[-1])
+            folded = sum_products(flat, self.red(high.shape[-1]), self.p, spare=1)
             low = low + folded.reshape(high.shape[:-1] + (n,))
         return mod_p(low, self.p)
 
@@ -570,7 +547,7 @@ class FieldBatch:
             fold = self.red(q)
             for j in range(1, n):
                 prev, col = cols[:, j - 1], cols[:, j]
-                np.matmul(prev[:, None, n - q :], fold, out=col[:, None])
+                col[:] = sum_products(prev[:, None, n - q :], fold, p, spare=1)[:, 0]
                 col[:, q:] += prev[:, : n - q]
                 col %= p
         elif n > 1:
@@ -584,7 +561,7 @@ class FieldBatch:
     def apply(self, mats: np.ndarray, a: np.ndarray) -> np.ndarray:
         """F_p-linear maps (B, n, n) applied to every element of a."""
         flat = a.reshape(a.shape[0], -1, self.n)
-        return mod_p(flat @ mats.transpose(0, 2, 1), self.p).reshape(a.shape)
+        return matmul_mod_p(flat, mats.transpose(0, 2, 1), self.p).reshape(a.shape)
 
 
 @functools.lru_cache(maxsize=None)
@@ -607,8 +584,6 @@ def lex_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
         # a generator of F_p^* is -c for an irreducible x^n + c, so this ends
         c = next(c for c in range(1, p) if _binomial_irreducible(p, n, c))
         return (c,) + (0,) * (n - 1) + (1,)
-    from .linalg import products
-
     if n > MAX_EXACT_SEARCH_DEGREE and products(p, np.int64) < n:
         raise ModulusSearchError(
             f"the degree-{n} modulus search over F_{p} would run on Python ints; "
@@ -824,12 +799,8 @@ def _rabin(f: Sequence[int], p: int, depth: int = 0) -> bool:
 
 def _dense_frobenius(f: Sequence[int], p: int):
     """u -> u^p mod f as the row product u Q^T % p, Q the Berlekamp matrix
-    of f (column j is x^(pj) mod f), packed once (`linalg.PackedMatrix`): at
-    p = 5, n = 248, five columns share an int64.  Exact for every p: a p
-    too large for two lanes, or for int64 at all (`FieldBatch` exact, Python
-    ints), takes the plain product."""
-    from .linalg import PackedMatrix
-
+    of f (column j is x^(pj) mod f), exact for every p, with Q^T packed once
+    (`linalg.PackedMatrix`; at p = 5, n = 248 five columns share an int64)."""
     Q = FieldBatch(p, f, exact=True).frobenius_matrix(p)[0]
     return PackedMatrix(Q.T, p).rmul
 
@@ -852,8 +823,6 @@ def _sparse_frobenius(f: Sequence[int], p: int):
     K (p-1)^2 and a folded one adds deg g + 1 products of (p-1) by such a
     sum, so every entry stays below K (p-1)^2 (1 + (p-1)(deg g + 1)) <
     2 n^2 (p-1)^2, since (p-1)(deg g + 1) < p deg g + p < 2n."""
-    from .linalg import products
-
     n = len(f) - 1
     g = _trim([c % p for c in f[:n]])
     G = max(len(g) - 1, 0)  # deg g, and 0 for g = 0

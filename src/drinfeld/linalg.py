@@ -10,47 +10,72 @@ F_l (the torsion Frobenius and T-action matrices) on these two routines.
 All echelon forms pick pivots by ascending column index, so bases are
 canonical and reproducible.
 
-The integer width is a property of the arithmetic in use.  A sum of k
-products of residues mod p is at most k(p-1)^2, so a dtype holds
-`products(p, dtype)` of them, and every unreduced sum is guarded by the
-headroom of the dtype that holds it: it is left unreduced only while that
-dtype holds all of its products, and is otherwise reduced in pieces.
-Arrays of a `FieldBatch` are in its `dtype`, the narrowest that its p and n
-allow (see there); `rref_mod_p` eliminates in the narrowest dtype whose
-update budget covers the elimination.  int64 is the widest integer dtype:
-a prime whose products could overflow it is refused (`Int64RangeError`)
-or, where a caller asks for exactness, served on Python ints (object
-arrays).  No float touches a result.
+Every product of residues mod p is formed here, and its exactness is
+argued once: a sum of k products of residues is at most k(p-1)^2, so a
+dtype holds `products(p, dtype)` of them (any number on object arrays).
+`matmul_mod_p(a, b, p)`, or `PackedMatrix(b, p).rmul(a)` for a right factor
+that meets many left ones, is a @ b reduced mod p, in the inputs' dtype:
 
-Large products mod p go through `matmul_mod_p`, which packs several columns
-of the right factor into one int64 (SWAR lanes).  Each lane gets
-bits = (k(p-1)^2).bit_length() bits for a sum of k products, and an int64
-holds lanes = 63 // bits of them: no lane sum carries into the next lane
-or into the sign bit, and one integer product does the work of `lanes`.
-Inputs must be reduced mod p; the lanes are int64 whatever the dtype of
-the factors.  With fewer than two lanes, or on object arrays (Python ints
-for a large p), it is the plain `a @ b % p`.
+- plain a @ b where that dtype holds the k products of a sum;
+- sums of as many products as it holds, each reduced, where it holds fewer;
+- Python ints where it holds none ((p-1)^2 past int64);
+- int64 lanes where b has _PACK_MIN_WIDTH columns or more and two lanes or
+  more fit (one-shot, _PACK_MIN_ROWS left rows per right factor too): a
+  lane of bits = (k(p-1)^2).bit_length() bits holds any sum of k products
+  and an int64 holds 63 // bits lanes, so no lane carries into the next.
+
+`sum_products` leaves a @ b unreduced for a caller that adds to it before
+one reduction; the unreduced sums of `_lt_mul` and `reduction.phi_T_powers`
+read `products` themselves.  `rref_mod_p` eliminates in the narrowest dtype
+whose update budget covers the elimination; it, `matpow_mod_p` and `Matrix`
+refuse a p past int64 (`Int64RangeError`).  No float touches a result.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .fields import Field, FieldBatch, FieldElement, mod_p
+if TYPE_CHECKING:
+    from .fields import Field, FieldBatch, FieldElement
 
+_MOD_P_MIN_SIZE = 1024  # elements from which `mod_p` beats `%` (at 35k: 2x in int64, 6x in int16)
 _WIDTHS = (np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64))  # narrowest first
+
+# Lanes pay from these shapes on (p = 3, 5, 7, k = n, best of 20): packed
+# once, 64 columns tie the plain product at one row and win 2.2x at 16 (2.8x
+# at one row at n = 248); packing per call costs about 8 rows at n = 64-96.
+_PACK_MIN_WIDTH = 64  # columns of b
+_PACK_MIN_ROWS = 8    # left rows per right factor, one-shot
 
 
 class Int64RangeError(ValueError):
     """The prime is too large for exact int64 arithmetic."""
 
 
+def mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p, in [0, p), for an integer or object array, in its own dtype.
+    From _MOD_P_MIN_SIZE elements on it is a - (a // p) * p: numpy divides
+    an integer array by a scalar with a multiply and a shift, several times
+    faster than `%` on batch-sized arrays (most of all in int16), and exact
+    for every sign and width, the wrap-around of (a // p) * p cancelling in
+    the difference.  Below that size the one ufunc call of `%` costs less
+    than three."""
+    if a.dtype == object or a.size < _MOD_P_MIN_SIZE:
+        return a % p
+    out = a // p
+    out *= p
+    return np.subtract(a, out, out=out)
+
+
+@functools.lru_cache(maxsize=None)
 def products(p: int, dtype) -> int:
     """How many products of two residues mod p a sum in `dtype` can hold:
-    any number for object arrays (Python ints)."""
+    any number for object arrays (Python ints).  Cached, as every product
+    reads it and `np.iinfo` costs more than a small product."""
     dtype = np.dtype(dtype)
     if dtype == object:
         return sys.maxsize
@@ -60,9 +85,11 @@ def products(p: int, dtype) -> int:
 def sum_products(a: np.ndarray, b: np.ndarray, p: int, spare: int = 0) -> np.ndarray:
     """a @ b for entries in [0, p), left unreduced when its dtype holds the
     a.shape[-1] products of a sum and `spare` more that the caller adds to
-    it; otherwise the sums are taken in chunks that the dtype holds, each
-    reduced mod p as it is added."""
-    k, step = a.shape[-1], products(p, np.result_type(a, b))
+    it; otherwise the sums are taken in chunks that the dtype holds (Python
+    ints where it holds none), each reduced mod p as it is added."""
+    k, step = a.shape[-1], products(p, np.promote_types(a.dtype, b.dtype))
+    if not step:
+        a, b, step = a.astype(object), b.astype(object), sys.maxsize
     if k + spare <= step:
         return a @ b
     out = mod_p(a[..., :step] @ b[..., :step, :], p)
@@ -81,40 +108,45 @@ def check_int64_range(p: int, n: int):
 
 
 class PackedMatrix:
-    """The right factor b (..., k, n) of products a @ b % p, packed once for
-    many left factors: lane j of packed column i holds column j*w + i of b
-    (w = ceil(n / lanes)), shifted up by j*bits bits."""
+    """The right factor b (..., k, n) of products a @ b % p, decided once for
+    many left factors: packed where lanes >= 2 and n >= _PACK_MIN_WIDTH, lane
+    j of packed column i holding column j*w + i of b (w = ceil(n / lanes))
+    shifted up by j*bits bits; otherwise `packed` is None."""
 
     def __init__(self, b: np.ndarray, p: int):
         k, n = b.shape[-2:]
-        b = b.astype(np.result_type(np.int64, b), copy=False)  # int64 lanes, or Python ints
         self.b, self.p, self.n = b, p, n
         self.bits = max((k * (p - 1) ** 2).bit_length(), 1)
-        self.lanes = min(63 // self.bits, n) if b.dtype == np.int64 else 1
-        if self.lanes < 2:
+        self.lanes = min(63 // self.bits, n) if b.dtype != object else 1
+        self.packed = None
+        if self.lanes < 2 or n < _PACK_MIN_WIDTH:
             return
         w = -(-n // self.lanes)
         self.packed = np.zeros(b.shape[:-1] + (w,), dtype=np.int64)
         for j in range(self.lanes):
-            block = b[..., j * w : (j + 1) * w]
+            block = b[..., j * w : (j + 1) * w].astype(np.int64, copy=False)
             self.packed[..., : block.shape[-1]] |= block << (j * self.bits)
         self.shifts = self.bits * np.arange(self.lanes, dtype=np.int64)[:, None]
         self.mask = (1 << self.bits) - 1
 
     def rmul(self, a: np.ndarray) -> np.ndarray:
-        """a @ b % p for a (..., m, k) or (k,) with entries in [0, p)."""
-        if self.lanes < 2 or a.dtype == object:
-            return a @ self.b % self.p
+        """a @ b % p for a (..., m, k) or (k,) with entries in [0, p), in
+        the dtype of a @ b (object where that cannot hold a product)."""
+        if self.packed is None or a.dtype == object:
+            return mod_p(sum_products(a, self.b, self.p), self.p)
         prod = a @ self.packed
         lanes = prod[..., None, :] >> self.shifts
         lanes &= self.mask
         lanes %= self.p
-        return lanes.reshape(prod.shape[:-1] + (-1,))[..., : self.n]
+        out = lanes.reshape(prod.shape[:-1] + (-1,))[..., : self.n]
+        return out.astype(np.promote_types(a.dtype, self.b.dtype), copy=False)
 
 
 def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b % p, exact, for arrays with entries in [0, p) (see the module
-    docstring for the lane packing and its bound)."""
+    """a @ b % p, exact, for a (..., m, k) or (k,) and b (..., k, n) with
+    entries in [0, p) (see the module docstring for the route)."""
+    if a.size * b.shape[-1] < _PACK_MIN_ROWS * b.size:
+        return mod_p(sum_products(a, b, p), p)
     return PackedMatrix(b, p).rmul(a)
 
 
@@ -215,10 +247,11 @@ def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int):
 
 def pullback(embed: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """Rows where an n x e embedding of full column rank is invertible, and
-    the inverse of those rows: y = inv @ v[rows] for v = embed @ y."""
+    the inverse of those rows in the dtype of `embed`: y = inv @ v[rows]
+    for v = embed @ y."""
     _, rows = rref_mod_p(embed.T, p)
     inv, _ = solve_mod_p(embed[rows], np.eye(len(rows), dtype=np.int64), p)
-    return rows, inv
+    return rows, inv.astype(embed.dtype)
 
 
 def matpow_mod_p(mat: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -227,10 +260,10 @@ def matpow_mod_p(mat: np.ndarray, k: int, p: int) -> np.ndarray:
     base = np.array(mat, dtype=np.int64) % p
     while k:
         if k & 1:
-            result = (result @ base) % p
+            result = matmul_mod_p(result, base, p)
         k >>= 1
         if k:
-            base = (base @ base) % p
+            base = matmul_mod_p(base, base, p)
     return result
 
 
@@ -363,12 +396,6 @@ class Matrix:
             and (self.rows, self.cols) == (other.rows, other.cols)
             and np.array_equal(self.coords, other.coords)
         )
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        terms = self.field.batch().mul(self.coords[:, :, None], other.coords[None])
-        return Matrix(self.field, self.rows, other.cols, terms.sum(axis=1))
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form, nonzero rows first, and its pivot columns.

@@ -24,9 +24,8 @@ from .fields import (
     _digits,
     field_with_modulus,
     make_field,
-    mod_p,
 )
-from .linalg import pullback, sum_products
+from .linalg import PackedMatrix, matmul_mod_p, pullback, sum_products
 
 
 class PrimeError(ValueError):
@@ -586,7 +585,8 @@ def _residue_field(prime: SparsePoly) -> ResidueField:
 
 def _first_root(fld: Field, prime: SparsePoly, emb: np.ndarray) -> FieldElement:
     """The first root of `prime` among the elements of `fld` in index order."""
-    coeffs = np.array([prime.coeff(i).coords for i in range(prime.degree + 1)]) @ emb.T % fld.p
+    coeffs = matmul_mod_p(np.array([prime.coeff(i).coords for i in range(prime.degree + 1)]),
+                          emb.T, fld.p)
     root = fld.first_root(coeffs, np.eye(fld.n, dtype=np.int64))
     if root is None:
         raise PrimeError("prime has no root in its residue field")  # unreachable
@@ -621,7 +621,7 @@ class ResidueBatch:
         else:
             fld = make_field(p, e, d)
             self.fb = FieldBatch(p, np.broadcast_to(fld.modulus, (B, d * e + 1)))
-            self.embed = fld.base_embedding().astype(self.fb.dtype)
+            self.embed = fld.base_embedding()
             roots = _first_roots(base, d)[primes[:, :d].reshape(B, d * e) @ p ** np.arange(d * e)]
             if (roots < 0).any():
                 raise PrimeError("prime has no root in its residue field")  # unreachable
@@ -637,7 +637,8 @@ class ResidueBatch:
         for exp, c in reversed(f.terms):
             if prev is not None:
                 acc = fb.mul(acc, fb.pow(self.t_bar, prev - exp))
-            acc = (acc + self.embed @ np.array(c.coords, dtype=fb.dtype)) % fb.p
+            coords = np.array(c.coords, dtype=fb.dtype)
+            acc = (acc + sum_products(coords, self.embed.T, fb.p, spare=1)) % fb.p
             prev = exp
         return fb.mul(acc, fb.pow(self.t_bar, prev)) if prev else acc
 
@@ -656,7 +657,7 @@ class ResidueBatch:
             w = fb.mul(np.stack(tpow, axis=1)[:, :, None], self.embed.T)
             self._weights = w.reshape(w.shape[0], D * e, fb.n)
         flat = coeffs.reshape(coeffs.shape[:-2] + (1, D * e))
-        return mod_p(sum_products(flat, self._weights[:, : D * e], fb.p)[..., 0, :], fb.p)
+        return matmul_mod_p(flat, self._weights[:, : D * e], fb.p)[..., 0, :]
 
 
 _ROOTS_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -674,7 +675,7 @@ def _first_roots(base: Field, d: int) -> np.ndarray:
         fld = make_field(base.p, base.e, d)
         p, n, e = fld.p, fld.n, base.n
         fb = fld.batch()
-        frob = fld.frobenius_matrix().T.astype(fb.dtype)
+        frob = PackedMatrix(fld.frobenius_matrix().T, p)
         rows, inv = pullback(fld.base_embedding(), p)
         index = p ** np.arange(d * e)
         table = np.full(base.q**d, -1, dtype=np.int64)
@@ -686,8 +687,8 @@ def _first_roots(base: Field, d: int) -> np.ndarray:
                 prod = fb.mul(poly, x[:, None])
                 poly = np.concatenate([-prod[:, :1], poly[:, :-1] - prod[:, 1:], poly[:, -1:]],
                                       axis=1) % p
-                x = x @ frob % p
-            keys = (poly[:, :d, rows] @ inv.T % p).reshape(len(ks), d * e) @ index
+                x = frob.rmul(x)
+            keys = matmul_mod_p(poly[:, :d, rows], inv.T, p).reshape(len(ks), d * e) @ index
             uniq, first = np.unique(keys, return_index=True)
             fresh = table[uniq] < 0
             table[uniq[fresh]] = ks[first[fresh]]

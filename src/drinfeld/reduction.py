@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .fields import Field, FieldBatch, FieldElement, make_field, mod_p
+from .fields import Field, FieldBatch, FieldElement, make_field
 from .polynomials import (
     ResidueBatch,
     ResidueField,
@@ -87,8 +87,7 @@ class ReducedModule:
         if len(self._powers) <= upto:
             fb = self.field.batch()
             g = np.array([[c.coords for c in self.coeffs]], dtype=fb.dtype)
-            frob = self.field.frobenius_matrix()[None].astype(fb.dtype)
-            self._powers = phi_T_powers(fb, g, frob, upto)
+            self._powers = phi_T_powers(fb, g, self.field.frobenius_matrix()[None], upto)
         return self._powers[: upto + 1]
 
     def phi_T_power(self, j: int) -> SkewPoly:
@@ -145,9 +144,9 @@ def phi_T_powers(fb: FieldBatch, g: np.ndarray, frob: np.ndarray, upto: int) -> 
     live = [k for k in range(r + 1) if g[:, k].any()]
     steps = [np.broadcast_to(np.eye(n, dtype=fb.dtype), frob.shape)]
     for _ in range(live[-1]):
-        steps.append(mod_p(steps[-1] @ frob, p))
+        steps.append(linalg.matmul_mod_p(steps[-1], frob, p))
     steps = np.stack([steps[k] for k in live], axis=1)
-    steps = mod_p(fb.mul_matrix(g[:, live]) @ steps, p)  # x -> g_k sigma^k(x)
+    steps = linalg.matmul_mod_p(fb.mul_matrix(g[:, live]), steps, p)  # x -> g_k sigma^k(x)
     steps = steps.swapaxes(-1, -2)
     # unreduced, an entry of P_(j+1) sums one matrix product of n terms per k
     raw = linalg.products(p, fb.dtype) > n * len(live)
@@ -156,11 +155,11 @@ def phi_T_powers(fb: FieldBatch, g: np.ndarray, frob: np.ndarray, upto: int) -> 
         span = powers[-1].shape[1]
         terms = powers[-1][:, None] @ steps
         if not raw:
-            terms = mod_p(terms, p)
+            terms = linalg.mod_p(terms, p)
         P = np.zeros((len(g), span + r, n), dtype=fb.dtype)
         for t, k in enumerate(live):
             P[:, k : k + span] += terms[:, t]
-        powers.append(mod_p(P, p))
+        powers.append(linalg.mod_p(P, p))
     return powers
 
 
@@ -209,17 +208,18 @@ def splitting_degree(phil: SkewPoly) -> int:
     field = ring.field
     p, n, d, R = field.p, field.n, field.m, phil.degree
     m_max = MAX_SPLITTING_FIELD_DEGREE // n
-    mul_matrix = field.batch().mul_matrix
-    N = np.zeros((R * n, R * n), dtype=np.int64 if linalg.products(p, np.int64) >= R * n else object)
+    fb = field.batch()
+    N = np.zeros((R * n, R * n), dtype=fb.dtype)
     for i in range(R):
         rem = SkewPoly.tau(ring, d + i).divmod_right(phil)[1]
         for j, c in rem.terms:
-            N[j * n : (j + 1) * n, i * n : (i + 1) * n] = mul_matrix(np.array(c.coords)[None])[0]
+            N[j * n : (j + 1) * n, i * n : (i + 1) * n] = fb.mul_matrix(np.array(c.coords)[None])[0]
+    times_N = linalg.PackedMatrix(N.T, p)  # v -> N v, on rows
     start = np.zeros(R * n, dtype=N.dtype)
     start[:1] = 1
     v = start
     for m in range(1, m_max + 1 if R else 1):  # every remainder mod a constant is 0, not 1
-        v = N @ v % p
+        v = times_N.rmul(v)
         if np.array_equal(v, start):
             return m
     raise TorsionSearchError(
@@ -251,7 +251,7 @@ class TorsionSpace:
 
     def embed(self, x: FieldElement) -> FieldElement:
         """Image of a residue-field element in the splitting field."""
-        coords = (self.sigma @ np.array(x.coords, dtype=np.int64)) % self.field.p
+        coords = linalg.matmul_mod_p(np.array(x.coords), self.sigma.T, self.field.p)
         return self.field.elem(int(c) for c in coords)
 
     def phi_in_splitting(self, a: SparsePoly) -> SkewPoly:
@@ -282,13 +282,13 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
     p, n = B.p, B.n
     linalg.check_int64_range(p, n)
     sigma = _residue_embedding(reduced.field, B, d)
-    alphas = (sigma @ reduced.field.base_embedding() % p).T  # alpha^k, one row each
+    alphas = linalg.matmul_mod_p(sigma, reduced.field.base_embedding(), p).T  # alpha^k, as rows
 
     def scalar(c: FieldElement) -> np.ndarray:
         """F_p-matrix of an element of F_q acting on B."""
         if e == 1:
             return c.coords[0] * np.eye(n, dtype=np.int64)
-        return B.batch().mul_matrix((np.array(c.coords, dtype=np.int64) @ alphas % p)[None])[0]
+        return B.batch().mul_matrix(linalg.matmul_mod_p(np.array(c.coords), alphas, p)[None])[0]
 
     A_T = _t_action(reduced, B, sigma)
     # phi_l = l(A_T) by Horner: l is monic and F_q scalars commute with A_T
@@ -316,7 +316,7 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
             module_idx.append(i)
             orbit = [v]
             for _ in range(degl - 1):
-                orbit.append(A_T @ orbit[-1] % p)
+                orbit.append(linalg.matmul_mod_p(orbit[-1], A_T.T, p))
             span = np.vstack([span, fq_span(np.array(orbit))])
         if len(module_idx) == reduced.r:
             break
@@ -326,7 +326,7 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
     # coordinates along the F_p-basis alpha^k phi_(T^a)(v_j) of the torsion,
     # index (j*degl + a)*e + k, of F v_j (F: x -> x^(q^d)) and of phi_T(v_j)
     vs = basis[module_idx].T
-    images = np.concatenate([B.frobenius_power_matrix(d) @ vs, A_T @ vs], axis=1) % p
+    images = np.hstack([linalg.matmul_mod_p(F, vs, p) for F in (B.frobenius_power_matrix(d), A_T)])
     sol = linalg.solve_mod_p(span.T, images, p)
     if sol is None or sol[1]:
         raise ReductionError("the module basis does not give a basis of the torsion")
@@ -366,14 +366,15 @@ def _t_action(reduced: ReducedModule, B: Field, sigma: np.ndarray) -> np.ndarray
     beta^k, the columns of sigma, with mult(beta^0) = I.  A g_i equal to 1
     adds F^i and g_0 adds mult(g_0), with no product."""
     p, n = B.p, B.n
-    betas = B.batch().mul_matrix(sigma.T[1:])  # mult(beta^k), k >= 1
+    betas = B.batch().mul_matrix(sigma.T[1:]).reshape(-1, n * n)  # mult(beta^k), k >= 1
     A_T = np.zeros((n, n), dtype=np.int64)
     for i, c in reduced.phi_T.terms:
         if i and c == reduced.field.one:
             A_T += B.frobenius_power_matrix(i)
             continue
-        mult = np.tensordot(np.array(c.coords[1:], dtype=np.int64), betas, 1)
-        mult[np.diag_indices(n)] += c.coords[0]
+        coords = np.array(c.coords, dtype=np.int64)
+        mult = linalg.sum_products(coords[1:], betas, p, spare=1).reshape(n, n)
+        mult[np.diag_indices(n)] += coords[0]
         mult %= p
         A_T += linalg.matmul_mod_p(mult, B.frobenius_power_matrix(i), p) if i else mult
     return A_T % p
@@ -390,7 +391,7 @@ def _fq_echelon(B: Field, alphas: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     coords = linalg.solve_mod_p(C, kernel.T, p)[0]
     ech, pivots = linalg.rref_mod_p(coords.T, p)
     rows = ech[[t for t, c in enumerate(pivots) if c % e == 0]]
-    return rows @ C.T % p
+    return linalg.matmul_mod_p(rows, C.T, p)
 
 
 def _fl_matrix(reduced: ReducedModule, ell_rf: ResidueField, sol: np.ndarray) -> linalg.Matrix:
@@ -404,7 +405,7 @@ def _fl_matrix(reduced: ReducedModule, ell_rf: ResidueField, sol: np.ndarray) ->
         W.extend((tpow * a).coords for a in alphas)
         tpow = tpow * ell_rf.t_image
     digits = sol.T.reshape(r, r, -1).swapaxes(0, 1)  # [i][j] -> digits (a, k)
-    return linalg.Matrix(Fl, r, r, digits @ np.array(W, dtype=np.int64) % Fl.p)
+    return linalg.Matrix(Fl, r, r, linalg.matmul_mod_p(digits, np.array(W), Fl.p))
 
 
 # ---------------------------------------------------------------------------

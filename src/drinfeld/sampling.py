@@ -43,8 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .charpoly import CharPolyError, charpolys_of_degree
-from .fields import Field, FieldBatch, FieldElement, _digits, _int_digits, field_with_modulus, mod_p
-from .linalg import _berkowitz, _lt_mul
+from .fields import Field, FieldBatch, FieldElement, _digits, _int_digits, field_with_modulus
+from .linalg import _berkowitz, _lt_mul, mod_p
 from .polynomials import (
     ResidueBatch,
     SparsePoly,

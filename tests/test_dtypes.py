@@ -1,6 +1,8 @@
 """Narrow integer dtypes: the arithmetic in the dtype that `FieldBatch`
 picks equals the same arithmetic on Python ints, every guarded sum holds at
-its worst case, and the sweep kernel keeps its arrays narrow."""
+its worst case, every route of the exact product (`linalg.matmul_mod_p`)
+equals Python ints on each side of its switch, and the sweep kernel keeps
+its arrays narrow and unpacked."""
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import drinfeld.charpoly as charpoly_mod
-from drinfeld import fields, linalg
+from drinfeld import fields, linalg, polynomials
 from drinfeld.charpoly import _phi_of, charpolys_of_degree
 from drinfeld.fields import FieldBatch, make_field
+from drinfeld.linalg import PackedMatrix
 from drinfeld.polynomials import prime_coordinates
 from drinfeld.reduction import phi_T_powers
 from drinfeld.skew import DrinfeldModule
@@ -172,11 +175,107 @@ class TestSweepStaysNarrow:
             assert dtype == np.int16 and all(o == dtype for o in outs)
         assert all(ai.dtype == np.int16 for ai in a)
 
-    @pytest.mark.parametrize("n", [25, 36])
+    def test_sweep_kernel_packs_nothing(self, monkeypatch):
+        # every product of the q = 7 kernel is int16 at n <= 6, plain
+        packed = []
+
+        class Recorded(linalg.PackedMatrix):
+            def __init__(self, b, p):
+                super().__init__(b, p)
+                packed.append(self.packed is not None)
+
+        for module in (linalg, polynomials):
+            monkeypatch.setattr(module, "PackedMatrix", Recorded)
+        base = make_field(7, 1, 1)
+        rows = prime_coordinates(base, 5)
+        rows = rows[rows[:, 0].any(axis=1)][:64]
+        charpolys_of_degree(DrinfeldModule.default_family(base, 3), rows)
+        assert not any(packed)
+
+    @pytest.mark.parametrize("n", [64, 90])
     def test_narrow_berlekamp_matrix_still_packs_lanes(self, n):
-        p = 5
+        # p = 3: an int16 sum holds n^2 products up to n = 90, and from
+        # _PACK_MIN_WIDTH columns on the int16 matrix is packed into int64
+        p = 3
         Q = fields.FieldBatch(p, fields.lex_smallest_irreducible(p, n), exact=True).frobenius_matrix(p)[0]
         packed = linalg.PackedMatrix(Q.T, p)
         assert Q.dtype == np.int16 and packed.lanes > 1 and packed.packed.dtype == np.int64
-        u = np.arange(n, dtype=np.int64) % p
-        assert packed.rmul(u).tolist() == (u @ Q.T.astype(np.int64) % p).tolist()
+        u = np.arange(n, dtype=np.int16) % p
+        got = packed.rmul(u)
+        assert got.dtype == np.int16
+        assert got.tolist() == (u.astype(object) @ Q.T.astype(object) % p).tolist()
+
+
+def python_matmul(a, b, p):
+    """a @ b % p on Python ints, which cannot overflow."""
+    return (a.astype(object) @ b.astype(object) % p).tolist()
+
+
+def worst_or_random(p, shape, dtype, seed):
+    """All p - 1 (seed 0: every sum at its worst case) or random residues,
+    drawn from the seed and the shape."""
+    if not seed:
+        return np.full(shape, p - 1, dtype=dtype)
+    return np.random.default_rng([seed, *shape]).integers(0, p, size=shape).astype(dtype)
+
+
+class TestProductRoutes:
+    """`matmul_mod_p` and `PackedMatrix.rmul` against Python ints on each
+    side of every switch of the route: plain, chunks, Python ints, lanes."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sweep_shapes_are_plain_int16(self, seed):
+        p, n = 7, 6
+        a = worst_or_random(p, (3, 8, n), np.int16, seed)
+        b = worst_or_random(p, (3, n, n), np.int16, seed)
+        assert linalg.PackedMatrix(b, p).packed is None
+        for got in (linalg.matmul_mod_p(a, b, p), linalg.PackedMatrix(b, p).rmul(a)):
+            assert got.dtype == np.int16 and got.tolist() == python_matmul(a, b, p)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("rows", [linalg._PACK_MIN_ROWS - 1, linalg._PACK_MIN_ROWS])
+    def test_int64_plain_and_packed_at_the_row_switch(self, monkeypatch, rows, seed):
+        p, n = 5, 248
+        a = worst_or_random(p, (rows, n), np.int64, seed)
+        b = worst_or_random(p, (n, n), np.int64, seed)
+        built = []
+        monkeypatch.setattr(linalg, "PackedMatrix",
+                            lambda b, p: built.append(b) or PackedMatrix(b, p))
+        got = linalg.matmul_mod_p(a, b, p)
+        assert got.dtype == np.int64 and got.tolist() == python_matmul(a, b, p)
+        assert bool(built) == (rows >= linalg._PACK_MIN_ROWS)  # packed once per call
+        packed = PackedMatrix(b, p)
+        assert packed.packed is not None and packed.rmul(a).tolist() == python_matmul(a, b, p)
+
+    @pytest.mark.parametrize("n", [linalg._PACK_MIN_WIDTH - 1, linalg._PACK_MIN_WIDTH])
+    def test_int64_plain_and_packed_at_the_width_switch(self, n):
+        p = 5
+        a = worst_or_random(p, (16, n), np.int64, 0)
+        b = worst_or_random(p, (n, n), np.int64, 0)
+        packed = PackedMatrix(b, p)
+        assert (packed.packed is not None) == (n >= linalg._PACK_MIN_WIDTH)
+        for got in (linalg.matmul_mod_p(a, b, p), packed.rmul(a)):
+            assert got.dtype == np.int64 and got.tolist() == python_matmul(a, b, p)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_int64_chunks_past_two_products(self, k):
+        # at p = 2^31 - 1 an int64 sum holds 2 products: at k = 3 the plain
+        # product of p - 1 entries wraps, and the sum is taken in chunks
+        p = 2**31 - 1
+        assert linalg.products(p, np.int64) == 2
+        a = np.full((2, k), p - 1, dtype=np.int64)
+        b = np.full((k, 3), p - 1, dtype=np.int64)
+        want = python_matmul(a, b, p)
+        assert ((a @ b % p).tolist() == want) == (k == 2)
+        for got in (linalg.matmul_mod_p(a, b, p), PackedMatrix(b, p).rmul(a)):
+            assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_python_ints_where_int64_holds_no_product(self):
+        p = 2**61 - 1
+        assert linalg.products(p, np.int64) == 0
+        a = worst_or_random(p, (2, 4), np.int64, 0)
+        b = np.random.default_rng(3).integers(0, p, size=(4, 5))
+        want = python_matmul(a, b, p)
+        for got in (linalg.matmul_mod_p(a, b, p), PackedMatrix(b, p).rmul(a),
+                    linalg.sum_products(a, b, p) % p):
+            assert got.dtype == object and got.tolist() == want

@@ -22,9 +22,8 @@ from drinfeld.fields import (
     is_prime,
     lex_smallest_irreducible,
     make_field,
-    mod_p,
 )
-from drinfeld.linalg import Int64RangeError
+from drinfeld.linalg import Int64RangeError, mod_p
 
 
 def brute_irreducible(coeffs, p):
@@ -154,7 +153,7 @@ class TestPrimality:
 
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
-SIZES = [1, fields._MOD_P_MIN_SIZE + 3]  # `%` below the threshold, floor division from it
+SIZES = [1, linalg._MOD_P_MIN_SIZE + 3]  # `%` below the threshold, floor division from it
 
 
 class TestModPHelper:
@@ -248,6 +247,29 @@ class TestFrobenius:
         x = fld.gen + fld.scalar(3)
         assert fld.frobenius(x, 2) == (x**p) ** p
         assert fld.frobenius(fld.frobenius(x, 2), 1) == x
+
+    @pytest.mark.parametrize("n", [25, 45])
+    def test_frobenius_matrix_past_int64(self, n):
+        # above n = 24 x^(q^k) is a product with the Frobenius matrices, and
+        # at p = 2^61 - 1 int64 cannot hold one product of residues; the
+        # modulus is a binomial x^n + c, as 3 and 5 divide p - 1
+        p = 2**61 - 1
+        fld = make_field(p, 1, n)
+        assert fld.modulus[1:-1] == (0,) * (n - 1)
+        x = fld.from_int(random.Random(n).randrange(fld.order))
+        xq = x**p
+        assert fld.frobenius(x, 1) == xq
+        assert fld.frobenius(x, 2) == xq**p
+
+    def test_norm_past_int64_is_the_product_of_the_conjugates(self):
+        p, n = 2**61 - 1, 25
+        fld = make_field(p, 1, n)
+        x = fld.from_int(random.Random(1).randrange(fld.order))
+        conj, want = x, fld.one
+        for _ in range(n):
+            want = want * conj
+            conj = conj**p
+        assert fld.norm_to_base(x) == want
 
     def test_e2_frobenius_fixes_base_subfield(self):
         fld = make_field(5, 2, 2)  # F_625 over F_25
@@ -439,12 +461,16 @@ class TestModulusSearch:
         assert f == (85, 1) + (0,) * 22 + (1,)
         assert python_rabin(f, p)
 
-    @pytest.mark.parametrize("n,half", [(25, None), (26, 13), (31, None), (36, 18)])
-    def test_packed_rabin_matches_reference(self, n, half):
+    @pytest.mark.parametrize("n,half", [(25, None), (26, 13), (31, None), (36, 18), (64, None)])
+    def test_packed_rabin_matches_reference(self, monkeypatch, n, half):
         p = 5
         f = lex_smallest_irreducible(p, n)
         Q = fields.FieldBatch(p, f, exact=True).frobenius_matrix(p)[0]
-        assert linalg.PackedMatrix(Q.T, p).lanes > 1  # the lane-packed path runs
+        # int64 lanes from _PACK_MIN_WIDTH columns on, the plain product below
+        packed = linalg.PackedMatrix(Q.T, p)
+        assert packed.lanes > 1 and (packed.packed is not None) == (n >= linalg._PACK_MIN_WIDTH)
+        # these f would take the sparse route: force the Berlekamp matrix
+        monkeypatch.setattr(fields, "_sparse_frobenius", lambda f, p: None)
         k = index_of(f, p)
         cases = [monic(j, p, n) for j in range(max(k - 3, 0), k + 4)]
         if half:

@@ -119,7 +119,7 @@ def _exact_matmul(a, b, p):
 class TestLanePacked:
     @settings(max_examples=150, deadline=None)
     @given(p=st.sampled_from(PRIMES_TO_1009), k=st.integers(0, 300), m=st.integers(1, 6),
-           n=st.integers(1, 40), lead=st.sampled_from([(), (3,), (2, 1)]),
+           n=st.integers(1, 80), lead=st.sampled_from([(), (3,), (2, 1)]),
            b_lead=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_matches_plain_product(self, p, k, m, n, lead, b_lead, seed):
         rng = np.random.default_rng(seed)
@@ -136,18 +136,19 @@ class TestLanePacked:
         # at p = 2 the all-ones product fills each lane with k(p-1)^2 = k,
         # which is 2^bits - 1 for the first three k: the largest sum a lane holds
         a = np.ones((3, k), dtype=np.int64)
-        b = np.ones((k, 20), dtype=np.int64)
+        b = np.ones((k, 70), dtype=np.int64)
         packed = linalg.PackedMatrix(b, 2)
-        assert (packed.bits, packed.lanes) == (bits, lanes)
-        assert np.array_equal(packed.rmul(a), np.full((3, 20), k % 2))
+        assert (packed.bits, packed.lanes) == (bits, lanes) and packed.packed is not None
+        assert np.array_equal(packed.rmul(a), np.full((3, 70), k % 2))
 
     @pytest.mark.parametrize("p,k", [(1009, 300), (46337, 1), (46349, 1), (3037000493, 1)])
     def test_worst_case_entries(self, p, k):
         # every entry p - 1, so each lane sum is exactly k(p-1)^2
         a = np.full((2, k), p - 1, dtype=np.int64)
-        b = np.full((k, 7), p - 1, dtype=np.int64)
+        b = np.full((k, 64), p - 1, dtype=np.int64)
         packed = linalg.PackedMatrix(b, p)
         assert packed.lanes == (2 if k * (p - 1) ** 2 < 2**31 else 1)
+        assert (packed.packed is not None) == (packed.lanes == 2)
         assert np.array_equal(packed.rmul(a), _exact_matmul(a, b, p))
 
     def test_object_arrays_take_the_plain_product(self):
@@ -159,8 +160,8 @@ class TestLanePacked:
         want = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()] for row in a.tolist()]
         assert linalg.matmul_mod_p(a, b, p).tolist() == want
         # an object left factor on an int64 right factor that was packed
-        small = np.arange(20, dtype=np.int64).reshape(4, 5) % 7
-        assert linalg.PackedMatrix(small, 7).lanes > 1
+        small = np.arange(256, dtype=np.int64).reshape(4, 64) % 7
+        assert linalg.PackedMatrix(small, 7).packed is not None
         got = linalg.PackedMatrix(small, 7).rmul(np.array([[1, 2, 3, 4]], dtype=object))
         assert got.tolist() == (np.array([[1, 2, 3, 4]]) @ small % 7).tolist()
 
@@ -320,7 +321,7 @@ class TestMatrixGeneric:
 
     def test_matmul_and_equality(self):
         a, b = self.rand_matrix(3), self.rand_matrix(3)
-        prod = a @ b
+        prod = linalg.Matrix(self.fld, 3, 3, _coords_matmul(self.fld, a.coords, b.coords))
         for i in range(3):
             for j in range(3):
                 want = self.fld.zero
