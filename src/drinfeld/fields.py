@@ -22,6 +22,7 @@ matrix otherwise.  A search that would run on Python ints, where
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -264,7 +265,10 @@ class Field:
         if n == 1:
             return FieldElement(self, ((a.coords[0] * b.coords[0]) % self.p,))
         if n > _NUMPY_MUL_CUTOFF:
-            return self._mul_np(a, b)
+            batch = self.batch()
+            prod = batch.mul(np.array([a.coords], dtype=batch.dtype),
+                             np.array([b.coords], dtype=batch.dtype))
+            return FieldElement(self, tuple(prod[0].tolist()))
         prod = [0] * (2 * n - 1)
         ac, bc = a.coords, b.coords
         for i, ai in enumerate(ac):
@@ -273,11 +277,6 @@ class Field:
                     if bj:
                         prod[i + j] += ai * bj
         return FieldElement(self, self._reduce(prod))
-
-    def _mul_np(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        batch = self.batch()
-        prod = np.convolve(np.array(a.coords, dtype=batch.dtype), np.array(b.coords, dtype=batch.dtype))
-        return FieldElement(self, tuple(int(c) for c in batch.reduce(prod[None] % self.p)[0]))
 
     def batch(self) -> "FieldBatch":
         """This field as a `FieldBatch` of one, exact for every p."""
@@ -439,7 +438,14 @@ class FieldBatch:
 
     An element array has shape (B, ..., n): power-basis coordinates, row b
     living in field b.  A single modulus (B = 1) broadcasts over any batch.
-    Every sum of products is reduced mod p after at most n terms.
+    Every sum of products is reduced mod p after at most n terms:
+    coefficient k of a product collects the a_i b_j with i + j = k, at most
+    n of them, both where `mul` adds the n shifted products a_i b over the
+    whole batch and where, for fewer element pairs than n, it takes one
+    `np.convolve` per pair (exact on object arrays too).  A single modulus
+    folds the high coefficients of its products through its reduction rows
+    packed once, where `linalg.PackedMatrix` packs them (64 columns or
+    more, two lanes or more).
 
     `dtype`, the dtype of every array built here, is the narrowest that
     holds the sums: int16 where an int16 sum holds n^2 products of residues
@@ -483,26 +489,48 @@ class FieldBatch:
         out[..., 0] = 1
         return out
 
+    @functools.cached_property
+    def _packed_red(self) -> PackedMatrix | None:
+        """The n - 1 reduction rows of a single modulus, packed once; None
+        for many moduli and where `PackedMatrix` does not pack."""
+        if self._red.shape[0] > 1:
+            return None
+        fold = PackedMatrix(self.red(self.n - 1)[0], self.p)
+        return fold if fold.packed is not None else None
+
     def reduce(self, prod: np.ndarray) -> np.ndarray:
         """Coefficient arrays of length <= 2n-1 with entries < p, mod f."""
         n = self.n
         low = prod[..., :n]
         high = prod[..., n:]
-        if high.shape[-1]:
-            flat = high.reshape(high.shape[0], -1, high.shape[-1])
-            folded = sum_products(flat, self.red(high.shape[-1]), self.p, spare=1)
+        k = high.shape[-1]
+        if k == n - 1 and self._packed_red is not None:
+            low = low + self._packed_red.rmul(high)
+        elif k:
+            flat = high.reshape(high.shape[0], -1, k)
+            folded = sum_products(flat, self.red(k), self.p, spare=1)
             low = low + folded.reshape(high.shape[:-1] + (n,))
         return mod_p(low, self.p)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of broadcastable element arrays."""
+        """Elementwise product of broadcastable element arrays: one
+        convolution per element pair where there are fewer pairs than n,
+        otherwise n shifted products over the whole batch."""
         n = self.n
         if n == 1:
             return mod_p(a * b, self.p)
         shape = np.broadcast_shapes(a.shape, b.shape)
-        prod = np.zeros(shape[:-1] + (2 * n - 1,), dtype=self.dtype)
-        for i in range(n):
-            prod[..., i : i + n] += a[..., i : i + 1] * b
+        pairs = math.prod(shape[:-1])
+        if pairs < n:
+            prod = np.empty((pairs, 2 * n - 1), dtype=self.dtype)
+            for k, (x, y) in enumerate(zip(np.broadcast_to(a, shape).reshape(pairs, n),
+                                           np.broadcast_to(b, shape).reshape(pairs, n))):
+                prod[k] = np.convolve(x, y)
+            prod = prod.reshape(shape[:-1] + (2 * n - 1,))
+        else:
+            prod = np.zeros(shape[:-1] + (2 * n - 1,), dtype=self.dtype)
+            for i in range(n):
+                prod[..., i : i + n] += a[..., i : i + 1] * b
         return self.reduce(mod_p(prod, self.p))
 
     def pow(self, a: np.ndarray, k: int) -> np.ndarray:
@@ -596,8 +624,9 @@ def lex_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
         alive = _sieve(p, n, start, s, depth)
         if start == 0:
             alive[:p] = False  # the binomials, all reducible
-        for k in np.flatnonzero(alive):
-            f = _int_digits(start + int(k), p, n) + (1,)
+        high = _int_digits(start // p**s, p, n - s) + (1,)
+        for low in _digits(np.flatnonzero(alive), p, s).tolist():
+            f = tuple(low) + high
             if depth == n // 2:
                 return f
             if (p == 2 or _disc_character(f, p) == parity) and _rabin(f, p, depth):
@@ -639,6 +668,42 @@ def _irreducibles(p: int, d: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _irreducible_ring(p: int, d: int) -> FieldBatch:
+    """F_p[x]/(g) for every monic irreducible g of degree d, in the order of
+    `_irreducibles`, as one `FieldBatch`: the rings `_sieve` reduces in."""
+    gs = _irreducibles(p, d)
+    return FieldBatch(p, np.hstack([gs, np.ones((gs.shape[0], 1), dtype=np.int64)]))
+
+
+@functools.lru_cache(maxsize=None)
+def _xpow_irreducibles(p: int, d: int, e: int) -> np.ndarray:
+    """x^e mod g in `_irreducible_ring(p, d)`, one row per g, read-only.
+
+    x^e = (x^(e >> 1))^2 x^(e & 1), each step cached, so the cache holds
+    every prefix e >> k: a search reuses each power an earlier one squared
+    (the searches of one p share the prefixes of their exponents), and a
+    cold e costs e.bit_length() squarings, as square and multiply does."""
+    ring = _irreducible_ring(p, d)
+    if e == 0:
+        r = ring.one()
+    else:
+        r = _xpow_irreducibles(p, d, e >> 1)
+        r = ring.mul(r, r)
+        if e & 1:
+            r = _times_x(r, ring.red(1)[:, 0], p)
+    r.flags.writeable = False
+    return r
+
+
+def _times_x(r: np.ndarray, neg: np.ndarray, p: int) -> np.ndarray:
+    """r x mod g for rows r over F_p[x]/(g) of degree d, given neg = x^d mod
+    g: a shift, and the top coefficient folded in through neg."""
+    out = r[..., -1:] * neg
+    out[..., 1:] += r[..., :-1]
+    return out % p
+
+
 def _sieve(p: int, n: int, start: int, s: int, depth: int) -> np.ndarray:
     """Mask of the p^s monic candidates of degree n from index `start` (a
     multiple of p^s) that no monic polynomial of degree <= depth divides
@@ -648,41 +713,31 @@ def _sieve(p: int, n: int, start: int, s: int, depth: int) -> np.ndarray:
     of degree d, Horner over x^n and the block's fixed high digits gives
     r = (x^n + high part) mod g, for all g of degree d at once as an
     (N_d, d) array; the zero digits above the top nonzero one are a single
-    power of x, by square and multiply in F_p[x]/(g).  Each choice of the digits d .. s-1 adds a combination
-    of x^i mod g; the candidate divisible by g is then the one whose low d
-    digits are -r, so each (g, digits d .. s-1) crosses out exactly one
-    candidate and no candidate is ever tested against a divisor.
+    power of x, x^(n-s-top) mod g, which `_xpow_irreducibles` keeps for
+    every search of the same p.  Each choice of the digits d .. s-1 adds a
+    combination of x^i mod g; the candidate divisible by g is then the one
+    whose low d digits are -r, so each (g, digits d .. s-1) crosses out
+    exactly one candidate and no candidate is ever tested against a
+    divisor.
     """
     alive = np.ones(p**s, dtype=bool)
     high = _int_digits(start // p**s, p, n - s)
     top = max((i + 1 for i, c in enumerate(high) if c), default=0)  # high[top:] are 0
     for d in range(1, depth + 1):
-        gs = _irreducibles(p, d)
-        neg = (-gs) % p  # x^d = neg mod g, one row per g
-        ring = FieldBatch(p, np.hstack([gs, np.ones((gs.shape[0], 1), dtype=np.int64)]))
-
-        def times_x(r):
-            out = r[..., -1:] * neg
-            out[..., 1:] += r[..., :-1]
-            return out % p
-
-        r = ring.one()  # x^(n-s-top), then Horner over high[:top]
-        for bit in format(n - s - top, "b"):
-            r = ring.mul(r, r)
-            if bit == "1":
-                r = times_x(r)
+        neg = _irreducible_ring(p, d).red(1)[:, 0]  # x^d mod g, one row per g
+        r = _xpow_irreducibles(p, d, n - s - top)  # then Horner over high[:top]
         for c in reversed(high[:top]):
-            r = times_x(r)
+            r = _times_x(r, neg, p)
             if c:
                 r[:, 0] = (r[:, 0] + c) % p
         for _ in range(s):
-            r = times_x(r)
+            r = _times_x(r, neg, p)
         r = r[None]
         xi = neg  # x^i mod g for i = d .. s-1
         for _ in range(d, s):
             r = (np.arange(p)[:, None, None, None] * xi + r) % p
             r = r.reshape(-1, *neg.shape)  # digits d .. i, the highest first
-            xi = times_x(xi)
+            xi = _times_x(xi, neg, p)
         low = (-r) % p @ p ** np.arange(d)
         alive[low + p**d * np.arange(low.shape[0])[:, None]] = False
     return alive

@@ -166,7 +166,14 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     copy takes the narrowest dtype whose budget covers the elimination, one
     update per pivot and at most min(rows, cols) pivots, so a narrow
     elimination is never reduced midway (int16 up to 2,047 pivots at p = 5),
-    and int64 takes whatever no narrower dtype covers."""
+    and int64 takes whatever no narrower dtype covers.
+
+    The pivot is the scanned column's entry in row r where that is nonzero,
+    and otherwise its largest residue below (one `argmax`), not its first
+    nonzero entry.  Any nonzero pivot gives the same output: the reduced
+    row echelon form of a matrix is unique (its nonzero rows are the one
+    basis of the row space with a 1 at each pivot column and 0 at the other
+    pivot columns), and the pivot columns are those where the rank grows."""
     check_int64_range(p, 1)
     mat = np.asarray(mat)
     need = max(min(mat.shape), 1)
@@ -182,22 +189,27 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             break
         col = at[c]
         col %= p
-        nz = np.flatnonzero(col[r:])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            at[c:, [r, i]] = at[c:, [i, r]]
-        # row r is zero left of c already, so only the columns from c on change
-        at[c:, r] = at[c:, r] % p * pow(int(col[r]), p - 2, p) % p
+        # rows r and below are zero left of c already, so only the columns
+        # from c on change
+        if not col[r]:
+            i = r + int(col[r:].argmax())
+            if not col[i]:
+                continue
+            swap = at[c:, i].copy()
+            at[c:, i] = at[c:, r]
+            at[c:, r] = swap
+        piv = at[c:, r]
+        inv = pow(int(col[r]), p - 2, p)
+        piv %= p
+        piv *= inv
+        piv %= p
         col = col.copy()
         col[r] = 0
-        if col.any():
-            if updates == budget:
-                at %= p
-                updates = 0
-            at[c:] -= np.outer(at[c:, r], col)
-            updates += 1
+        if updates == budget:
+            at %= p
+            updates = 0
+        at[c:] -= np.multiply.outer(piv, col)
+        updates += 1
         pivots.append(c)
         r += 1
     at %= p

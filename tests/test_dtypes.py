@@ -79,6 +79,83 @@ def test_field_batch_matches_python_ints(p, n, dtype, data):
         assert got.tolist() == want.tolist()
 
 
+def python_reduce(prod, f, p):
+    """prod mod f over F_p on a list of Python ints, f monic, constant first:
+    x^k = -x^(k-n) (f - x^n), from the top coefficient down."""
+    n, prod = len(f) - 1, list(prod)
+    for k in range(len(prod) - 1, n - 1, -1):
+        c, prod[k] = prod[k], 0
+        for j in range(n):
+            prod[k - n + j] -= c * f[j]
+    return [c % p for c in prod[:n]] + [0] * (n - len(prod))
+
+
+def python_mul(a, b, f, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return python_reduce(prod, f, p)
+
+
+def check_products(fb, moduli, p, a, b, prod):
+    """`fb.mul(a, b)` and `fb.reduce(prod)` against Python ints, row by row
+    (a row of a batch of one broadcasts over every element)."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+    f = lambda idx: moduli[idx[0] % len(moduli)]
+    got = fb.mul(a, b)
+    assert got.dtype == fb.dtype
+    for idx in np.ndindex(shape[:-1]):
+        assert got[idx].tolist() == python_mul(a[idx].tolist(), b[idx].tolist(), f(idx), p)
+    got = fb.reduce(prod)
+    assert got.dtype == fb.dtype
+    for idx in np.ndindex(prod.shape[:-1]):
+        assert got[idx].tolist() == python_reduce(prod[idx].tolist(), f(idx), p)
+
+
+def random_moduli(p, n, B, seed):
+    low = np.random.default_rng([seed, n]).integers(0, p, size=(B, n)).tolist()
+    return [row + [1] for row in low]
+
+
+# (p, n, dtype) of the product routes' switches: int16, int64, Python ints
+PAIR_SWITCH = [(7, 6, np.int16), (37, 6, np.int64), (2**61 - 1, 6, object)]
+FOLD_SWITCH = [(3, np.int16), (5, np.int64), (2**61 - 1, object)]
+
+
+@pytest.mark.parametrize("p,n,dtype", PAIR_SWITCH)
+@pytest.mark.parametrize("lead", [(1, 5), (1, 6), (2, 2), (2, 3)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mul_by_convolution_below_n_pairs_and_by_shifts_from_n(p, n, dtype, lead, seed):
+    # (1, 5) and (2, 2) hold fewer element pairs than n = 6: one np.convolve
+    # per pair; (1, 6) and (2, 3) take the n shifted products
+    moduli = random_moduli(p, n, lead[0], seed)
+    fb = FieldBatch(p, moduli, exact=True)
+    assert fb.dtype == dtype
+    a = worst_or_random(p, lead + (n,), fb.dtype, seed)
+    b = worst_or_random(p, (lead[0], 1, n), fb.dtype, seed)
+    prod = worst_or_random(p, lead + (2 * n - 1,), fb.dtype, seed)
+    check_products(fb, moduli, p, a, b, prod)
+
+
+@pytest.mark.parametrize("p,dtype", FOLD_SWITCH)
+@pytest.mark.parametrize("n", [linalg._PACK_MIN_WIDTH - 1, linalg._PACK_MIN_WIDTH])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_single_modulus_folds_through_packed_rows_from_the_pack_width(p, dtype, n, seed):
+    moduli = random_moduli(p, n, 1, seed)
+    fb = FieldBatch(p, moduli, exact=True)
+    assert fb.dtype == dtype
+    a = worst_or_random(p, (1, 2, n), fb.dtype, seed)
+    b = worst_or_random(p, (1, 1, n), fb.dtype, seed)
+    prod = worst_or_random(p, (1, 2, 2 * n - 1), fb.dtype, seed)
+    check_products(fb, moduli, p, a, b, prod)
+    # Python ints take no lanes
+    assert (fb._packed_red is not None) == (n >= linalg._PACK_MIN_WIDTH and dtype != object)
+    # many moduli never pack their rows
+    assert FieldBatch(p, random_moduli(p, n, 2, seed), exact=True)._packed_red is None
+
+
 # F_29[x]/(x^6 - 1), int16 (36 <= 41 products): multiplication by x is a
 # cyclic shift, so the multiplication matrix of the all-(p-1) element is all
 # p - 1 and every guarded sum below meets its worst case

@@ -627,6 +627,67 @@ class TestSearchBound:
         assert make_field(2**61 - 1, 1, 33).modulus[1:] == (0,) * 32 + (1,)
 
 
+def clear_sieve_caches():
+    for cached in (fields._irreducibles, fields._irreducible_ring, fields._xpow_irreducibles):
+        cached.cache_clear()
+
+
+def sieve_blocks(p, n):
+    """(start, s, depth) of the first sieve block of the degree-n search and
+    of a later one whose high digits are not all zero (top > 0), if any."""
+    s = min(n, _sieve_digits(p))
+    depth = min(n // 2, s)
+    blocks = [0] if n == s else [0, p**s * min(p + 1, p ** (n - s) - 1)]
+    return [(start, s, depth) for start in blocks]
+
+
+def square_and_multiply(p, d, e):
+    """x^e mod g for every irreducible g of degree d by `FieldBatch.pow`,
+    with no cache: the sieve's powers as plain square and multiply."""
+    gs = _irreducibles(p, d)
+    ring = fields.FieldBatch(p, np.hstack([gs, np.ones((len(gs), 1), dtype=np.int64)]))
+    x = fields._times_x(ring.one(), ring.red(1)[:, 0], p)
+    return ring.pow(x, e)
+
+
+class TestSievePowers:
+    """The sieve reads x^e mod g from a cache of every prefix e >> k; that
+    changes the cost of a search, never a mask."""
+
+    def test_masks_equal_square_and_multiply_in_either_search_order(self, monkeypatch):
+        want = {}
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_xpow_irreducibles", square_and_multiply)
+            for p, n in GOLDEN:
+                for block in sieve_blocks(p, n):
+                    want[p, n, block] = _sieve(p, n, *block).tolist()
+        for order in (sorted(GOLDEN), sorted(GOLDEN, reverse=True)):
+            clear_sieve_caches()
+            for p, n in order:
+                assert index_of(lex_smallest_irreducible.__wrapped__(p, n), p) == GOLDEN[p, n]
+                for block in sieve_blocks(p, n):
+                    assert _sieve(p, n, *block).tolist() == want[p, n, block]
+
+    @pytest.mark.parametrize("p,n", [(2, 256), (3, 81), (5, 248), (5, 20), (7, 49)])
+    def test_a_cold_sieve_squares_as_often_as_square_and_multiply(self, monkeypatch, p, n):
+        calls = {}
+        real = fields.FieldBatch.mul
+
+        def counted(self, a, b):
+            calls[self.n] = calls.get(self.n, 0) + 1
+            return real(self, a, b)
+
+        monkeypatch.setattr(fields.FieldBatch, "mul", counted)
+        for start, s, depth in sieve_blocks(p, n):
+            high = fields._int_digits(start // p**s, p, n - s)
+            top = max((i + 1 for i, c in enumerate(high) if c), default=0)
+            assert top == (2 if start else 0)
+            clear_sieve_caches()
+            calls.clear()
+            _sieve(p, n, start, s, depth)
+            assert calls == {d: (n - s - top).bit_length() for d in range(1, depth + 1)}
+
+
 def monic_rows(p, n):
     """Every monic polynomial of degree n over F_p, one row each, in index
     order."""
