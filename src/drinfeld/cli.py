@@ -256,15 +256,15 @@ _SAMPLE_RECORD = """\
 
 
 def _sample_records(records):
-    """Each record as `json.dumps(indent=2)` writes it inside the report,
-    from one JSON string per F_l element of the charpolys."""
-    strings = {}
+    """Each record as `json.dumps(indent=2)` writes it inside the report;
+    the lines of a charpoly are written once, where it is first seen."""
+    lines = {}
     for rec in records:
-        for c in rec.charpoly:
-            if c not in strings:
-                strings[c] = json.dumps(format_field_element(c))
-        yield _SAMPLE_RECORD.format(json.dumps(rec.name), rec.degree,
-                                    ",\n        ".join(map(strings.get, rec.charpoly)),
+        charpoly = lines.get(rec.charpoly)
+        if charpoly is None:
+            charpoly = lines[rec.charpoly] = ",\n        ".join(
+                json.dumps(format_field_element(c)) for c in rec.charpoly)
+        yield _SAMPLE_RECORD.format(json.dumps(rec.name), rec.degree, charpoly,
                                     "true" if rec.det_ok else "false")
 
 

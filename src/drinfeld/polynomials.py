@@ -10,6 +10,7 @@ generator, or the place at infinity with v(f) = deg(den) - deg(num).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from typing import Iterable
@@ -779,14 +780,14 @@ def format_field_element(x: FieldElement, var: str = "T") -> str:
 def format_terms(terms: Iterable[tuple[int, int]], var: str = "T") -> str:
     """The rendering of `format_poly` from (exponent, coefficient index)
     pairs in descending exponent order; zero coefficients are skipped."""
-    parts = []
-    for e, ci in terms:
-        if not ci:
-            continue
-        if e == 0:
-            parts.append(str(ci))
-        elif e == 1:
-            parts.append(var if ci == 1 else f"{ci}*{var}")
-        else:
-            parts.append(f"{var}^{e}" if ci == 1 else f"{ci}*{var}^{e}")
-    return "+".join(parts) or "0"
+    return "+".join([_term(e, ci, var) for e, ci in terms if ci]) or "0"
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _term(e: int, ci: int, var: str) -> str:
+    """One nonzero term of `format_terms`, cached: a sweep writes the same
+    few (exponent, coefficient) pairs for thousands of primes."""
+    if e == 0:
+        return str(ci)
+    power = var if e == 1 else f"{var}^{e}"
+    return power if ci == 1 else f"{ci}*{power}"

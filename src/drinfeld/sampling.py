@@ -68,13 +68,16 @@ INCONCLUSIVE_NOTE = (
 
 DEFAULT_TV_THRESHOLD = 0.1
 DEFAULT_ENUM_BUDGET = 2_000_000
-# Primes per batched charpoly call.  It bounds the working arrays: on the
-# q = 7, degree-5 sweep 128 primes ran the kernel about 20% faster than 64
-# at the same peak RSS.  On the degree-aware kernel 256 runs no faster than
-# 128 there (1.000x over 10 paired in-process sweeps), and at q = 9 a chunk
-# of 256 or 512 raised the sweep's peak RSS by 1.6-1.7 MB, about 5%, in a
-# 33 MB process.
-CHARPOLY_CHUNK = 128
+# Primes per batched charpoly call.  A kernel call pays the same numpy
+# dispatch at every step whatever its batch (one `FieldBatch.mul` of degree-5
+# moduli took 75-80 us at 128 primes and 136-147 us at 512), so small chunks
+# are dispatch-bound: over 2,048 degree-5 primes at q = 7 the kernel took 103,
+# 74, 48, 38, 35 and 33 us per prime at chunks of 32, 64, 128, 256, 512 and
+# 1024 (best of 15 interleaved rounds, one Xeon core).  Past 512 the working
+# arrays raise the peak RSS of `sample --q 7 --r 3 --l T+6 --max-deg 5`:
+# 36.3 MB at 128, 36.2 at 512, 36.9 at 1024 and 40.3 at 4096; at q = 9,
+# degree 4, 34.2 MB at 128, 34.4 at 512 and 39.0 at 2048.
+CHARPOLY_CHUNK = 512
 # Matrices per batched Berkowitz call of backend A (p of them when p is larger).
 _ENUM_BLOCK = 1 << 14
 
@@ -349,8 +352,9 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
     Each chunk of primes of one degree goes through the array route
     `charpolys_of_degree`; the a_i and epsilon*p are then reduced mod l, and
     the determinant law compared, as arrays for the whole chunk.  Records
-    are built last, with one FieldElement per element of F_l and each prime
-    kept as its row of coefficient indices (no `SparsePoly` is built)."""
+    are built last, with one charpoly tuple per key, shared by the records
+    of that key, and each prime kept as its row of coefficient indices (no
+    `SparsePoly` is built)."""
     base, r = module.base, module.r
     if not is_irreducible(ell) or not ell.is_monic():
         raise SamplingError("l must be a monic prime of A")
@@ -360,7 +364,7 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
         raise SamplingError(f"a key of {s}^{r} values does not fit in int64")
     oracle = gl_charpoly_distribution(r, rf.field, budget=budget)
     at_ell = ResidueBatch(base, coordinates(base, [ell], ell.degree))
-    elem = functools.lru_cache(maxsize=None)(rf.field.from_int)  # one object per element
+    charpolys: dict[int, tuple[FieldElement, ...]] = {}  # one tuple per key
     records: list[SampleRecord] = []
     keys, dets = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     index = base.p ** np.arange(base.n)
@@ -372,18 +376,24 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
             if f.degree == d:
                 usable &= (rows != coordinates(base, [f], d)).any(axis=(1, 2))
         usable = np.flatnonzero(usable)
+        rows = rows.astype(base.batch().dtype)  # int64 rows would promote the kernel's arrays
         for start in range(0, len(usable), CHARPOLY_CHUNK):
             chunk = usable[start : start + CHARPOLY_CHUNK]
+            primes = rows[chunk]
             try:
-                a, eps = charpolys_of_degree(module, rows[chunk])
+                a, eps = charpolys_of_degree(module, primes)
             except CharPolyError as exc:
                 raise SamplingError(f"charpoly failed: {exc}") from exc
-            key, det, det_ok = _charpolys_mod_l(at_ell, rows[chunk], a, eps)
-            keys.append(key @ s ** np.arange(r))  # (c_0, ..., c_(r-1)) as sum c_i s^i
+            key, det, det_ok = _charpolys_mod_l(at_ell, primes, a, eps)
+            key = key @ s ** np.arange(r)  # (c_0, ..., c_(r-1)) as sum c_i s^i
+            keys.append(key)
             dets.append(det)
-            for b, row, ok in zip(chunk.tolist(), key.tolist(), det_ok.tolist()):
-                rec = SampleRecord(_PrimeRow(base, tuple(indices[b])), d,
-                                   tuple(elem(k) for k in row), ok)
+            for b, k, ok in zip(chunk.tolist(), key.tolist(), det_ok.tolist()):
+                charpoly = charpolys.get(k)
+                if charpoly is None:
+                    charpoly = tuple(rf.field.from_int(k // s**i % s) for i in range(r))
+                    charpolys[k] = charpoly
+                rec = SampleRecord(_PrimeRow(base, tuple(indices[b])), d, charpoly, ok)
                 records.append(rec)
                 if progress is not None:
                     progress(rec)

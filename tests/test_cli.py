@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from drinfeld import cli, reduction
+from drinfeld import cli, reduction, sampling
 from drinfeld.cli import main
 from drinfeld.fields import make_field
 from drinfeld.polynomials import format_poly, from_coordinates, prime_coordinates
@@ -238,6 +238,25 @@ class TestSample:
         out_path = tmp_path / "sweep.json"
         code, _, _ = run_cli(capsys, "sample", "--q", q, "--r", "3", "--l", ell,
                              "--max-deg", max_deg, "--out", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("chunk", [8, 4096])
+    @pytest.mark.parametrize("argv,digest", [
+        (["--q", "5", "--l", "T+4", "--max-deg", "4"],
+         "1f374de017a9e7fb3f27bf9ab9b9ccc4ba2e03f5e8b70a501007bb7c990abdd9"),
+        (["--q", "9", "--l", "T+2", "--max-deg", "3"], None),
+    ], ids=["q5", "q9"])
+    def test_sweep_bytes_do_not_depend_on_the_chunk(self, chunk, argv, digest, tmp_path,
+                                                     capsys, monkeypatch):
+        # the digests above were recorded at the default chunk, by an earlier
+        # report writer; kernel calls of 8 primes and of whole degrees give
+        # the same report
+        monkeypatch.setattr(sampling, "CHARPOLY_CHUNK", chunk)
+        if digest is None:
+            digest = json.loads(REFERENCE.read_text())["sweep-q9"]["T+2"]["sha256"]
+        out_path = tmp_path / "sweep.json"
+        code, _, _ = run_cli(capsys, "sample", *argv, "--r", "3", "--out", str(out_path))
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
