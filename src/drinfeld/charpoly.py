@@ -119,29 +119,17 @@ def epsilon_of(module: DrinfeldModule, prime: SparsePoly) -> FieldElement:
 def _epsilon_from_reduced(reduced: ReducedModule) -> FieldElement:
     if not reduced.is_good:
         raise CharPolyError("epsilon needs good reduction")
-    module = reduced.module
-    base = module.base
-    d = reduced.prime.degree
-    r = module.r
-    g_r_bar = reduced.coeffs[r]
-    nr = reduced.field.norm_to_base(g_r_bar)
-    nr_base = _into_base(reduced, nr)
-    return base.scalar(_epsilon_sign(r, d)) * base.inv(nr_base)
+    base, r, embed = reduced.module.base, reduced.module.r, reduced.field.base_embedding()
+    norm = reduced.field.norm_to_base(reduced.coeffs[r])  # in the embedded F_q
+    nr, outside = linalg.preimage(np.array(norm.coords), embed, linalg.pullback(embed, base.p), base.p)
+    if outside:
+        raise CharPolyError("norm did not land in the base field")
+    return base.scalar(_epsilon_sign(r, reduced.prime.degree)) * base.inv(base.elem(nr.tolist()))
 
 
 def _epsilon_sign(r: int, d: int) -> int:
     """(-1)^r (-1)^(d(r+1)): epsilon = sign / Nr(g_r)."""
     return -1 if (r + d * (r + 1)) % 2 else 1
-
-
-def _into_base(reduced: ReducedModule, x: FieldElement):
-    """Pull an element of the F_q-subfield of the residue field back to F_q."""
-    base = reduced.module.base
-    embed = reduced.field.base_embedding()
-    sol = linalg.solve_mod_p(embed, np.array(x.coords, dtype=np.int64), base.p)
-    if sol is None:
-        raise CharPolyError("norm did not land in the base field")
-    return base.elem(int(v) for v in sol[0])
 
 
 def _degree_bounds(r: int, d: int) -> list[int]:
@@ -212,8 +200,14 @@ def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
         _raise_at(base, primes, bad, message)
 
     frob = fb.frobenius_matrix(q)
-    pullback = linalg.pullback(residues.embed, fb.p)  # one F_q embedding per degree
-    into_base = lambda v, what: _into_base_batch(v, residues.embed, pullback, fb.p, raise_at, what)
+    pulled = linalg.pullback(residues.embed, fb.p)  # one F_q embedding per degree
+
+    def into_base(v: np.ndarray, what: str) -> np.ndarray:
+        """F_q coordinates (B, ..., e) of L-elements (B, ..., n) that must lie
+        in the embedded F_q, naming the first prime where one does not."""
+        y, outside = linalg.preimage(v, residues.embed, pulled, fb.p)
+        raise_at(outside.reshape(len(v), -1).any(axis=1), f"{what} outside F_q")
+        return y
 
     # g_r^-1 = Nr(g_r)^-1 s, s = sigma(g_r sigma(g_r) ... sigma^(d-2)(g_r)),
     # the norm Nr(g_r) = g_r s inverted in F_q
@@ -293,16 +287,6 @@ def _companion_column(M: np.ndarray, u: np.ndarray, c: np.ndarray, live: list[in
     out[:, :, :-1] = sum_products(cols, c, p, n).reshape(B, r, D, n)
     out[:, :, 1:] += sum_products(M[:, :, :, 0], u[:, None], p, cols.shape[-1])
     return mod_p(out, p)
-
-
-def _into_base_batch(v: np.ndarray, embed: np.ndarray, pullback, p: int, raise_at, what: str):
-    """F_q coordinates (B, ..., e) of L-elements (B, ..., n) that must lie
-    in the embedded F_q; raises naming the first prime where one does not."""
-    rows, inv = pullback
-    y = matmul_mod_p(v[..., rows], inv.T, p)
-    bad = (matmul_mod_p(y, embed.T, p) != v).reshape(len(v), -1).any(axis=1)
-    raise_at(bad, f"{what} outside F_q")
-    return y
 
 
 def _raise_at(base, primes: np.ndarray, bad: np.ndarray, message: str):

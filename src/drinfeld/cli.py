@@ -296,6 +296,8 @@ def cmd_verify(args) -> int:
     else:
         raise UsageError(f"unknown suite {args.suite!r}; known: all, " + ", ".join(SUITES))
     check_tv_threshold(args.tv_threshold)
+    if args.max_deg is not None and args.max_deg < 0:
+        raise UsageError(f"--max-deg {args.max_deg} is negative")
     p, e = _split_q(args.q)
     cfg = VerifyConfig(p=p, e=e, r=args.r, seed=args.seed, max_deg=args.max_deg,
                        tv_threshold=args.tv_threshold, budget=args.budget)

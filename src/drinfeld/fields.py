@@ -4,8 +4,9 @@ A field is described by its characteristic p, the degree e of the base
 field F_q = F_{p^e}, the degree m of the extension over F_q, and a monic
 irreducible modulus of degree e*m over F_p.  Elements are coordinate
 tuples in the power basis of the modulus root.  All values are immutable
-after construction; fields are cached so equal descriptions share one
-object and its precomputed tables.
+after construction.  `make_field` is cached, so each canonical field is
+one object with its precomputed tables; `field_with_modulus` builds a new
+field on every call.
 
 `make_field` picks the canonical modulus: the first monic irreducible in
 the ascending coefficient-index order (constant coefficient varies
@@ -193,7 +194,7 @@ class Field:
         self._frob_q_pow: dict[int, np.ndarray] = {}
         self._frob_rows_py: dict[int, tuple] = {}
         self._subfield: dict[int, np.ndarray] = {}  # read-only bases by d mod m
-        self._base_gen = None        # embedded generator of F_q (e > 1)
+        self._embeddings: dict[tuple, np.ndarray] = {}  # read-only, by (modulus, d mod m)
 
     # -- construction helpers -------------------------------------------------
 
@@ -367,37 +368,36 @@ class Field:
             acc = acc * self.frobenius(x, k)
         return acc
 
-    # -- F_q subfield structure (e > 1) ----------------------------------------
-
-    def base_generator(self) -> FieldElement:
-        """Embedded generator of F_q: for e = 1 this is 1; otherwise the first
-        root (in index order) of the canonical degree-e modulus inside the
-        fixed field of the q-power Frobenius."""
-        if self._base_gen is None:
-            if self.e == 1:
-                self._base_gen = self.one
-            else:
-                self._base_gen = self.first_root(
-                    self.scalars(lex_smallest_irreducible(self.p, self.e)), self.subfield_basis(1)
-                )
-                if self._base_gen is None:
-                    raise FieldError("no embedded F_q generator found")  # unreachable
-        return self._base_gen
+    # -- subfields ------------------------------------------------------------
 
     def base_embedding(self) -> np.ndarray:
-        """n x e matrix in `batch().dtype` taking F_q coordinates (powers of the
-        base generator) to power-basis coordinates: the embedding of F_q."""
-        alpha = self.base_generator()
-        cols = [self.one]
-        for _ in range(self.e - 1):
-            cols.append(cols[-1] * alpha)
-        return np.array([c.coords for c in cols], dtype=self.batch().dtype).T
+        """The embedding of F_q: `subfield_embedding` of the canonical modulus
+        of F_q, so column k holds alpha^k, alpha the embedded generator."""
+        return self.subfield_embedding(lex_smallest_irreducible(self.p, self.e), 1)
 
-    def scalars(self, coeffs: Sequence[int]) -> np.ndarray:
-        """Coordinate vectors of these F_p scalars, one row each."""
-        out = np.zeros((len(coeffs), self.n), dtype=np.int64)
-        out[:, 0] = [c % self.p for c in coeffs]
-        return out
+    def subfield_embedding(self, modulus: Sequence[int], d: int) -> np.ndarray:
+        """n x k matrix in `batch().dtype` embedding F_p[x]/(modulus), k its
+        degree, into this field: column j holds beta^j, beta the first root
+        (in index order) of the modulus in the subfield fixed by the q^d-power
+        map.  A modulus of degree 1 gives e_0, with no subfield basis or root
+        computed.  Computed once per modulus and d mod m, returned read-only."""
+        key = (tuple(modulus), d % self.m)
+        if key not in self._embeddings:
+            rows = np.zeros((len(modulus) - 1, self.n), dtype=self.batch().dtype)  # beta^j
+            rows[0, 0] = 1
+            if len(rows) > 1:
+                coeffs = np.zeros((len(modulus), self.n), dtype=np.int64)
+                coeffs[:, 0] = [c % self.p for c in modulus]
+                beta = self.first_root(coeffs, self.subfield_basis(d))
+                if beta is None:
+                    raise FieldError("the modulus has no root in the subfield")  # unreachable
+                power = beta
+                for j in range(1, len(rows)):
+                    rows[j] = power.coords
+                    power = power * beta
+            rows.flags.writeable = False
+            self._embeddings[key] = rows.T
+        return self._embeddings[key]
 
     def subfield_basis(self, d: int) -> np.ndarray:
         """Canonical F_p-basis, one row each, of the subfield fixed by the

@@ -260,10 +260,22 @@ def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int):
 def pullback(embed: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """Rows where an n x e embedding of full column rank is invertible, and
     the inverse of those rows in the dtype of `embed`: y = inv @ v[rows]
-    for v = embed @ y."""
-    _, rows = rref_mod_p(embed.T, p)
-    inv, _ = solve_mod_p(embed[rows], np.eye(len(rows), dtype=np.int64), p)
-    return rows, inv.astype(embed.dtype)
+    for v = embed @ y.  One elimination of [embed.T | I]: its pivots are the
+    rows, and the left factor E that it applies, E embed[rows].T = I, is the
+    transpose of the inverse."""
+    n, e = embed.shape
+    red, rows = rref_mod_p(np.hstack([embed.T, np.eye(e, dtype=embed.dtype)]), p)
+    return rows, red[:, n:].T.astype(embed.dtype)
+
+
+def preimage(v: np.ndarray, embed: np.ndarray, pulled, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates y (..., e) with embed @ y = v for vectors v (..., n)
+    in the image of the embedding, by its `pullback` `pulled`, and where v
+    lies outside the image (a boolean per vector), in which case its y is
+    meaningless."""
+    rows, inv = pulled
+    y = matmul_mod_p(v[..., rows], inv.T, p)
+    return y, (matmul_mod_p(y, embed.T, p) != v).any(axis=-1)
 
 
 def matpow_mod_p(mat: np.ndarray, k: int, p: int) -> np.ndarray:

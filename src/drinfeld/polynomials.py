@@ -224,15 +224,6 @@ class SparsePoly:
             return target.zero
         return acc * t_image**prev_e if prev_e else acc
 
-    def dense_coeffs(self) -> list[int]:
-        """Ascending coefficient indices; only for small degrees."""
-        if self.degree > 10**4:
-            raise ValueError("refusing to densify a large sparse polynomial")
-        out = [0] * (self.degree + 1)
-        for e, c in self.terms:
-            out[e] = c.to_int()
-        return out
-
     def __repr__(self):
         return f"SparsePoly({format_poly(self)!r})"
 
@@ -521,98 +512,78 @@ def _monics(base: Field, ks: np.ndarray, d: int) -> np.ndarray:
 
 
 class ResidueField:
-    """F_l = A/(l) with the reduction map A -> F_l, T |-> fixed root of l."""
+    """F_l = A/(l) with the reduction map A -> F_l, T |-> T bar: the
+    `ResidueBatch` of one prime, `batch`, read through `Field` and
+    `FieldElement`.  `reduce` is Horner on field elements (`eval_in`), which
+    at the r+1 coefficients of phi_T takes a quarter to a tenth of the time
+    of the numpy reduction of a batch of one."""
 
-    def __init__(self, field: Field, t_image: FieldElement, prime: SparsePoly, embed):
-        self.field = field
-        self.t_image = t_image
+    def __init__(self, prime: SparsePoly, batch: "ResidueBatch"):
         self.prime = prime
-        self._embed = embed
+        self.batch = batch
+        self.field = fld = batch.field
+        self.t_image = FieldElement(fld, tuple(batch.t_bar[0].tolist()))
+        if batch.base.n == 1:  # the embedding is e_0: F_p coordinates padded
+            pad = (0,) * (fld.n - 1)
+            self.embed_base = lambda c: FieldElement(fld, c.coords + pad)
+        else:
+            rows, p = tuple(map(tuple, batch.embed.tolist())), fld.p
+            self.embed_base = lambda c: FieldElement(
+                fld, tuple(sum(a * x for a, x in zip(row, c.coords)) % p for row in rows))
 
     def reduce(self, f: SparsePoly) -> FieldElement:
-        return f.eval_in(self.field, self.t_image, self._embed)
-
-    def embed_base(self, c: FieldElement) -> FieldElement:
-        return self._embed(c)
+        return f.eval_in(self.field, self.t_image, self.embed_base)
 
 
 _RESIDUE_CACHE: dict[SparsePoly, ResidueField] = {}
 
 
 def residue_field(prime: SparsePoly) -> ResidueField:
-    """Residue field at a monic irreducible prime of A.
-
-    For prime q (e = 1) the field simply uses the prime itself as modulus, so
-    T bar is the power-basis generator.  For e > 1 the field is the canonical
-    F_{p^(e*d)} (`make_field`), F_q sits in it by `Field.base_embedding`, and
-    T bar is the first root of the prime in index order, found by the numpy
-    Horner scan of `Field.first_root`.  Instances are cached per prime.
-    """
-    if prime in _RESIDUE_CACHE:
-        return _RESIDUE_CACHE[prime]
-    rf = _residue_field(prime)
-    _RESIDUE_CACHE[prime] = rf
+    """Residue field at a monic irreducible prime of A: the `ResidueBatch`
+    of this prime alone.  Instances are cached per prime."""
+    rf = _RESIDUE_CACHE.get(prime)
+    if rf is None:
+        if not prime.is_monic() or not is_irreducible(prime):
+            raise PrimeError("residue fields require a monic irreducible generator")
+        batch = ResidueBatch(prime.base, coordinates(prime.base, [prime], prime.degree))
+        rf = _RESIDUE_CACHE[prime] = ResidueField(prime, batch)
     return rf
-
-
-def _residue_field(prime: SparsePoly) -> ResidueField:
-    base = prime.base
-    if not prime.is_monic() or not is_irreducible(prime):
-        raise PrimeError("residue fields require a monic irreducible generator")
-    d = prime.degree
-    if base.n == 1:
-        if d == 1:
-            fld = make_field(base.p, 1, 1)
-            c = prime.coeff(0)
-            t_img = fld.scalar(-c.to_int())
-        else:
-            fld = field_with_modulus(base.p, 1, d, prime.dense_coeffs(), validate=False)
-            t_img = fld.gen
-        pad = (0,) * (fld.n - 1)
-        embed = lambda c: FieldElement(fld, c.coords + pad)  # F_p: coords are residues
-        return ResidueField(fld, t_img, prime, embed)
-    # e > 1: canonical field, F_q embedded by its n x e matrix
-    fld = make_field(base.p, base.e, d)
-    emb = fld.base_embedding()
-    rows = tuple(tuple(int(v) for v in row) for row in emb)
-    p = fld.p
-
-    def embed(c: FieldElement) -> FieldElement:
-        cs = c.coords
-        return FieldElement(fld, tuple(sum(a * x for a, x in zip(row, cs)) % p for row in rows))
-
-    return ResidueField(fld, _first_root(fld, prime, emb), prime, embed)
-
-
-def _first_root(fld: Field, prime: SparsePoly, emb: np.ndarray) -> FieldElement:
-    """The first root of `prime` among the elements of `fld` in index order."""
-    coeffs = matmul_mod_p(np.array([prime.coeff(i).coords for i in range(prime.degree + 1)]),
-                          emb.T, fld.p)
-    root = fld.first_root(coeffs, np.eye(fld.n, dtype=np.int64))
-    if root is None:
-        raise PrimeError("prime has no root in its residue field")  # unreachable
-    return root
 
 
 class ResidueBatch:
     """The residue fields A/(p) at primes p of one degree d, operated on
-    together, with the reduction maps of `residue_field`: the same power
-    bases and the same image T bar of T, so coordinates agree with the
-    scalar route.  `primes` is a (B, d+1, e) array as `prime_coordinates`
-    gives; no `Field` is built per prime.
+    together: the one definition of a residue field, its modulus, the image
+    T bar of T and the embedding `embed` of F_q (n x e, column k the image
+    of the k-th power of the F_q generator).  `primes` is a (B, d+1, e)
+    array as `prime_coordinates` gives.
 
-    For e = 1 the moduli are the primes themselves and T bar is the
-    generator x (for d = 1, the residue -c of T + c).  For e > 1 every prime
-    shares the canonical F_(q^d), and T bar is its first root in index order,
-    read off the table `_first_roots` that one pass over the field fills for
-    the whole degree."""
+    For e = 1 the moduli are the primes themselves, T bar is the generator
+    x and F_q = F_p embeds as e_0; at d = 1 the field is F_p and T bar the
+    residue -c of T + c.  For e > 1 every prime shares the canonical F_(q^d)
+    (`make_field`), F_q embeds by `Field.base_embedding`, and T bar is the
+    first root of the prime in index order: for a batch of one the scan of
+    `Field.first_root`, for more primes the table `_first_roots` that one
+    pass over the field fills for the whole degree.
+
+    A batch of one (`residue_field`) also has its `field`, and its `fb` is
+    `field.batch()`, exact for every p; a batch of more primes refuses a p
+    past int64 (`linalg.Int64RangeError`) and builds no `Field` per prime."""
 
     def __init__(self, base: Field, primes: np.ndarray):
         p, e = base.p, base.n
         B, d = primes.shape[0], primes.shape[1] - 1
         self.base, self.primes, self.degree = base, primes, d
+        self.field = None  # a `Field` only for a batch of one or a shared modulus
+        if e > 1:
+            self.field = make_field(p, e, d)
+            moduli = np.broadcast_to(self.field.modulus, (B, d * e + 1))
+        else:
+            moduli = primes[:, :, 0]
+            if B == 1:
+                self.field = make_field(p, 1, 1) if d == 1 else field_with_modulus(
+                    p, 1, d, moduli[0].tolist(), validate=False)
+        self.fb = self.field.batch() if B == 1 else FieldBatch(p, moduli)
         if e == 1:
-            self.fb = FieldBatch(p, primes[:, :, 0])
             self.embed = np.eye(d, 1, dtype=self.fb.dtype)
             self.t_bar = np.zeros((B, d), dtype=self.fb.dtype)
             if d == 1:
@@ -620,10 +591,13 @@ class ResidueBatch:
             else:
                 self.t_bar[:, 1] = 1
         else:
-            fld = make_field(p, e, d)
-            self.fb = FieldBatch(p, np.broadcast_to(fld.modulus, (B, d * e + 1)))
-            self.embed = fld.base_embedding()
-            roots = _first_roots(base, d)[primes[:, :d].reshape(B, d * e) @ p ** np.arange(d * e)]
+            self.embed = self.field.base_embedding()
+            if B == 1:
+                coeffs = matmul_mod_p(primes[0], self.embed.T, p)
+                root = self.field.first_root(coeffs, np.eye(self.field.n, dtype=np.int64))
+                roots = np.array([-1 if root is None else root.to_int()])
+            else:
+                roots = _first_roots(base, d)[primes[:, :d].reshape(B, d * e) @ p ** np.arange(d * e)]
             if (roots < 0).any():
                 raise PrimeError("prime has no root in its residue field")  # unreachable
             self.t_bar = _digits(roots, p, d * e).astype(self.fb.dtype)
@@ -669,7 +643,7 @@ def _first_roots(base: Field, d: int) -> np.ndarray:
     whose characteristic polynomial over F_q, the product of X - x^(q^i) for
     i < d, has index k, or -1.  A prime of degree d is the characteristic
     polynomial of its roots and of nothing else, so its entry is the first
-    root that `_first_root` finds.  One pass over the field in blocks of
+    root that the scan of `Field.first_root` finds.  One pass over the field in blocks of
     `_ROOT_BLOCK`, conjugates by the matrix of the q-power map."""
     key = (id(base), d)
     if key not in _ROOTS_CACHE:
@@ -707,7 +681,8 @@ def from_coordinates(base: Field, coords) -> SparsePoly:
 def coordinates(base: Field, polys: Iterable[SparsePoly], d: int) -> np.ndarray:
     """(B, d+1, e) F_q coefficient arrays of polynomials of degree <= d."""
     polys = list(polys)
-    out = np.zeros((len(polys), d + 1, base.n), dtype=np.int64)
+    dtype = np.int64 if base.p < 1 << 63 else object  # Python ints past int64
+    out = np.zeros((len(polys), d + 1, base.n), dtype=dtype)
     for b, f in enumerate(polys):
         for j, c in f.terms:
             out[b, j] = c.coords

@@ -281,7 +281,7 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
     B = make_field(reduced.field.p, e, d * m)
     p, n = B.p, B.n
     linalg.check_int64_range(p, n)
-    sigma = _residue_embedding(reduced.field, B, d)
+    sigma = B.subfield_embedding(reduced.field.modulus, d)
     alphas = linalg.matmul_mod_p(sigma, reduced.field.base_embedding(), p).T  # alpha^k, as rows
 
     def scalar(c: FieldElement) -> np.ndarray:
@@ -339,24 +339,6 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
     elems = [B.elem(int(c) for c in v) for v in basis]
     return TorsionSpace(reduced, ell, m, B, sigma, elems, [elems[i] for i in module_idx],
                         frob_mat, t_mat, ell_rf)
-
-
-def _residue_embedding(rf_field: Field, B: Field, d: int) -> np.ndarray:
-    """Matrix of the embedding F_p -> B: the generator of the residue field
-    goes to the first root of its modulus in the q^d-fixed subfield of B.
-    A residue field F_p (e*d = 1) has the one basis vector 1, which goes to
-    e_0 whatever the root, so neither the subfield nor a root is computed."""
-    if rf_field.n == 1:
-        return B.scalars([1]).T
-    beta = B.first_root(B.scalars(rf_field.modulus), B.subfield_basis(d))
-    if beta is None:
-        raise ReductionError("no embedding of the residue field found")  # unreachable
-    cols = []
-    cur = B.one
-    for _ in range(rf_field.n):
-        cols.append(cur.coords)
-        cur = cur * beta
-    return np.array(cols, dtype=np.int64).T % B.p
 
 
 def _t_action(reduced: ReducedModule, B: Field, sigma: np.ndarray) -> np.ndarray:
@@ -455,14 +437,12 @@ def quotient_by_kernel(ts: TorsionSpace, x_basis: list[FieldElement]) -> Isogeny
         u = (SkewPoly.tau(ring) - SkewPoly(ring, [(0, beta ** (q - 1))])) * u
 
     # descend coefficients to the residue field through the embedding
-    sig = ts.sigma
-    coeffs = []
-    for e_, c in u.terms:
-        sol = linalg.solve_mod_p(sig, np.array(c.coords, dtype=np.int64), p)
-        if sol is None:
-            raise ReductionError("kernel is not Galois-stable: u does not descend")
-        coeffs.append((e_, reduced.field.elem(int(v) for v in sol[0])))
-    u_res = SkewPoly(reduced.ring, coeffs)
+    coords, outside = linalg.preimage(np.array([c.coords for _, c in u.terms]), ts.sigma,
+                                      linalg.pullback(ts.sigma, p), p)
+    if outside.any():
+        raise ReductionError("kernel is not Galois-stable: u does not descend")
+    u_res = SkewPoly(reduced.ring, [(i, reduced.field.elem(c))
+                                    for (i, _), c in zip(u.terms, coords.tolist())])
 
     prod = u_res * reduced.phi_T
     quot, rem = prod.divmod_right(u_res)
@@ -495,8 +475,11 @@ def fl_line(ts: TorsionSpace, coords: list[FieldElement]) -> list[FieldElement]:
 
 
 def _lift_fl(ts: TorsionSpace, c: FieldElement) -> SparsePoly:
-    """A polynomial lift of an element of F_l (coefficients along powers of
-    T bar; valid when e = 1)."""
+    """A polynomial lift of an element of F_l, valid when e = 1: the
+    coordinates c_i of c as the coefficients of T^i.  It relies on the
+    convention of `ResidueBatch` at e = 1: for deg l > 1, T bar is the
+    generator x, so sum c_i T^i reduces to sum c_i x^i = c; for l = T + a,
+    T bar is -a and F_l = F_p, so the constant c_0 reduces to itself."""
     base = ts.reduced.module.base
     if base.n != 1:
         raise ReductionError("F_l lifts only implemented over prime base fields")

@@ -356,6 +356,8 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
     of that key, and each prime kept as its row of coefficient indices (no
     `SparsePoly` is built)."""
     base, r = module.base, module.r
+    if max_degree < 0:
+        raise SamplingError(f"max degree {max_degree} is negative")
     if not is_irreducible(ell) or not ell.is_monic():
         raise SamplingError("l must be a monic prime of A")
     rf = residue_field(ell)
@@ -363,7 +365,6 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
     if s**r >= 2**63:
         raise SamplingError(f"a key of {s}^{r} values does not fit in int64")
     oracle = gl_charpoly_distribution(r, rf.field, budget=budget)
-    at_ell = ResidueBatch(base, coordinates(base, [ell], ell.degree))
     charpolys: dict[int, tuple[FieldElement, ...]] = {}  # one tuple per key
     records: list[SampleRecord] = []
     keys, dets = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -384,7 +385,7 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
                 a, eps = charpolys_of_degree(module, primes)
             except CharPolyError as exc:
                 raise SamplingError(f"charpoly failed: {exc}") from exc
-            key, det, det_ok = _charpolys_mod_l(at_ell, primes, a, eps)
+            key, det, det_ok = _charpolys_mod_l(rf.batch, primes, a, eps)
             key = key @ s ** np.arange(r)  # (c_0, ..., c_(r-1)) as sum c_i s^i
             keys.append(key)
             dets.append(det)

@@ -108,6 +108,7 @@ def test_phi_T_power_is_the_skew_product_chain(pe, r, d, data):
     (3037000493, "T^2+T+1"),
     (2**31 - 1, "T^2+3*T+1"),  # two products per int64 sum
     (2**31 - 1, "T^3+5"),
+    (2**64 - 59, "T^2+18446744073709551555"),  # coefficients past int64: T^2 - 2
 ])
 @pytest.mark.parametrize("coeffs", [None, "T;288545019*T+1222356006;1819850096*T+1722851097;"
                                           "1640193507*T+135520873"])

@@ -280,6 +280,11 @@ class TestSample:
         if not samples:
             assert '"samples": [],' in text
 
+    def test_negative_max_deg_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--q", "5", "--l", "T+1", "--max-deg", "-3")
+        assert code == 2 and not out
+        assert "max degree -3 is negative" in err
+
     def test_records_on_stdout_match_the_file(self, tmp_path, capsys):
         argv = ["sample", "--q", "9", "--r", "3", "--l", "T+1", "--max-deg", "1"]
         code, out, _ = run_cli(capsys, *argv)
@@ -368,6 +373,12 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--q", "9", "--max-deg", "2")
         assert code == 0
         assert json.loads(out)["outcomes"][0]["checks"] == checks
+
+    @pytest.mark.parametrize("suite", ["charpoly-bounds", "all"])
+    def test_negative_max_deg_is_usage_error(self, suite, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-deg", "-1")
+        assert code == 2 and not out
+        assert "--max-deg -1 is negative" in err
 
     def test_unknown_suite_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")

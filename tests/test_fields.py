@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drinfeld.fields as fields
-from drinfeld import linalg, reduction
+from drinfeld import linalg
 from drinfeld.fields import (
     _MR_LIMIT,
     FieldError,
@@ -273,7 +273,7 @@ class TestFrobenius:
 
     def test_e2_frobenius_fixes_base_subfield(self):
         fld = make_field(5, 2, 2)  # F_625 over F_25
-        alpha = fld.base_generator()
+        alpha = fld.elem(fld.base_embedding()[:, 1].tolist())
         assert fld.frobenius(alpha, 1) == alpha  # q = 25 power fixes F_25
         assert alpha * alpha != fld.zero
 
@@ -830,7 +830,8 @@ class TestSubfieldRoots:
     @pytest.mark.parametrize("p,e,m", [(5, 2, 2), (3, 2, 3), (2, 3, 2), (2, 2, 3), (3, 3, 2)])
     def test_base_generator_is_first_root(self, p, e, m):
         fld = make_field(p, e, m)
-        assert fld.base_generator() == brute_subfield_root(fld, lex_smallest_irreducible(p, e), 1)[1]
+        alpha = fld.elem(fld.base_embedding()[:, 1].tolist())
+        assert alpha == brute_subfield_root(fld, lex_smallest_irreducible(p, e), 1)[1]
 
     @pytest.mark.parametrize("block", [1 << 12, 3])
     @pytest.mark.parametrize("modulus,m", [((2, 0, 1), 3), ((2, 0, 1), 4), ((1, 1, 0, 1), 2)])
@@ -838,8 +839,8 @@ class TestSubfieldRoots:
         monkeypatch.setattr(fields, "_ROOT_BLOCK", block)
         d = len(modulus) - 1
         rf = fields.field_with_modulus(5, 1, d, modulus)
-        B = make_field(5, 1, d * m)
-        sigma = reduction._residue_embedding(rf, B, d)
+        B = fields.field_with_modulus(5, 1, d * m, make_field(5, 1, d * m).modulus)  # fresh caches
+        sigma = B.subfield_embedding(rf.modulus, d)
         k, beta = brute_subfield_root(B, modulus, d)
         assert k >= 3  # past the first block of 3
         assert tuple(sigma[:, 1]) == beta.coords
@@ -850,8 +851,8 @@ class TestSubfieldRoots:
         # no q-fixed subfield of B (an n x n elimination) is computed
         rf = fields.field_with_modulus(p, 1, 1, (c, 1))
         B = fields.field_with_modulus(p, 1, n, make_field(p, 1, n).modulus)  # fresh caches
-        sigma = reduction._residue_embedding(rf, B, 1)
-        assert sigma.dtype == np.int64 and sigma.tolist() == [[1]] + [[0]] * (n - 1)
+        sigma = B.subfield_embedding(rf.modulus, 1)
+        assert sigma.dtype == B.batch().dtype and sigma.tolist() == [[1]] + [[0]] * (n - 1)
         assert B._subfield == {}
 
     @pytest.mark.parametrize("p,e,m,d", [(5, 1, 6, 2), (5, 1, 6, 3), (3, 2, 4, 2), (2, 3, 2, 1)])

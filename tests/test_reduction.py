@@ -532,7 +532,7 @@ class TestTAction:
         R = reduce_mod(D, parse_poly(prime_text, base))
         d = R.prime.degree
         B = make_field(p, e, d * m)
-        sigma = reduction._residue_embedding(R.field, B, d)
+        sigma = B.subfield_embedding(R.field.modulus, d)
         got = reduction._t_action(R, B, sigma)
         assert got.dtype == np.int64
         assert got.tolist() == self.horner(R, B, sigma).tolist()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import drinfeld.fields as fields
+import drinfeld.polynomials as polynomials
 from drinfeld import (
     FieldElement,
     PrimeError,
@@ -20,12 +21,12 @@ from drinfeld import (
     primes_of_degree,
     residue_field,
 )
-from drinfeld.polynomials import _digits, _first_root, _is_irreducible, _residue_field
+from drinfeld.polynomials import ResidueBatch, _digits, _is_irreducible, coordinates
 
 
 def embedding(fld, base):
     """F_q -> fld: coordinates over the powers of the embedded generator."""
-    alpha = fld.base_generator()
+    alpha = fld.elem(fld.base_embedding()[:, 1].tolist())
     pows = [fld.one]
     for _ in range(base.n - 1):
         pows.append(pows[-1] * alpha)
@@ -112,23 +113,25 @@ def test_root_past_the_first_block(monkeypatch):
     block = 5  # 81 elements: 17 blocks, the last one short
     assert max(roots) >= 3 * block and max(roots) % block
     monkeypatch.setattr(fields, "_ROOT_BLOCK", block)
-    rf = _residue_field(prime)  # bypasses the per-prime cache
+    monkeypatch.setattr(polynomials, "_RESIDUE_CACHE", {})  # no cached T bar
+    rf = residue_field(prime)
     assert rf.t_image.to_int() == max(roots)
     assert not rf.reduce(prime)
 
 
 def test_no_root_is_a_named_error():
-    base = make_field(3, 2, 1)
-    quadratic = primes_of_degree(base, 2)[0]
+    # a quadratic times a cubic has no root in F_(q^5): 2 and 3 do not divide 5
+    base = make_field(2, 2, 1)
+    quintic = primes_of_degree(base, 2)[0] * primes_of_degree(base, 3)[0]
     with pytest.raises(PrimeError, match="no root"):
-        _first_root(base, quadratic, base.base_embedding())
+        ResidueBatch(base, coordinates(base, [quintic], 5))
 
 
 def test_reducible_generator_is_a_named_error():
     base = make_field(3, 2, 1)
     t = SparsePoly.T(base)
     with pytest.raises(PrimeError, match="monic irreducible"):
-        _residue_field(t * t + t)
+        residue_field(t * t + t)
 
 
 # (q, largest d checked list for list, strided d): the full pure-Python
