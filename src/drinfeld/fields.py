@@ -442,10 +442,23 @@ class FieldBatch:
     coefficient k of a product collects the a_i b_j with i + j = k, at most
     n of them, both where `mul` adds the n shifted products a_i b over the
     whole batch and where, for fewer element pairs than n, it takes one
-    `np.convolve` per pair (exact on object arrays too).  A single modulus
-    folds the high coefficients of its products through its reduction rows
-    packed once, where `linalg.PackedMatrix` packs them (64 columns or
-    more, two lanes or more).
+    `np.convolve` per pair (exact on object arrays too).  The fold of the
+    high coefficients adds n - 1 products of residues to a residue.  A
+    single modulus folds them through its reduction rows packed once, where
+    `linalg.PackedMatrix` packs them (64 columns or more, two lanes or more).
+
+    The shift loops (the n shifted products of `mul`, the fold, the n
+    columns of `mul_matrix`) run coefficient-major, over the batch axis: in
+    scratch arrays (n, ..., B), the element array with its first and last
+    axes swapped, every step is one numpy call over contiguous rows of one
+    coefficient across the whole batch, with the batch axis innermost also
+    for broadcast pairs such as (B, 1, n) by (B, 2, n).  Over the
+    element-major (B, ..., n) layout numpy's inner loop would run over the
+    n <= 6 strided coefficients of a sweep field, and the sweep kernel
+    (24-27 us per prime at 512 primes per call on that layout) is bound by
+    such per-element work, not by numpy dispatch.  Results come back as
+    transposed views, in the element-major shape; the reduction rows are
+    kept coefficient-major.
 
     `dtype`, the dtype of every array built here, is the narrowest that
     holds the sums: int16 where an int16 sum holds n^2 products of residues
@@ -467,25 +480,28 @@ class FieldBatch:
         moduli = np.atleast_2d(np.array(moduli, dtype=self.dtype)) % p
         self.p = p
         self.n = n
-        self._red = (-moduli[:, None, :n]) % p  # x^n mod f; more rows on demand
+        # rows[j, i, b]: coordinate i of x^(n+j) mod f_b; more rows on demand
+        self._rows = np.ascontiguousarray(((-moduli[:, :n]) % p).T)[None]
+
+    def _red_rows(self, k: int) -> np.ndarray:
+        """The first k reduction rows, coefficient-major (k, n, B).  Rows
+        are built on first need, each the one before times x: the Q-matrix
+        of a large field needs only p of them."""
+        have = len(self._rows)
+        if k > have:
+            rows = np.empty((k,) + self._rows.shape[1:], dtype=self.dtype)
+            rows[:have] = self._rows
+            for j in range(have, k):
+                rows[j] = _times_x(rows[j - 1], rows[0], self.p)
+            self._rows = rows
+        return self._rows[:k]
 
     def red(self, k: int) -> np.ndarray:
-        """(B, k, n) reduction rows, k <= n - 1: row j holds x^(n+j) mod f.
-        Rows are built on first need: the Q-matrix of a large field needs
-        only p of them."""
-        have = self._red.shape[1]
-        if k > have:
-            red = np.zeros((self._red.shape[0], k, self.n), dtype=self.dtype)
-            red[:, :have] = self._red
-            for j in range(have, k):
-                prev = red[:, j - 1]
-                red[:, j, 1:] = prev[:, :-1]
-                red[:, j] = (red[:, j] + prev[:, -1:] * red[:, 0]) % self.p
-            self._red = red
-        return self._red[:, :k]
+        """(B, k, n) reduction rows, k <= n - 1: row j holds x^(n+j) mod f."""
+        return self._red_rows(k).transpose(2, 0, 1)
 
     def one(self, shape=()) -> np.ndarray:
-        out = np.zeros((self._red.shape[0], *shape, self.n), dtype=self.dtype)
+        out = np.zeros((self._rows.shape[-1], *shape, self.n), dtype=self.dtype)
         out[..., 0] = 1
         return out
 
@@ -493,29 +509,36 @@ class FieldBatch:
     def _packed_red(self) -> PackedMatrix | None:
         """The n - 1 reduction rows of a single modulus, packed once; None
         for many moduli and where `PackedMatrix` does not pack."""
-        if self._red.shape[0] > 1:
+        if self._rows.shape[-1] > 1:
             return None
         fold = PackedMatrix(self.red(self.n - 1)[0], self.p)
         return fold if fold.packed is not None else None
 
     def reduce(self, prod: np.ndarray) -> np.ndarray:
         """Coefficient arrays of length <= 2n-1 with entries < p, mod f."""
+        dtype = np.result_type(prod, self._rows)
+        return self._fold(np.array(prod.swapaxes(0, -1), dtype=dtype, order="C"))
+
+    def _fold(self, prod: np.ndarray) -> np.ndarray:
+        """A coefficient-major (m, ..., B) array, m <= 2n - 1, entries in
+        [0, p), mod f: element-major (B, ..., n).  Adds row j of the
+        reduction rows times coefficient n + j to the low n coefficients,
+        in place; each low coefficient sums n - 1 products of residues and
+        one residue, which every dtype of the batch holds."""
         n = self.n
-        low = prod[..., :n]
-        high = prod[..., n:]
-        k = high.shape[-1]
-        if k == n - 1 and self._packed_red is not None:
-            low = low + self._packed_red.rmul(high)
-        elif k:
-            flat = high.reshape(high.shape[0], -1, k)
-            folded = sum_products(flat, self.red(k), self.p, spare=1)
-            low = low + folded.reshape(high.shape[:-1] + (n,))
-        return mod_p(low, self.p)
+        low, high = prod[:n], prod[n:]
+        if len(high) == n - 1 and self._packed_red is not None:
+            low = low.swapaxes(0, -1)
+            return mod_p(low + self._packed_red.rmul(high.swapaxes(0, -1)), self.p)
+        rows = _against(self._red_rows(len(high)), prod.ndim)
+        for c, row in zip(high, rows):
+            low += c * row
+        return mod_p(low, self.p).swapaxes(0, -1)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of broadcastable element arrays: one
         convolution per element pair where there are fewer pairs than n,
-        otherwise n shifted products over the whole batch."""
+        otherwise n shifted products over the whole batch, coefficient-major."""
         n = self.n
         if n == 1:
             return mod_p(a * b, self.p)
@@ -526,12 +549,13 @@ class FieldBatch:
             for k, (x, y) in enumerate(zip(np.broadcast_to(a, shape).reshape(pairs, n),
                                            np.broadcast_to(b, shape).reshape(pairs, n))):
                 prod[k] = np.convolve(x, y)
-            prod = prod.reshape(shape[:-1] + (2 * n - 1,))
-        else:
-            prod = np.zeros(shape[:-1] + (2 * n - 1,), dtype=self.dtype)
-            for i in range(n):
-                prod[..., i : i + n] += a[..., i : i + 1] * b
-        return self.reduce(mod_p(prod, self.p))
+            return self.reduce(mod_p(prod.reshape(shape[:-1] + (2 * n - 1,)), self.p))
+        a, b = (np.ascontiguousarray(x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
+                                     .swapaxes(0, -1)) for x in (a, b))
+        prod = np.zeros((2 * n - 1,) + shape[1:-1] + shape[:1], dtype=self.dtype)
+        for i in range(n):
+            prod[i : i + n] += a[i] * b
+        return self._fold(mod_p(prod, self.p))
 
     def pow(self, a: np.ndarray, k: int) -> np.ndarray:
         result = np.zeros_like(a)
@@ -550,18 +574,16 @@ class FieldBatch:
 
     def mul_matrix(self, a: np.ndarray) -> np.ndarray:
         """(B, ..., n, n) matrices of multiplication by a: column j holds
-        a x^j."""
-        if self.n == 1:
+        a x^j, each column the one before times x, coefficient-major."""
+        n = self.n
+        if n == 1:
             return a[..., None]
-        red0 = self.red(1)[:, 0].reshape((-1,) + (1,) * (a.ndim - 2) + (self.n,))
-        out = np.empty(a.shape + (self.n,), dtype=np.result_type(a, red0))
-        out[..., 0] = a
-        for j in range(1, self.n):
-            prev = out[..., j - 1]
-            cur = prev[..., -1:] * red0
-            cur[..., 1:] += prev[..., :-1]
-            out[..., j] = mod_p(cur, self.p)
-        return out
+        x_n = _against(self._rows[0], a.ndim)
+        cols = np.empty((n, n) + a.shape[1:-1] + a.shape[:1], dtype=np.result_type(a, x_n))
+        cols[0] = a.swapaxes(0, -1)
+        for j in range(1, n):
+            cols[j] = _times_x(cols[j - 1], x_n, self.p)
+        return cols.transpose(_element_major(a.ndim))
 
     def frobenius_matrix(self, q: int) -> np.ndarray:
         """(B, n, n) matrices of x -> x^q: column j holds x^(q j).  For q < n
@@ -569,7 +591,7 @@ class FieldBatch:
         shifted by q and folded through q reduction rows; otherwise it is
         the one before times x^q, found by repeated squaring."""
         n, p = self.n, self.p
-        cols = np.zeros((self._red.shape[0], n, n), dtype=self.dtype)  # [:, j]: x^(q j)
+        cols = np.zeros((self._rows.shape[-1], n, n), dtype=self.dtype)  # [:, j]: x^(q j)
         cols[:, 0, 0] = 1
         if q < n:
             fold = self.red(q)
@@ -691,17 +713,31 @@ def _xpow_irreducibles(p: int, d: int, e: int) -> np.ndarray:
         r = _xpow_irreducibles(p, d, e >> 1)
         r = ring.mul(r, r)
         if e & 1:
-            r = _times_x(r, ring.red(1)[:, 0], p)
+            r = _times_x(r.T, ring._rows[0], p).T
     r.flags.writeable = False
     return r
 
 
-def _times_x(r: np.ndarray, neg: np.ndarray, p: int) -> np.ndarray:
-    """r x mod g for rows r over F_p[x]/(g) of degree d, given neg = x^d mod
-    g: a shift, and the top coefficient folded in through neg."""
-    out = r[..., -1:] * neg
-    out[..., 1:] += r[..., :-1]
-    return out % p
+def _times_x(r: np.ndarray, x_n: np.ndarray, p: int) -> np.ndarray:
+    """r x mod f for coefficient-major r (n, ...) over F_p[x]/(f), given
+    x_n = x^n mod f broadcastable against it: a shift, and the top
+    coefficient folded in through x_n."""
+    out = r[-1] * x_n
+    out[1:] += r[:-1]
+    return mod_p(out, p)
+
+
+def _against(rows: np.ndarray, ndim: int) -> np.ndarray:
+    """Coefficient-major rows (..., B) shaped to broadcast against a
+    coefficient-major array of `ndim` axes (n, ..., B)."""
+    return rows.reshape(rows.shape[:-1] + (1,) * (ndim - 2) + rows.shape[-1:])
+
+
+@functools.lru_cache(maxsize=None)
+def _element_major(ndim: int) -> tuple[int, ...]:
+    """Axes that take `mul_matrix`'s coefficient-major columns (j, i, ...,
+    B) of an `ndim`-axis element array to (B, ..., i, j)."""
+    return (ndim,) + tuple(range(2, ndim)) + (1, 0)
 
 
 def _sieve(p: int, n: int, start: int, s: int, depth: int) -> np.ndarray:
@@ -724,21 +760,22 @@ def _sieve(p: int, n: int, start: int, s: int, depth: int) -> np.ndarray:
     high = _int_digits(start // p**s, p, n - s)
     top = max((i + 1 for i, c in enumerate(high) if c), default=0)  # high[top:] are 0
     for d in range(1, depth + 1):
-        neg = _irreducible_ring(p, d).red(1)[:, 0]  # x^d mod g, one row per g
-        r = _xpow_irreducibles(p, d, n - s - top)  # then Horner over high[:top]
+        # coefficient-major, row i holding coefficient i for every g
+        x_d = _irreducible_ring(p, d)._rows[0]  # x^d mod g
+        r = _xpow_irreducibles(p, d, n - s - top).T  # then Horner over high[:top]
         for c in reversed(high[:top]):
-            r = _times_x(r, neg, p)
+            r = _times_x(r, x_d, p)
             if c:
-                r[:, 0] = (r[:, 0] + c) % p
+                r[0] = (r[0] + c) % p
         for _ in range(s):
-            r = _times_x(r, neg, p)
-        r = r[None]
-        xi = neg  # x^i mod g for i = d .. s-1
+            r = _times_x(r, x_d, p)
+        r = r[:, None]
+        xi = x_d  # x^i mod g for i = d .. s-1
         for _ in range(d, s):
-            r = (np.arange(p)[:, None, None, None] * xi + r) % p
-            r = r.reshape(-1, *neg.shape)  # digits d .. i, the highest first
-            xi = _times_x(xi, neg, p)
-        low = (-r) % p @ p ** np.arange(d)
+            r = (np.arange(p)[:, None, None] * xi[:, None, None] + r[:, None]) % p
+            r = r.reshape(d, -1, x_d.shape[1])  # digits d .. i, the highest first
+            xi = _times_x(xi, x_d, p)
+        low = ((-r) % p).transpose(1, 2, 0) @ p ** np.arange(d)
         alive[low + p**d * np.arange(low.shape[0])[:, None]] = False
     return alive
 

@@ -319,7 +319,9 @@ INF = float("inf")
 
 
 def poly_valuation(f: SparsePoly, v: Place):
-    """Valuation of a polynomial at a place; +inf for f = 0."""
+    """Valuation of a polynomial at a place; +inf for f = 0.  At a finite
+    place g, each division by g waits for `_sparse_mod` to show g | f, so
+    a unit at g (T^(q-1) at T + 1 for a 64-bit q) costs no long division."""
     if not f:
         return INF
     if v.is_infinite:
@@ -329,12 +331,10 @@ def poly_valuation(f: SparsePoly, v: Place):
         # fast path at (T): smallest exponent
         return f.terms[0][0]
     count = 0
-    while True:
-        q, r = f.divmod(g)
-        if r:
-            return count
+    while not _sparse_mod(f, g):  # g | f
+        f = f.divmod(g)[0]
         count += 1
-        f = q
+    return count
 
 
 def valuation(f: SparsePoly | RationalFn, v: Place):
@@ -395,6 +395,21 @@ def _powmod(a: SparsePoly, e: int, f: SparsePoly) -> SparsePoly:
         if e:
             base = (base * base) % f
     return result
+
+
+def _sparse_mod(f: SparsePoly, g: SparsePoly) -> SparsePoly:
+    """f mod g by Horner over the terms of f, highest first, each gap
+    between exponents a power of T from `_powmod`: a number of products
+    mod g logarithmic in the degree of f, where long division takes one
+    step per quotient term (q - 1 of them for T^(q-1) at T + 1)."""
+    t = SparsePoly.T(f.base)
+    acc, prev = SparsePoly.zero(f.base), None
+    for e, c in reversed(f.terms):
+        if prev is not None:
+            acc = acc * _powmod(t, prev - e, g)
+        acc = (acc + SparsePoly(f.base, [(0, c)])) % g
+        prev = e
+    return acc * _powmod(t, prev, g) % g if prev else acc
 
 
 def _compose_mod(g: SparsePoly, h: SparsePoly, f: SparsePoly) -> SparsePoly:
@@ -486,9 +501,11 @@ def _primes_of_degree_np(base: Field, d: int) -> np.ndarray:
     alive = np.ones(base.q**d, dtype=bool)
     for j in range(1, d // 2 + 1):
         # coefficient-major, (degree, N, M, e), so that numpy's inner loops
-        # run over the M cofactors rather than the e coordinates
-        g = prime_coordinates(base, j).transpose(1, 0, 2)[:, :, None]
-        h = _monics(base, np.arange(base.q ** (d - j)), d - j).transpose(1, 0, 2)[:, None]
+        # run over the N x M pairs rather than the e coordinates; in the
+        # batch's dtype, as the coordinates are int64
+        g = prime_coordinates(base, j).astype(fb.dtype).transpose(1, 0, 2)[:, :, None]
+        h = _monics(base, np.arange(base.q ** (d - j)), d - j).astype(fb.dtype)
+        h = h.transpose(1, 0, 2)[:, None]
         index = 0
         for m in range(d):  # the leading coefficient is 1
             c = sum(fb.mul(g[i], h[m - i]) for i in range(max(0, m - d + j), min(j, m) + 1))

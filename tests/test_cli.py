@@ -172,6 +172,17 @@ class TestNewtonInertia:
         doc = json.loads(out)
         assert doc["segments"] == [{"slope": [-3, 124], "length": 124}]
 
+    def test_newton_at_a_64_bit_prime_exits_at_once(self):
+        # phi_a(x)/x has degree q^3 - 1, and T^(q-1) is a unit at T+1: its
+        # valuation must not long-divide q - 1 quotient terms
+        q = 2**64 - 59
+        done = subprocess.run(
+            [sys.executable, "-m", "drinfeld", "newton", "--q", str(q), "--r", "3",
+             "--a", "T+4", "--place", "T+1"],
+            env=src_env(), capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["segments"] == [{"slope": [0, 1], "length": q**3 - 1}]
+
     def test_inertia(self, capsys):
         code, out, _ = run_cli(capsys, "inertia", "--q", "5", "--r", "3", "--l", "T^2+2")
         assert json.loads(out)["inertia_order"] == 625

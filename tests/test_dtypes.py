@@ -26,7 +26,7 @@ def on_python_ints(fb: FieldBatch) -> FieldBatch:
     """The same batch with object arrays: the same algorithm on Python ints,
     which cannot overflow."""
     ref = FieldBatch.__new__(FieldBatch)
-    ref.__dict__.update(fb.__dict__, dtype=np.dtype(object), _red=fb._red.astype(object))
+    ref.__dict__.update(fb.__dict__, dtype=np.dtype(object), _rows=fb._rows.astype(object))
     return ref
 
 
@@ -105,11 +105,11 @@ def check_products(fb, moduli, p, a, b, prod):
     a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
     f = lambda idx: moduli[idx[0] % len(moduli)]
     got = fb.mul(a, b)
-    assert got.dtype == fb.dtype
+    assert got.shape == shape and got.dtype == fb.dtype
     for idx in np.ndindex(shape[:-1]):
         assert got[idx].tolist() == python_mul(a[idx].tolist(), b[idx].tolist(), f(idx), p)
     got = fb.reduce(prod)
-    assert got.dtype == fb.dtype
+    assert got.shape == prod.shape[:-1] + (fb.n,) and got.dtype == fb.dtype
     for idx in np.ndindex(prod.shape[:-1]):
         assert got[idx].tolist() == python_reduce(prod[idx].tolist(), f(idx), p)
 
@@ -154,6 +154,58 @@ def test_single_modulus_folds_through_packed_rows_from_the_pack_width(p, dtype, 
     assert (fb._packed_red is not None) == (n >= linalg._PACK_MIN_WIDTH and dtype != object)
     # many moduli never pack their rows
     assert FieldBatch(p, random_moduli(p, n, 2, seed), exact=True)._packed_red is None
+
+
+class TestCoefficientMajorLoops:
+    """`mul`, `reduce` and `mul_matrix` run their loops over coefficient-major
+    scratch arrays and return element-major arrays: against Python ints at
+    the sweep kernel's shapes, for every (p, n, dtype) of SWITCHES.  Every
+    pair shape below holds at least 31 element pairs, so `mul` takes the
+    shifted products rather than one convolution per pair."""
+
+    @pytest.mark.parametrize("p,n,dtype", SWITCHES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mul_matrix_on_the_berkowitz_shape(self, p, n, dtype, seed):
+        moduli = random_moduli(p, n, 2, seed)
+        fb = FieldBatch(p, moduli, exact=True)
+        assert fb.dtype == dtype
+        a = worst_or_random(p, (2, 2, 3, n), fb.dtype, seed)  # (B, d, k, n)
+        got = fb.mul_matrix(a)
+        assert got.shape == a.shape + (n,) and got.dtype == fb.dtype
+        for idx in np.ndindex(a.shape[:-1]):
+            x_j = ([0] * j + [1] for j in range(n))
+            want = [python_mul(a[idx].tolist(), x, moduli[idx[0]], p) for x in x_j]
+            assert got[idx].T.tolist() == want  # column j holds a x^j
+
+    @pytest.mark.parametrize("p,n,dtype", SWITCHES)
+    @pytest.mark.parametrize("lead", [((16, 1), (16, 2)), ((16, 2), (16, 1)),
+                                      ((1,), (32,)), ((32,), (1,))])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_broadcast_pairs(self, p, n, dtype, lead, seed):
+        moduli = random_moduli(p, n, 32 if len(lead[0]) == 1 else 16, seed)
+        fb = FieldBatch(p, moduli, exact=True)
+        assert fb.dtype == dtype
+        a = worst_or_random(p, lead[0] + (n,), fb.dtype, seed)
+        b = worst_or_random(p, lead[1] + (n,), fb.dtype, seed)
+        shape = np.broadcast_shapes(lead[0], lead[1]) + (2 * n - 1,)
+        check_products(fb, moduli, p, a, b, worst_or_random(p, shape, fb.dtype, seed))
+
+    @pytest.mark.parametrize("p,n,dtype", SWITCHES)
+    @pytest.mark.parametrize("lead", [((32,), (1,)), ((1, 32), (1, 32)), ((2, 16), (16,))])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_single_modulus_over_many_elements(self, p, n, dtype, lead, seed):
+        moduli = random_moduli(p, n, 1, seed)
+        fb = FieldBatch(p, moduli, exact=True)
+        assert fb.dtype == dtype
+        a = worst_or_random(p, lead[0] + (n,), fb.dtype, seed)
+        b = worst_or_random(p, lead[1] + (n,), fb.dtype, seed)
+        shape = np.broadcast_shapes(lead[0], lead[1]) + (2 * n - 1,)
+        check_products(fb, moduli, p, a, b, worst_or_random(p, shape, fb.dtype, seed))
+        got = fb.mul_matrix(a[:3])
+        assert got.shape == a[:3].shape + (n,) and got.dtype == fb.dtype
+        for idx in np.ndindex(got.shape[:-2]):
+            x_j = ([0] * j + [1] for j in range(n))
+            assert got[idx].T.tolist() == [python_mul(a[idx].tolist(), x, moduli[0], p) for x in x_j]
 
 
 # F_29[x]/(x^6 - 1), int16 (36 <= 41 products): multiplication by x is a

@@ -646,7 +646,7 @@ def square_and_multiply(p, d, e):
     with no cache: the sieve's powers as plain square and multiply."""
     gs = _irreducibles(p, d)
     ring = fields.FieldBatch(p, np.hstack([gs, np.ones((len(gs), 1), dtype=np.int64)]))
-    x = fields._times_x(ring.one(), ring.red(1)[:, 0], p)
+    x = fields._times_x(ring.one().T, ring.red(1)[:, 0].T, p).T
     return ring.pow(x, e)
 
 

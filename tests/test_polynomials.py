@@ -167,6 +167,41 @@ class TestValuation:
         assert valuation(f, Place.finite(parse_poly("T^2+2", F5))) == -1
 
 
+def _valuation_by_division(f, g):
+    count = 0
+    while True:
+        q, r = f.divmod(g)
+        if r:
+            return count
+        count, f = count + 1, q
+
+
+class TestSparseValuation:
+    """`poly_valuation` tests g | f by the sparse remainder `_sparse_mod`
+    before it divides: the same answers as long division alone."""
+
+    @pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (3, 2)])
+    def test_equals_the_division_loop_on_g_to_the_k_times_h(self, p, e):
+        base, rng = make_field(p, e, 1), random.Random(p * 10 + e)
+        for d in (1, 2, 3):
+            for g in primes_of_degree(base, d)[:4]:
+                for k in range(4):
+                    h = SparsePoly(base, [(x, base.from_int(rng.randrange(1, base.q)))
+                                          for x in rng.sample(range(2 * base.q), 3)])
+                    f = g**k * h
+                    assert poly_valuation(f, Place.finite(g)) == _valuation_by_division(f, g)
+
+    @pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+    def test_sparse_remainder_equals_long_division(self, p, e):
+        base, rng = make_field(p, e, 1), random.Random(p + e)
+        for d in (1, 2, 3):
+            for g in primes_of_degree(base, d)[:4]:
+                for _ in range(5):
+                    f = SparsePoly(base, [(x, base.from_int(rng.randrange(base.q)))
+                                          for x in rng.sample(range(3 * base.q**2), 4)])
+                    assert polynomials._sparse_mod(f, g) == f % g
+
+
 def _rand_poly(rng, max_deg):
     return SparsePoly(F5, [(e, F5.scalar(rng.randrange(5)))
                            for e in rng.sample(range(max_deg + 1), rng.randrange(1, 4))])
