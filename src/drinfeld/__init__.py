@@ -25,7 +25,6 @@ from .polynomials import (
     Place,
     PolySyntaxError,
     PrimeError,
-    RationalFn,
     ResidueField,
     SparsePoly,
     format_field_element,
@@ -36,7 +35,6 @@ from .polynomials import (
     poly_valuation,
     primes_of_degree,
     residue_field,
-    valuation,
 )
 from .skew import (
     DrinfeldModule,

@@ -77,10 +77,6 @@ class CharPoly:
         self.epsilon = epsilon
         self._mod: dict[SparsePoly, list[FieldElement]] = {}
 
-    def coefficient(self, i: int) -> SparsePoly:
-        """a_i for 1 <= i <= r."""
-        return self.a[i - 1]
-
     def reduce_mod(self, ell: SparsePoly) -> list[FieldElement]:
         """Monic image in F_l[x], ascending: [a_r mod l, ..., a_1 mod l, 1]."""
         if ell not in self._mod:

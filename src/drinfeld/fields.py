@@ -109,9 +109,6 @@ class FieldElement:
             and self.coords == other.coords
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __bool__(self):
         return any(self.coords)
 
@@ -201,15 +198,6 @@ class Field:
     def __repr__(self):
         return f"Field(p={self.p}, e={self.e}, m={self.m})"
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
-    def describe(self) -> dict:
-        return {"p": self.p, "e": self.e, "m": self.m, "modulus": list(self.modulus)}
-
     def _check_owner(self, x):
         if not isinstance(x, FieldElement) or x.field is not self:
             raise FieldError("operands belong to different fields")
@@ -228,11 +216,7 @@ class Field:
         """Inverse of FieldElement.to_int."""
         if not 0 <= k < self.order:
             raise FieldError("element index out of range")
-        coords = []
-        for _ in range(self.n):
-            coords.append(k % self.p)
-            k //= self.p
-        return FieldElement(self, tuple(coords))
+        return FieldElement(self, _int_digits(k, self.p, self.n))
 
     def scalar(self, c: int) -> FieldElement:
         return self.elem((c,))

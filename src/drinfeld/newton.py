@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import Place, RationalFn, SparsePoly, valuation
+from .polynomials import Place, SparsePoly, poly_valuation
 from .skew import DrinfeldModule
 
 
@@ -63,15 +63,14 @@ def _lower_hull(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def newton_polygon(coeffs: Sequence[tuple[int, SparsePoly | RationalFn]],
-                   place: Place) -> NewtonPolygon:
+def newton_polygon(coeffs: Sequence[tuple[int, SparsePoly]], place: Place) -> NewtonPolygon:
     """Polygon of sum c_e x^e from its sparse (exponent, coefficient) list;
     zero coefficients are skipped."""
     pts = []
     for e, c in coeffs:
         if not c:
             continue
-        pts.append((e, valuation(c, place)))
+        pts.append((e, poly_valuation(c, place)))
     if not pts:
         raise NewtonError("zero polynomial has no Newton polygon")
     return NewtonPolygon(place, pts)
@@ -107,8 +106,7 @@ def inertia_order_prediction(module: DrinfeldModule, ell: SparsePoly) -> int:
     return denom
 
 
-def np_irreducibility(coeffs: Sequence[tuple[int, SparsePoly | RationalFn]],
-                      place: Place) -> str:
+def np_irreducibility(coeffs: Sequence[tuple[int, SparsePoly]], place: Place) -> str:
     """'Irreducible' when the polygon is a single segment whose lowest-terms
     slope denominator equals the degree (a totally ramified factor of full
     degree); otherwise 'Inconclusive'.  Never claims reducibility."""
@@ -125,8 +123,7 @@ def np_irreducibility(coeffs: Sequence[tuple[int, SparsePoly | RationalFn]],
     return "Inconclusive"
 
 
-def slope_integrality(coeffs: Sequence[tuple[int, SparsePoly | RationalFn]],
-                      place: Place) -> bool:
+def slope_integrality(coeffs: Sequence[tuple[int, SparsePoly]], place: Place) -> bool:
     """Whether the first (smallest) slope is an integer; vacuously true when
     the polygon is a single point."""
     poly = newton_polygon([(e, c) for e, c in coeffs if c], place)

@@ -5,13 +5,14 @@ nonzero field coefficients.  Exponents routinely reach 10^5 and beyond, so
 nothing here ever materializes a dense coefficient array.
 
 Places of F_q(T) are either a finite place, carried by a monic irreducible
-generator, or the place at infinity with v(f) = deg(den) - deg(num).
+generator, or the place at infinity with v(f) = -deg f on A.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from typing import Iterable
 
@@ -23,6 +24,8 @@ from .fields import (
     FieldBatch,
     FieldElement,
     _digits,
+    _prime_divisors,
+    _rabin,
     field_with_modulus,
     make_field,
 )
@@ -115,9 +118,6 @@ class SparsePoly:
                 break
         return self.base.zero
 
-    def constant(self) -> FieldElement:
-        return self.coeff(0)
-
     def is_monic(self) -> bool:
         return bool(self.terms) and self.lead == self.base.one
 
@@ -199,9 +199,6 @@ class SparsePoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def gcd(self, other: "SparsePoly") -> "SparsePoly":
         a, b = self, other
         while b:
@@ -258,61 +255,8 @@ class Place:
     def is_infinite(self) -> bool:
         return self.prime is None
 
-    @property
-    def degree(self) -> int:
-        return 1 if self.prime is None else self.prime.degree
-
-    def __eq__(self, other):
-        return isinstance(other, Place) and (
-            (self.prime is None and other.prime is None) or self.prime == other.prime
-        )
-
-    def __hash__(self):
-        return hash(None if self.prime is None else self.prime)
-
     def __repr__(self):
         return "Place(inf)" if self.is_infinite else f"Place({format_poly(self.prime)})"
-
-
-class RationalFn:
-    """Element of F_q(T) as a reduced numerator / monic denominator pair."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: SparsePoly, den: SparsePoly):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-        else:
-            den = SparsePoly.one(num.base)
-        lead_inv = den.base.inv(den.lead)
-        self.num = num * lead_inv
-        self.den = den * lead_inv
-
-    @classmethod
-    def of(cls, poly: SparsePoly) -> "RationalFn":
-        return cls(poly, SparsePoly.one(poly.base))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalFn) and self.num == other.num and self.den == other.den
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __repr__(self):
-        if self.den == SparsePoly.one(self.den.base):
-            return f"RationalFn({format_poly(self.num)})"
-        return f"RationalFn(({format_poly(self.num)})/({format_poly(self.den)}))"
 
 
 INF = float("inf")
@@ -337,15 +281,6 @@ def poly_valuation(f: SparsePoly, v: Place):
     return count
 
 
-def valuation(f: SparsePoly | RationalFn, v: Place):
-    """Valuation on F_q(T): multiplicative, v_inf = deg(den) - deg(num)."""
-    if isinstance(f, SparsePoly):
-        return poly_valuation(f, v)
-    if not f.num:
-        return INF
-    return poly_valuation(f.num, v) - poly_valuation(f.den, v)
-
-
 # ---------------------------------------------------------------------------
 # irreducibility and prime enumeration over F_q
 # ---------------------------------------------------------------------------
@@ -355,7 +290,8 @@ _IRRED_CACHE: dict[SparsePoly, bool] = {}
 
 
 def is_irreducible(f: SparsePoly) -> bool:
-    """Distinct-degree criterion via gcd(T^(q^k) - T, f) for k <= deg/2.
+    """Rabin's test (`fields._rabin`) over F_p; over F_q, q = p^e with e > 1,
+    the distinct-degree criterion via gcd(T^(q^k) - T, f) for k <= deg/2.
     Results are memoized; the prime sieve pre-fills the cache."""
     cached = _IRRED_CACHE.get(f)
     if cached is None:
@@ -371,6 +307,8 @@ def _is_irreducible(f: SparsePoly) -> bool:
         return True
     if not f.coeff(0) and d > 1:
         return False
+    if f.base.n == 1:
+        return _rabin(coordinates(f.base, [f.monic()], d)[0, :, 0].tolist(), f.base.p)
     q = f.base.q
     # T^(q^k) mod f, iterated k = 1..d
     t = SparsePoly.T(f.base)
@@ -425,30 +363,14 @@ def _compose_mod(g: SparsePoly, h: SparsePoly, f: SparsePoly) -> SparsePoly:
 
 
 def necklace_count(q: int, d: int) -> int:
-    """Number of monic irreducibles of degree d over F_q (Moebius sum)."""
+    """Number of monic irreducibles of degree d over F_q: the Moebius sum
+    over the squarefree divisors of d, the products of subsets of its primes."""
+    primes = _prime_divisors(d)
     total = 0
-    for k in _divisors(d):
-        total += _moebius(k) * q ** (d // k)
+    for k in range(len(primes) + 1):
+        for subset in itertools.combinations(primes, k):
+            total += (-1) ** k * q ** (d // math.prod(subset))
     return total // d
-
-
-def _divisors(n):
-    return [k for k in range(1, n + 1) if n % k == 0]
-
-
-def _moebius(n):
-    m = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            m = -m
-        d += 1
-    if n > 1:
-        m = -m
-    return m
 
 
 _PRIME_CACHE: dict[tuple[int, int], list[SparsePoly]] = {}

@@ -124,9 +124,6 @@ class SkewPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(tuple((e, c) for e, c in self.terms))
-
     @property
     def degree(self) -> int:
         """tau-degree; -1 for zero."""

@@ -86,16 +86,6 @@ class TestHull:
         poly = newton_polygon([(1, SparsePoly.one(F5))], AT_T)
         assert poly.segments == ()
 
-    def test_rational_function_coefficients(self):
-        from drinfeld.polynomials import RationalFn
-
-        one = SparsePoly.one(F5)
-        coeffs = [(0, RationalFn(one, T)), (2, RationalFn(T, one))]  # 1/T + T x^2
-        poly = newton_polygon(coeffs, AT_T)
-        assert poly.segments == ((Fraction(1), 2),)
-        poly_inf = newton_polygon(coeffs, AT_INF)
-        assert poly_inf.segments == ((Fraction(-1), 2),)
-
 
 class TestFamilySlopes:
     def test_phi_T_at_infinity_single_segment(self):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld import polynomials
 from drinfeld.fields import Field, make_field
@@ -10,7 +12,6 @@ from drinfeld.polynomials import (
     INF,
     Place,
     PolySyntaxError,
-    RationalFn,
     SparsePoly,
     format_poly,
     is_irreducible,
@@ -20,7 +21,6 @@ from drinfeld.polynomials import (
     prime_coordinates,
     primes_of_degree,
     residue_field,
-    valuation,
 )
 
 F5 = make_field(5, 1, 1)
@@ -28,7 +28,8 @@ F7 = make_field(7, 1, 1)
 
 
 def moebius_count(q, d):
-    """Independent necklace-count oracle."""
+    """Independent necklace-count oracle: the Moebius sum over every divisor
+    of d, mu by trial division."""
     def mu(n):
         m, dd = 1, 2
         while dd * dd <= n:
@@ -53,6 +54,12 @@ class TestPrimes:
         base = make_field(q, 1, 1)
         pr = primes_of_degree(base, d)
         assert len(pr) == count == moebius_count(q, d) == necklace_count(q, d)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 25])
+    def test_necklace_count_matches_moebius_oracle_to_degree_64(self, q):
+        # d <= 64 includes the square factors of 4, 8, 9, 12, 36 and 64
+        degrees = range(1, 65)
+        assert [necklace_count(q, d) for d in degrees] == [moebius_count(q, d) for d in degrees]
 
     def test_all_irreducible_by_gcd_recheck(self):
         for f in primes_of_degree(F5, 3):
@@ -108,6 +115,35 @@ class TestPrimes:
         assert primes_of_degree(base, 3) is primes and built.count(3) == 112
 
 
+# (p, e, largest degree): Rabin's test at e = 1, the distinct-degree
+# criterion at e > 1 (q = 4, 8, 9)
+IRRED_CASES = [(2, 1, 6), (3, 1, 6), (5, 1, 6), (7, 1, 6), (2, 2, 3), (2, 3, 3), (3, 2, 3)]
+
+
+class TestIrreducibility:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_both_routes_match_the_sieve(self, data):
+        p, e, dmax = data.draw(st.sampled_from(IRRED_CASES))
+        base = make_field(p, e, 1)
+        d = data.draw(st.integers(1, dmax))
+        k = data.draw(st.integers(0, base.q**d - 1))
+        unit = base.from_int(data.draw(st.integers(1, base.q - 1)))
+        digits = [k // p**i % p for i in range(d * e)]
+        f = polynomials.from_coordinates(
+            base, [digits[j * e:(j + 1) * e] for j in range(d)] + [[1] + [0] * (e - 1)])
+        rows = prime_coordinates(base, d)
+        primes = set((rows[:, :d].reshape(len(rows), d * e) @ p ** np.arange(d * e)).tolist())
+        # `_is_irreducible` itself, so that no memo entry answers for it
+        got = polynomials._is_irreducible(f)
+        assert got == polynomials._is_irreducible(f * unit) == (k in primes)
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 2**64 - 59])
+    def test_x2_plus_1_at_large_p(self, p):
+        f = parse_poly("T^2+1", make_field(p, 1, 1))
+        assert polynomials._is_irreducible(f) == (p % 4 == 3)
+
+
 class TestValuation:
     def test_exponent_readoff_at_T(self):
         f = SparsePoly.monomial(F5, 4)  # T^(q-1)
@@ -159,12 +195,6 @@ class TestValuation:
             for g in pool:
                 acc += g.degree * poly_valuation(f, Place.finite(g))
             assert acc == 0
-
-    def test_rational_valuation(self):
-        f = RationalFn(SparsePoly.T(F5), parse_poly("T^2+2", F5))
-        assert valuation(f, Place.infinity()) == 1
-        assert valuation(f, Place.finite(SparsePoly.T(F5))) == 1
-        assert valuation(f, Place.finite(parse_poly("T^2+2", F5))) == -1
 
 
 def _valuation_by_division(f, g):
@@ -283,7 +313,7 @@ class TestSyntax:
     def test_f9_coefficients_are_element_indices(self):
         F9 = make_field(3, 2, 1)
         f = parse_poly("T^2+T+5", F9)
-        assert f.constant() == F9.from_int(5) and format_poly(f) == "T^2+T+5"
+        assert f.coeff(0) == F9.from_int(5) and format_poly(f) == "T^2+T+5"
         assert format_poly(parse_poly("T+1", F9)) == "T+1"
         assert format_poly(parse_poly("T+2", F9)) == "T+2"
         assert parse_poly("T-4", F9) == parse_poly("T+8", F9)  # -(1 + w) = 2 + 2w
