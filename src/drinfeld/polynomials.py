@@ -309,16 +309,11 @@ def _is_irreducible(f: SparsePoly) -> bool:
         return False
     if f.base.n == 1:
         return _rabin(coordinates(f.base, [f.monic()], d)[0, :, 0].tolist(), f.base.p)
-    q = f.base.q
-    # T^(q^k) mod f, iterated k = 1..d
-    t = SparsePoly.T(f.base)
-    u = _powmod(t, q, f)
-    cur = u
-    for k in range(1, d // 2 + 1):
-        if k > 1:
-            cur = _compose_mod(cur, u, f)
-        g = f.gcd(cur - t)
-        if g.degree > 0:
+    q, t = f.base.q, SparsePoly.T(f.base)
+    cur = t
+    for _ in range(d // 2):  # cur = T^(q^k) mod f, one q-th power per step
+        cur = _powmod(cur, q, f)
+        if f.gcd(cur - t).degree > 0:
             return False
     return True
 
@@ -348,18 +343,6 @@ def _sparse_mod(f: SparsePoly, g: SparsePoly) -> SparsePoly:
         acc = (acc + SparsePoly(f.base, [(0, c)])) % g
         prev = e
     return acc * _powmod(t, prev, g) % g if prev else acc
-
-
-def _compose_mod(g: SparsePoly, h: SparsePoly, f: SparsePoly) -> SparsePoly:
-    """g(h) mod f by Horner over g's dense coefficients (small degrees)."""
-    base = g.base
-    acc = SparsePoly.zero(base)
-    for i in range(g.degree, -1, -1):
-        acc = (acc * h) % f
-        c = g.coeff(i)
-        if c:
-            acc = acc + SparsePoly(base, [(0, c)])
-    return acc
 
 
 def necklace_count(q: int, d: int) -> int:
@@ -455,23 +438,30 @@ class ResidueField:
     `ResidueBatch` of one prime, `batch`, read through `Field` and
     `FieldElement`.  `reduce` is Horner on field elements (`eval_in`), which
     at the r+1 coefficients of phi_T takes a quarter to a tenth of the time
-    of the numpy reduction of a batch of one."""
+    of the numpy reduction of a batch of one.  `lift` is its inverse on the
+    polynomials of degree < deg l."""
 
     def __init__(self, prime: SparsePoly, batch: "ResidueBatch"):
         self.prime = prime
         self.batch = batch
         self.field = fld = batch.field
         self.t_image = FieldElement(fld, tuple(batch.t_bar[0].tolist()))
-        if batch.base.n == 1:  # the embedding is e_0: F_p coordinates padded
-            pad = (0,) * (fld.n - 1)
-            self.embed_base = lambda c: FieldElement(fld, c.coords + pad)
-        else:
-            rows, p = tuple(map(tuple, batch.embed.tolist())), fld.p
-            self.embed_base = lambda c: FieldElement(
-                fld, tuple(sum(a * x for a, x in zip(row, c.coords)) % p for row in rows))
+        rows, p = tuple(map(tuple, batch.embed.tolist())), fld.p
+        self.embed_base = lambda c: FieldElement(
+            fld, tuple(sum(a * x for a, x in zip(row, c.coords)) % p for row in rows))
 
     def reduce(self, f: SparsePoly) -> FieldElement:
         return f.eval_in(self.field, self.t_image, self.embed_base)
+
+    def lift(self, c: FieldElement) -> SparsePoly:
+        """The polynomial of degree < deg l that `reduce` sends to c: its
+        F_q coefficients are the pull-back of c along the F_l coordinates
+        T bar^a alpha^k of `ResidueBatch.weights`, an invertible square map.
+        Needs p within int64, as `linalg.pullback` does."""
+        d, p = self.prime.degree, self.field.p
+        rows, inv = pullback(self.batch.weights(d)[0].T, p)
+        y = matmul_mod_p(np.array(c.coords, dtype=inv.dtype)[rows], inv.T, p)
+        return from_coordinates(self.prime.base, y.reshape(d, -1).tolist())
 
 
 _RESIDUE_CACHE: dict[SparsePoly, ResidueField] = {}
@@ -492,8 +482,9 @@ def residue_field(prime: SparsePoly) -> ResidueField:
 class ResidueBatch:
     """The residue fields A/(p) at primes p of one degree d, operated on
     together: the one definition of a residue field, its modulus, the image
-    T bar of T and the embedding `embed` of F_q (n x e, column k the image
-    of the k-th power of the F_q generator).  `primes` is a (B, d+1, e)
+    T bar of T, the embedding `embed` of F_q (n x e, column k the image
+    of the k-th power of the F_q generator) and the F_l basis
+    T bar^j alpha^k that they span (`weights`).  `primes` is a (B, d+1, e)
     array as `prime_coordinates` gives.
 
     For e = 1 the moduli are the primes themselves, T bar is the generator
@@ -556,22 +547,28 @@ class ResidueBatch:
             prev = exp
         return fb.mul(acc, fb.pow(self.t_bar, prev)) if prev else acc
 
-    def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
-        """(..., n) coordinates mod p of the polynomials with (..., D, e)
-        F_q coefficient arrays, the constant first: one product with the
-        F_p-matrix whose row (j, k) holds T bar^j alpha^k, alpha^k the
-        embedded F_q basis.  A batch of one prime serves any number of
-        polynomials."""
+    def weights(self, D: int) -> np.ndarray:
+        """(B, D*e, n) F_p-matrices, one per prime, whose row (j, k) holds
+        the coordinates of T bar^j alpha^k, alpha^k the embedded F_q basis:
+        the map from the F_q coefficients of a polynomial of degree < D to
+        its residue.  Kept for the largest D asked so far; read-only."""
         fb, e = self.fb, self.base.n
-        D = coeffs.shape[-2]
         if self._weights.shape[1] < D * e:
             tpow = [fb.one()]
             for _ in range(1, D):
                 tpow.append(fb.mul(tpow[-1], self.t_bar))
             w = fb.mul(np.stack(tpow, axis=1)[:, :, None], self.embed.T)
             self._weights = w.reshape(w.shape[0], D * e, fb.n)
+        return self._weights[:, : D * e]
+
+    def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
+        """(..., n) coordinates mod p of the polynomials with (..., D, e)
+        F_q coefficient arrays, the constant first: one product with
+        `weights(D)`.  A batch of one prime serves any number of
+        polynomials."""
+        D, e = coeffs.shape[-2], self.base.n
         flat = coeffs.reshape(coeffs.shape[:-2] + (1, D * e))
-        return matmul_mod_p(flat, self._weights[:, : D * e], fb.p)[..., 0, :]
+        return matmul_mod_p(flat, self.weights(D), self.fb.p)[..., 0, :]
 
 
 _ROOTS_CACHE: dict[tuple[int, int], np.ndarray] = {}

@@ -331,8 +331,8 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
     if sol is None or sol[1]:
         raise ReductionError("the module basis does not give a basis of the torsion")
     ell_rf = residue_field(ell)
-    frob_mat = _fl_matrix(reduced, ell_rf, sol[0][:, : reduced.r])
-    t_mat = _fl_matrix(reduced, ell_rf, sol[0][:, reduced.r :])
+    frob_mat = _fl_matrix(ell_rf, sol[0][:, : reduced.r])
+    t_mat = _fl_matrix(ell_rf, sol[0][:, reduced.r :])
     if not frob_mat.det():
         raise ReductionError("Frobenius matrix is singular")
 
@@ -376,18 +376,14 @@ def _fq_echelon(B: Field, alphas: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return linalg.matmul_mod_p(rows, C.T, p)
 
 
-def _fl_matrix(reduced: ReducedModule, ell_rf: ResidueField, sol: np.ndarray) -> linalg.Matrix:
+def _fl_matrix(ell_rf: ResidueField, sol: np.ndarray) -> linalg.Matrix:
     """The r x r matrix over F_l whose column j has the coordinates sol[:, j]
-    along the basis alpha^k phi_(T^a)(v_i): entry (i, j) is digits @ W, where
-    row (a, k) of W holds the F_l coordinates of T bar^a alpha^k."""
-    base, r, Fl = reduced.module.base, reduced.r, ell_rf.field
-    alphas = [ell_rf.embed_base(base.gen**k) for k in range(base.e)]
-    W, tpow = [], Fl.one
-    for _ in range(ell_rf.prime.degree):
-        W.extend((tpow * a).coords for a in alphas)
-        tpow = tpow * ell_rf.t_image
-    digits = sol.T.reshape(r, r, -1).swapaxes(0, 1)  # [i][j] -> digits (a, k)
-    return linalg.Matrix(Fl, r, r, linalg.matmul_mod_p(digits, np.array(W), Fl.p))
+    along the basis alpha^k phi_(T^a)(v_i): entry (i, j) is the residue at l
+    of the polynomial whose coefficient of T^a has the F_q coordinates
+    (a, k), read through `ell_rf.batch.evaluate`."""
+    r, e = sol.shape[1], ell_rf.prime.base.n
+    digits = sol.T.reshape(r, r, -1, e).swapaxes(0, 1)  # [i][j] -> digits (a, k)
+    return linalg.Matrix(ell_rf.field, r, r, ell_rf.batch.evaluate(digits))
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +459,7 @@ def fl_line(ts: TorsionSpace, coords: list[FieldElement]) -> list[FieldElement]:
     w = ts.field.zero
     for c, v in zip(coords, ts.module_basis):
         # c in F_l acts through phi of any lift of c
-        lift = _lift_fl(ts, c)
-        w = w + linearized_eval(ts.phi_in_splitting(lift), v)
+        w = w + linearized_eval(ts.phi_in_splitting(ts.ell_field.lift(c)), v)
     out = []
     cur = w
     T = SparsePoly.T(reduced.module.base)
@@ -473,14 +468,3 @@ def fl_line(ts: TorsionSpace, coords: list[FieldElement]) -> list[FieldElement]:
         cur = linearized_eval(ts.phi_in_splitting(T), cur)
     return out
 
-
-def _lift_fl(ts: TorsionSpace, c: FieldElement) -> SparsePoly:
-    """A polynomial lift of an element of F_l, valid when e = 1: the
-    coordinates c_i of c as the coefficients of T^i.  It relies on the
-    convention of `ResidueBatch` at e = 1: for deg l > 1, T bar is the
-    generator x, so sum c_i T^i reduces to sum c_i x^i = c; for l = T + a,
-    T bar is -a and F_l = F_p, so the constant c_0 reduces to itself."""
-    base = ts.reduced.module.base
-    if base.n != 1:
-        raise ReductionError("F_l lifts only implemented over prime base fields")
-    return SparsePoly(base, [(i, base.scalar(int(v))) for i, v in enumerate(c.coords) if v])

@@ -378,12 +378,21 @@ class TestVerify:
         assert doc["outcomes"][0]["suite"] == "charpoly"
         assert "[pass] charpoly" in err
 
-    @pytest.mark.parametrize("suite,checks", [("charpoly", 16), ("reduction", 34)])
+    @pytest.mark.parametrize("suite,checks", [("charpoly", 16), ("reduction", 34),
+                                              ("isogeny", 8), ("newton", 8)])
     def test_linear_prime_suites_at_q9(self, suite, checks, capsys):
-        # the linear primes T - a run over every a in F_9^*, never the bad prime T
+        # the linear primes T - a run over every a in F_9^*, never the bad prime T;
+        # the eigenline lifts from F_l over F_9, and at q = 9 the single-slope
+        # certificate is rightly inconclusive
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--q", "9", "--max-deg", "2")
         assert code == 0
         assert json.loads(out)["outcomes"][0]["checks"] == checks
+
+    def test_isogeny_suite_at_q4(self, capsys):
+        # torsion matrices and eigenline lifts over F_4, e = 2
+        code, out, _ = run_cli(capsys, "verify", "--suite", "isogeny", "--q", "4")
+        assert code == 0
+        assert json.loads(out)["outcomes"][0]["checks"] == 8
 
     @pytest.mark.parametrize("suite", ["charpoly-bounds", "all"])
     def test_negative_max_deg_is_usage_error(self, suite, capsys):

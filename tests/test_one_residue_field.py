@@ -1,11 +1,13 @@
-"""A residue field is decided in one place.
+"""A residue field is decided in one place, and its T bar read in one module.
 
 An `ast` scan of the library modules: the calls that choose a residue
 field or find a root in one, `field_with_modulus`, `_first_roots` and
 `first_root`, appear only in `ResidueBatch` (the modulus, T bar and the F_q
 embedding of every residue field, `residue_field` being its batch of one)
 and in `Field.subfield_embedding` (every embedding of a subfield).  The one
-other call is listed below with its reason.
+other call is listed below with its reason.  No module but `polynomials`
+reads T bar or the F_l basis T bar^a alpha^k (its `weights`), in either
+direction between A and F_l.
 """
 
 import ast
@@ -68,3 +70,16 @@ def test_residue_fields_are_decided_in_one_place(path):
 def test_every_listed_place_still_calls(module, scope):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     assert any(scope in scopes for scopes, _, _ in calls(tree)), "no call left: drop the entry"
+
+
+# the image T bar of T and the basis T bar^a alpha^k that it spans, both
+# ways between A and F_l, are read through `ResidueBatch` and `ResidueField`
+T_BAR = {"t_image", "t_bar", "weights", "_weights"}
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.stem != "polynomials"],
+                         ids=lambda path: path.stem)
+def test_t_bar_is_read_only_in_polynomials(path):
+    stray = [(node.lineno, node.attr) for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in T_BAR]
+    assert not stray, f"T bar read outside polynomials: {stray}"

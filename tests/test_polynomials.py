@@ -116,8 +116,10 @@ class TestPrimes:
 
 
 # (p, e, largest degree): Rabin's test at e = 1, the distinct-degree
-# criterion at e > 1 (q = 4, 8, 9)
-IRRED_CASES = [(2, 1, 6), (3, 1, 6), (5, 1, 6), (7, 1, 6), (2, 2, 3), (2, 3, 3), (3, 2, 3)]
+# criterion at e > 1 (q = 4, 8, 9), past degree 3 where it takes q^k-th
+# powers for k >= 2
+IRRED_CASES = [(2, 1, 6), (3, 1, 6), (5, 1, 6), (7, 1, 6), (2, 2, 3), (2, 3, 3), (3, 2, 3),
+               (2, 2, 5), (3, 2, 4)]
 
 
 class TestIrreducibility:
@@ -137,6 +139,16 @@ class TestIrreducibility:
         # `_is_irreducible` itself, so that no memo entry answers for it
         got = polynomials._is_irreducible(f)
         assert got == polynomials._is_irreducible(f * unit) == (k in primes)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_products_without_roots_are_reducible(self, data):
+        # no factor of degree 1: only the steps k >= 2 of the e > 1 route see them
+        p, e, j = data.draw(st.sampled_from([(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]))
+        base = make_field(p, e, 1)
+        g = data.draw(st.sampled_from(primes_of_degree(base, 2)))
+        h = data.draw(st.sampled_from(primes_of_degree(base, j)))
+        assert not polynomials._is_irreducible(g * h)
 
     @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 2**64 - 59])
     def test_x2_plus_1_at_large_p(self, p):
@@ -275,6 +287,28 @@ class TestResidueField:
             assert (rf.reduce(f) == rf.field.zero) == (not f % ell)
         assert rf.reduce(ell) == rf.field.zero
         assert rf.reduce(ell * parse_poly("T+1", F5)) == rf.field.zero
+
+
+# (p, e, largest degree) of the residue fields whose lift is checked
+LIFT_CASES = [(2, 1, 4), (5, 1, 3), (7, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]
+
+
+class TestLift:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_lift_inverts_reduce_below_the_degree(self, data):
+        p, e, dmax = data.draw(st.sampled_from(LIFT_CASES))
+        base = make_field(p, e, 1)
+        d = data.draw(st.integers(1, dmax))
+        primes = primes_of_degree(base, d)
+        rf = residue_field(primes[data.draw(st.integers(0, len(primes) - 1))])
+        for c in rf.field.elements():
+            f = rf.lift(c)
+            assert f.degree < d and rf.reduce(f) == c
+        for k in range(base.q**d):  # every polynomial of degree < d
+            digits = [k // p**i % p for i in range(d * e)]
+            f = polynomials.from_coordinates(base, [digits[j * e:(j + 1) * e] for j in range(d)])
+            assert rf.lift(rf.reduce(f)) == f
 
 
 class TestSyntax:
