@@ -342,25 +342,10 @@ def _phi_of(fb: FieldBatch, powers: list[np.ndarray], digits: np.ndarray,
 
 def _charpoly_objects(base, primes: list[SparsePoly], a: list[np.ndarray],
                       eps: np.ndarray) -> list[CharPoly]:
-    r = len(a)
-    elems: dict[tuple[int, ...], FieldElement] = {}
-
-    def elem(coords: list[int]) -> FieldElement:
-        key = tuple(coords)
-        x = elems.get(key)
-        if x is None:
-            x = elems[key] = base.elem(key)
-        return x
-
     rows = [ai.tolist() for ai in a]
-    out = []
-    for b, (prime, e) in enumerate(zip(primes, eps.tolist())):
-        polys = tuple(
-            SparsePoly(base, [(j, elem(c)) for j, c in enumerate(ai[b]) if any(c)])
-            for ai in rows
-        )
-        out.append(CharPoly(prime, r, polys, elem(e)))
-    return out
+    return [CharPoly(prime, len(a), tuple(from_coordinates(base, ai[b]) for ai in rows),
+                     base.elem(e))
+            for b, (prime, e) in enumerate(zip(primes, eps.tolist()))]
 
 
 def charpoly_linear_system(module: DrinfeldModule, prime: SparsePoly) -> CharPoly:

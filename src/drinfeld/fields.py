@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import (PackedMatrix, check_int64_range, kernel_mod_p, matmul_mod_p, mod_p,
-                     products, sum_products)
+                     power, products, sum_products)
 
 _NUMPY_MUL_CUTOFF = 32  # coordinate length above which products go through numpy
 
@@ -143,15 +143,7 @@ class FieldElement:
         f = self.field
         if k < 0:
             return f.inv(self) ** (-k)
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return f.one if result is None else result
+        return power(self, k, f._mul, f.one)
 
     def __repr__(self):
         return f"FieldElement({self.field!r}, {self.coords})"
@@ -542,15 +534,9 @@ class FieldBatch:
         return self._fold(mod_p(prod, self.p))
 
     def pow(self, a: np.ndarray, k: int) -> np.ndarray:
-        result = np.zeros_like(a)
-        result[..., 0] = 1
-        while k:
-            if k & 1:
-                result = self.mul(result, a)
-            k >>= 1
-            if k:
-                a = self.mul(a, a)
-        return result
+        one = np.zeros_like(a)
+        one[..., 0] = 1
+        return power(a, k, self.mul, one)
 
     def inv(self, a: np.ndarray) -> np.ndarray:
         """Inverse by Fermat, a^(p^n - 2); zero maps to zero."""
@@ -833,15 +819,15 @@ def _poly_mod(a: Sequence[int], b: list[int], p: int) -> list[int]:
 
 
 def _xpow_mod(e: int, b: list[int], p: int) -> list[int]:
-    """x^e mod b over F_p, e >= 1, by square and multiply."""
-    r = _poly_mod([0, 1], b, p)
-    for bit in format(e, "b")[1:]:
-        sq = [0] * (2 * len(r) - 1)
-        for i, u in enumerate(r):
-            for j, v in enumerate(r):
-                sq[i + j] += u * v
-        r = _poly_mod([0] + sq if bit == "1" else sq, b, p)
-    return r
+    """x^e mod b over F_p, b of positive degree, by square and multiply."""
+    def mul(u: list[int], v: list[int]) -> list[int]:
+        prod = [0] * (len(u) + len(v) - 1)
+        for i, c in enumerate(u):
+            for j, d in enumerate(v):
+                prod[i + j] += c * d
+        return _poly_mod(prod, b, p)
+
+    return power(_poly_mod([0, 1], b, p), e, mul, [1])
 
 
 def _rabin(f: Sequence[int], p: int, depth: int = 0) -> bool:

@@ -25,10 +25,11 @@ that meets many left ones, is a @ b reduced mod p, in the inputs' dtype:
   and an int64 holds 63 // bits lanes, so no lane carries into the next.
 
 `sum_products` leaves a @ b unreduced for a caller that adds to it before
-one reduction; the unreduced sums of `_lt_mul` and `reduction.phi_T_powers`
-read `products` themselves.  `rref_mod_p` eliminates in the narrowest dtype
-whose update budget covers the elimination; it, `matpow_mod_p` and `Matrix`
-refuse a p past int64 (`Int64RangeError`).  No float touches a result.
+one reduction, given how many products it adds.  `rref_mod_p` eliminates in
+the narrowest dtype whose update budget covers the elimination; it,
+`matpow_mod_p` and `Matrix` refuse a p past int64 (`Int64RangeError`).
+`power` is the one square and multiply, for any ring given its product and
+its one.  No float touches a result.
 """
 
 from __future__ import annotations
@@ -278,17 +279,24 @@ def preimage(v: np.ndarray, embed: np.ndarray, pulled, p: int) -> tuple[np.ndarr
     return y, (matmul_mod_p(y, embed.T, p) != v).any(axis=-1)
 
 
-def matpow_mod_p(mat: np.ndarray, k: int, p: int) -> np.ndarray:
-    check_int64_range(p, mat.shape[0])
-    result = np.eye(mat.shape[0], dtype=np.int64)
-    base = np.array(mat, dtype=np.int64) % p
+def power(x, k: int, mul, one):
+    """x^k for k >= 0 by square and multiply, in the ring whose product is
+    `mul` and whose one is `one` (field elements and batches, polynomials,
+    matrices).  The result starts from `one`, so it is never x itself."""
+    result = one
     while k:
         if k & 1:
-            result = matmul_mod_p(result, base, p)
+            result = mul(result, x)
         k >>= 1
         if k:
-            base = matmul_mod_p(base, base, p)
+            x = mul(x, x)
     return result
+
+
+def matpow_mod_p(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+    check_int64_range(p, mat.shape[0])
+    return power(np.array(mat, dtype=np.int64) % p, k,
+                 lambda a, b: matmul_mod_p(a, b, p), np.eye(mat.shape[0], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +319,9 @@ def _lt_mul(fb: FieldBatch, a: np.ndarray, b: np.ndarray, width: int,
     the shorter factor's coefficients act through their transposed
     multiplication matrices, or b's through `mats` when the caller built
     them once for several products (`_lt_matrices`; b need not be the
-    shorter then).  Each shift adds a sum of n products of residues; the
-    shifts are reduced one by one only when the dtype of the sums cannot
-    hold all of them."""
+    shorter then).  Each shift adds a sum of n products of residues, by
+    `sum_products` with the other shifts' sums as its spare: reduced only
+    when the dtype of the sums cannot hold all of them."""
     a, b = a[..., :width, :], b[..., :width, :]
     if mats is None and a.shape[-2] < b.shape[-2]:
         a, b = b, a
@@ -326,11 +334,10 @@ def _lt_mul(fb: FieldBatch, a: np.ndarray, b: np.ndarray, width: int,
     D = min(da + db - 1, width)
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     acc = np.zeros(lead + (D, n), dtype=np.result_type(a, mats))
-    raw = products(p, acc.dtype) >= n * db
     for t in range(min(db, D)):
         k = min(da, D - t)
-        term = a[..., :k, :] @ mats[..., t, :, :]
-        acc[..., t : t + k, :] += term if raw else mod_p(term, p)
+        acc[..., t : t + k, :] += sum_products(a[..., :k, :], mats[..., t, :, :], p,
+                                               spare=n * (db - 1))
     return mod_p(acc, p)
 
 

@@ -29,7 +29,7 @@ from .fields import (
     field_with_modulus,
     make_field,
 )
-from .linalg import PackedMatrix, matmul_mod_p, pullback, sum_products
+from .linalg import PackedMatrix, matmul_mod_p, power, pullback, sum_products
 
 
 class PrimeError(ValueError):
@@ -168,15 +168,7 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        result = SparsePoly.one(self.base)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return power(self, k, SparsePoly.__mul__, SparsePoly.one(self.base))
 
     def shift(self, k: int) -> "SparsePoly":
         return SparsePoly(self.base, [(e + k, c) for e, c in self.terms])
@@ -264,8 +256,10 @@ INF = float("inf")
 
 def poly_valuation(f: SparsePoly, v: Place):
     """Valuation of a polynomial at a place; +inf for f = 0.  At a finite
-    place g, each division by g waits for `_sparse_mod` to show g | f, so
-    a unit at g (T^(q-1) at T + 1 for a 64-bit q) costs no long division."""
+    place g, with no division: g is irreducible over a finite field, so
+    separable, and f(T + a) = sum_j D^(j) f(a) T^j at a root a of g (Taylor
+    by the Hasse derivatives D^(j), `_hasse`), so v_g(f) is the least j
+    with g not dividing D^(j) f, each tested by `_sparse_mod`."""
     if not f:
         return INF
     if v.is_infinite:
@@ -274,11 +268,26 @@ def poly_valuation(f: SparsePoly, v: Place):
     if g.degree == 1 and g.terms[0][0] == 1 and len(g.terms) == 1:
         # fast path at (T): smallest exponent
         return f.terms[0][0]
-    count = 0
-    while not _sparse_mod(f, g):  # g | f
-        f = f.divmod(g)[0]
-        count += 1
-    return count
+    j = 0
+    while not _sparse_mod(_hasse(f, j), g):  # g | D^(j) f
+        j += 1
+    return j
+
+
+def _hasse(f: SparsePoly, j: int) -> SparsePoly:
+    """The j-th Hasse derivative, sum_e C(e, j) c_e T^(e-j), each binomial
+    mod p by Lucas' theorem: the product of C(e_i, j_i) over the base-p
+    digits e_i of e and j_i of j."""
+    p = f.base.p
+    terms = []
+    for e, c in f.terms:
+        binom, x, y = 1, e, j
+        while y and binom:
+            x, xi = divmod(x, p)
+            y, yi = divmod(y, p)
+            binom = binom * math.comb(xi, yi) % p
+        terms.append((e - j, c * binom))
+    return SparsePoly(f.base, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +328,7 @@ def _is_irreducible(f: SparsePoly) -> bool:
 
 
 def _powmod(a: SparsePoly, e: int, f: SparsePoly) -> SparsePoly:
-    result = SparsePoly.one(a.base)
-    base = a % f
-    while e:
-        if e & 1:
-            result = (result * base) % f
-        e >>= 1
-        if e:
-            base = (base * base) % f
-    return result
+    return power(a % f, e, lambda x, y: x * y % f, SparsePoly.one(a.base))
 
 
 def _sparse_mod(f: SparsePoly, g: SparsePoly) -> SparsePoly:

@@ -148,14 +148,11 @@ def phi_T_powers(fb: FieldBatch, g: np.ndarray, frob: np.ndarray, upto: int) -> 
     steps = np.stack([steps[k] for k in live], axis=1)
     steps = linalg.matmul_mod_p(fb.mul_matrix(g[:, live]), steps, p)  # x -> g_k sigma^k(x)
     steps = steps.swapaxes(-1, -2)
-    # unreduced, an entry of P_(j+1) sums one matrix product of n terms per k
-    raw = linalg.products(p, fb.dtype) > n * len(live)
     powers = [np.broadcast_to(fb.one((1,)), (len(g), 1, n))]
     for _ in range(upto):
         span = powers[-1].shape[1]
-        terms = powers[-1][:, None] @ steps
-        if not raw:
-            terms = linalg.mod_p(terms, p)
+        # an entry of P_(j+1) sums one matrix product of n terms per k
+        terms = linalg.sum_products(powers[-1][:, None], steps, p, spare=n * (len(live) - 1))
         P = np.zeros((len(g), span + r, n), dtype=fb.dtype)
         for t, k in enumerate(live):
             P[:, k : k + span] += terms[:, t]

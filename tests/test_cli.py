@@ -183,6 +183,21 @@ class TestNewtonInertia:
         assert done.returncode == 0
         assert json.loads(done.stdout)["segments"] == [{"slope": [0, 1], "length": q**3 - 1}]
 
+    def test_newton_valuations_at_a_64_bit_prime_need_no_division(self):
+        # T^(q-1) - 1 vanishes at T+1, and T^(q^3+q-1) + T^q in phi_(T^2)
+        # at T^2+3: dividing by the place would take a step per quotient
+        # term, about q and q^3 of them
+        q = 2**64 - 59
+
+        def newton(*args):
+            return subprocess.run([sys.executable, "-m", "drinfeld", "newton", "--q", str(q), *args],
+                                  env=src_env(), capture_output=True, text=True, timeout=10)
+
+        done = newton("--coeffs", f"T;T^{q - 1}-1", "--a", "T", "--place", "T+1")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["segments"] == [{"slope": [1, q - 1], "length": q - 1}]
+        assert newton("--r", "3", "--a", "T^2", "--place", "T^2+3").returncode == 0
+
     def test_inertia(self, capsys):
         code, out, _ = run_cli(capsys, "inertia", "--q", "5", "--r", "3", "--l", "T^2+2")
         assert json.loads(out)["inertia_order"] == 625

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld import linalg
-from drinfeld.fields import FieldBatch, make_field
+from drinfeld.fields import FieldBatch, FieldElement, _poly_mod, _xpow_mod, make_field
 from drinfeld.linalg import _berkowitz
-from drinfeld.polynomials import parse_poly, residue_field
+from drinfeld.polynomials import SparsePoly, _powmod, parse_poly, residue_field
 
 
 class TestModP:
@@ -106,6 +106,45 @@ class TestInt64Guard:
         a = np.array([[self.INSIDE - 2]], dtype=np.int64)
         assert fb.mul(a, a)[0, 0] == pow(self.INSIDE - 2, 2, self.INSIDE)
         assert fb.mul(fb.inv(a), a)[0, 0] == 1
+
+
+class TestPower:
+    """`power` is every ring's square and multiply: each caller's x^k is
+    k-fold multiplication in its own ring, and x^0 that ring's one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    def test_every_caller_equals_repeated_multiplication(self, k, seed):
+        rng = random.Random(seed)
+
+        def repeated(x, mul, one):
+            for _ in range(k):
+                one = mul(one, x)
+            return one
+
+        F = make_field(3, 2, 2)
+        x = F.from_int(rng.randrange(1, F.order))
+        assert x**k == repeated(x, FieldElement.__mul__, F.one)
+        assert x**-k * x**k == F.one
+
+        fb = FieldBatch(5, [[2, 0, 1, 1], [1, 1, 0, 1], [3, 4, 2, 1]])
+        a = np.array([[rng.randrange(5) for _ in range(3)] for _ in range(3)], dtype=fb.dtype)
+        one = np.zeros_like(a)
+        one[:, 0] = 1
+        assert np.array_equal(fb.pow(a, k), repeated(a, fb.mul, one))
+
+        F5 = make_field(5, 1, 1)
+        f = SparsePoly(F5, [(e, F5.scalar(rng.randrange(1, 5))) for e in rng.sample(range(6), 3)])
+        assert f**k == repeated(f, SparsePoly.__mul__, SparsePoly.one(F5))
+        g = parse_poly("T^3+2*T+4", F5)
+        assert _powmod(f, k, g) == (f**k) % g
+
+        m = np.array([[rng.randrange(7) for _ in range(4)] for _ in range(4)], dtype=np.int64)
+        assert np.array_equal(linalg.matpow_mod_p(m, k, 7),
+                              repeated(m, lambda u, v: u @ v % 7, np.eye(4, dtype=np.int64)))
+
+        b = [rng.randrange(7) for _ in range(rng.randrange(1, 6))] + [rng.randrange(1, 7)]
+        assert _xpow_mod(k, b, 7) == _poly_mod([0] * k + [1], b, 7)
 
 
 PRIMES_TO_1009 = [p for p in range(2, 1010) if all(p % d for d in range(2, int(p**0.5) + 1))]

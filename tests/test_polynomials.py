@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import numpy as np
@@ -219,8 +220,9 @@ def _valuation_by_division(f, g):
 
 
 class TestSparseValuation:
-    """`poly_valuation` tests g | f by the sparse remainder `_sparse_mod`
-    before it divides: the same answers as long division alone."""
+    """`poly_valuation` finds the least Hasse derivative D^(j) f that g does
+    not divide, each tested by the sparse remainder `_sparse_mod`, with no
+    division: the same answers as long division alone."""
 
     @pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (3, 2)])
     def test_equals_the_division_loop_on_g_to_the_k_times_h(self, p, e):
@@ -242,6 +244,17 @@ class TestSparseValuation:
                     f = SparsePoly(base, [(x, base.from_int(rng.randrange(base.q)))
                                           for x in rng.sample(range(3 * base.q**2), 4)])
                     assert polynomials._sparse_mod(f, g) == f % g
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2)])
+    def test_hasse_binomials_equal_math_comb(self, p, e):
+        # D^(j) of sum_(k < 200) T^k has C(k, j) mod p at T^(k - j)
+        base = make_field(p, e, 1)
+        f = SparsePoly(base, [(k, base.one) for k in range(200)])
+        for j in range(201):
+            got = {k: c.coords for k, c in polynomials._hasse(f, j).terms}
+            want = {k - j: base.scalar(math.comb(k, j)).coords
+                    for k in range(j, 200) if math.comb(k, j) % p}
+            assert got == want
 
 
 def _rand_poly(rng, max_deg):

@@ -5,9 +5,8 @@ allowed only where b is an index encoding (a power p ** np.arange(...) or
 s ** ..., or a name `index`), which turns digits into integers and never
 meets mod p, and numpy's product functions are not called at all.  Every
 other product goes through `linalg.matmul_mod_p`, `linalg.PackedMatrix` or
-`linalg.sum_products`, which pick an exact route for the dtype and p.  The
-few products kept raw are listed below with their reasons; each reads
-`products(p, dtype)` in its own guard.
+`linalg.sum_products`, which pick an exact route for the dtype and p: no
+product is kept raw.
 """
 
 import ast
@@ -16,15 +15,6 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "drinfeld"
-
-# (module, function): why its raw product stays raw
-KEPT_RAW = {
-    ("reduction", "phi_T_powers"): (
-        "the step P_(j+1) = sum_k g_k sigma^k(P_j) adds one product per live k "
-        "into P before one reduction, and skips the mod of each product while "
-        "products(p, fb.dtype) holds their sum"
-    ),
-}
 
 PRODUCT_FUNCTIONS = {"matmul", "tensordot", "dot", "vdot", "inner", "einsum"}
 
@@ -64,13 +54,4 @@ MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "linalg.py")
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_no_raw_product_outside_linalg(path):
     found = raw_products(ast.parse(path.read_text()))
-    stray = [(f, line, src) for f, line, src in found if (path.stem, f) not in KEPT_RAW]
-    assert not stray, f"products of residues outside linalg: {stray}"
-
-
-@pytest.mark.parametrize("module,func", sorted(KEPT_RAW))
-def test_kept_raw_products_read_their_guard(module, func):
-    tree = ast.parse((SRC / f"{module}.py").read_text())
-    node = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == func)
-    assert any(f == func for f, _, _ in raw_products(tree)), "no raw product left: drop the entry"
-    assert "products" in {call_name(n) for n in ast.walk(node) if isinstance(n, ast.Call)}
+    assert not found, f"products of residues outside linalg: {found}"
