@@ -117,7 +117,8 @@ def _epsilon_from_reduced(reduced: ReducedModule) -> FieldElement:
         raise CharPolyError("epsilon needs good reduction")
     base, r, embed = reduced.module.base, reduced.module.r, reduced.field.base_embedding()
     norm = reduced.field.norm_to_base(reduced.coeffs[r])  # in the embedded F_q
-    nr, outside = linalg.preimage(np.array(norm.coords), embed, linalg.pullback(embed, base.p), base.p)
+    nr, outside = linalg.preimage(reduced.field.array(norm), embed,
+                                  linalg.pullback(embed, base.p), base.p)
     if outside:
         raise CharPolyError("norm did not land in the base field")
     return base.scalar(_epsilon_sign(r, reduced.prime.degree)) * base.inv(base.elem(nr.tolist()))
@@ -386,7 +387,7 @@ def charpoly_linear_system(module: DrinfeldModule, prime: SparsePoly) -> CharPol
     primes = coordinates(base, [prime], d)
     _check_residual(fb, powers, digits, alphas.T, lambda bad, msg: _raise_at(base, primes, bad, msg))
     a = [digits[:, i, : bound + 1] for i, bound in enumerate(bounds)]
-    return _charpoly_objects(base, [prime], a, np.array([_epsilon_from_reduced(reduced).coords]))[0]
+    return _charpoly_objects(base, [prime], a, base.array([_epsilon_from_reduced(reduced)]))[0]
 
 
 def charpoly_mod_l(module: DrinfeldModule, prime: SparsePoly, ell: SparsePoly) -> list[FieldElement]:

@@ -181,7 +181,6 @@ class Field:
         self._batch = None          # this field as a FieldBatch
         self._frob_q = None          # numpy matrix of x -> x^q
         self._frob_q_pow: dict[int, np.ndarray] = {}
-        self._frob_rows_py: dict[int, tuple] = {}
         self._subfield: dict[int, np.ndarray] = {}  # read-only bases by d mod m
         self._embeddings: dict[tuple, np.ndarray] = {}  # read-only, by (modulus, d mod m)
 
@@ -242,9 +241,7 @@ class Field:
         if n == 1:
             return FieldElement(self, ((a.coords[0] * b.coords[0]) % self.p,))
         if n > _NUMPY_MUL_CUTOFF:
-            batch = self.batch()
-            prod = batch.mul(np.array([a.coords], dtype=batch.dtype),
-                             np.array([b.coords], dtype=batch.dtype))
+            prod = self.batch().mul(self.array([a]), self.array([b]))
             return FieldElement(self, tuple(prod[0].tolist()))
         prod = [0] * (2 * n - 1)
         ac, bc = a.coords, b.coords
@@ -260,6 +257,15 @@ class Field:
         if self._batch is None:
             self._batch = FieldBatch(self.p, self.modulus, exact=True)
         return self._batch
+
+    def array(self, x: FieldElement | Sequence[FieldElement]) -> np.ndarray:
+        """The coordinates of one element, shape (n,), or of a sequence of
+        them, shape (k, n), in `batch().dtype` (object past int64): the one
+        conversion of elements to arrays, as numpy would infer float64 for
+        coordinates on both sides of 2^63."""
+        if isinstance(x, FieldElement):
+            return np.array(x.coords, dtype=self.batch().dtype)
+        return np.array([c.coords for c in x], dtype=self.batch().dtype).reshape(-1, self.n)
 
     def inv(self, a: FieldElement) -> FieldElement:
         """Inverse by extended Euclid on coordinate polynomials."""
@@ -322,20 +328,8 @@ class Field:
         k %= self.m
         if k == 0:
             return x
-        if self.n <= 24:
-            # python matvec beats numpy dispatch at these sizes
-            rows = self._frob_rows_py.get(k)
-            if rows is None:
-                mat = self.frobenius_power_matrix(k)
-                rows = tuple(tuple(int(v) for v in row) for row in mat)
-                self._frob_rows_py[k] = rows
-            p = self.p
-            xc = x.coords
-            return FieldElement(
-                self, tuple(sum(r * c for r, c in zip(row, xc)) % p for row in rows)
-            )
-        coords = matmul_mod_p(np.array(x.coords), self.frobenius_power_matrix(k).T, self.p)
-        return FieldElement(self, tuple(int(c) for c in coords))
+        coords = matmul_mod_p(self.array(x), self.frobenius_power_matrix(k).T, self.p)
+        return FieldElement(self, tuple(coords.tolist()))
 
     def norm_to_base(self, x: FieldElement) -> FieldElement:
         """Norm from F_{q^m} down to F_q: product of the m Frobenius conjugates."""

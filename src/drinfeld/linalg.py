@@ -411,7 +411,7 @@ class Matrix:
                 raise ValueError("entry count does not match dimensions")
             if any(x.field is not field for x in entries):
                 raise ValueError("all entries must share one owner field")
-            entries = np.array([x.coords for x in entries], dtype=np.int64)
+            entries = field.array(entries).astype(np.int64)
         self.field = field
         self.rows = rows
         self.cols = cols

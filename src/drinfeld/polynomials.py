@@ -259,7 +259,8 @@ def poly_valuation(f: SparsePoly, v: Place):
     place g, with no division: g is irreducible over a finite field, so
     separable, and f(T + a) = sum_j D^(j) f(a) T^j at a root a of g (Taylor
     by the Hasse derivatives D^(j), `_hasse`), so v_g(f) is the least j
-    with g not dividing D^(j) f, each tested by `_sparse_mod`."""
+    with g not dividing D^(j) f, each tested by `_sparse_mod`.  A j with
+    D^(j) f = 0, which g divides, is skipped (`_next_binomial`)."""
     if not f:
         return INF
     if v.is_infinite:
@@ -268,10 +269,29 @@ def poly_valuation(f: SparsePoly, v: Place):
     if g.degree == 1 and g.terms[0][0] == 1 and len(g.terms) == 1:
         # fast path at (T): smallest exponent
         return f.terms[0][0]
-    j = 0
+    j, p = 0, f.base.p
     while not _sparse_mod(_hasse(f, j), g):  # g | D^(j) f
-        j += 1
+        j = min(i for i in (_next_binomial(e, j + 1, p) for e, _ in f.terms) if i is not None)
     return j
+
+
+def _next_binomial(e: int, j: int, p: int) -> int | None:
+    """The least i >= j with C(e, i) != 0 mod p, or None (every such i is
+    at most e).  By Lucas' theorem these i are those whose base-p digits are
+    each at most e's.  If j's digit exceeds e's at some place, i agrees with
+    j above the least place s above all such places where j's digit is below
+    e's, has that digit plus one at s, and 0 below s."""
+    if j > e:
+        return None
+    i, place, pending = j, 1, False  # pending: a digit of j above e's, with no s above it yet
+    while place <= e:
+        ei, ji = e // place % p, j // place % p
+        if ji > ei:
+            pending = True
+        elif ji < ei and pending:
+            i, pending = j - j % place + place, False
+        place *= p
+    return None if pending else i
 
 
 def _hasse(f: SparsePoly, j: int) -> SparsePoly:
@@ -461,7 +481,7 @@ class ResidueField:
         Needs p within int64, as `linalg.pullback` does."""
         d, p = self.prime.degree, self.field.p
         rows, inv = pullback(self.batch.weights(d)[0].T, p)
-        y = matmul_mod_p(np.array(c.coords, dtype=inv.dtype)[rows], inv.T, p)
+        y = matmul_mod_p(self.field.array(c)[rows], inv.T, p)
         return from_coordinates(self.prime.base, y.reshape(d, -1).tolist())
 
 
@@ -543,8 +563,7 @@ class ResidueBatch:
         for exp, c in reversed(f.terms):
             if prev is not None:
                 acc = fb.mul(acc, fb.pow(self.t_bar, prev - exp))
-            coords = np.array(c.coords, dtype=fb.dtype)
-            acc = (acc + sum_products(coords, self.embed.T, fb.p, spare=1)) % fb.p
+            acc = (acc + sum_products(self.base.array(c), self.embed.T, fb.p, spare=1)) % fb.p
             prev = exp
         return fb.mul(acc, fb.pow(self.t_bar, prev)) if prev else acc
 

@@ -86,7 +86,7 @@ class ReducedModule:
         """phi_(T^j), j <= upto, as the (1, j*r+1, n) arrays of `phi_T_powers`."""
         if len(self._powers) <= upto:
             fb = self.field.batch()
-            g = np.array([[c.coords for c in self.coeffs]], dtype=fb.dtype)
+            g = self.field.array(self.coeffs)[None]
             self._powers = phi_T_powers(fb, g, self.field.frobenius_matrix()[None], upto)
         return self._powers[: upto + 1]
 
@@ -210,7 +210,7 @@ def splitting_degree(phil: SkewPoly) -> int:
     for i in range(R):
         rem = SkewPoly.tau(ring, d + i).divmod_right(phil)[1]
         for j, c in rem.terms:
-            N[j * n : (j + 1) * n, i * n : (i + 1) * n] = fb.mul_matrix(np.array(c.coords)[None])[0]
+            N[j * n : (j + 1) * n, i * n : (i + 1) * n] = fb.mul_matrix(field.array([c]))[0]
     times_N = linalg.PackedMatrix(N.T, p)  # v -> N v, on rows
     start = np.zeros(R * n, dtype=N.dtype)
     start[:1] = 1
@@ -248,7 +248,7 @@ class TorsionSpace:
 
     def embed(self, x: FieldElement) -> FieldElement:
         """Image of a residue-field element in the splitting field."""
-        coords = linalg.matmul_mod_p(np.array(x.coords), self.sigma.T, self.field.p)
+        coords = linalg.matmul_mod_p(self.reduced.field.array(x), self.sigma.T, self.field.p)
         return self.field.elem(int(c) for c in coords)
 
     def phi_in_splitting(self, a: SparsePoly) -> SkewPoly:
@@ -285,7 +285,7 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
         """F_p-matrix of an element of F_q acting on B."""
         if e == 1:
             return c.coords[0] * np.eye(n, dtype=np.int64)
-        return B.batch().mul_matrix(linalg.matmul_mod_p(np.array(c.coords), alphas, p)[None])[0]
+        return B.batch().mul_matrix(linalg.matmul_mod_p(ell.base.array([c]), alphas, p))[0]
 
     A_T = _t_action(reduced, B, sigma)
     # phi_l = l(A_T) by Horner: l is monic and F_q scalars commute with A_T
@@ -351,7 +351,7 @@ def _t_action(reduced: ReducedModule, B: Field, sigma: np.ndarray) -> np.ndarray
         if i and c == reduced.field.one:
             A_T += B.frobenius_power_matrix(i)
             continue
-        coords = np.array(c.coords, dtype=np.int64)
+        coords = reduced.field.array(c)
         mult = linalg.sum_products(coords[1:], betas, p, spare=1).reshape(n, n)
         mult[np.diag_indices(n)] += coords[0]
         mult %= p
@@ -430,7 +430,7 @@ def quotient_by_kernel(ts: TorsionSpace, x_basis: list[FieldElement]) -> Isogeny
         u = (SkewPoly.tau(ring) - SkewPoly(ring, [(0, beta ** (q - 1))])) * u
 
     # descend coefficients to the residue field through the embedding
-    coords, outside = linalg.preimage(np.array([c.coords for _, c in u.terms]), ts.sigma,
+    coords, outside = linalg.preimage(B.array([c for _, c in u.terms]), ts.sigma,
                                       linalg.pullback(ts.sigma, p), p)
     if outside.any():
         raise ReductionError("kernel is not Galois-stable: u does not descend")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,39 @@ class TestTorsion:
                 in done.stderr)
 
 
+LARGE_P_COMMANDS = [
+    ["phi", "--a", "T^2"],
+    ["charpoly", "--p", "T+1"],
+    ["torsion", "--p", "T+1", "--l", "T+2"],
+    ["newton", "--a", "T", "--place", "T"],
+    ["newton", "--a", "T", "--place", "inf"],
+    ["newton", "--a", "T", "--place", "T+1"],
+    ["inertia", "--l", "T+1"],
+    ["sample", "--l", "T+1", "--max-deg", "1"],
+    ["oracle-gl", "--l", "T+1"],
+]
+
+
+class TestLargePrimes:
+    """At primes where int64 holds no product of residues every command
+    ends within seconds: with exit 0 and a JSON document, or with exit 2 and
+    one named error."""
+
+    @pytest.mark.parametrize("q", [2**61 - 1, 2**64 - 59])
+    @pytest.mark.parametrize("argv", LARGE_P_COMMANDS, ids=" ".join)
+    def test_answers_or_refuses_by_name(self, capsys, argv, q):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--q", str(q))
+        assert time.perf_counter() - start < 5
+        if code == 0:
+            assert json.loads(out)["params"]["q"] == q
+            assert err == ""
+        else:
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestNewtonInertia:
     def test_newton_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "newton", "--q", "5", "--r", "3",
@@ -197,6 +231,17 @@ class TestNewtonInertia:
         assert done.returncode == 0
         assert json.loads(done.stdout)["segments"] == [{"slope": [1, q - 1], "length": q - 1}]
         assert newton("--r", "3", "--a", "T^2", "--place", "T^2+3").returncode == 0
+
+    def test_newton_valuation_q_is_reached_in_two_steps(self):
+        # T^q + 1 = (T + 1)^q: its Hasse derivatives 0 < j < q all vanish,
+        # and the scan jumps from j = 0 to j = q
+        q = 2**64 - 59
+        done = subprocess.run(
+            [sys.executable, "-m", "drinfeld", "newton", "--q", str(q), "--coeffs", f"T;T^{q}+1",
+             "--a", "T", "--place", "T+1"],
+            env=src_env(), capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["segments"] == [{"slope": [q, q - 1], "length": q - 1}]
 
     def test_inertia(self, capsys):
         code, out, _ = run_cli(capsys, "inertia", "--q", "5", "--r", "3", "--l", "T^2+2")

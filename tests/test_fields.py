@@ -250,8 +250,8 @@ class TestFrobenius:
 
     @pytest.mark.parametrize("n", [25, 45])
     def test_frobenius_matrix_past_int64(self, n):
-        # above n = 24 x^(q^k) is a product with the Frobenius matrices, and
-        # at p = 2^61 - 1 int64 cannot hold one product of residues; the
+        # x^(q^k) is a product with the Frobenius matrices, and at
+        # p = 2^61 - 1 int64 cannot hold one product of residues; the
         # modulus is a binomial x^n + c, as 3 and 5 divide p - 1
         p = 2**61 - 1
         fld = make_field(p, 1, n)
@@ -260,6 +260,21 @@ class TestFrobenius:
         xq = x**p
         assert fld.frobenius(x, 1) == xq
         assert fld.frobenius(x, 2) == xq**p
+
+    @pytest.mark.parametrize("n", [2, 25])
+    def test_coordinates_on_both_sides_of_2_63(self, n):
+        # -1 = (p - 1, 0, ...) and the element below have coordinates above
+        # and below 2^63, for which numpy infers float64; `Field.array`
+        # keeps them as Python ints
+        p = 2**64 - 59
+        fld = make_field(p, 1, n)
+        straddle = fld.elem([2**63 + 7 * i if i % 2 else 2**62 + i for i in range(n)])
+        assert fld.array(straddle).tolist() == list(straddle.coords)
+        assert fld.array([straddle, -fld.one]).tolist() == [list(straddle.coords),
+                                                            list((-fld.one).coords)]
+        for x in (-fld.one, straddle):
+            for k in (1, 2):
+                assert fld.frobenius(x, k) == x ** fld.q**k
 
     def test_norm_past_int64_is_the_product_of_the_conjugates(self):
         p, n = 2**61 - 1, 25

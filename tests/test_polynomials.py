@@ -222,14 +222,16 @@ def _valuation_by_division(f, g):
 class TestSparseValuation:
     """`poly_valuation` finds the least Hasse derivative D^(j) f that g does
     not divide, each tested by the sparse remainder `_sparse_mod`, with no
-    division: the same answers as long division alone."""
+    division, and skips the j where every binomial of D^(j) f vanishes (as
+    at k = p, where D^(j) g^p = 0 for 0 < j < p): the same answers as long
+    division alone."""
 
     @pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (3, 2)])
     def test_equals_the_division_loop_on_g_to_the_k_times_h(self, p, e):
         base, rng = make_field(p, e, 1), random.Random(p * 10 + e)
         for d in (1, 2, 3):
             for g in primes_of_degree(base, d)[:4]:
-                for k in range(4):
+                for k in (0, 1, 2, 3, p):
                     h = SparsePoly(base, [(x, base.from_int(rng.randrange(1, base.q)))
                                           for x in rng.sample(range(2 * base.q), 3)])
                     f = g**k * h
@@ -255,6 +257,14 @@ class TestSparseValuation:
             want = {k - j: base.scalar(math.comb(k, j)).coords
                     for k in range(j, 200) if math.comb(k, j) % p}
             assert got == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_next_binomial_equals_the_least_nonzero_math_comb(self, p):
+        for e in range(200):
+            nonzero = [i for i in range(e + 1) if math.comb(e, i) % p]
+            for j in range(200):
+                want = next((i for i in nonzero if i >= j), None)
+                assert polynomials._next_binomial(e, j, p) == want
 
 
 def _rand_poly(rng, max_deg):

@@ -40,7 +40,8 @@ newton --q 5 --r 3 --a T^2+2 --place inf|newton --q 5 --r 3 --a T^2+2 --place T^
 sample --q 7 --r 3 --l T+6 --max-deg 5|sample --q 9 --r 3 --l T+2 --max-deg 3|sample --q 11 --r 5 --l T+10 --max-deg 4
 oracle-gl --q 5 --r 3 --l T+1 --backend A|oracle-gl --q 5 --r 3 --l T+1 --backend B|verify --suite all --q 5
 verify --suite all --q 9 --max-deg 1|verify --suite isogeny --q 4|phi --q 5 --coeffs T;1;2;1 --a T+1
-newton --q 18446744073709551557 --r 3 --a T^2 --place T^2+3"""
+newton --q 18446744073709551557 --r 3 --a T^2 --place T^2+3
+newton --q 18446744073709551557 --coeffs T;T^18446744073709551557+1 --a T --place T+1"""
 # `verify` exits 1 when a suite fails; at q = 9, max-deg 1 the chebotarev suite
 # does, by design: its TV distance comes from 5 samples.
 FAILS = {"verify --suite all --q 9 --max-deg 1"}
