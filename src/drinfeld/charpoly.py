@@ -75,14 +75,11 @@ class CharPoly:
         self.r = r
         self.a = coeffs
         self.epsilon = epsilon
-        self._mod: dict[SparsePoly, list[FieldElement]] = {}
 
     def reduce_mod(self, ell: SparsePoly) -> list[FieldElement]:
         """Monic image in F_l[x], ascending: [a_r mod l, ..., a_1 mod l, 1]."""
-        if ell not in self._mod:
-            rf = residue_field(ell)
-            self._mod[ell] = [rf.reduce(a) for a in reversed(self.a)] + [rf.field.one]
-        return list(self._mod[ell])
+        rf = residue_field(ell)
+        return [rf.reduce(a) for a in reversed(self.a)] + [rf.field.one]
 
     def det_of_frobenius_mod(self, ell: SparsePoly) -> FieldElement:
         """(-1)^r a_r mod l: the determinant of the mod-l Frobenius matrix."""
@@ -352,7 +349,9 @@ def _charpoly_objects(base, primes: list[SparsePoly], a: list[np.ndarray],
 def charpoly_linear_system(module: DrinfeldModule, prime: SparsePoly) -> CharPoly:
     """Characteristic polynomial of Frobenius at a good prime via the
     degree-bounded linear system; exact, no field extensions.  The oracle
-    for `frobenius_charpolys`."""
+    for `frobenius_charpolys`.  Refuses a p past int64
+    (`linalg.Int64RangeError`), where the system is written."""
+    linalg.check_int64_range(module.base.p, 1)
     reduced = reduce_mod(module, prime)
     if not reduced.is_good:
         raise CharPolyError("bad reduction at the given prime")

@@ -377,10 +377,7 @@ def necklace_count(q: int, d: int) -> int:
     return total // d
 
 
-_PRIME_CACHE: dict[tuple[int, int], list[SparsePoly]] = {}
-_PRIME_COORDS: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def primes_of_degree(base: Field, d: int) -> list[SparsePoly]:
     """All monic irreducibles of degree d over F_q, ordered by ascending
     coefficient index (constant coefficient varies fastest).
@@ -389,25 +386,20 @@ def primes_of_degree(base: Field, d: int) -> list[SparsePoly]:
     The first call also records each prime as irreducible for
     `is_irreducible`.
     """
-    key = (id(base), d)
-    if key not in _PRIME_CACHE:
-        out = [from_coordinates(base, row) for row in prime_coordinates(base, d).tolist()]
-        for f in out:
-            _IRRED_CACHE[f] = True
-        _PRIME_CACHE[key] = out
-    return _PRIME_CACHE[key]
+    out = [from_coordinates(base, row) for row in prime_coordinates(base, d).tolist()]
+    for f in out:
+        _IRRED_CACHE[f] = True
+    return out
 
 
+@functools.cache
 def prime_coordinates(base: Field, d: int) -> np.ndarray:
     """The primes of `primes_of_degree`, in the same order, as one read-only
     (N, d+1, e) array: row k holds the F_q coordinates of the coefficients
     of prime k, the constant first.  Builds no `SparsePoly`."""
-    key = (id(base), d)
-    if key not in _PRIME_COORDS:
-        coords = _primes_of_degree_np(base, d)
-        coords.flags.writeable = False
-        _PRIME_COORDS[key] = coords
-    return _PRIME_COORDS[key]
+    coords = _primes_of_degree_np(base, d)
+    coords.flags.writeable = False
+    return coords
 
 
 def _primes_of_degree_np(base: Field, d: int) -> np.ndarray:
@@ -424,7 +416,10 @@ def _primes_of_degree_np(base: Field, d: int) -> np.ndarray:
     if d < 1:
         raise PrimeError("degree must be >= 1")
     p, e, fb = base.p, base.n, base.batch()
-    alive = np.ones(base.q**d, dtype=bool)
+    try:
+        alive = np.ones(base.q**d, dtype=bool)
+    except (MemoryError, ValueError) as exc:  # numpy's refusals of a q**d-entry array
+        raise PrimeError(f"the {base.q}^{d} monics of degree {d} exceed one array") from exc
     for j in range(1, d // 2 + 1):
         # coefficient-major, (degree, N, M, e), so that numpy's inner loops
         # run over the N x M pairs rather than the e coordinates; in the
@@ -485,19 +480,14 @@ class ResidueField:
         return from_coordinates(self.prime.base, y.reshape(d, -1).tolist())
 
 
-_RESIDUE_CACHE: dict[SparsePoly, ResidueField] = {}
-
-
+@functools.cache
 def residue_field(prime: SparsePoly) -> ResidueField:
     """Residue field at a monic irreducible prime of A: the `ResidueBatch`
     of this prime alone.  Instances are cached per prime."""
-    rf = _RESIDUE_CACHE.get(prime)
-    if rf is None:
-        if not prime.is_monic() or not is_irreducible(prime):
-            raise PrimeError("residue fields require a monic irreducible generator")
-        batch = ResidueBatch(prime.base, coordinates(prime.base, [prime], prime.degree))
-        rf = _RESIDUE_CACHE[prime] = ResidueField(prime, batch)
-    return rf
+    if not prime.is_monic() or not is_irreducible(prime):
+        raise PrimeError("residue fields require a monic irreducible generator")
+    batch = ResidueBatch(prime.base, coordinates(prime.base, [prime], prime.degree))
+    return ResidueField(prime, batch)
 
 
 class ResidueBatch:
@@ -591,9 +581,7 @@ class ResidueBatch:
         return matmul_mod_p(flat, self.weights(D), self.fb.p)[..., 0, :]
 
 
-_ROOTS_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _first_roots(base: Field, d: int) -> np.ndarray:
     """For e > 1, entry k is the first element of F_(q^d), in index order,
     whose characteristic polynomial over F_q, the product of X - x^(q^i) for
@@ -601,30 +589,27 @@ def _first_roots(base: Field, d: int) -> np.ndarray:
     polynomial of its roots and of nothing else, so its entry is the first
     root that the scan of `Field.first_root` finds.  One pass over the field in blocks of
     `_ROOT_BLOCK`, conjugates by the matrix of the q-power map."""
-    key = (id(base), d)
-    if key not in _ROOTS_CACHE:
-        fld = make_field(base.p, base.e, d)
-        p, n, e = fld.p, fld.n, base.n
-        fb = fld.batch()
-        frob = PackedMatrix(fld.frobenius_matrix().T, p)
-        rows, inv = pullback(fld.base_embedding(), p)
-        index = p ** np.arange(d * e)
-        table = np.full(base.q**d, -1, dtype=np.int64)
-        for start in range(0, fld.order, _ROOT_BLOCK):
-            ks = np.arange(start, min(start + _ROOT_BLOCK, fld.order), dtype=np.int64)
-            x = _digits(ks, p, n).astype(fb.dtype)
-            poly = fb.one((len(ks), 1))[0]
-            for _ in range(d):
-                prod = fb.mul(poly, x[:, None])
-                poly = np.concatenate([-prod[:, :1], poly[:, :-1] - prod[:, 1:], poly[:, -1:]],
-                                      axis=1) % p
-                x = frob.rmul(x)
-            keys = matmul_mod_p(poly[:, :d, rows], inv.T, p).reshape(len(ks), d * e) @ index
-            uniq, first = np.unique(keys, return_index=True)
-            fresh = table[uniq] < 0
-            table[uniq[fresh]] = ks[first[fresh]]
-        _ROOTS_CACHE[key] = table
-    return _ROOTS_CACHE[key]
+    fld = make_field(base.p, base.e, d)
+    p, n, e = fld.p, fld.n, base.n
+    fb = fld.batch()
+    frob = PackedMatrix(fld.frobenius_matrix().T, p)
+    rows, inv = pullback(fld.base_embedding(), p)
+    index = p ** np.arange(d * e)
+    table = np.full(base.q**d, -1, dtype=np.int64)
+    for start in range(0, fld.order, _ROOT_BLOCK):
+        ks = np.arange(start, min(start + _ROOT_BLOCK, fld.order), dtype=np.int64)
+        x = _digits(ks, p, n).astype(fb.dtype)
+        poly = fb.one((len(ks), 1))[0]
+        for _ in range(d):
+            prod = fb.mul(poly, x[:, None])
+            poly = np.concatenate([-prod[:, :1], poly[:, :-1] - prod[:, 1:], poly[:, -1:]],
+                                  axis=1) % p
+            x = frob.rmul(x)
+        keys = matmul_mod_p(poly[:, :d, rows], inv.T, p).reshape(len(ks), d * e) @ index
+        uniq, first = np.unique(keys, return_index=True)
+        fresh = table[uniq] < 0
+        table[uniq[fresh]] = ks[first[fresh]]
+    return table
 
 
 def from_coordinates(base: Field, coords) -> SparsePoly:

@@ -205,8 +205,7 @@ def suite_charpoly(cfg: VerifyConfig, ch: _Checker):
     D = _module(cfg)
     base = D.base
     r = cfg.r
-    for c in range(1, cfg.q):
-        prime = _linear_prime(base, c)
+    for prime in primes_of_degree(base, 1)[1:]:  # T + a, a != 0
         ch.at(format_poly(prime))
         cp = charpoly_linear_system(D, prime)
         want = [SparsePoly.one(base)] + [SparsePoly.zero(base)] * (r - 2) + [-prime]
@@ -278,8 +277,7 @@ def suite_reduction(cfg: VerifyConfig, ch: _Checker):
     ch.equal(R_T.describe(), f"StableBad({r - 1})", "type at (T)", "T")
     ch.equal(R_T.phi_T, SkewPoly(R_T.ring, [(r - 1, R_T.field.one)]),
              "reduced phi_T = tau^(r-1)", "T")
-    for c in range(1, cfg.q):
-        prime = _linear_prime(base, c)
+    for prime in primes_of_degree(base, 1)[1:]:  # T + a, a != 0
         ch.at(format_poly(prime))
         R = reduce_mod(D, prime)
         ch.equal(R.describe(), "Good", "good at linear primes", format_poly(prime))

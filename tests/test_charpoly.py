@@ -16,6 +16,7 @@ from drinfeld.charpoly import (
     frobenius_charpolys,
 )
 from drinfeld.fields import make_field
+from drinfeld.linalg import Int64RangeError
 from drinfeld.polynomials import SparsePoly, parse_poly, primes_of_degree, residue_field
 from drinfeld.reduction import TorsionSearchError, reduce_mod, torsion_space
 from drinfeld.skew import DrinfeldModule, SkewPoly, split_prime_power
@@ -50,6 +51,12 @@ class TestClosedForm:
     def test_bad_reduction_rejected(self):
         with pytest.raises(CharPolyError):
             charpoly_linear_system(D5, SparsePoly.T(F5))
+
+    def test_p_past_int64_refused_by_name(self):
+        # object coordinates would be written into the int64 system
+        D = DrinfeldModule.default_family(2**64 - 59, 3)
+        with pytest.raises(Int64RangeError):
+            charpoly_linear_system(D, parse_poly("T+1", D.base))
 
 
 class TestEpsilon:

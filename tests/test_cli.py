@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import drinfeld
 from drinfeld import cli, reduction, sampling
 from drinfeld.cli import main
 from drinfeld.fields import make_field
@@ -168,6 +169,10 @@ LARGE_P_COMMANDS = [
     ["oracle-gl", "--l", "T+1"],
 ]
 
+# det-law and chebotarev fix q = 7
+LARGE_P_SUITES = ["fields", "phi", "charpoly", "charpoly-bounds", "two-method", "reduction",
+                  "newton", "isogeny"]
+
 
 class TestLargePrimes:
     """At primes where int64 holds no product of residues every command
@@ -187,6 +192,19 @@ class TestLargePrimes:
             assert code == 2
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("q", [2**61 - 1, 2**64 - 59])
+    @pytest.mark.parametrize("suite", LARGE_P_SUITES)
+    def test_verify_suite_fails_with_a_named_error(self, capsys, suite, q):
+        # a library error, never numpy's MemoryError or ValueError nor
+        # an OverflowError from an int64 array
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--q", str(q))
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        got = json.loads(out[out.index("{"):])["outcomes"][0]["counterexample"]["got"]
+        error = getattr(drinfeld, got.split(":")[0], None)
+        assert isinstance(error, type) and issubclass(error, Exception), got
 
 
 class TestNewtonInertia:

@@ -21,6 +21,7 @@ from drinfeld import (
     primes_of_degree,
     residue_field,
 )
+from drinfeld.fields import Field
 from drinfeld.polynomials import ResidueBatch, _digits, _is_irreducible, coordinates
 
 
@@ -113,10 +114,29 @@ def test_root_past_the_first_block(monkeypatch):
     block = 5  # 81 elements: 17 blocks, the last one short
     assert max(roots) >= 3 * block and max(roots) % block
     monkeypatch.setattr(fields, "_ROOT_BLOCK", block)
-    monkeypatch.setattr(polynomials, "_RESIDUE_CACHE", {})  # no cached T bar
-    rf = residue_field(prime)
+    rf = residue_field.__wrapped__(prime)  # past the cache: no T bar found earlier
     assert rf.t_image.to_int() == max(roots)
     assert not rf.reduce(prime)
+
+
+@pytest.fixture
+def colliding_ids(monkeypatch):
+    """Every field gets id 0, as a freed field's address can go to the
+    next field made: no table may be keyed by it."""
+    monkeypatch.setattr(polynomials, "id", lambda x: 0, raising=False)
+
+
+def test_prime_tables_of_a_freed_field_never_reach_another(colliding_ids):
+    assert len(primes_of_degree(Field(5, 1, 1, (0, 1)), 2)) == 10  # fills both tables
+    seven = Field(7, 1, 1, (0, 1))
+    assert len(polynomials.prime_coordinates(seven, 2)) == 21
+    primes = primes_of_degree(seven, 2)
+    assert len(primes) == 21 and all(f.base is seven for f in primes)
+
+
+def test_root_tables_of_a_freed_field_never_reach_another(colliding_ids):
+    assert len(polynomials._first_roots(Field(3, 2, 1, (1, 0, 1)), 2)) == 81
+    assert len(polynomials._first_roots(Field(5, 2, 1, (2, 0, 1)), 2)) == 625
 
 
 def test_no_root_is_a_named_error():
