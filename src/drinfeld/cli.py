@@ -299,6 +299,7 @@ def cmd_verify(args) -> int:
     if args.max_deg is not None and args.max_deg < 0:
         raise UsageError(f"--max-deg {args.max_deg} is negative")
     p, e = _split_q(args.q)
+    DrinfeldModule.default_family(make_field(p, e, 1), args.r)  # refused before any suite runs
     cfg = VerifyConfig(p=p, e=e, r=args.r, seed=args.seed, max_deg=args.max_deg,
                        tv_threshold=args.tv_threshold, budget=args.budget)
     outcomes = run_suites(names, cfg)

@@ -32,6 +32,7 @@ from .polynomials import (
     ResidueBatch,
     ResidueField,
     SparsePoly,
+    coordinates,
     format_poly,
     residue_field,
 )
@@ -229,7 +230,7 @@ class TorsionSpace:
     """ker phi_l over the splitting extension, with its F_l-module data."""
 
     def __init__(self, reduced, ell, m, field, sigma, basis, module_basis,
-                 frobenius_matrix, t_action_matrix, ell_field):
+                 frobenius_matrix, t_action_matrix, ell_field, span):
         self.reduced = reduced
         self.prime = reduced.prime
         self.ell = ell
@@ -241,6 +242,7 @@ class TorsionSpace:
         self.frobenius_matrix = frobenius_matrix  # r x r over F_l
         self.t_action_matrix = t_action_matrix    # r x r over F_l
         self.ell_field = ell_field    # ResidueField at l
+        self.span = span              # rows alpha^k phi_(T^a)(v_j), index (j*degl + a)*e + k
 
     @property
     def dimension(self) -> int:
@@ -260,9 +262,9 @@ class TorsionSpace:
 def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
     """Torsion of a good reduction at a prime l away from the characteristic.
 
-    All the linear algebra is numpy over F_p: an F_q-span is the F_p-span
-    of the products with the embedded powers alpha^k of the F_q generator,
-    alpha taken through the residue field (the embedding by which A acts)."""
+    All the linear algebra is numpy over F_p, F_q acting on B through
+    mult(alpha^k), k >= 1, alpha^k the embedded powers of the F_q generator
+    (alpha taken through the residue field, the embedding by which A acts)."""
     if not reduced.is_good:
         raise ReductionError("torsion spaces require good reduction")
     if reduced.prime == ell:
@@ -279,30 +281,24 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
     p, n = B.p, B.n
     linalg.check_int64_range(p, n)
     sigma = B.subfield_embedding(reduced.field.modulus, d)
+    A_T = _t_action(reduced, B, sigma)  # before mults, which would add to its peak memory
     alphas = linalg.matmul_mod_p(sigma, reduced.field.base_embedding(), p).T  # alpha^k, as rows
+    mults = np.array([B.batch().mul_matrix(a[None])[0] for a in alphas[1:]],
+                     dtype=B.batch().dtype).reshape(e - 1, n, n)  # mult(alpha^k), k >= 1
+    scalar = lambda c: _mult(ell.base.array(c), mults, p)  # c in F_q acting on B
 
-    def scalar(c: FieldElement) -> np.ndarray:
-        """F_p-matrix of an element of F_q acting on B."""
-        if e == 1:
-            return c.coords[0] * np.eye(n, dtype=np.int64)
-        return B.batch().mul_matrix(linalg.matmul_mod_p(ell.base.array([c]), alphas, p))[0]
-
-    A_T = _t_action(reduced, B, sigma)
     # phi_l = l(A_T) by Horner: l is monic and F_q scalars commute with A_T
     times_A_T = linalg.PackedMatrix(A_T, p)
     L = (A_T + scalar(ell.coeff(degl - 1))) % p
     for j in range(degl - 2, -1, -1):
         L = (times_A_T.rmul(L) + scalar(ell.coeff(j))) % p
     kernel = linalg.kernel_mod_p(L, p)
+    del L, times_A_T  # n x n each: freed so that the echelon's solve does not also hold them
     if kernel.shape[0] != e * N:
         raise ReductionError(
             f"kernel F_p-dimension {kernel.shape[0]} != e*r*deg(l) = {e * N}"
         )
-    basis = kernel if e == 1 else _fq_echelon(B, alphas, kernel)
-    if e == 1:
-        fq_span = lambda vecs: vecs
-    else:
-        fq_span = lambda vecs: B.batch().mul(alphas, vecs[:, None]).reshape(-1, n)
+    basis = kernel if e == 1 else _fq_echelon(ell.base, mults, kernel)
 
     # greedy F_l-module basis: first kernel vector outside the F_q-span of
     # the T-orbits taken so far (the orbits form a direct sum)
@@ -314,7 +310,9 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
             orbit = [v]
             for _ in range(degl - 1):
                 orbit.append(linalg.matmul_mod_p(orbit[-1], A_T.T, p))
-            span = np.vstack([span, fq_span(np.array(orbit))])
+            orbit = np.array(orbit)
+            fq_span = [orbit] + [linalg.matmul_mod_p(orbit, M.T, p) for M in mults]
+            span = np.vstack([span, np.stack(fq_span, axis=1).reshape(-1, n)])
         if len(module_idx) == reduced.r:
             break
     if len(module_idx) != reduced.r:
@@ -335,42 +333,46 @@ def torsion_space(reduced: ReducedModule, ell: SparsePoly) -> TorsionSpace:
 
     elems = [B.elem(int(c) for c in v) for v in basis]
     return TorsionSpace(reduced, ell, m, B, sigma, elems, [elems[i] for i in module_idx],
-                        frob_mat, t_mat, ell_rf)
+                        frob_mat, t_mat, ell_rf, span)
 
 
 def _t_action(reduced: ReducedModule, B: Field, sigma: np.ndarray) -> np.ndarray:
     """F_p-matrix on B of phi_T = sum_i g_i tau^i: the sum of mult(g_i) F^i
     over the nonzero g_i, F^i the cached matrices of the q^i-power maps of
-    B.  mult(g) is sum_k g_k mult(beta^k) over the residue-field basis
-    beta^k, the columns of sigma, with mult(beta^0) = I.  A g_i equal to 1
-    adds F^i and g_0 adds mult(g_0), with no product."""
+    B.  mult(g) is `_mult` over the residue-field basis beta^k, the columns
+    of sigma.  A g_i equal to 1 adds F^i and g_0 adds mult(g_0), with no
+    product."""
     p, n = B.p, B.n
-    betas = B.batch().mul_matrix(sigma.T[1:]).reshape(-1, n * n)  # mult(beta^k), k >= 1
+    betas = B.batch().mul_matrix(sigma.T[1:])  # mult(beta^k), k >= 1
     A_T = np.zeros((n, n), dtype=np.int64)
     for i, c in reduced.phi_T.terms:
         if i and c == reduced.field.one:
             A_T += B.frobenius_power_matrix(i)
             continue
-        coords = reduced.field.array(c)
-        mult = linalg.sum_products(coords[1:], betas, p, spare=1).reshape(n, n)
-        mult[np.diag_indices(n)] += coords[0]
-        mult %= p
+        mult = _mult(reduced.field.array(c), betas, p)
         A_T += linalg.matmul_mod_p(mult, B.frobenius_power_matrix(i), p) if i else mult
     return A_T % p
 
 
-def _fq_echelon(B: Field, alphas: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _mult(coords: np.ndarray, mults: np.ndarray, p: int) -> np.ndarray:
+    """F_p-matrix of multiplication by sum_k coords[k] b_k on B, given
+    mult(b_k) for k >= 1 of a basis with b_0 = 1."""
+    K, n = mults.shape[:2]
+    mat = linalg.sum_products(coords[1:], mults.reshape(K, n * n), p, spare=1).reshape(n, n)
+    mat[np.diag_indices(n)] += coords[0]
+    return mat % p
+
+
+def _fq_echelon(Fq: Field, mults: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Reduced F_q-echelon basis of the span of `kernel` along the F_q-basis
-    w^i of B (w the field generator).  In F_p-coordinates along w^i alpha^k,
-    index i*e + k, the rows of the F_p-echelon form that pivot at k = 0 are
-    exactly the F_q-echelon rows; the others are their alpha^k multiples."""
-    p, e = B.p, alphas.shape[0]
-    C = B.batch().mul_matrix(alphas)[:, :, : B.n // e]  # C[k][:, i] = alpha^k w^i
-    C = C.transpose(1, 2, 0).reshape(B.n, B.n)
+    w^i of B (w the field generator), given mult(alpha^k), k >= 1: the
+    `linalg.Matrix.rref` over F_q of its coordinates along alpha^k w^i (C)."""
+    p, e, n = Fq.p, Fq.n, kernel.shape[1]
+    C = np.stack([np.eye(n, n // e, dtype=mults.dtype), *mults[:, :, : n // e]], axis=2)
+    C = C.reshape(n, n)  # column i*e + k: alpha^k w^i
     coords = linalg.solve_mod_p(C, kernel.T, p)[0]
-    ech, pivots = linalg.rref_mod_p(coords.T, p)
-    rows = ech[[t for t, c in enumerate(pivots) if c % e == 0]]
-    return linalg.matmul_mod_p(rows, C.T, p)
+    ech, pivots = linalg.Matrix(Fq, len(kernel), n // e, coords.T).rref()
+    return linalg.matmul_mod_p(ech.coords[: len(pivots)].reshape(len(pivots), n), C.T, p)
 
 
 def _fl_matrix(ell_rf: ResidueField, sol: np.ndarray) -> linalg.Matrix:
@@ -449,19 +451,14 @@ def quotient_by_kernel(ts: TorsionSpace, x_basis: list[FieldElement]) -> Isogeny
 
 
 def fl_line(ts: TorsionSpace, coords: list[FieldElement]) -> list[FieldElement]:
-    """F_q-basis of the F_l-line spanned by sum coords_j . v_j in the module
-    basis: the orbit of the vector under powers of the T-action."""
-    reduced = ts.reduced
-    degl = ts.ell.degree
-    w = ts.field.zero
-    for c, v in zip(coords, ts.module_basis):
-        # c in F_l acts through phi of any lift of c
-        w = w + linearized_eval(ts.phi_in_splitting(ts.ell_field.lift(c)), v)
-    out = []
-    cur = w
-    T = SparsePoly.T(reduced.module.base)
-    for _ in range(degl):
-        out.append(cur)
-        cur = linearized_eval(ts.phi_in_splitting(T), cur)
-    return out
-
+    """F_q-basis of the F_l-line spanned by w = sum coords_j . v_j in the
+    module basis: its T-orbit phi_(T^a)(w), a < deg l.  The v_j are
+    l-torsion, so phi_(T^a)(w) = sum_j phi_f(v_j) for f the lift of
+    T bar^a coords_j, whose F_q digits (b, k) are its coordinates along the
+    rows alpha^k phi_(T^b)(v_j) of `ts.span`: one product for the orbit."""
+    base, rf, degl = ts.ell.base, ts.ell_field, ts.ell.degree
+    t_powers = [rf.reduce(SparsePoly.monomial(base, a)) for a in range(degl)]  # T bar^a
+    lifts = [rf.lift(t * c) for t in t_powers for c in coords]
+    digits = coordinates(base, lifts, degl - 1).reshape(degl, -1)
+    orbit = linalg.matmul_mod_p(digits, ts.span, ts.field.p)
+    return [ts.field.elem(int(x) for x in v) for v in orbit]

@@ -352,10 +352,9 @@ def suite_isogeny(cfg: VerifyConfig, ch: _Checker):
         for lam in Fl.elements():
             if not lam:
                 continue
-            shifted = linalg.Matrix(Fl, M.rows, M.cols,
-                                    [M[i, j] - (lam if i == j else Fl.zero)
-                                     for i in range(M.rows) for j in range(M.cols)])
-            kb = shifted.kernel_basis()
+            shifted = M.coords.copy()  # M - lam I
+            shifted[range(M.rows), range(M.rows)] -= Fl.array(lam)
+            kb = linalg.Matrix(Fl, M.rows, M.cols, shifted).kernel_basis()
             if kb:
                 X = fl_line(ts_c, kb[0])
                 iso = quotient_by_kernel(ts_c, X)

@@ -478,6 +478,13 @@ class TestVerify:
         assert code == 2 and not out
         assert "--max-deg -1 is negative" in err
 
+    @pytest.mark.parametrize("argv", [("--r", "2"), ("--r", "4"), ("--q", "2"),
+                                      ("--q", "3", "--r", "1")], ids=" ".join)
+    def test_family_it_cannot_build_is_refused_before_any_suite(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--max-deg", "1", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the default family ") and err.count("\n") == 1
+
     def test_unknown_suite_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 2

@@ -3,8 +3,12 @@ import json
 import random
 from unittest import mock
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld import linalg, reduction
 from drinfeld.fields import make_field
@@ -609,3 +613,46 @@ class TestQuotient:
         g_r_psi = iso.target_T.coeff(3)
         lhs = self.R.rf.reduce(SparsePoly.monomial(F5, (5**d) * 4))
         assert lhs == g_r_psi * a_d ** (5**3 - 1)
+
+
+# (q, prime, l) with small splitting fields: deg l 1 and 2 at q = 4 and 5,
+# primes of degree 1 and 2; at q = 9 no deg-2 l splits below F_p-degree
+# 130 at any prime of degree <= 2, so only linear l there
+FL_LINE_CASES = [
+    (4, "T+2", "T+3"), (4, "T^2+2*T+1", "T+1"), (4, "T^2+T+2", "T^2+T+3"),
+    (5, "T+4", "T+2"), (5, "T+1", "T^2+2"), (5, "T^2+2", "T+2"), (5, "T^2+3", "T^2+T+2"),
+    (9, "T+1", "T+2"), (9, "T^2+4", "T+3"),
+]
+
+
+@functools.cache
+def _fl_line_torsion(q, prime_text, ell_text):
+    from drinfeld.skew import split_prime_power
+
+    base = make_field(*split_prime_power(q), 1)
+    R = reduce_mod(DrinfeldModule.default_family(base, 3), parse_poly(prime_text, base))
+    return torsion_space(R, parse_poly(ell_text, base))
+
+
+def fl_line_by_evaluation(ts, coords):
+    """The F_l-line by phi of each lift evaluated on its module-basis vector
+    in B, then the orbit under phi_T, both through `phi_in_splitting`."""
+    w = ts.field.zero
+    for c, v in zip(coords, ts.module_basis):
+        w = w + linearized_eval(ts.phi_in_splitting(ts.ell_field.lift(c)), v)
+    phi_T = ts.phi_in_splitting(SparsePoly.T(ts.ell.base))
+    out = [w]
+    for _ in range(ts.ell.degree - 1):
+        out.append(linearized_eval(phi_T, out[-1]))
+    return out
+
+
+class TestFlLine:
+    @pytest.mark.parametrize("q, prime_text, ell_text", FL_LINE_CASES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_evaluation_in_the_splitting_field(self, q, prime_text, ell_text, data):
+        ts = _fl_line_torsion(q, prime_text, ell_text)
+        Fl = ts.ell_field.field
+        coords = [Fl.from_int(data.draw(st.integers(0, Fl.order - 1))) for _ in ts.module_basis]
+        assert fl_line(ts, coords) == fl_line_by_evaluation(ts, coords)
