@@ -16,10 +16,10 @@ every prime of one degree is computed at once on numpy arrays.  The array
 entry point is `charpolys_of_degree`: primes of one degree as a coordinate
 array in, the a_i and epsilon as F_q coordinate arrays out, with the
 reduction of the g_i done by `reduction.reduce_batch` and no per-prime
-`Field`.  `frobenius_charpolys` runs the same route and wraps the arrays
-into `CharPoly` objects.  Each answer is checked before it is returned: the
-coefficients land in F_q, deg a_i <= i*d/r, a_r = epsilon*p with epsilon in
-closed form, and the operator identity
+`Field`.  `frobenius_charpolys` calls it once per degree and wraps the
+arrays into `CharPoly` objects.  Each answer is checked before it is
+returned: the coefficients land in F_q, deg a_i <= i*d/r, a_r = epsilon*p
+with epsilon in closed form, and the operator identity
 
     tau^(r d) + phi_(a_1) tau^((r-1)d) + ... + phi_(a_r)  =  0
 
@@ -47,7 +47,6 @@ from .fields import FieldBatch, FieldElement
 from .linalg import _berkowitz, matmul_mod_p, mod_p, products, sum_products
 from .polynomials import (
     PrimeError,
-    ResidueBatch,
     SparsePoly,
     coordinates,
     format_poly,
@@ -138,11 +137,14 @@ def _degree_bounds(r: int, d: int) -> list[int]:
 def frobenius_charpolys(module: DrinfeldModule,
                         primes: Sequence[SparsePoly]) -> list[CharPoly]:
     """Characteristic polynomials of Frobenius at good primes, in input
-    order, through det(X - M) on the Anderson motive: the array route of
-    `charpolys_of_degree`, one batch per degree, wrapped into `CharPoly`
-    objects.  Every answer passes the checks in the module docstring.  The
-    first prime of bad reduction (in input order), or the first failing a
-    check, is named by the CharPolyError raised."""
+    order, through det(X - M) on the Anderson motive: one call of
+    `charpolys_of_degree` per degree, wrapped into `CharPoly` objects.
+    Every answer passes the checks in the module docstring.  A prime from
+    another coefficient field, or not monic irreducible, raises before any
+    charpoly is computed (the first such, in input order); otherwise the
+    CharPolyError raised names the first prime of bad reduction, or failing
+    a check, within its degree, the degrees taken in the order they first
+    appear in the input."""
     base = module.base
     by_degree: dict[int, list[int]] = {}
     for k, prime in enumerate(primes):
@@ -151,19 +153,11 @@ def frobenius_charpolys(module: DrinfeldModule,
         if not prime.is_monic() or not is_irreducible(prime):
             raise PrimeError("residue fields require a monic irreducible generator")
         by_degree.setdefault(prime.degree, []).append(k)
-    batches, first_bad = [], len(primes)
-    for d, idx in by_degree.items():
-        residues, g = reduce_batch(module, coordinates(base, (primes[k] for k in idx), d))
-        bad = np.flatnonzero(~g[:, -1].any(axis=-1))
-        if bad.size:
-            first_bad = min(first_bad, idx[bad[0]])
-        batches.append((idx, residues, g))
-    if first_bad < len(primes):
-        raise CharPolyError(f"bad reduction at {format_poly(primes[first_bad])}")
     out: list[CharPoly] = [None] * len(primes)  # type: ignore[list-item]
-    for idx, residues, g in batches:
-        a, eps = _motive_charpolys(module, residues, g)
-        for k, cp in zip(idx, _charpoly_objects(base, [primes[k] for k in idx], a, eps)):
+    for d, idx in by_degree.items():
+        group = [primes[k] for k in idx]
+        a, eps = charpolys_of_degree(module, coordinates(base, group, d))
+        for k, cp in zip(idx, _charpoly_objects(base, group, a, eps)):
             out[k] = cp
     return out
 
@@ -174,25 +168,20 @@ def charpolys_of_degree(module: DrinfeldModule,
     (B, d+1, e) array (`prime_coordinates`): a list of the (B, i*d/r + 1, e)
     F_q coefficient arrays of a_1, ..., a_r, and the (B, e) array of
     epsilon.  Raises a CharPolyError naming the first prime, in row order,
-    of bad reduction (g_r = 0 mod p) or failing a check."""
-    residues, g = reduce_batch(module, primes)
-    _raise_at(module.base, primes, ~g[:, -1].any(axis=-1), "bad reduction")
-    return _motive_charpolys(module, residues, g)
+    of bad reduction (g_r = 0 mod p) or failing a check.
 
-
-def _motive_charpolys(module: DrinfeldModule, residues: ResidueBatch,
-                      g: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """All primes here share one degree d, hence one residue-field degree;
-    g holds the (B, r+1, n) coordinates of g_i mod p.  Arrays run over the
-    batch on axis 0; L-elements are power-basis coordinates on the last axis
-    and L[T]-elements put T-degrees before them."""
+    Arrays run over the batch on axis 0; L-elements are power-basis
+    coordinates on the last axis and L[T]-elements put T-degrees before
+    them.  g holds the (B, r+1, n) coordinates of g_i mod p."""
     base = module.base
     r, q = module.r, module.q
-    primes, d, fb = residues.primes, residues.degree, residues.fb
+    residues, g = reduce_batch(module, primes)
+    d, fb = residues.degree, residues.fb
 
     def raise_at(bad: np.ndarray, message: str):
         _raise_at(base, primes, bad, message)
 
+    raise_at(~g[:, -1].any(axis=-1), "bad reduction")
     frob = fb.frobenius_matrix(q)
     pulled = linalg.pullback(residues.embed, fb.p)  # one F_q embedding per degree
 
@@ -363,13 +352,13 @@ def charpoly_linear_system(module: DrinfeldModule, prime: SparsePoly) -> CharPol
     ncols = len(layout)
 
     # each F_q unknown is e F_p digits: digit k's column holds alpha^k c,
-    # alpha^k the embedded powers of the F_q generator and c a coefficient
-    # of phi_(T^j) = P_j
+    # alpha^k the embedded powers of the F_q generator (alpha^0 = 1 multiplies
+    # nothing) and c a coefficient of phi_(T^j) = P_j; blocks[j] is (m, n, e)
     fld = reduced.field
     fb, nf, e, p = fld.batch(), fld.n, base.e, base.p
     alphas = fld.base_embedding().T
     powers = reduced.phi_T_arrays(d)
-    blocks = [fb.mul(alphas[:, None], P[0]).transpose(1, 2, 0) for P in powers]  # (m, n, k)
+    blocks = [np.stack([P[0]] + [fb.mul(a, P[0]) for a in alphas[1:]], axis=-1) for P in powers]
     rows = np.zeros((r * d + 1, nf, ncols, e), dtype=np.int64)
     for col, (i, j) in enumerate(layout):
         rows[(r - i) * d : (r - i) * d + j * r + 1, :, col] = blocks[j]

@@ -243,14 +243,7 @@ class Field:
         if n > _NUMPY_MUL_CUTOFF:
             prod = self.batch().mul(self.array([a]), self.array([b]))
             return FieldElement(self, tuple(prod[0].tolist()))
-        prod = [0] * (2 * n - 1)
-        ac, bc = a.coords, b.coords
-        for i, ai in enumerate(ac):
-            if ai:
-                for j, bj in enumerate(bc):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return FieldElement(self, self._reduce(prod))
+        return FieldElement(self, self._reduce(_poly_mul(a.coords, b.coords)))
 
     def batch(self) -> "FieldBatch":
         """This field as a `FieldBatch` of one, exact for every p."""
@@ -268,38 +261,23 @@ class Field:
         return np.array([c.coords for c in x], dtype=self.batch().dtype).reshape(-1, self.n)
 
     def inv(self, a: FieldElement) -> FieldElement:
-        """Inverse by extended Euclid on coordinate polynomials."""
+        """Inverse by extended Euclid on coordinate polynomials, the
+        quotients from `_divmod`.  With r_0 = modulus, r_1 = a, s_0 = 0,
+        s_1 = 1, each s_k a = (-1)^(k+1) r_k mod the modulus, as
+        s_(k+1) = s_(k-1) + q_k s_k: additions only, the sign kept apart."""
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
         p = self.p
-        r0 = list(self.modulus)
-        r1 = list(a.coords)
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [0], [1]
-        while True:
-            deg1 = len(r1) - 1
-            if deg1 == 0:
-                c = pow(r1[0], p - 2, p)
-                inv_coords = [(x * c) % p for x in s1]
-                return self.elem(inv_coords)
-            deg0 = len(r0) - 1
-            if deg0 < deg1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            lead = (r0[-1] * pow(r1[-1], p - 2, p)) % p
-            shift = deg0 - deg1
-            for i, c in enumerate(r1):
-                r0[i + shift] = (r0[i + shift] - lead * c) % p
-            while len(r0) > 1 and not r0[-1]:
-                r0.pop()
-            s1_shifted = [0] * shift + s1
-            ln = max(len(s0), len(s1_shifted))
-            s0 = [
-                ((s0[i] if i < len(s0) else 0) - lead * (s1_shifted[i] if i < len(s1_shifted) else 0)) % p
-                for i in range(ln)
-            ]
-            r0, r1, s0, s1 = r1, r0, s1, s0
+        r0, r1 = list(self.modulus), _trim(list(a.coords))
+        s0, s1, sign = [0], [1], 1
+        while len(r1) > 1:
+            q, r = _divmod(r0, r1, p)
+            s = _poly_mul(q, s1)
+            for i, c in enumerate(s0):
+                s[i] += c
+            r0, r1, s0, s1, sign = r1, r, s1, [c % p for c in s], -sign
+        c = sign * pow(r1[0], p - 2, p)
+        return self.elem([x * c for x in s1])
 
     # -- Frobenius -------------------------------------------------------------
 
@@ -770,7 +748,7 @@ def _disc_character(f: Sequence[int], p: int) -> int:
         low = list(f[:n])
         for i, c in enumerate(_xpow_mod(n, h, p)):
             low[i] += c
-        r = _poly_mod(low, h, p)
+        r = _divmod(low, h, p)[1]
         # Res(f, h) = (-1)^(n deg h) lc(h)^(n - deg r) Res(h, r)
         sign = (-1) ** (n * (len(h) - 1))
         res = sign * pow(h[-1], n + 1 - len(r), p) * _resultant(h, r, p) if r else 0
@@ -785,7 +763,7 @@ def _resultant(a: list[int], b: list[int], p: int) -> int:
     with r = a mod b."""
     acc = 1
     while len(b) > 1:
-        r = _poly_mod(a, b, p)
+        r = _divmod(a, b, p)[1]
         if not r:
             return 0
         acc = (-1) ** ((len(a) - 1) * (len(b) - 1)) * acc * pow(b[-1], len(a) - len(r), p) % p
@@ -799,29 +777,37 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mod(a: Sequence[int], b: list[int], p: int) -> list[int]:
-    """a mod b over F_p on coefficient lists, b with no leading zero.
-    Entries are reduced mod p only as they are read."""
+def _poly_mul(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    """u v on coefficient lists (constant first), unreduced; zero
+    coefficients of u and v are skipped."""
+    prod = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                if b:
+                    prod[i + j] += a * b
+    return prod
+
+
+def _divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q b + r and deg r < deg b over F_p, on coefficient
+    lists (constant first), b with no leading zero; r is trimmed.  Entries
+    of a are reduced mod p only as they are read."""
     a, db = list(a), len(b) - 1
     inv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(a) - db, 0)
     for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv % p  # a[i] is not read again
+        c = q[i - db] = a[i] * inv % p  # a[i] is not read again
         if c:
             for j in range(db):
                 a[i - db + j] -= c * b[j]
-    return _trim([c % p for c in a[:db]])
+    return q, _trim([c % p for c in a[:db]])
 
 
 def _xpow_mod(e: int, b: list[int], p: int) -> list[int]:
     """x^e mod b over F_p, b of positive degree, by square and multiply."""
-    def mul(u: list[int], v: list[int]) -> list[int]:
-        prod = [0] * (len(u) + len(v) - 1)
-        for i, c in enumerate(u):
-            for j, d in enumerate(v):
-                prod[i + j] += c * d
-        return _poly_mod(prod, b, p)
-
-    return power(_poly_mod([0, 1], b, p), e, mul, [1])
+    return power(_divmod([0, 1], b, p)[1], e,
+                 lambda u, v: _divmod(_poly_mul(u, v), b, p)[1], [1])
 
 
 def _rabin(f: Sequence[int], p: int, depth: int = 0) -> bool:

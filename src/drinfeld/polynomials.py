@@ -683,27 +683,27 @@ def parse_poly(text: str, base: Field) -> SparsePoly:
     return SparsePoly.from_pairs(base, pairs)
 
 
-def format_poly(f: SparsePoly, var: str = "T") -> str:
+def format_poly(f: SparsePoly) -> str:
     """Canonical rendering: descending exponents, integer coefficients."""
-    return format_terms(((e, c.to_int()) for e, c in reversed(f.terms)), var)
+    return format_terms(((e, c.to_int()) for e, c in reversed(f.terms)))
 
 
-def format_field_element(x: FieldElement, var: str = "T") -> str:
+def format_field_element(x: FieldElement) -> str:
     """Residue-field elements rendered as polynomials in the field generator."""
-    return format_terms(zip(range(len(x.coords) - 1, -1, -1), reversed(x.coords)), var)
+    return format_terms(zip(range(len(x.coords) - 1, -1, -1), reversed(x.coords)))
 
 
-def format_terms(terms: Iterable[tuple[int, int]], var: str = "T") -> str:
+def format_terms(terms: Iterable[tuple[int, int]]) -> str:
     """The rendering of `format_poly` from (exponent, coefficient index)
     pairs in descending exponent order; zero coefficients are skipped."""
-    return "+".join([_term(e, ci, var) for e, ci in terms if ci]) or "0"
+    return "+".join([_term(e, ci) for e, ci in terms if ci]) or "0"
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _term(e: int, ci: int, var: str) -> str:
+def _term(e: int, ci: int) -> str:
     """One nonzero term of `format_terms`, cached: a sweep writes the same
     few (exponent, coefficient) pairs for thousands of primes."""
     if e == 0:
         return str(ci)
-    power = var if e == 1 else f"{var}^{e}"
+    power = "T" if e == 1 else f"T^{e}"
     return power if ci == 1 else f"{ci}*{power}"

@@ -220,7 +220,7 @@ class SkewPoly:
         parts = []
         for e, c in self.terms:
             cs = self.ring.fmt(c)
-            multi = "+" in cs or (cs.startswith("-") and "+" in cs[1:])
+            multi = "+" in cs
             if e == 0:
                 parts.append(f"({cs})" if multi else cs)
                 continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import linalg
@@ -254,8 +254,7 @@ def suite_two_method(cfg: VerifyConfig, ch: _Checker):
 
 
 def suite_det_law(cfg: VerifyConfig, ch: _Checker):
-    cfg7 = VerifyConfig(p=7, e=1, r=3)
-    D = _module(cfg7)
+    D = _module(replace(cfg, p=7, e=1, r=3))
     base = D.base
     ell = _linear_prime(base, 1)
     max_d = cfg.degree_bound(5)
@@ -346,7 +345,7 @@ def suite_isogeny(cfg: VerifyConfig, ch: _Checker):
         if ell_c == prime:
             continue
         ch.at(format_poly(ell_c))
-        ts_c = torsion_space(R, ell_c)
+        ts_c = ts if ell_c == ell else torsion_space(R, ell_c)
         M = ts_c.frobenius_matrix
         Fl = M.field
         for lam in Fl.elements():
@@ -368,10 +367,7 @@ def suite_isogeny(cfg: VerifyConfig, ch: _Checker):
 
 
 def suite_chebotarev(cfg: VerifyConfig, ch: _Checker):
-    cfg7 = VerifyConfig(p=7, e=1, r=3, seed=cfg.seed,
-                        max_deg=cfg.max_deg, tv_threshold=cfg.tv_threshold,
-                        budget=cfg.budget)
-    D = _module(cfg7)
+    D = _module(replace(cfg, p=7, e=1, r=3))
     base = D.base
     ell = _linear_prime(base, 1)
     f3 = make_field(3, 1, 1)

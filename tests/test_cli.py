@@ -472,6 +472,23 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["outcomes"][0]["checks"] == 8
 
+    # the (q, r)-dependent suites that pass at three cells of tools/verify_grid.py,
+    # with their check counts; det-law and chebotarev fix q = 7, r = 3
+    GRID_PASSES = {(3, 3): {"phi": 7, "charpoly": 4, "charpoly-bounds": 124, "two-method": 13,
+                            "reduction": 10, "newton": 8},
+                   (3, 5): {"phi": 7, "charpoly": 4, "charpoly-bounds": 186, "two-method": 13,
+                            "reduction": 10, "newton": 8},
+                   (5, 5): {"phi": 7, "charpoly": 8, "charpoly-bounds": 1224, "reduction": 18,
+                            "newton": 8, "isogeny": 8}}
+
+    @pytest.mark.parametrize("q,r,suite,checks", [
+        (q, r, suite, checks) for (q, r), cell in GRID_PASSES.items()
+        for suite, checks in cell.items()])
+    def test_passing_suites_of_the_grid(self, q, r, suite, checks, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--q", str(q), "--r", str(r))
+        assert code == 0
+        assert json.loads(out)["outcomes"][0]["checks"] == checks
+
     @pytest.mark.parametrize("suite", ["charpoly-bounds", "all"])
     def test_negative_max_deg_is_usage_error(self, suite, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-deg", "-1")

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import drinfeld.fields as fields
@@ -15,10 +15,13 @@ from drinfeld.fields import (
     PrimalityError,
     _binomial_irreducible,
     _disc_character,
+    _divmod,
+    _gcd_is_unit,
     _irreducibles,
     _rabin,
     _sieve,
     _sieve_digits,
+    field_with_modulus,
     is_prime,
     lex_smallest_irreducible,
     make_field,
@@ -198,6 +201,41 @@ class TestFieldAxioms:
         fld = make_field(5, 1, 3)
         for k in range(0, 125, 7):
             assert fld.from_int(k).to_int() == k
+
+
+LIST_PRIMES = [2, 3, 7, 2**61 - 1, 2**64 - 59]  # p past int64 too
+
+
+class TestListArithmetic:
+    """`_divmod`, the one division with remainder on F_p[x] coefficient
+    lists, and `Field.inv`, the extended Euclid on its quotients, at small p
+    and at p on both sides of 2^63."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.sampled_from(LIST_PRIMES), n=st.integers(1, 40))
+    def test_divmod_gives_a_equals_q_b_plus_r(self, data, p, n):
+        b = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+        b.append(data.draw(st.integers(1, p - 1)))
+        a = data.draw(st.lists(st.integers(-p, 2 * p), max_size=2 * n + 2))  # read mod p
+        q, r = _divmod(a, b, p)
+        assert len(r) < len(b) and (not r or r[-1]) and all(0 <= c < p for c in q + r)
+        qb = np.convolve(np.array(q or [0], dtype=object), np.array(b, dtype=object)).tolist()
+        size = max(len(a), len(qb))
+        got = [(x + y) % p for x, y in zip(qb + [0] * (size - len(qb)),
+                                          r + [0] * (size - len(r)))]
+        assert got == [c % p for c in a + [0] * (size - len(a))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.sampled_from(LIST_PRIMES), n=st.integers(1, 40))
+    def test_inv_is_the_inverse_mod_the_modulus(self, data, p, n):
+        # any monic modulus will do for an a prime to it; coprimality comes
+        # from the numpy gcd of the Rabin test, a separate Euclid
+        f = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
+        a = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+        assume(_gcd_is_unit(f, np.array(a, dtype=object), p))
+        fld = field_with_modulus(p, 1, n, f, validate=False)
+        x = fld.elem(a)
+        assert x * fld.inv(x) == fld.one
 
 
 class TestFrobenius:
