@@ -27,8 +27,8 @@ print(f"sampling Frobenius charpolys mod l = T-1 over primes of degree <= {max_d
 for bound in range(2, max_deg + 1):
     report = sample_frobenii(module, ell, bound)
     verdict, reasons = surjectivity_evidence(report)
-    print(f"  deg <= {bound}: {len(report.records):6d} primes   "
+    print(f"  deg <= {bound}: {report.count:6d} primes   "
           f"TV = {report.tv_distance:.4f}   noise ~ "
-          f"{noise_bound(report.oracle, len(report.records)):.3f}   {verdict}")
+          f"{noise_bound(report.oracle, report.count):.3f}   {verdict}")
     for reason in reasons:
         print("      -", reason)

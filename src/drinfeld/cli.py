@@ -9,13 +9,25 @@ flags the subcommand does not take).
 All field values in JSON are strings in the polynomial syntax
 (`T^3+2*T+1`); counts and degrees stay integers.  Reports are byte-stable
 across runs for a fixed argument list (timings never enter the JSON).
+
+`--out` is opened before the command does any work: a path that cannot be
+written exits 2 with one `error:` line.  A regular file is written to a
+temporary file beside it that replaces it only when the command returns, so
+a command that fails leaves whatever was at the path untouched; anything
+else (`/dev/null`, a pipe) is written in place.  `sample` streams its
+samples array to `--out` or stdout a chunk of records at a time, from the
+report's arrays.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
+
+import numpy as np
 
 from .charpoly import CharPolyError, frobenius_charpolys
 from .fields import FieldError, make_field
@@ -27,6 +39,7 @@ from .polynomials import (
     SparsePoly,
     format_field_element,
     format_poly,
+    format_rows,
     is_irreducible,
     parse_poly,
     residue_field,
@@ -34,6 +47,7 @@ from .polynomials import (
 from .linalg import Int64RangeError
 from .reduction import ReductionError, TorsionSearchError, reduce_mod, torsion_space
 from .sampling import (
+    CHARPOLY_CHUNK,
     CONSISTENT,
     DEFAULT_ENUM_BUDGET,
     DEFAULT_TV_THRESHOLD,
@@ -89,16 +103,8 @@ def _parse_prime(text: str, base) -> SparsePoly:
     return f
 
 
-def _emit(obj: dict, out_path: str | None):
-    _write(json.dumps(obj, indent=2), out_path)
-
-
-def _write(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(obj: dict, out):
+    out.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _params(module: DrinfeldModule) -> dict:
@@ -228,7 +234,7 @@ def cmd_sample(args) -> int:
             "l": format_poly(ell),
             "max_deg": args.max_deg,
         },
-        "samples": [],  # written below, record by record
+        "samples": [],  # written below, a chunk of records at a time
         "tv_distance": report.tv_distance,
         "flags": {
             "irreducible_seen": report.irreducible_seen,
@@ -237,35 +243,49 @@ def cmd_sample(args) -> int:
         "verdict": "consistent" if verdict == CONSISTENT else "flagged",
         "reasons": reasons,
     }, indent=2)
-    if report.records:
-        samples = ",\n".join(_sample_records(report.records))
-        text = text.replace('"samples": []', f'"samples": [\n{samples}\n  ]', 1)
-    _write(text, args.out)
+    if not report.count:
+        args.out.write(text + "\n")
+        return 0
+    head, tail = text.split('"samples": []', 1)
+    args.out.write(head + '"samples": [\n')
+    for chunk in _sample_chunks(report):
+        args.out.write(chunk)
+    args.out.write("\n  ]" + tail + "\n")
     return 0
 
 
-_SAMPLE_RECORD = """\
-    {{
-      "prime": {},
-      "deg": {},
-      "charpoly": [
-        {}
-      ],
-      "det_ok": {}
-    }}"""
+# One record of the samples array as `json.dumps(indent=2)` writes it inside
+# the report, cut where the prime's name, its charpoly lines and det_ok go.
+# A name holds only digits, T, ^, * and +, so json.dumps would add only the
+# quotes that the cuts keep.
+_RECORD_HEAD = '    {\n      "prime": "'
+_RECORD_DEG = '",\n      "deg": {},\n      "charpoly": [\n        '
+_RECORD_DET = '\n      ],\n      "det_ok": '
+_RECORD_TAIL = ("false\n    }", "true\n    }")
 
 
-def _sample_records(records):
-    """Each record as `json.dumps(indent=2)` writes it inside the report;
-    the lines of a charpoly are written once, where it is first seen."""
-    lines = {}
-    for rec in records:
-        charpoly = lines.get(rec.charpoly)
-        if charpoly is None:
-            charpoly = lines[rec.charpoly] = ",\n        ".join(
-                json.dumps(format_field_element(c)) for c in rec.charpoly)
-        yield _SAMPLE_RECORD.format(json.dumps(rec.name), rec.degree, charpoly,
-                                    "true" if rec.det_ok else "false")
+def _sample_chunks(report):
+    """The records of the samples array, joined by ",\\n", in pieces of
+    `sampling.CHARPOLY_CHUNK` records, each built from the arrays of
+    `report.samples` by object-array gathers and concatenations around the
+    names of `polynomials.format_rows`; the lines of each charpoly are
+    written once per key."""
+    known = np.array(sorted(report.charpolys), dtype=np.int64)
+    charpolys = np.array([",\n        ".join(json.dumps(format_field_element(c))
+                                          for c in report.charpolys[k]) + _RECORD_DET
+                          for k in known.tolist()], dtype=object)
+    tails = np.array(_RECORD_TAIL, dtype=object)
+    q = report.module.base.q
+    sep = ""
+    for block in report.samples:
+        deg = _RECORD_DEG.format(block.degree)
+        for start in range(0, len(block.keys), CHARPOLY_CHUNK):
+            part = slice(start, start + CHARPOLY_CHUNK)
+            text = (_RECORD_HEAD + format_rows(block.coeffs[part], q) + deg
+                    + charpolys[np.searchsorted(known, block.keys[part])]
+                    + tails[block.det_ok[part].astype(np.intp)])
+            yield sep + ",\n".join(text.tolist())
+            sep = ",\n"
 
 
 def cmd_oracle_gl(args) -> int:
@@ -394,8 +414,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    path = args.out
     try:
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        args.out, staged = _open_out(path)
+    except OSError as exc:
+        print(f"error: cannot write --out {path}: {exc.strerror or exc}", file=sys.stderr)
+        return USAGE_ERROR
+    try:
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        if staged:
+            args.out.close()
+            os.replace(staged, os.path.realpath(path))
+            staged = None
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -404,6 +435,31 @@ def main(argv=None) -> int:
             Int64RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if path:
+            args.out.close()
+        if staged:
+            os.remove(staged)
+
+
+def _open_out(path: str | None):
+    """The stream a command writes to, and the temporary file that replaces
+    `path` once the command returns (None if it is written in place).  A
+    path that cannot be written raises OSError here, before any work."""
+    if not path:
+        return sys.stdout, None
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        return open(target, "w"), None  # a device, a pipe; a directory raises
+    if os.path.exists(target) and not os.access(target, os.W_OK):
+        raise PermissionError(13, "Permission denied", path)
+    fd, staged = tempfile.mkstemp(dir=os.path.dirname(target),
+                                  prefix="." + os.path.basename(target) + ".")
+    umask = os.umask(0)
+    os.umask(umask)
+    os.fchmod(fd, os.stat(target).st_mode & 0o7777 if os.path.exists(target)
+              else 0o666 & ~umask)
+    return os.fdopen(fd, "w"), staged
 
 
 if __name__ == "__main__":

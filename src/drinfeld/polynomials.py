@@ -699,6 +699,27 @@ def format_terms(terms: Iterable[tuple[int, int]]) -> str:
     return "+".join([_term(e, ci) for e, ci in terms if ci]) or "0"
 
 
+def format_rows(coeffs: np.ndarray, q: int) -> np.ndarray:
+    """`format_terms` of each row of `coeffs`, an (N, d + 1) array of
+    coefficient indices in ascending exponent order whose last column is
+    nonzero (monic primes, say), as an object array of N strings: one
+    gather per exponent from a table of its q `_term` strings."""
+    d = coeffs.shape[1] - 1
+    tables = _term_tables(d, q)
+    names = tables[d][coeffs[:, d]]
+    for e in range(d - 1, -1, -1):
+        names = names + tables[e][coeffs[:, e]]
+    return names
+
+
+@functools.cache
+def _term_tables(d: int, q: int) -> list[np.ndarray]:
+    """Per exponent e <= d, the strings `format_rows` adds for coefficient
+    index 0, ..., q - 1: "" for 0, else the `_term`, after a "+" below d."""
+    return [np.array([""] + [("+" if e < d else "") + _term(e, c) for c in range(1, q)],
+                     dtype=object) for e in range(d + 1)]
+
+
 @functools.lru_cache(maxsize=1 << 12)
 def _term(e: int, ci: int) -> str:
     """One nonzero term of `format_terms`, cached: a sweep writes the same

@@ -11,9 +11,13 @@ determinant law, det = (-1)^r epsilon p mod l (the array form of
 `det_law`), are reduced mod l for the whole chunk at once.  Each key is
 one integer sum c_i s^i (s = |F_l|); key counts and the irreducibility flag
 (a lookup among the degree-r irreducibles of the prime sieve over F_l) come
-from the distinct integers, determinant coverage from a bincount.  Records
-are built last; they, and the `progress` callback, follow the prime
-enumeration order.
+from the distinct integers, determinant coverage from the determinants
+seen.  The report keeps the samples as arrays, one `DegreeSamples` per
+degree in prime enumeration order (coefficient indices, key and det_ok of
+each prime) with one charpoly tuple per distinct key; `SampleReport.records`
+builds the per-prime `SampleRecord` view only when read.  The `progress`
+callback is called once per kernel chunk with the primes done out of the
+total, which the sieve's counts give before the kernel starts.
 
 The exact distribution has one primary algorithm and one oracle:
 
@@ -74,9 +78,9 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 # are dispatch-bound: over 2,048 degree-5 primes at q = 7 the kernel took 103,
 # 74, 48, 38, 35 and 33 us per prime at chunks of 32, 64, 128, 256, 512 and
 # 1024 (best of 15 interleaved rounds, one Xeon core).  Past 512 the working
-# arrays raise the peak RSS of `sample --q 7 --r 3 --l T+6 --max-deg 5`:
-# 36.3 MB at 128, 36.2 at 512, 36.9 at 1024 and 40.3 at 4096; at q = 9,
-# degree 4, 34.2 MB at 128, 34.4 at 512 and 39.0 at 2048.
+# arrays raise the peak RSS of `sample --q 7 --r 3 --l T+6 --max-deg 5` in a
+# fresh interpreter: 32.5 MB at 128, 32.9 at 512, 33.8 at 1024 and 39.7 at
+# 4096; at q = 9, degree 4, 33.8 MB at 128, 34.0 at 512 and 38.9 at 2048.
 CHARPOLY_CHUNK = 512
 # Matrices per batched Berkowitz call of backend A (p of them when p is larger).
 _ENUM_BLOCK = 1 << 14
@@ -287,9 +291,9 @@ class _PrimeRow(NamedTuple):
 class SampleRecord:
     """One sampled prime, its degree, the ascending non-leading coefficients
     (c_0..c_(r-1)) of its characteristic polynomial mod l, and whether the
-    determinant law held.  The sweep passes the prime as a `_PrimeRow`:
-    `prime` builds the `SparsePoly` from it on first access, and `name`
-    writes the `format_poly` string from its indices."""
+    determinant law held.  `SampleReport.records` passes the prime as a
+    `_PrimeRow`: `prime` builds the `SparsePoly` from it on first access,
+    and `name` writes the `format_poly` string from its indices."""
 
     def __init__(self, prime: SparsePoly | _PrimeRow, degree: int,
                  charpoly: tuple[FieldElement, ...], det_ok: bool):
@@ -316,17 +320,52 @@ class SampleRecord:
         return tuple(c.to_int() for c in self.charpoly)
 
 
+class DegreeSamples(NamedTuple):
+    """The sampled primes of one degree, in enumeration order, as arrays:
+    the (N, degree + 1) indices (`FieldElement.to_int`) of each prime's
+    coefficients over the base, the constant first; the key c_0 + c_1 s +
+    ... + c_(r-1) s^(r-1) of its charpoly mod l (s = |F_l|); and whether
+    the determinant law held."""
+
+    degree: int
+    coeffs: np.ndarray
+    keys: np.ndarray
+    det_ok: np.ndarray
+
+
 @dataclass
 class SampleReport:
+    """The samples, one `DegreeSamples` per degree, with `charpolys` holding
+    the coefficient tuple (c_0..c_(r-1)) of every key that occurs."""
+
     module: DrinfeldModule
     ell: SparsePoly
     max_degree: int
-    records: list[SampleRecord]
+    samples: list[DegreeSamples]
+    charpolys: dict[int, tuple[FieldElement, ...]]
     oracle: GLDistribution
     tv_distance: float
     irreducible_seen: bool
     det_covers: bool
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def count(self) -> int:
+        return sum(len(block.keys) for block in self.samples)
+
+    @property
+    def det_ok(self) -> np.ndarray:
+        return np.concatenate([block.det_ok for block in self.samples] + [np.ones(0, dtype=bool)])
+
+    @property
+    def records(self) -> list[SampleRecord]:
+        """One `SampleRecord` per sample, in enumeration order, built on
+        each read; records of one key share its charpoly tuple."""
+        base = self.module.base
+        return [SampleRecord(_PrimeRow(base, tuple(row)), block.degree, self.charpolys[k], ok)
+                for block in self.samples
+                for row, k, ok in zip(block.coeffs.tolist(), block.keys.tolist(),
+                                      block.det_ok.tolist())]
 
 
 def tv_distance(emp_counts: dict[tuple[int, ...], int], n: int,
@@ -351,10 +390,10 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
 
     Each chunk of primes of one degree goes through the array route
     `charpolys_of_degree`; the a_i and epsilon*p are then reduced mod l, and
-    the determinant law compared, as arrays for the whole chunk.  Records
-    are built last, with one charpoly tuple per key, shared by the records
-    of that key, and each prime kept as its row of coefficient indices (no
-    `SparsePoly` is built)."""
+    the determinant law compared, as arrays for the whole chunk, whose
+    coefficient indices, keys and det_ok fill the degree's `DegreeSamples`.
+    After each chunk, `progress(degree, done, total)` if given, counting
+    the usable primes of every degree."""
     base, r = module.base, module.r
     if max_degree < 0:
         raise SamplingError(f"max degree {max_degree} is negative")
@@ -365,52 +404,54 @@ def sample_frobenii(module: DrinfeldModule, ell: SparsePoly, max_degree: int,
     if s**r >= 2**63:
         raise SamplingError(f"a key of {s}^{r} values does not fit in int64")
     oracle = gl_charpoly_distribution(r, rf.field, budget=budget)
-    charpolys: dict[int, tuple[FieldElement, ...]] = {}  # one tuple per key
-    records: list[SampleRecord] = []
-    keys, dets = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    index = base.p ** np.arange(base.n)
+    usable = {}
     for d in range(1, max_degree + 1):
         rows = prime_coordinates(base, d)
-        indices = (rows @ index).tolist()
-        usable = np.ones(len(rows), dtype=bool)
+        keep = np.ones(len(rows), dtype=bool)
         for f in (SparsePoly.T(base), ell):
             if f.degree == d:
-                usable &= (rows != coordinates(base, [f], d)).any(axis=(1, 2))
-        usable = np.flatnonzero(usable)
-        rows = rows.astype(base.batch().dtype)  # int64 rows would promote the kernel's arrays
-        for start in range(0, len(usable), CHARPOLY_CHUNK):
-            chunk = usable[start : start + CHARPOLY_CHUNK]
-            primes = rows[chunk]
+                keep &= (rows != coordinates(base, [f], d)).any(axis=(1, 2))
+        usable[d] = np.flatnonzero(keep)
+    total = sum(map(len, usable.values()))
+    index = base.p ** np.arange(base.n)
+    det_seen = np.zeros(s, dtype=bool)
+    samples, done = [], 0
+    for d, good in usable.items():
+        rows = prime_coordinates(base, d)
+        block = DegreeSamples(d, np.empty((len(good), d + 1), dtype=np.min_scalar_type(base.q - 1)),
+                              np.empty(len(good), dtype=np.int64), np.empty(len(good), dtype=bool))
+        for start in range(0, len(good), CHARPOLY_CHUNK):
+            chunk = slice(start, start + CHARPOLY_CHUNK)
+            # int64 rows would promote the kernel's arrays
+            primes = rows[good[chunk]].astype(base.batch().dtype)
             try:
                 a, eps = charpolys_of_degree(module, primes)
             except CharPolyError as exc:
                 raise SamplingError(f"charpoly failed: {exc}") from exc
             key, det, det_ok = _charpolys_mod_l(rf.batch, primes, a, eps)
-            key = key @ s ** np.arange(r)  # (c_0, ..., c_(r-1)) as sum c_i s^i
-            keys.append(key)
-            dets.append(det)
-            for b, k, ok in zip(chunk.tolist(), key.tolist(), det_ok.tolist()):
-                charpoly = charpolys.get(k)
-                if charpoly is None:
-                    charpoly = tuple(rf.field.from_int(k // s**i % s) for i in range(r))
-                    charpolys[k] = charpoly
-                rec = SampleRecord(_PrimeRow(base, tuple(indices[b])), d, charpoly, ok)
-                records.append(rec)
-                if progress is not None:
-                    progress(rec)
+            block.keys[chunk] = key @ s ** np.arange(r)  # (c_0, ..., c_(r-1)) as sum c_i s^i
+            block.det_ok[chunk] = det_ok
+            block.coeffs[chunk] = primes @ index
+            det_seen[det] = True
+            done += len(primes)
+            if progress is not None:
+                progress(d, done, total)
+        samples.append(block)
 
-    cells, first, counts = np.unique(np.concatenate(keys), return_index=True, return_counts=True)
-    order = np.argsort(first)  # first-seen order: tv_distance sums in it
-    emp = dict(zip(map(tuple, _digits(cells[order], s, r).tolist()), counts[order].tolist()))
-    tv = tv_distance(emp, len(records), oracle)
+    keys = np.concatenate([block.keys for block in samples] + [np.zeros(0, dtype=np.int64)])
+    cells, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    digits = _digits(cells, s, r).tolist()
+    charpolys = {k: tuple(map(rf.field.from_int, c)) for k, c in zip(cells.tolist(), digits)}
+    order = np.argsort(first).tolist()  # first-seen order: tv_distance sums in it
+    emp = {tuple(digits[i]): n for i, n in zip(order, counts[order].tolist())}
+    tv = tv_distance(emp, total, oracle)
     irreducible_seen = bool(np.isin(cells, _irreducible_keys(rf.field, r)).any())
-    det_covers = bool(np.bincount(np.concatenate(dets), minlength=s)[1:].all())
     warnings = []
     if module.q % r != 1:
         warnings.append(f"q = {module.q} is not 1 mod r = {r}; "
                         "adelic hypotheses not met (evidence only)")
-    return SampleReport(module, ell, max_degree, records, oracle, tv,
-                        irreducible_seen, det_covers, warnings)
+    return SampleReport(module, ell, max_degree, samples, charpolys, oracle, tv,
+                        irreducible_seen, bool(det_seen[1:].all()), warnings)
 
 
 def _charpolys_mod_l(at_ell: ResidueBatch, primes: np.ndarray, a: list[np.ndarray],
@@ -442,7 +483,7 @@ def surjectivity_evidence(report: SampleReport,
     The threshold must lie in (0, 1] (`check_tv_threshold`)."""
     check_tv_threshold(tv_threshold)
     reasons: list[str] = []
-    if not report.records:
+    if not report.count:
         reasons.append("no samples")
     else:
         if report.tv_distance >= tv_threshold:
@@ -453,7 +494,7 @@ def surjectivity_evidence(report: SampleReport,
             reasons.append("no irreducible characteristic polynomial sampled")
         if not report.det_covers:
             reasons.append("determinant values do not cover all of F_l^*")
-    if not all(r.det_ok for r in report.records):
+    if not report.det_ok.all():
         reasons.append("determinant law failed at some prime")
     if reasons:
         reasons = reasons + [INCONCLUSIVE_NOTE] + report.warnings

@@ -178,11 +178,12 @@ def test_sweep_at_q9_over_several_chunks_keeps_prime_order(monkeypatch):
     ell = parse_poly("T+1", base)
     monkeypatch.setattr(sampling_mod, "CHARPOLY_CHUNK", 8)  # degree 2 has 36 primes
     seen = []
-    report = sample_frobenii(module, ell, 2, progress=seen.append)
+    report = sample_frobenii(module, ell, 2, progress=lambda *call: seen.append(call))
     expected = [f for d in (1, 2) for f in primes_of_degree(base, d)
                 if f != SparsePoly.T(base) and f != ell]
     assert [rec.prime for rec in report.records] == expected
-    assert seen == report.records
+    # one call per chunk: (degree, primes done, usable primes of every degree)
+    assert seen == [(1, 7, 43), (2, 15, 43), (2, 23, 43), (2, 31, 43), (2, 39, 43), (2, 43, 43)]
     for rec in report.records:
         assert list(rec.charpoly) == charpoly_linear_system(module, rec.prime).reduce_mod(ell)[:3]
         assert rec.det_ok

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -12,7 +13,12 @@ import drinfeld
 from drinfeld import cli, reduction, sampling
 from drinfeld.cli import main
 from drinfeld.fields import make_field
-from drinfeld.polynomials import format_poly, from_coordinates, prime_coordinates
+from drinfeld.polynomials import (
+    format_field_element,
+    format_poly,
+    from_coordinates,
+    prime_coordinates,
+)
 from drinfeld.sampling import gl_order
 from drinfeld.skew import split_prime_power
 
@@ -409,6 +415,117 @@ class TestSample:
         want = [name for name in want if name not in excluded]
         assert len(want) == {7: 7 + 21 + 112, 9: 9 + 36 + 240}[q] - 2
         assert [rec["prime"] for rec in json.loads(out_path.read_text())["samples"]] == want
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--q", "7", "--r", "3", "--l", "T+6", "--max-deg", "4"],
+        ["--q", "9", "--r", "3", "--l", "T+2", "--max-deg", "2"],
+        ["--q", "4", "--r", "3", "--l", "T+2", "--max-deg", "2"],
+        ["--q", "5", "--coeffs", "T;1;2;1", "--l", "T^2+2", "--max-deg", "2"],
+        ["--q", "7", "--r", "3", "--l", "T+6", "--max-deg", "0"],
+    ], ids=["q7", "q9", "q4", "l-of-degree-2", "empty"])
+    def test_streamed_text_is_json_dumps_of_the_records(self, argv, capsys):
+        # the report dict rebuilt from the library's SampleRecord view, every
+        # name from its SparsePoly, against the text streamed from the arrays
+        code, out, _ = run_cli(capsys, "sample", *argv)
+        assert code == 0
+        args = cli.build_parser("sample").parse_args(["sample", *argv])
+        module = cli._build_module(args)
+        ell = cli._parse_prime(args.l, module.base)
+        report = sampling.sample_frobenii(module, ell, args.max_deg)
+        verdict, reasons = sampling.surjectivity_evidence(report)
+        base = module.base
+        want = {
+            "params": {"p": base.p, "e": base.e, "q": module.q, "r": module.r,
+                       "l": format_poly(ell), "max_deg": args.max_deg},
+            "samples": [{"prime": format_poly(rec.prime), "deg": rec.degree,
+                         "charpoly": [format_field_element(c) for c in rec.charpoly],
+                         "det_ok": rec.det_ok} for rec in report.records],
+            "tv_distance": report.tv_distance,
+            "flags": {"irreducible_seen": report.irreducible_seen,
+                      "det_covers": report.det_covers},
+            "verdict": "consistent" if verdict == sampling.CONSISTENT else "flagged",
+            "reasons": reasons,
+        }
+        assert out == json.dumps(want, indent=2) + "\n"
+
+
+class TestOut:
+    @pytest.mark.parametrize("argv", [
+        ["phi", "--q", "5", "--a", "T"],
+        ["charpoly", "--q", "5", "--p", "T+4"],
+        ["torsion", "--q", "5", "--p", "T+1", "--l", "T+4"],
+        ["newton", "--q", "5", "--a", "T", "--place", "T"],
+        ["inertia", "--q", "5", "--l", "T+4"],
+        ["sample", "--q", "7", "--r", "3", "--l", "T+6", "--max-deg", "3"],
+        ["oracle-gl", "--q", "5", "--l", "T+4"],
+        ["verify", "--suite", "fields"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_refused_before_any_work(self, argv, where, tmp_path, capsys,
+                                                       monkeypatch):
+        def never(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), never)
+        path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--q", "5", "--l", "T^2+4", "--max-deg", "2"],  # (T+1)(T+4): refused
+        ["--q", "5", "--coeffs", "T;0;1;T^2+3*T+2", "--l", "T+4", "--max-deg", "2"],  # bad at T+1
+    ], ids=["usage-error", "sweep-error"])
+    @pytest.mark.parametrize("earlier", [None, "an earlier report\n"], ids=["new", "earlier"])
+    def test_failed_sweep_leaves_the_path_as_it_was(self, argv, earlier, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        if earlier is not None:
+            out_path.write_text(earlier)
+        code, out, err = run_cli(capsys, "sample", *argv, "--out", str(out_path))
+        assert code == 2 and not out and err.startswith("error: ")
+        if earlier is None:
+            assert not out_path.exists()
+        else:
+            assert out_path.read_bytes() == earlier.encode()
+        assert list(tmp_path.iterdir()) == ([] if earlier is None else [out_path])
+
+    def test_failure_while_writing_leaves_the_path_as_it_was(self, tmp_path, monkeypatch):
+        def broken(report):
+            yield "    {"
+            raise RuntimeError("the writer broke")
+
+        monkeypatch.setattr(cli, "_sample_chunks", broken)
+        out_path = tmp_path / "report.json"
+        out_path.write_text("an earlier report\n")
+        with pytest.raises(RuntimeError, match="the writer broke"):
+            main(["sample", "--q", "5", "--l", "T+4", "--max-deg", "1", "--out", str(out_path)])
+        assert out_path.read_text() == "an earlier report\n"
+        assert list(tmp_path.iterdir()) == [out_path]
+
+    def test_report_replaces_an_earlier_one_through_a_symlink(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        out_path.write_text("an earlier report\n")
+        out_path.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(out_path)
+        assert run_cli(capsys, "phi", "--q", "5", "--a", "T", "--out", str(link))[0] == 0
+        assert link.is_symlink()
+        assert json.loads(out_path.read_text())["params"]["q"] == 5
+        assert out_path.stat().st_mode & 0o777 == 0o640
+        assert sorted(tmp_path.iterdir()) == [link, out_path]
+
+    @pytest.mark.parametrize("argv", [
+        ["--q", "5", "--l", "T+4", "--max-deg", "1"],
+        ["--q", "5", "--l", "T^2+4", "--max-deg", "2"],  # refused after --out is opened
+    ], ids=["ok", "usage-error"])
+    def test_non_regular_out_is_written_in_place_and_kept(self, argv, capsys):
+        before = os.stat(os.devnull)
+        assert stat.S_ISCHR(before.st_mode)
+        code, out, _ = run_cli(capsys, "sample", *argv, "--out", os.devnull)
+        assert code == (0 if argv[3] == "T+4" else 2) and not out
+        after = os.stat(os.devnull)
+        assert stat.S_ISCHR(after.st_mode) and after.st_rdev == before.st_rdev
 
 
 class TestOracleGL:

@@ -167,11 +167,12 @@ def test_sweep_over_several_chunks_keeps_prime_order(monkeypatch):
     ell = parse_poly("T+4", base)
     monkeypatch.setattr(sampling_mod, "CHARPOLY_CHUNK", 16)  # degree 3 has 40 primes
     seen = []
-    report = sample_frobenii(module, ell, 3, progress=seen.append)
+    report = sample_frobenii(module, ell, 3, progress=lambda *call: seen.append(call))
     expected = [f for d in (1, 2, 3) for f in primes_of_degree(base, d)
                 if f != SparsePoly.T(base) and f != ell]
     assert [rec.prime for rec in report.records] == expected
-    assert seen == report.records
+    # one call per chunk: (degree, primes done, usable primes of every degree)
+    assert seen == [(1, 3, 53), (2, 13, 53), (3, 29, 53), (3, 45, 53), (3, 53, 53)]
     for rec in report.records:
         want = charpoly_linear_system(module, rec.prime).reduce_mod(ell)[:3]
         assert list(rec.charpoly) == want

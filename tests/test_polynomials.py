@@ -15,6 +15,7 @@ from drinfeld.polynomials import (
     PolySyntaxError,
     SparsePoly,
     format_poly,
+    format_rows,
     is_irreducible,
     necklace_count,
     parse_poly,
@@ -366,6 +367,18 @@ class TestSyntax:
         for d in range(1, dmax + 1):
             for f in primes_of_degree(base, d):
                 assert parse_poly(format_poly(f), base) == f
+
+    @pytest.mark.parametrize("p,e,d", [(7, 1, 1), (7, 1, 4), (3, 2, 3), (2, 2, 4)])
+    def test_format_rows_is_format_poly_of_each_row(self, p, e, d):
+        base = make_field(p, e, 1)
+        primes = primes_of_degree(base, d)
+        rows = np.array([[f.coeff(j).to_int() for j in range(d + 1)] for f in primes])
+        assert format_rows(rows, base.q).tolist() == [format_poly(f) for f in primes]
+        # any nonzero leading index, with zero entries below it
+        rows = np.array([[0, 0, 2], [base.q - 1, 0, base.q - 1]])
+        assert format_rows(rows, base.q).tolist() == [
+            format_poly(SparsePoly(base, [(j, base.from_int(int(k))) for j, k in enumerate(row)]))
+            for row in rows]
 
     def test_f9_coefficients_are_element_indices(self):
         F9 = make_field(3, 2, 1)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from drinfeld.fields import make_field
@@ -18,6 +19,7 @@ from drinfeld.sampling import (
     CONSISTENT,
     FLAGGED,
     INCONCLUSIVE_NOTE,
+    DegreeSamples,
     SampleRecord,
     SampleReport,
     SamplingError,
@@ -147,6 +149,21 @@ class TestGLDistribution:
         assert sorted(_irreducible_keys(fld, r).tolist()) == want
 
 
+def _fabricated_report(module, ell, degree, charpolys, oracle, tv, irreducible_seen, det_covers):
+    """A report whose samples, the first len(charpolys) primes of one
+    degree, have these charpolys mod l (tuples of F_l elements, c_0 first)
+    and all pass the determinant law."""
+    s = oracle.size
+    keys = np.array([sum(c.to_int() * s**i for i, c in enumerate(cp)) for cp in charpolys],
+                    dtype=np.int64)
+    rows = prime_coordinates(module.base, degree)[: len(keys)]
+    assert len(rows) == len(keys)
+    block = DegreeSamples(degree, rows @ module.base.p ** np.arange(module.base.n), keys,
+                          np.ones(len(keys), dtype=bool))
+    return SampleReport(module, ell, degree, [block], dict(zip(keys.tolist(), charpolys)),
+                        oracle, tv, irreducible_seen, det_covers)
+
+
 class TestSampling:
     def test_degree_one_exact_values(self):
         D = DrinfeldModule.default_family(7, 3)
@@ -222,7 +239,7 @@ class TestSampling:
     def test_verdict_flagged_on_empty(self):
         D = DrinfeldModule.default_family(7, 3)
         oracle = gl_charpoly_distribution(3, residue_field(parse_poly("T+6", F7)).field)
-        empty = SampleReport(D, parse_poly("T+6", F7), 0, [], oracle, 1.0, False, False)
+        empty = SampleReport(D, parse_poly("T+6", F7), 0, [], {}, oracle, 1.0, False, False)
         verdict, reasons = surjectivity_evidence(empty)
         assert verdict == FLAGGED
         assert "no samples" in reasons
@@ -236,20 +253,20 @@ class TestSampling:
         rf = residue_field(ell)
         oracle = gl_charpoly_distribution(3, rf.field)
         rng = random.Random(0)
-        records = []
-        for k, prime in enumerate(primes_of_degree(F7, 2)):
+        charpolys = []
+        for _ in primes_of_degree(F7, 2):
             # charpoly of an upper-triangular matrix: (x-a)(x-b)(x-c)
             a, b, c = (rng.randrange(1, 7) for _ in range(3))
             c0 = (-a * b * c) % 7
             c1 = (a * b + a * c + b * c) % 7
             c2 = (-(a + b + c)) % 7
-            coeffs = (rf.field.scalar(c0), rf.field.scalar(c1), rf.field.scalar(c2))
-            records.append(SampleRecord(prime, 2, coeffs, True))
+            charpolys.append((rf.field.scalar(c0), rf.field.scalar(c1), rf.field.scalar(c2)))
         emp = {}
-        for rec in records:
-            emp[rec.key()] = emp.get(rec.key(), 0) + 1
-        report = SampleReport(D, ell, 2, records, oracle,
-                              tv_distance(emp, len(records), oracle), False, True)
+        for cp in charpolys:
+            key = tuple(c.to_int() for c in cp)
+            emp[key] = emp.get(key, 0) + 1
+        report = _fabricated_report(D, ell, 2, charpolys, oracle,
+                                    tv_distance(emp, len(charpolys), oracle), False, True)
         verdict, reasons = surjectivity_evidence(report)
         assert verdict == FLAGGED
         assert any("irreducible" in r for r in reasons)
@@ -263,17 +280,15 @@ class TestSampling:
         rf = residue_field(ell)
         oracle = gl_charpoly_distribution(3, rf.field)
         total = oracle.total
-        records = []
-        primes = iter(primes_of_degree(F7, 3) + primes_of_degree(F7, 4))
+        charpolys = []
         counts = {}
         for key, cnt in oracle.counts.items():
             n = round(cnt / total * 600)
             for _ in range(n):
-                records.append(SampleRecord(next(primes), 3,
-                                            tuple(rf.field.scalar(c) for c in key), True))
+                charpolys.append(tuple(rf.field.scalar(c) for c in key))
                 counts[key] = counts.get(key, 0) + 1
-        report = SampleReport(D, ell, 3, records, oracle,
-                              tv_distance(counts, len(records), oracle), True, True)
+        report = _fabricated_report(D, ell, 5, charpolys, oracle,
+                                    tv_distance(counts, len(charpolys), oracle), True, True)
         verdict, reasons = surjectivity_evidence(report)
         assert verdict == CONSISTENT
         assert reasons == []
@@ -284,7 +299,7 @@ class TestSampling:
         # tv >= nan is False, so a NaN threshold once let any report through
         D = DrinfeldModule.default_family(7, 3)
         oracle = gl_charpoly_distribution(3, residue_field(parse_poly("T+6", F7)).field)
-        empty = SampleReport(D, parse_poly("T+6", F7), 0, [], oracle, 1.0, False, False)
+        empty = SampleReport(D, parse_poly("T+6", F7), 0, [], {}, oracle, 1.0, False, False)
         with pytest.raises(SamplingError, match="is not in \\(0, 1\\]$"):
             surjectivity_evidence(empty, threshold)
 
